@@ -28,11 +28,10 @@ from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
 from .glue import (Cover, GluedCertificate, LocalCertificate, PartitionOfUnity,
                    build_pou, check_overlap, extract_local, glue as glue_certificates,
                    glued_from_dict, local_bspline_family, make_cover, reconcile,
-                   serialize_glued, verify_glued)
+                   verify_glued)
 from .limit import (CertifiedSequence, LimitCertificate, Modulus, dyadic_modulus,
                     exact_ceil_log2, exact_pair_sup, limit_from_dict,
-                    serialize_limit, tent_certificate, tent_sequence, transfer,
-                    verify_limit)
+                    tent_certificate, tent_sequence, transfer, verify_limit)
 from .quadrature import (NormTag, QuadratureRule, chebyshev_weighted_norm,
                          composite_gauss_legendre_rule, construction_rule,
                          gauss_chebyshev_rule, gauss_legendre_rule, inner_product,

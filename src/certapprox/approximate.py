@@ -64,10 +64,6 @@ def _common_family(elements) -> basis.BasisFamily:
     return fam
 
 
-def _rule_provenance(rule: quadrature.QuadratureRule) -> dict:
-    return rule.to_dict()
-
-
 # ----------------------------------------------------------------------------
 # orthonormal probes with a Parseval ledger
 # ----------------------------------------------------------------------------
@@ -114,7 +110,7 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     stopping = (f"parseval remainder {parseval:.6e} at N={len(terms)}; "
                 f"direct recheck {direct:.6e}")
     construction = Construction("orthonormal_probe", stopping,
-                                rule=_rule_provenance(last_rule))
+                                rule=last_rule.to_dict())
     return assemble(f.descriptor, family, terms, norm, settings.epsilon,
                     direct, construction)
 
@@ -167,7 +163,7 @@ def approximate_gram(f, elements, norm: NormTag,
         raise ToleranceViolated(err, settings.epsilon, "gram solve best fit")
     construction = Construction(
         "gram_solve", f"cholesky solve over {len(elements)} elements; "
-        f"condition estimate {cond:.6e}", rule=_rule_provenance(rule))
+        f"condition estimate {cond:.6e}", rule=rule.to_dict())
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
                     construction)
 
@@ -193,7 +189,7 @@ def approximate_raw_probe(f, elements, norm: NormTag,
         raise ToleranceViolated(err, settings.epsilon, "raw probes, no correction")
     construction = Construction("raw_probe",
                                 f"independent probes over {len(elements)} elements",
-                                rule=_rule_provenance(rule))
+                                rule=rule.to_dict())
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
                     construction)
 
@@ -310,6 +306,6 @@ def approximate_greedy(f, elements, norm: NormTag,
                                 f"after {settings.max_terms} picks")
     construction = Construction(
         "greedy", f"matching pursuit, {len(picks)} picks",
-        rule=_rule_provenance(err_rule))
+        rule=err_rule.to_dict())
     return assemble(f.descriptor, fam, picks, norm, settings.epsilon, err,
                     construction)

@@ -5,6 +5,8 @@ target within this error in this norm. Claims are serialized canonically
 (sorted keys, no insignificant whitespace, floats as 17-significant-digit
 decimals) so that equal claims are equal bytes, and the SHA-256 digest of
 the canonical bytes minus the digest field is the certificate's identity.
+The envelope every document kind shares (schema_version, kind, genealogy,
+digest) is written, parsed and checked here; glue and limit add payloads.
 
 Verification recomputes the error with a verification-grade measurement
 (refined quadrature panels or the finer sup scan) and checks
@@ -89,6 +91,12 @@ def compute_digest(doc: dict) -> str:
     return hashlib.sha256(canonical_dumps(body)).hexdigest()
 
 
+def envelope(kind: str, cert, payload: dict) -> dict:
+    """A document of the given kind: the shared envelope around its payload."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **payload,
+            "genealogy": list(cert.genealogy), "digest": cert.digest}
+
+
 # ----------------------------------------------------------------------------
 # certificate data
 # ----------------------------------------------------------------------------
@@ -129,9 +137,7 @@ class ApproximationCertificate:
     digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "approximation",
+        return envelope("approximation", self, {
             "target": self.target_descriptor,
             "basis": self.basis.to_dict(),
             "terms": [[int(j), float(a)] for j, a in self.terms],
@@ -139,9 +145,7 @@ class ApproximationCertificate:
             "tolerance": float(self.tolerance),
             "reported_error": float(self.reported_error),
             "construction": self.construction.to_dict(),
-            "genealogy": list(self.genealogy),
-            "digest": self.digest,
-        }
+        })
 
     def approximant(self) -> target_mod.TargetFunction:
         return target_mod.series(self.basis, self.terms)
@@ -180,11 +184,22 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
     cert = ApproximationCertificate(target_descriptor, basis, tt, norm,
                                     float(tolerance), float(reported_error),
                                     construction, tuple(genealogy))
-    return dataclasses.replace(cert, digest=compute_digest(cert.to_dict()))
+    return seal(cert)
 
 
 def serialize(cert) -> bytes:
+    """Canonical bytes of a certificate of any kind."""
     return canonical_dumps(cert.to_dict())
+
+
+def seal(record):
+    """A copy of the record with its digest minted over its canonical content."""
+    return dataclasses.replace(record, digest=compute_digest(record.to_dict()))
+
+
+def digest_ok(record) -> bool:
+    """The record's digest seals its canonical content."""
+    return record.digest == compute_digest(record.to_dict())
 
 
 def _need(doc: dict, key: str, path: str):
@@ -193,61 +208,70 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def deserialize(data) -> ApproximationCertificate:
-    """Parse canonical bytes back into a certificate.
+# errors a malformed payload raises while its fields are converted
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
+                   ConfigurationError)
 
-    Shape and types are validated here; the digest is kept as claimed so
-    that tampering surfaces as a verification failure, not a parse error.
+
+def parse_envelope(doc, kind: str, build, path: str = "$"):
+    """Check the fields every document kind shares, then build the payload.
+
+    The envelope is an object with the supported schema_version, the
+    expected kind, a string digest and a genealogy list of strings.
+    build(doc) reads the kind's own fields; a missing key or a value of the
+    wrong type or range there becomes a CertificateParseError. The digest
+    is kept as claimed so that tampering surfaces as a verification failure,
+    not a parse error.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise CertificateParseError(f"not valid JSON: {e}") from None
-    return certificate_from_dict(doc)
-
-
-def certificate_from_dict(doc: dict, path: str = "$") -> ApproximationCertificate:
     if not isinstance(doc, dict):
         raise CertificateParseError(f"{path} is not an object")
     version = _need(doc, "schema_version", path)
     if version != SCHEMA_VERSION:
         raise CertificateParseError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
-    kind = _need(doc, "kind", path)
-    if kind != "approximation":
-        raise CertificateParseError(f"{path}.kind is {kind!r}, not 'approximation'")
-    try:
-        fam = BasisFamily.from_dict(_need(doc, "basis", path))
-        norm = NormTag.from_dict(_need(doc, "norm", path))
-    except (KeyError, TypeError, ValueError, ConfigurationError) as e:
-        raise CertificateParseError(f"bad basis/norm under {path}: {e}") from None
-    raw_terms = _need(doc, "terms", path)
-    if not isinstance(raw_terms, list) or not raw_terms:
-        raise CertificateParseError(f"{path}.terms must be a non-empty list")
-    terms = []
-    for i, pair in enumerate(raw_terms):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not isinstance(pair[0], int) or isinstance(pair[0], bool)
-                or not isinstance(pair[1], (int, float))):
-            raise CertificateParseError(f"{path}.terms[{i}] must be [index, coefficient]")
-        terms.append((pair[0], float(pair[1])))
-    try:
-        construction = Construction.from_dict(_need(doc, "construction", path))
-    except KeyError as e:
-        raise CertificateParseError(f"missing field {path}.construction.{e.args[0]}") from None
+    found = _need(doc, "kind", path)
+    if found != kind:
+        raise CertificateParseError(f"{path}.kind is {found!r}, not {kind!r}")
+    if not isinstance(_need(doc, "digest", path), str):
+        raise CertificateParseError(f"{path}.digest must be a string")
     genealogy = _need(doc, "genealogy", path)
     if not isinstance(genealogy, list) or not all(isinstance(g, str) for g in genealogy):
         raise CertificateParseError(f"{path}.genealogy must be a list of digests")
-    tolerance = _need(doc, "tolerance", path)
-    reported = _need(doc, "reported_error", path)
-    digest = _need(doc, "digest", path)
-    if not isinstance(digest, str):
-        raise CertificateParseError(f"{path}.digest must be a string")
-    return ApproximationCertificate(
-        str(_need(doc, "target", path)), fam, tuple(terms), norm,
-        float(tolerance), float(reported), construction, tuple(genealogy), digest)
+    try:
+        return build(doc)
+    except _PAYLOAD_ERRORS as e:
+        raise CertificateParseError(f"malformed {kind} document at {path}: {e!r}") from None
+
+
+def deserialize(data) -> ApproximationCertificate:
+    """Parse canonical bytes back into an approximation certificate."""
+    try:
+        doc = json.loads(data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CertificateParseError(f"not valid JSON: {e}") from None
+    return certificate_from_dict(doc)
+
+
+def certificate_from_dict(doc: dict, path: str = "$") -> ApproximationCertificate:
+    def build(doc):
+        raw_terms = doc["terms"]
+        if not isinstance(raw_terms, list) or not raw_terms:
+            raise CertificateParseError(f"{path}.terms must be a non-empty list")
+        terms = []
+        for i, pair in enumerate(raw_terms):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not isinstance(pair[0], int) or isinstance(pair[0], bool)
+                    or not isinstance(pair[1], (int, float))):
+                raise CertificateParseError(
+                    f"{path}.terms[{i}] must be [index, coefficient]")
+            terms.append((pair[0], float(pair[1])))
+        return ApproximationCertificate(
+            str(doc["target"]), BasisFamily.from_dict(doc["basis"]), tuple(terms),
+            NormTag.from_dict(doc["norm"]), float(doc["tolerance"]),
+            float(doc["reported_error"]), Construction.from_dict(doc["construction"]),
+            tuple(doc["genealogy"]), doc["digest"])
+
+    return parse_envelope(doc, "approximation", build, path)
 
 
 # ----------------------------------------------------------------------------
@@ -309,15 +333,45 @@ def recompute_error(cert: ApproximationCertificate, f) -> tuple[float, str]:
         f"composite_gl{rule.points}x{rule.n_panels}"
 
 
-def structural_findings(cert: ApproximationCertificate, store=None) -> list[str]:
+def envelope_findings(cert, parse, store=None, embedded=None):
+    """Structural checks that every document kind shares.
+
+    The digest must seal the canonical content, the canonical bytes must
+    round-trip through parse (the kind's own from_dict), and every genealogy
+    entry must be a well-formed digest. Given embedded certificates or
+    records, they join the caller's store; when there is a store, every
+    genealogy entry must resolve in it. Returns the notes and that store.
+    """
     notes = []
-    if cert.digest != compute_digest(cert.to_dict()):
+    if not digest_ok(cert):
         notes.append("digest does not match canonical content")
+    data = serialize(cert)
     try:
-        if serialize(deserialize(serialize(cert))) != serialize(cert):
+        if serialize(parse(json.loads(data))) != data:
             notes.append("serialization does not round-trip to identical bytes")
     except CertificateParseError as e:
         notes.append(f"serialization round-trip failed: {e}")
+    if embedded is not None:
+        merged = CertificateStore()
+        for item in embedded:
+            merged.add(item)
+        for d in store.digests() if store is not None else ():
+            merged.add(store.get(d))
+        store = merged
+    for g in cert.genealogy:
+        if len(g) != 64 or any(c not in "0123456789abcdef" for c in g):
+            notes.append(f"malformed genealogy digest {g[:16]}...")
+        elif store is not None and store.get(g) is None:
+            notes.append(f"genealogy digest {g[:16]}... does not resolve")
+    return notes, store
+
+
+def verify(cert: ApproximationCertificate, f, store=None) -> VerificationReport:
+    """Independently check a certificate against the target it claims to fit.
+
+    Never raises on adverse findings; the report carries them.
+    """
+    notes, _ = envelope_findings(cert, certificate_from_dict, store)
     if not cert.terms:
         notes.append("empty term list")
     if not cert.reported_error < cert.tolerance:
@@ -334,20 +388,6 @@ def structural_findings(cert: ApproximationCertificate, store=None) -> list[str]
     blo, bhi = cert.basis.domain
     if nlo < blo - 1e-12 or nhi > bhi + 1e-12:
         notes.append("norm domain exceeds basis domain")
-    for g in cert.genealogy:
-        if len(g) != 64 or any(c not in "0123456789abcdef" for c in g):
-            notes.append(f"malformed genealogy digest {g[:16]}...")
-        elif store is not None and store.get(g) is None:
-            notes.append(f"genealogy digest {g[:16]}... does not resolve")
-    return notes
-
-
-def verify(cert: ApproximationCertificate, f, store=None) -> VerificationReport:
-    """Independently check a certificate against the target it claims to fit.
-
-    Never raises on adverse findings; the report carries them.
-    """
-    notes = structural_findings(cert, store)
     structural_ok = not notes
     try:
         recomputed, method = recompute_error(cert, f)
@@ -383,27 +423,5 @@ class CertificateStore:
     def get(self, digest: str):
         return self._by_digest.get(digest)
 
-    def __len__(self) -> int:
-        return len(self._by_digest)
-
     def digests(self) -> tuple[str, ...]:
         return tuple(self._by_digest)
-
-    def is_acyclic(self) -> bool:
-        """Parent-digest edges among stored certificates form a DAG."""
-        state: dict[str, int] = {}
-
-        def visit(d: str) -> bool:
-            if state.get(d) == 1:
-                return False
-            if state.get(d) == 2:
-                return True
-            state[d] = 1
-            cert = self._by_digest.get(d)
-            for parent in getattr(cert, "genealogy", ()) or ():
-                if parent in self._by_digest and not visit(parent):
-                    return False
-            state[d] = 2
-            return True
-
-        return all(visit(d) for d in tuple(self._by_digest))

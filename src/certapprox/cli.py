@@ -16,12 +16,11 @@ import argparse
 import json
 import sys
 
-from . import basis, glue as glue_mod, limit as limit_mod, quadrature, target
+from . import basis, certificate, glue as glue_mod, limit as limit_mod, quadrature, target
 from .approximate import (ExtractionSettings, approximate_chebyshev,
                           approximate_gram, approximate_greedy,
                           approximate_orthonormal, approximate_raw_probe)
-from .certificate import (CertificateStore, FILE_SUFFIX, deserialize, serialize,
-                          verify as verify_approximation)
+from .certificate import CertificateStore, FILE_SUFFIX, serialize
 from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, ExpressionSyntaxError,
                      IllConditionedBasisError, NoProgressError,
@@ -91,23 +90,6 @@ def _load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise CertificateParseError(f"{path} does not hold an object")
     return doc
-
-
-def _resolve_descriptor(descriptor: str, domain, override: str | None):
-    """Rebuild the target a certificate talks about.
-
-    Sampled targets only store a content hash, so verifying one needs
-    --target data:PATH; the hash is then cross-checked by descriptor
-    equality.
-    """
-    if override is not None:
-        return target.resolve_spec(override, domain)
-    if descriptor.startswith("series:tent:n="):
-        return target.tent_partial_sum(int(descriptor.rsplit("=", 1)[1]))
-    if descriptor.startswith(("data:sha256:", "samples:")):
-        raise ConfigurationError(
-            "this certificate names sampled data by hash; pass --target data:PATH")
-    return target.resolve_spec(descriptor, domain)
 
 
 # ----------------------------------------------------------------------------
@@ -198,7 +180,7 @@ def _load_store(paths) -> CertificateStore | None:
         if doc.get("kind") != "approximation":
             raise CertificateParseError(
                 f"{p}: only approximation certificates can seed the store")
-        store.add(deserialize(json.dumps(doc)))
+        store.add(certificate.certificate_from_dict(doc))
     return store
 
 
@@ -216,89 +198,121 @@ def _print_report(report) -> int:
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
+def _verify_against_target(verify, cert, domain, args, store):
+    """Rebuild the target a certificate names and verify the claim against it.
+
+    Sampled targets only store a content hash, so verifying one needs
+    --target data:PATH; the hash is then cross-checked by descriptor
+    equality. Returns None after reporting a target mismatch.
+    """
+    descriptor = cert.target_descriptor
+    if args.target is not None:
+        f = target.resolve_spec(args.target, domain)
+    elif descriptor.startswith("series:tent:n="):
+        f = target.tent_partial_sum(int(descriptor.rsplit("=", 1)[1]))
+    elif descriptor.startswith(("data:sha256:", "samples:")):
+        raise ConfigurationError(
+            "this certificate names sampled data by hash; pass --target data:PATH")
+    else:
+        f = target.resolve_spec(descriptor, domain)
+    if f.descriptor != descriptor:
+        print(f"target mismatch: certificate names {descriptor}, got {f.descriptor}")
+        return None
+    return verify(cert, f, store)
+
+
+def _approximation_summary(cert) -> None:
+    print(f"target: {cert.target_descriptor}")
+    print(f"basis: {cert.basis.kind} on [{_fmt(cert.basis.domain[0])},"
+          f" {_fmt(cert.basis.domain[1])}]")
+    print(f"norm: {cert.norm.kind}")
+    print(f"terms: {len(cert.terms)}")
+    print(f"method: {cert.construction.method}")
+    print(f"stopping: {cert.construction.stopping}")
+    print(f"reported error: {_fmt(cert.reported_error)}")
+    print(f"tolerance: {_fmt(cert.tolerance)}")
+    print(f"genealogy: {len(cert.genealogy)} entries")
+    print(f"digest: {cert.digest}")
+
+
+def _glued_summary(cert) -> None:
+    print(f"target: {cert.target_descriptor}")
+    print(f"patches: {cert.cover.m} on [{_fmt(cert.cover.domain[0])},"
+          f" {_fmt(cert.cover.domain[1])}],"
+          f" overlap fraction {_fmt(cert.cover.overlap_fraction)}")
+    for lc in cert.locals:
+        print(f"  patch {lc.patch_index}: [{_fmt(lc.patch[0])},"
+              f" {_fmt(lc.patch[1])}] {len(lc.cert.terms)} terms,"
+              f" error {_fmt(lc.cert.reported_error)}")
+    adjusted = [r.pair for r in cert.records if r.adjusted]
+    print(f"reconciled pairs: {adjusted if adjusted else 'none'}")
+    print(f"reported error: {_fmt(cert.reported_error)}")
+    print(f"partition bound: {_fmt(cert.bound_estimate)}"
+          f" (C_PU {_fmt(cert.c_pu)})")
+    print(f"tolerance: {_fmt(cert.tolerance)}")
+    print(f"digest: {cert.digest}")
+
+
+def _limit_summary(cert) -> None:
+    print(f"sequence: {cert.sequence}")
+    print(f"anchor depth: {cert.n_star}")
+    print(f"members: {len(cert.members)}")
+    print(f"ladder: {len(cert.ladder)} rungs")
+    for rec in cert.ladder:
+        print(f"  pair {rec.pair}: gap {rec.measured} < {rec.bound}")
+    print(f"tail bound: {cert.tail_bound} (budget {cert.tail_budget})")
+    print(f"proxy depth: {cert.proxy_depth}")
+    print(f"reported error: {_fmt(cert.reported_error)}")
+    print(f"tolerance: {_fmt(cert.tolerance)}")
+    print(f"genealogy: {len(cert.genealogy)} entries")
+    print(f"digest: {cert.digest}")
+
+
+# kind -> (parse, verify, summary). The library functions are looked up on
+# their modules at call time, so wrappers installed there (tracing) apply.
+_KINDS = {
+    "approximation": (
+        lambda doc: certificate.certificate_from_dict(doc),
+        lambda cert, args, store: _verify_against_target(
+            certificate.verify, cert, cert.norm.domain, args, store),
+        _approximation_summary),
+    "glued": (
+        lambda doc: glue_mod.glued_from_dict(doc),
+        lambda cert, args, store: _verify_against_target(
+            glue_mod.verify_glued, cert, cert.cover.domain, args, store),
+        _glued_summary),
+    "limit": (
+        lambda doc: limit_mod.limit_from_dict(doc),
+        lambda cert, args, store: limit_mod.verify_limit(cert, store),
+        _limit_summary),
+}
+
+
+def _kind_entry(doc: dict):
+    """The document's kind and its (parse, verify, summary) entry."""
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise CertificateParseError(f"unknown certificate kind {kind!r}")
+    return (kind, *_KINDS[kind])
+
+
 def cmd_verify(args) -> int:
     doc = _load_document(args.file)
-    kind = doc.get("kind")
     store = _load_store(args.store)
-    if kind == "approximation":
-        cert = deserialize(json.dumps(doc))
-        f = _resolve_descriptor(cert.target_descriptor, cert.norm.domain,
-                                args.target)
-        if f.descriptor != cert.target_descriptor:
-            print(f"target mismatch: certificate names {cert.target_descriptor},"
-                  f" got {f.descriptor}")
-            return EXIT_VERIFICATION
-        print("kind: approximation")
-        return _print_report(verify_approximation(cert, f, store))
-    if kind == "glued":
-        cert = glue_mod.glued_from_dict(doc)
-        f = _resolve_descriptor(cert.target_descriptor, cert.cover.domain,
-                                args.target)
-        if f.descriptor != cert.target_descriptor:
-            print(f"target mismatch: certificate names {cert.target_descriptor},"
-                  f" got {f.descriptor}")
-            return EXIT_VERIFICATION
-        print("kind: glued")
-        return _print_report(glue_mod.verify_glued(cert, f, store))
-    if kind == "limit":
-        cert = limit_mod.limit_from_dict(doc)
-        print("kind: limit")
-        return _print_report(limit_mod.verify_limit(cert, store))
-    raise CertificateParseError(f"unknown certificate kind {kind!r}")
+    kind, parse, verify, _ = _kind_entry(doc)
+    report = verify(parse(doc), args, store)
+    if report is None:
+        return EXIT_VERIFICATION
+    print(f"kind: {kind}")
+    return _print_report(report)
 
 
 def cmd_inspect(args) -> int:
     doc = _load_document(args.file)
-    kind = doc.get("kind")
-    if kind == "approximation":
-        cert = deserialize(json.dumps(doc))
-        print("kind: approximation")
-        print(f"target: {cert.target_descriptor}")
-        print(f"basis: {cert.basis.kind} on [{_fmt(cert.basis.domain[0])},"
-              f" {_fmt(cert.basis.domain[1])}]")
-        print(f"norm: {cert.norm.kind}")
-        print(f"terms: {len(cert.terms)}")
-        print(f"method: {cert.construction.method}")
-        print(f"stopping: {cert.construction.stopping}")
-        print(f"reported error: {_fmt(cert.reported_error)}")
-        print(f"tolerance: {_fmt(cert.tolerance)}")
-        print(f"genealogy: {len(cert.genealogy)} entries")
-        print(f"digest: {cert.digest}")
-    elif kind == "glued":
-        cert = glue_mod.glued_from_dict(doc)
-        print("kind: glued")
-        print(f"target: {cert.target_descriptor}")
-        print(f"patches: {cert.cover.m} on [{_fmt(cert.cover.domain[0])},"
-              f" {_fmt(cert.cover.domain[1])}],"
-              f" overlap fraction {_fmt(cert.cover.overlap_fraction)}")
-        for lc in cert.locals:
-            print(f"  patch {lc.patch_index}: [{_fmt(lc.patch[0])},"
-                  f" {_fmt(lc.patch[1])}] {len(lc.cert.terms)} terms,"
-                  f" error {_fmt(lc.cert.reported_error)}")
-        adjusted = [r.pair for r in cert.records if r.adjusted]
-        print(f"reconciled pairs: {adjusted if adjusted else 'none'}")
-        print(f"reported error: {_fmt(cert.reported_error)}")
-        print(f"partition bound: {_fmt(cert.bound_estimate)}"
-              f" (C_PU {_fmt(cert.c_pu)})")
-        print(f"tolerance: {_fmt(cert.tolerance)}")
-        print(f"digest: {cert.digest}")
-    elif kind == "limit":
-        cert = limit_mod.limit_from_dict(doc)
-        print("kind: limit")
-        print(f"sequence: {cert.sequence}")
-        print(f"anchor depth: {cert.n_star}")
-        print(f"members: {len(cert.members)}")
-        print(f"ladder: {len(cert.ladder)} rungs")
-        for rec in cert.ladder:
-            print(f"  pair {rec.pair}: gap {rec.measured} < {rec.bound}")
-        print(f"tail bound: {cert.tail_bound} (budget {cert.tail_budget})")
-        print(f"proxy depth: {cert.proxy_depth}")
-        print(f"reported error: {_fmt(cert.reported_error)}")
-        print(f"tolerance: {_fmt(cert.tolerance)}")
-        print(f"genealogy: {len(cert.genealogy)} entries")
-        print(f"digest: {cert.digest}")
-    else:
-        raise CertificateParseError(f"unknown certificate kind {kind!r}")
+    kind, parse, _, summary = _kind_entry(doc)
+    cert = parse(doc)
+    print(f"kind: {kind}")
+    summary(cert)
     return EXIT_OK
 
 
@@ -328,7 +342,7 @@ def cmd_glue(args) -> int:
     print(f"partition bound: {_fmt(cert.bound_estimate)} (C_PU {_fmt(cert.c_pu)})")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"digest: {cert.digest}")
-    _write_certificate(glue_mod.serialize_glued(cert), args.out)
+    _write_certificate(serialize(cert), args.out)
     return EXIT_OK
 
 
@@ -345,7 +359,7 @@ def cmd_limit(args) -> int:
     print(f"reported error: {_fmt(cert.reported_error)}")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"digest: {cert.digest}")
-    _write_certificate(limit_mod.serialize_limit(cert), args.out)
+    _write_certificate(serialize(cert), args.out)
     return EXIT_OK
 
 

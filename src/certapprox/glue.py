@@ -17,8 +17,6 @@ is recorded alongside for comparison, never as the acceptance figure.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,8 +28,8 @@ from .approximate import ExtractionSettings, approximate_gram
 from .basis import BasisFamily, cubic_bspline_family
 from .certificate import (ApproximationCertificate, CertificateStore,
                           Construction, VerificationReport, assemble,
-                          bound_is_honored, canonical_dumps, certificate_from_dict,
-                          compute_digest, structural_findings, SCHEMA_VERSION)
+                          bound_is_honored, certificate_from_dict, envelope,
+                          envelope_findings, parse_envelope, seal)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      IllConditionedBasisError, ReconciliationFailureError,
@@ -407,9 +405,7 @@ class GluedCertificate:
     digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "glued",
+        return envelope("glued", self, {
             "target": self.target_descriptor,
             "cover": self.cover.to_dict(),
             "pou": self.pou.to_dict(),
@@ -420,9 +416,7 @@ class GluedCertificate:
             "reported_error": float(self.reported_error),
             "bound_estimate": float(self.bound_estimate),
             "c_pu": float(self.c_pu),
-            "genealogy": list(self.genealogy),
-            "digest": self.digest,
-        }
+        })
 
     def approximant(self) -> GluedFunction:
         return GluedFunction(self.pou, self.locals)
@@ -473,35 +467,30 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
                             tuple(records), float(epsilon), float(global_err),
                             float(bound), float(c_pu),
                             tuple(lc.cert.digest for lc in originals))
-    return dataclasses.replace(cert, digest=compute_digest(cert.to_dict()))
+    return seal(cert)
 
 
 # ----------------------------------------------------------------------------
-# serialization and verification
+# parsing and verification
 # ----------------------------------------------------------------------------
-
-def serialize_glued(cert: GluedCertificate) -> bytes:
-    return canonical_dumps(cert.to_dict())
-
 
 def glued_from_dict(doc: dict) -> GluedCertificate:
-    if not isinstance(doc, dict):
-        raise CertificateParseError("$ is not an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CertificateParseError(
-            f"unsupported schema_version {doc.get('schema_version')!r}")
-    if doc.get("kind") != "glued":
-        raise CertificateParseError(f"$.kind is {doc.get('kind')!r}, not 'glued'")
-    try:
+    def build(doc):
         cover = Cover.from_dict(doc["cover"])
+        m = cover.m
+        if m < 1:
+            raise CertificateParseError("the cover has no patches")
         ramps = tuple((float(s), float(e)) for s, e in doc["pou"]["ramps"])
-        pou = PartitionOfUnity(cover, ramps)
+        if len(ramps) != m - 1:
+            raise CertificateParseError(f"{m} patches need {m - 1} ramps, got {len(ramps)}")
         locals_ = tuple(
             LocalCertificate(int(d["patch_index"]),
                              (float(d["patch"][0]), float(d["patch"][1])),
                              certificate_from_dict(d["certificate"],
                                                    f"$.locals[{i}]"))
             for i, d in enumerate(doc["locals"]))
+        if len(locals_) != m:
+            raise CertificateParseError(f"{m} patches need {m} locals, got {len(locals_)}")
         parents = tuple(certificate_from_dict(d, f"$.parents[{i}]")
                         for i, d in enumerate(doc.get("parents", [])))
         records = tuple(
@@ -511,66 +500,50 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
                                  bool(r["adjusted"]))
             for r in doc.get("reconciliation", []))
         return GluedCertificate(
-            str(doc["target"]), cover, pou, locals_, parents, records,
-            float(doc["tolerance"]), float(doc["reported_error"]),
+            str(doc["target"]), cover, PartitionOfUnity(cover, ramps), locals_,
+            parents, records, float(doc["tolerance"]), float(doc["reported_error"]),
             float(doc["bound_estimate"]), float(doc["c_pu"]),
-            tuple(str(g) for g in doc["genealogy"]), str(doc["digest"]))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise CertificateParseError(f"malformed glued certificate: {e!r}") from None
+            tuple(doc["genealogy"]), doc["digest"])
+
+    return parse_envelope(doc, "glued", build)
 
 
 def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = None
                  ) -> VerificationReport:
     """Re-check a glued claim: structure, locals, overlap gates, global bound."""
-    notes: list[str] = []
-    if cert.digest != compute_digest(cert.to_dict()):
-        notes.append("digest does not match canonical content")
-    try:
-        reread = glued_from_dict(json.loads(serialize_glued(cert).decode("utf-8")))
-        if serialize_glued(reread) != serialize_glued(cert):
-            notes.append("serialization does not round-trip to identical bytes")
-    except CertificateParseError as e:
-        notes.append(f"round-trip failed: {e}")
-    local_store = CertificateStore()
-    for lc in cert.locals:
-        local_store.add(lc.cert)
-    for p in cert.parents:
-        local_store.add(p)
-    if store is not None:
-        for d in store.digests():
-            local_store.add(store.get(d))
-    for g in cert.genealogy:
-        if local_store.get(g) is None:
-            notes.append(f"genealogy digest {g[:16]}... does not resolve")
-    if len(cert.locals) != cert.cover.m:
-        notes.append("local count does not match the cover")
-    if cert.pou.ramps != tuple(cert.cover.overlap(i) for i in range(cert.cover.m - 1)):
+    embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
+    notes, store = envelope_findings(cert, glued_from_dict, store, embedded)
+    cover = cert.cover
+    if cert.pou.ramps != tuple(cover.overlap(i) for i in range(cover.m - 1)):
         notes.append("partition ramps disagree with cover overlaps")
     half = 0.5 * cert.tolerance * (1.0 + 1e-12)
-    delta = cert.tolerance / (2.0 * cert.cover.m)
+    delta = cert.tolerance / (2.0 * cover.m)
+    placed = []
     for i, lc in enumerate(cert.locals):
-        sub_notes = structural_findings(lc.cert, local_store)
-        notes.extend(f"local {i}: {n}" for n in sub_notes)
+        placed.append(lc.patch_index == i and lc.patch == cover.patches[i]
+                      and lc.cert.basis.domain == lc.patch)
+        if not placed[i]:
+            notes.append(f"local {i} does not match its patch")
         if lc.cert.tolerance > half:
             notes.append(f"local {i} budget exceeds half the global tolerance")
-        local_report = None
-        try:
-            local_report = verify_approximation(lc.cert, f, local_store)
-        except Exception as e:
-            notes.append(f"local {i} verification failed to run: {e}")
-        if local_report is not None and not local_report.bound_honored:
-            notes.append(f"local {i} bound not honored")
-    for i in range(cert.cover.m - 1):
+        report = verify_approximation(lc.cert, f, store)
+        notes.extend(f"local {i}: {n}" for n in report.notes)
+    for i in range(cover.m - 1):
+        # check_overlap trusts each local's own patch, so a misplaced one is skipped
+        if not (placed[i] and placed[i + 1]):
+            continue
         mismatch = check_overlap(cert.locals[i], cert.locals[i + 1])
         if mismatch >= delta:
             notes.append(
                 f"overlap ({i}, {i + 1}) mismatch {mismatch:.6g} at or above delta {delta:.6g}")
     structural_ok = not notes
     glued_fn = cert.approximant()
-    norm = NormTag(quadrature.W12, cert.cover.domain)
-    rule = quadrature.construction_rule(f, [glued_fn], interval=cert.cover.domain
+    norm = NormTag(quadrature.W12, cover.domain)
+    rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain
                                         ).refined(8)
-    recomputed = quadrature.norm_of_difference(f, glued_fn, norm, rule)
+    # a misplaced local would be evaluated outside its own basis domain
+    recomputed = (quadrature.norm_of_difference(f, glued_fn, norm, rule)
+                  if all(placed) else math.inf)
     honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
     if cert.reported_error > cert.bound_estimate:
         notes.append("direct error exceeds the partition bound estimate")

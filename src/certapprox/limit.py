@@ -18,8 +18,6 @@ digest, so the claim re-checks from the file alone.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +27,8 @@ from . import target as target_mod
 from .basis import tent_family
 from .certificate import (ApproximationCertificate, CertificateStore,
                           Construction, VerificationReport, assemble,
-                          bound_is_honored, canonical_dumps, certificate_from_dict,
-                          compute_digest, structural_findings, SCHEMA_VERSION)
+                          bound_is_honored, certificate_from_dict, digest_ok,
+                          envelope, envelope_findings, parse_envelope, seal)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, IncompleteSequenceError)
@@ -177,11 +175,6 @@ class EvidenceRecord:
                 "digest": self.digest}
 
 
-def _sealed_evidence(pair, measured: Fraction, bound: Fraction) -> EvidenceRecord:
-    rec = EvidenceRecord(pair, frac_str(measured), frac_str(bound))
-    return dataclasses.replace(rec, digest=compute_digest(rec.to_dict()))
-
-
 def check_pair(seq: CertifiedSequence, n: int, m: int,
                budget: Fraction) -> EvidenceRecord:
     """Measure |S_m - S_n| exactly; contradiction if it reaches the budget."""
@@ -191,7 +184,7 @@ def check_pair(seq: CertifiedSequence, n: int, m: int,
     measured = seq.pair_sup(n, m)
     if not measured < budget:
         raise EvidenceContradictionError(n, m, frac_str(budget), frac_str(measured))
-    return _sealed_evidence((n, m), measured, budget)
+    return seal(EvidenceRecord((n, m), frac_str(measured), frac_str(budget)))
 
 
 @dataclass(frozen=True)
@@ -206,12 +199,6 @@ class ModulusRecord:
         return {"rule": self.rule, "epsilon": self.epsilon,
                 "argument": self.argument, "value": int(self.value),
                 "digest": self.digest}
-
-
-def _sealed_modulus(rule: str, epsilon: Fraction, argument: Fraction,
-                    value: int) -> ModulusRecord:
-    rec = ModulusRecord(rule, frac_str(epsilon), frac_str(argument), value)
-    return dataclasses.replace(rec, digest=compute_digest(rec.to_dict()))
 
 
 # ----------------------------------------------------------------------------
@@ -238,9 +225,7 @@ class LimitCertificate:
     digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "limit",
+        return envelope("limit", self, {
             "sequence": self.sequence,
             "target": self.target_descriptor,
             "tolerance": float(self.tolerance),
@@ -255,9 +240,7 @@ class LimitCertificate:
             "proxy_terms": [[int(k), float(a)] for k, a in self.proxy_terms],
             "proxy_tail": self.proxy_tail,
             "reported_error": float(self.reported_error),
-            "genealogy": list(self.genealogy),
-            "digest": self.digest,
-        }
+        })
 
     def base(self) -> target_mod.TargetFunction:
         """The anchored partial sum the bound is stated for."""
@@ -288,7 +271,7 @@ def transfer(seq: CertifiedSequence, epsilon: float,
     n_star = seq.modulus(half)
     if n_star < 1:
         n_star = 1
-    mod_rec = _sealed_modulus(seq.modulus.rule, eps, half, n_star)
+    mod_rec = seal(ModulusRecord(seq.modulus.rule, frac_str(eps), frac_str(half), n_star))
     members = tuple(seq.member(n) for n in range(1, n_star + 1))
     evidence = tuple(check_pair(seq, n_star, n_star + i, half)
                      for i in range(1, ladder + 1))
@@ -307,26 +290,15 @@ def transfer(seq: CertifiedSequence, epsilon: float,
         seq.name, f"limit:{seq.name}", float(epsilon), frac_str(eps), n_star,
         members, evidence, mod_rec, frac_str(tail), frac_str(half),
         depth, proxy_terms, frac_str(proxy_tail), reported, genealogy)
-    return dataclasses.replace(cert, digest=compute_digest(cert.to_dict()))
+    return seal(cert)
 
 
 # ----------------------------------------------------------------------------
-# serialization and verification
+# parsing and verification
 # ----------------------------------------------------------------------------
-
-def serialize_limit(cert: LimitCertificate) -> bytes:
-    return canonical_dumps(cert.to_dict())
-
 
 def limit_from_dict(doc: dict) -> LimitCertificate:
-    if not isinstance(doc, dict):
-        raise CertificateParseError("$ is not an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CertificateParseError(
-            f"unsupported schema_version {doc.get('schema_version')!r}")
-    if doc.get("kind") != "limit":
-        raise CertificateParseError(f"$.kind is {doc.get('kind')!r}, not 'limit'")
-    try:
+    def build(doc):
         members = tuple(certificate_from_dict(d, f"$.members[{i}]")
                         for i, d in enumerate(doc["members"]))
         ladder = tuple(
@@ -337,21 +309,25 @@ def limit_from_dict(doc: dict) -> LimitCertificate:
         mod_rec = ModulusRecord(str(mod["rule"]), str(mod["epsilon"]),
                                 str(mod["argument"]), int(mod["value"]),
                                 str(mod["digest"]))
-        return LimitCertificate(
+        cert = LimitCertificate(
             str(doc["sequence"]), str(doc["target"]), float(doc["tolerance"]),
             str(doc["epsilon_exact"]), int(doc["n_star"]), members, ladder,
             mod_rec, str(doc["tail_bound"]), str(doc["tail_budget"]),
             int(doc["proxy_depth"]),
             tuple((int(k), float(a)) for k, a in doc["proxy_terms"]),
             str(doc["proxy_tail"]), float(doc["reported_error"]),
-            tuple(str(g) for g in doc["genealogy"]), str(doc["digest"]))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise CertificateParseError(f"malformed limit certificate: {e!r}") from None
+            tuple(doc["genealogy"]), doc["digest"])
+        if cert.n_star < 1 or cert.proxy_depth < 0:
+            raise CertificateParseError("n_star must be at least 1, proxy_depth at least 0")
+        # every exact rational of an honest transfer is positive
+        for q in (cert.epsilon_exact, cert.tail_bound, cert.tail_budget,
+                  cert.proxy_tail, mod_rec.epsilon, mod_rec.argument,
+                  *(r.measured for r in ladder), *(r.bound for r in ladder)):
+            if not parse_frac(q) > 0:
+                raise CertificateParseError(f"{q!r} is not a positive fraction")
+        return cert
 
-
-def _record_digest_ok(rec) -> bool:
-    d = rec.to_dict()
-    return rec.digest == compute_digest(d)
+    return parse_envelope(doc, "limit", build)
 
 
 def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
@@ -363,15 +339,8 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
     the modulus value is re-evaluated when the rule is the known dyadic one,
     and the telescoped tail is re-compared to its budget exactly.
     """
-    notes: list[str] = []
-    if cert.digest != compute_digest(cert.to_dict()):
-        notes.append("digest does not match canonical content")
-    try:
-        reread = limit_from_dict(json.loads(serialize_limit(cert).decode("utf-8")))
-        if serialize_limit(reread) != serialize_limit(cert):
-            notes.append("serialization does not round-trip to identical bytes")
-    except CertificateParseError as e:
-        notes.append(f"round-trip failed: {e}")
+    embedded = cert.members + cert.ladder + (cert.modulus_record,)
+    notes, store = envelope_findings(cert, limit_from_dict, store, embedded)
     if cert.sequence != SEQUENCE_TENT:
         notes.append(f"unknown sequence {cert.sequence!r}; nothing can be re-measured")
     eps = parse_frac(cert.epsilon_exact)
@@ -380,29 +349,20 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
         notes.append("tail budget is not half of epsilon")
     if len(cert.members) != cert.n_star:
         notes.append(f"expected {cert.n_star} members, found {len(cert.members)}")
-    local_store = CertificateStore()
-    for c in cert.members:
-        local_store.add(c)
-    if store is not None:
-        for d in store.digests():
-            local_store.add(store.get(d))
     expected_genealogy = tuple(c.digest for c in cert.members) \
         + tuple(r.digest for r in cert.ladder) + (cert.modulus_record.digest,)
     if cert.genealogy != expected_genealogy:
         notes.append("genealogy does not list members, ladder, modulus in order")
     if cert.sequence == SEQUENCE_TENT:
         for i, member in enumerate(cert.members, start=1):
-            sub = structural_findings(member, local_store)
-            notes.extend(f"member {i}: {n}" for n in sub)
             f_n = target_mod.tent_partial_sum(i)
             if member.target_descriptor != f_n.descriptor:
                 notes.append(f"member {i} does not describe depth {i}")
                 continue
-            report = verify_approximation(member, f_n, local_store)
-            if not report.verdict:
-                notes.append(f"member {i} fails verification: {report.notes}")
+            report = verify_approximation(member, f_n, store)
+            notes.extend(f"member {i}: {n}" for n in report.notes)
         for rec in cert.ladder:
-            if not _record_digest_ok(rec):
+            if not digest_ok(rec):
                 notes.append(f"evidence {rec.pair} digest mismatch")
             n, m = rec.pair
             if n != cert.n_star:
@@ -421,7 +381,7 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
             (k, float(2.0 ** -k)) for k in range(cert.proxy_depth + 1))
         if cert.proxy_terms != expected_proxy:
             notes.append("proxy terms do not follow the sequence law")
-    if not _record_digest_ok(cert.modulus_record):
+    if not digest_ok(cert.modulus_record):
         notes.append("modulus record digest mismatch")
     if cert.modulus_record.rule == DYADIC_RULE:
         arg = parse_frac(cert.modulus_record.argument)

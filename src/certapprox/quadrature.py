@@ -37,7 +37,6 @@ CHEBYSHEV_WEIGHTED_L2 = "chebyshev_weighted_l2"
 
 _NORM_KINDS = (L2, W12, SUP, CHEBYSHEV_WEIGHTED_L2)
 
-GAUSS_LEGENDRE = "gauss_legendre"
 GAUSS_CHEBYSHEV = "gauss_chebyshev"
 COMPOSITE_GAUSS_LEGENDRE = "composite_gauss_legendre"
 
@@ -90,8 +89,8 @@ def chebyshev_weighted_norm() -> NormTag:
 class QuadratureRule:
     """Nodes and weights over a panel decomposition of an interval.
 
-    edges holds the panel boundaries in ascending order; a plain (single
-    panel) rule has two edges. For Gauss-Chebyshev the weight function
+    edges holds the panel boundaries in ascending order; a single-panel
+    rule has two edges. For Gauss-Chebyshev the weight function
     1/sqrt(1-x^2) is built into the weights and edges are fixed at +-1.
     """
 
@@ -101,7 +100,7 @@ class QuadratureRule:
     policy: str = "explicit"
 
     def __post_init__(self):
-        if self.kind not in (GAUSS_LEGENDRE, GAUSS_CHEBYSHEV, COMPOSITE_GAUSS_LEGENDRE):
+        if self.kind not in (GAUSS_CHEBYSHEV, COMPOSITE_GAUSS_LEGENDRE):
             raise ConfigurationError(f"unknown rule kind {self.kind!r}")
         if self.kind == GAUSS_CHEBYSHEV:
             # node count scales with the requested degree, only bounded sanity-wise
@@ -113,8 +112,6 @@ class QuadratureRule:
         e = np.asarray(self.edges, dtype=float)
         if e.size < 2 or np.any(np.diff(e) <= 0.0):
             raise ConfigurationError("panel edges must be strictly increasing")
-        if self.kind == GAUSS_LEGENDRE and e.size != 2:
-            raise ConfigurationError("plain gauss_legendre takes a single panel")
         if self.kind == GAUSS_CHEBYSHEV and self.edges != (-1.0, 1.0):
             raise ConfigurationError("gauss_chebyshev lives on [-1, 1]")
 
@@ -176,7 +173,9 @@ class QuadratureRule:
 
 
 def gauss_legendre_rule(points: int, interval: tuple[float, float]) -> QuadratureRule:
-    return QuadratureRule(GAUSS_LEGENDRE, points, (float(interval[0]), float(interval[1])))
+    """Single-panel Gauss-Legendre rule on the interval."""
+    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points,
+                          (float(interval[0]), float(interval[1])))
 
 
 def gauss_chebyshev_rule(points: int) -> QuadratureRule:
@@ -245,15 +244,13 @@ def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """
     if norm.kind == SUP:
         raise UnsupportedNormError("sup norm has no inner product")
-    if norm.kind == CHEBYSHEV_WEIGHTED_L2:
-        if rule.kind != GAUSS_CHEBYSHEV:
-            raise ConfigurationError(
-                "chebyshev_weighted_l2 inner products need a gauss_chebyshev rule")
-        return integrate(lambda x: np.asarray(f.evaluate(x)) * np.asarray(e.evaluate(x)), rule)
-    if norm.kind == L2:
-        return integrate(lambda x: np.asarray(f.evaluate(x)) * np.asarray(e.evaluate(x)), rule)
-    # W12: L2 pairing of values plus L2 pairing of first derivatives
+    if norm.kind == CHEBYSHEV_WEIGHTED_L2 and rule.kind != GAUSS_CHEBYSHEV:
+        raise ConfigurationError(
+            "chebyshev_weighted_l2 inner products need a gauss_chebyshev rule")
     val = integrate(lambda x: np.asarray(f.evaluate(x)) * np.asarray(e.evaluate(x)), rule)
+    if norm.kind != W12:
+        return val
+    # W12 adds the L2 pairing of first derivatives
     der = integrate(lambda x: np.asarray(f.evaluate_deriv(x)) * np.asarray(e.evaluate_deriv(x)),
                     rule)
     return val + der

@@ -14,9 +14,7 @@ the token set that would have been accepted there. Differentiation is
 symbolic on the parse tree; derivative trees may contain internal sign()
 nodes (from abs) that the surface grammar does not accept.
 
-Targets of all kinds evaluate on scalars or numpy arrays. Piecewise-linear
-targets (sample files) and dyadic tent series additionally support exact
-rational evaluation, which the limit machinery relies on.
+Targets of all kinds evaluate on scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -371,29 +368,6 @@ class TargetFunction:
                 return None
             return np.linspace(0.0, 1.0, 2 ** (top + 1) + 1)
         return None
-
-    def eval_exact(self, x: Fraction) -> Fraction:
-        """Exact rational evaluation; only piecewise-linear structure supports it."""
-        if self.kind == PIECEWISE_LINEAR:
-            pxs = [Fraction(v) for v in self.xs]
-            pys = [Fraction(v) for v in self.ys]
-            if not pxs[0] <= x <= pxs[-1]:
-                raise DomainError(f"x = {x} outside samples")
-            for a, b, ya, yb in zip(pxs[:-1], pxs[1:], pys[:-1], pys[1:]):
-                if x <= b:
-                    return ya + (yb - ya) * (x - a) / (b - a)
-            return pys[-1]
-        if self.kind == SERIES and self.family.kind == basis.TENT:
-            if not 0 <= x <= 1:
-                raise DomainError(f"x = {x} outside [0, 1]")
-            total = Fraction(0)
-            for k, a in self.terms:
-                u = x * (2 ** k)
-                frac = u - (u.numerator // u.denominator)
-                tri = 2 * frac if frac <= Fraction(1, 2) else 2 * (1 - frac)
-                total += Fraction(a) * tri
-            return total
-        raise CapabilityError(f"{self.kind} target has no exact rational evaluation")
 
 
 # ----------------------------------------------------------------------------

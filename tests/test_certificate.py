@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from certapprox import quadrature, target
 from certapprox.basis import cubic_bspline_family, fourier_sine_family
-from certapprox.certificate import (ApproximationCertificate, CertificateStore,
-                                    Construction, assemble, bound_is_honored,
-                                    canonical_dumps, certificate_from_dict,
-                                    compute_digest, deserialize, serialize,
-                                    verify)
+from certapprox.certificate import (CertificateStore, Construction, assemble,
+                                    bound_is_honored, canonical_dumps,
+                                    certificate_from_dict, compute_digest,
+                                    deserialize, serialize, verify)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ToleranceViolated)
 
@@ -231,19 +230,6 @@ def test_verify_resolves_genealogy_through_store():
     dangling = verify(child, f, CertificateStore())
     assert not dangling.structural_ok
     assert any("does not resolve" in n for n in dangling.notes)
-
-
-def test_store_cycle_detection():
-    a = _simple_cert()
-    forged = ApproximationCertificate(
-        a.target_descriptor, a.basis, a.terms, a.norm, a.tolerance,
-        a.reported_error, a.construction, genealogy=(a.digest,), digest=a.digest)
-    store = CertificateStore()
-    store.add(forged)
-    assert not store.is_acyclic()
-    clean = CertificateStore()
-    clean.add(a)
-    assert clean.is_acyclic()
 
 
 def test_report_serializes():

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from certapprox import cli
-from certapprox.certificate import FILE_SUFFIX
+from certapprox.certificate import FILE_SUFFIX, compute_digest
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +286,209 @@ def test_limit_unknown_sequence(workdir):
 def test_limit_tolerance_gate(workdir):
     assert cli.main(["limit", "--eps", "2.0",
                      "--out", str(workdir / "never.json")]) == 4
+
+
+# ----------------------------------------------------------------------------
+# golden corpus: document bytes, digests and CLI output of the fixtures
+# ----------------------------------------------------------------------------
+
+GOLDEN = {
+    "spline": {
+        "digest": "170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405",
+        "sha256": "4112c629fa202cc88e994b9c952513eb9d5823e794dfeb9869e390ef6b2e2011",
+        "verify": (
+            "kind: approximation\n"
+            "digest: 170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405\n"
+            "reported error: 0.000559534\n"
+            "recomputed error: 0.000559534 (method: composite_gl16x36)\n"
+            "tolerance: 0.001\n"
+            "bound honored: yes\n"
+            "structure: ok\n"
+            "verdict: PASS\n"),
+        "inspect": (
+            "kind: approximation\n"
+            "target: builtin:sinpi\n"
+            "basis: cubic_bspline on [0, 1]\n"
+            "norm: w12\n"
+            "terms: 10\n"
+            "method: gram_solve\n"
+            "stopping: cholesky solve over 10 elements; condition estimate 1.232093e+01\n"
+            "reported error: 0.000559534\n"
+            "tolerance: 0.001\n"
+            "genealogy: 0 entries\n"
+            "digest: 170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405\n"),
+    },
+    "glued": {
+        "digest": "24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f",
+        "sha256": "119fb4719517f148e3422517a76e429deaec6d8a20e332b6897dab3e77be608e",
+        "verify": (
+            "kind: glued\n"
+            "digest: 24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f\n"
+            "reported error: 6.72633e-05\n"
+            "recomputed error: 6.72633e-05 (method: composite_gl16x184)\n"
+            "tolerance: 0.01\n"
+            "bound honored: yes\n"
+            "structure: ok\n"
+            "verdict: PASS\n"),
+        "inspect": (
+            "kind: glued\n"
+            "target: builtin:sinpi\n"
+            "patches: 3 on [0, 1], overlap fraction 0.2\n"
+            "  patch 0: [0, 0.366667] 10 terms, error 2.67098e-05\n"
+            "  patch 1: [0.3, 0.7] 10 terms, error 5.94362e-05\n"
+            "  patch 2: [0.633333, 1] 10 terms, error 2.67098e-05\n"
+            "reconciled pairs: none\n"
+            "reported error: 6.72633e-05\n"
+            "partition bound: 0.0650594 (C_PU 13)\n"
+            "tolerance: 0.01\n"
+            "digest: 24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f\n"),
+    },
+    "limit": {
+        "digest": "45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475",
+        "sha256": "00f21a2c4840aba23aff5a72c71e94d8c18fc40cad7ab3bb346139afe2fc7e44",
+        "verify": (
+            "kind: limit\n"
+            "digest: 45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475\n"
+            "reported error: 0.03125\n"
+            "recomputed error: 0.03125 (method: exact_dyadic_tail)\n"
+            "tolerance: 0.125\n"
+            "bound honored: yes\n"
+            "structure: ok\n"
+            "verdict: PASS\n"),
+        "inspect": (
+            "kind: limit\n"
+            "sequence: tent\n"
+            "anchor depth: 5\n"
+            "members: 5\n"
+            "ladder: 8 rungs\n"
+            "  pair (5, 6): gap 1/64 < 1/16\n"
+            "  pair (5, 7): gap 1/64 < 1/16\n"
+            "  pair (5, 8): gap 5/256 < 1/16\n"
+            "  pair (5, 9): gap 5/256 < 1/16\n"
+            "  pair (5, 10): gap 21/1024 < 1/16\n"
+            "  pair (5, 11): gap 21/1024 < 1/16\n"
+            "  pair (5, 12): gap 85/4096 < 1/16\n"
+            "  pair (5, 13): gap 85/4096 < 1/16\n"
+            "tail bound: 1/32 (budget 1/16)\n"
+            "proxy depth: 17\n"
+            "reported error: 0.03125\n"
+            "tolerance: 0.125\n"
+            "genealogy: 14 entries\n"
+            "digest: 45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475\n"),
+    },
+    "ramp": {
+        "digest": "d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713",
+        "sha256": "82f003814f0e54ffa33dc512c1e0fc9d447289f3c965e8b7f96f0777d6905c29",
+        "verify": (
+            "kind: approximation\n"
+            "digest: d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713\n"
+            "reported error: 0.191686\n"
+            "recomputed error: 0.191686 (method: composite_gl16x24)\n"
+            "tolerance: 0.2\n"
+            "bound honored: yes\n"
+            "structure: ok\n"
+            "verdict: PASS\n"),
+        "inspect": (
+            "kind: approximation\n"
+            "target: data:sha256:54bb33ea91288a73a1aaea9995443936944b1d5b1818813bfa393d2d638455b4\n"
+            "basis: fourier_sine on [0, 1]\n"
+            "norm: l2\n"
+            "terms: 5\n"
+            "method: orthonormal_probe\n"
+            "stopping: parseval remainder 1.916865e-01 at N=5; direct recheck 1.916865e-01\n"
+            "reported error: 0.191686\n"
+            "tolerance: 0.2\n"
+            "genealogy: 0 entries\n"
+            "digest: d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713\n"),
+    },
+}
+
+
+def test_golden_corpus(spline_cert, glued_cert, limit_cert, sample_cert, capsys):
+    data, ramp_cert = sample_cert
+    docs = {"spline": (spline_cert, []), "glued": (glued_cert, []),
+            "limit": (limit_cert, []),
+            "ramp": (ramp_cert, ["--target", f"data:{data}"])}
+    for name, (path, extra) in docs.items():
+        want = GOLDEN[name]
+        raw = path.read_bytes()
+        assert json.loads(raw)["digest"] == want["digest"], name
+        assert hashlib.sha256(raw).hexdigest() == want["sha256"], name
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)] + extra) == 0
+        assert capsys.readouterr().out == want["verify"], name
+        assert cli.main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == want["inspect"], name
+
+
+# ----------------------------------------------------------------------------
+# hand-edited, resealed documents end in a verdict or a parse error
+# ----------------------------------------------------------------------------
+
+def _resealed(path, mutate, out):
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    doc["digest"] = compute_digest(doc)
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return mutate
+
+
+HOSTILE = {
+    "limit-epsilon-abc": ("limit_cert", _set("epsilon_exact", "abc")),
+    "limit-tail-abc": ("limit_cert", _set("tail_bound", "abc")),
+    "limit-rung-bound-abc": ("limit_cert", _set("ladder", 0, "bound", "abc")),
+    "limit-modulus-abc": ("limit_cert", _set("modulus", "argument", "abc")),
+    "limit-epsilon-1/0": ("limit_cert", _set("epsilon_exact", "1/0")),
+    "limit-modulus-0/1": ("limit_cert", _set("modulus", "argument", "0/1")),
+    "limit-n_star-negative": ("limit_cert", _set("n_star", -1)),
+    "glued-no-patches": ("glued_cert", _set("cover", "patches", [])),
+    "glued-no-locals": ("glued_cert", _set("locals", [])),
+    "glued-no-ramps": ("glued_cert", _set("pou", "ramps", [])),
+    "approximation-tolerance-x": ("spline_cert", _set("tolerance", "x")),
+    "approximation-construction-list": ("spline_cert", _set("construction", [])),
+}
+
+
+@pytest.mark.parametrize("fixture,mutate", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_documents_never_raise(fixture, mutate, request, workdir):
+    bad = _resealed(request.getfixturevalue(fixture), mutate,
+                    workdir / ("hostile" + FILE_SUFFIX))
+    assert cli.main(["verify", str(bad)]) in (3, 4)
+    assert cli.main(["inspect", str(bad)]) in (3, 4)
+
+
+def _swap_patch_indices(doc):
+    a, b = doc["locals"][0], doc["locals"][1]
+    a["patch_index"], b["patch_index"] = b["patch_index"], a["patch_index"]
+
+
+def _swap_locals(doc):
+    doc["locals"][0], doc["locals"][1] = doc["locals"][1], doc["locals"][0]
+
+
+def _widen_patch_and_cover(doc):
+    doc["cover"]["patches"][1] = doc["locals"][1]["patch"] = [0.25, 0.75]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("locals", 1, "patch_index", 7),
+    _swap_patch_indices,
+    _set("locals", 1, "patch", [0.25, 0.75]),
+    _swap_locals,
+    _widen_patch_and_cover,
+], ids=["index-7", "indices-swapped", "patch-widened", "locals-swapped",
+        "patch-and-cover-widened"])
+def test_local_off_its_patch_fails(glued_cert, workdir, capsys, mutate):
+    bad = _resealed(glued_cert, mutate, workdir / ("offpatch" + FILE_SUFFIX))
+    assert cli.main(["verify", str(bad)]) == 3
+    assert "does not match its patch" in capsys.readouterr().out

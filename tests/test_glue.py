@@ -6,13 +6,13 @@ import pytest
 
 from certapprox import quadrature, target
 from certapprox.approximate import ExtractionSettings
-from certapprox.certificate import Construction, assemble
+from certapprox.certificate import Construction, assemble, serialize
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ReconciliationFailureError, TopologyError)
 from certapprox.glue import (DEFAULT_OVERLAP_FRACTION, Cover, LocalCertificate,
                              build_pou, check_overlap, extract_local, glue,
                              glued_from_dict, local_bspline_family, make_cover,
-                             reconcile, serialize_glued, verify_glued)
+                             reconcile, verify_glued)
 
 EPS = 1e-2
 LOCAL_SETTINGS = ExtractionSettings(0.5 * EPS)
@@ -293,14 +293,14 @@ def test_glue_rejects_locals_from_another_cover(sinpi, locals3):
 # ----------------------------------------------------------------------------
 
 def test_glued_document_round_trips(glued3):
-    data = serialize_glued(glued3)
+    data = serialize(glued3)
     again = glued_from_dict(json.loads(data))
-    assert serialize_glued(again) == data
+    assert serialize(again) == data
     assert again.digest == glued3.digest
 
 
 def test_glued_parse_rejects_wrong_kind(glued3):
-    doc = json.loads(serialize_glued(glued3))
+    doc = json.loads(serialize(glued3))
     doc["kind"] = "approximation"
     with pytest.raises(CertificateParseError):
         glued_from_dict(doc)
@@ -314,7 +314,7 @@ def test_verify_glued_passes_and_recomputes(glued3, sinpi):
 
 
 def test_verify_glued_catches_tampering(glued3, sinpi):
-    doc = json.loads(serialize_glued(glued3))
+    doc = json.loads(serialize(glued3))
     doc["reported_error"] = glued3.reported_error / 2.0
     forged = glued_from_dict(doc)
     rep = verify_glued(forged, sinpi)
@@ -324,7 +324,7 @@ def test_verify_glued_catches_tampering(glued3, sinpi):
 
 
 def test_verify_glued_checks_each_member(glued3, sinpi):
-    doc = json.loads(serialize_glued(glued3))
+    doc = json.loads(serialize(glued3))
     doc["locals"][1]["certificate"]["reported_error"] = 1e-12
     forged = glued_from_dict(doc)
     assert not verify_glued(forged, sinpi).verdict

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certapprox import target
+from certapprox.certificate import serialize
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                EvidenceContradictionError)
 from certapprox.limit import (LADDER_RUNGS, Modulus, check_pair,
                               dyadic_modulus, exact_ceil_log2, exact_pair_sup,
                               frac_str, limit_from_dict, parse_frac,
-                              partial_sum_exact, serialize_limit,
-                              tent_certificate, tent_sequence,
-                              tent_value_exact, transfer, verify_limit)
+                              partial_sum_exact, tent_certificate,
+                              tent_sequence, tent_value_exact, transfer,
+                              verify_limit)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,16 @@ def test_tent_values_are_rational():
     assert tent_value_exact(2, Fraction(3, 16)) == Fraction(1, 2)
     assert tent_value_exact(0, Fraction(1, 2)) == 1
     assert partial_sum_exact(3, Fraction(1, 2)) == 1
+
+
+def test_exact_partial_sum_matches_the_hand_oracle():
+    x = Fraction(3, 16)
+    want = (Fraction(2 * 3, 16)
+            + Fraction(1, 2) * Fraction(2, 1) * Fraction(3, 8)
+            + Fraction(1, 4) * Fraction(2, 1) * Fraction(1, 4))
+    assert partial_sum_exact(2, x) == want
+    floating = target.tent_partial_sum(2).evaluate(3.0 / 16.0)
+    assert float(partial_sum_exact(2, x)) == pytest.approx(floating, rel=1e-15)
 
 
 @pytest.mark.parametrize("pair,want", [
@@ -204,14 +216,14 @@ def test_verify_limit_passes(lim_milli):
 
 
 def test_limit_round_trips_byte_identically(lim_milli):
-    data = serialize_limit(lim_milli)
+    data = serialize(lim_milli)
     again = limit_from_dict(json.loads(data))
-    assert serialize_limit(again) == data
+    assert serialize(again) == data
     assert verify_limit(again).verdict
 
 
 def test_doctored_ladder_rung_fails_verification(lim_milli):
-    doc = json.loads(serialize_limit(lim_milli))
+    doc = json.loads(serialize(lim_milli))
     doc["ladder"][3]["measured"] = "1/1000000"
     forged = limit_from_dict(doc)
     rep = verify_limit(forged)
@@ -220,14 +232,14 @@ def test_doctored_ladder_rung_fails_verification(lim_milli):
 
 
 def test_doctored_tail_fails_verification(lim_milli):
-    doc = json.loads(serialize_limit(lim_milli))
+    doc = json.loads(serialize(lim_milli))
     doc["tail_bound"] = "1/1000000000"
     rep = verify_limit(limit_from_dict(doc))
     assert not rep.verdict
 
 
 def test_unknown_modulus_rule_is_flagged(lim_milli):
-    doc = json.loads(serialize_limit(lim_milli))
+    doc = json.loads(serialize(lim_milli))
     doc["modulus"]["rule"] = "oracle says so"
     rep = verify_limit(limit_from_dict(doc))
     assert not rep.verdict
@@ -235,7 +247,7 @@ def test_unknown_modulus_rule_is_flagged(lim_milli):
 
 
 def test_limit_parse_rejects_wrong_kind(lim_milli):
-    doc = json.loads(serialize_limit(lim_milli))
+    doc = json.loads(serialize(lim_milli))
     doc["kind"] = "glued"
     with pytest.raises(CertificateParseError):
         limit_from_dict(doc)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import target
-from certapprox.errors import (CapabilityError, ConfigurationError, DomainError,
+from certapprox.errors import (ConfigurationError, DomainError,
                                EvaluationError, ExpressionSyntaxError,
                                SampleFormatError)
 from certapprox.target import (differentiate_ast, evaluate_ast, format_ast,
@@ -209,26 +208,6 @@ def test_series_panel_edges_use_finest_term():
     from certapprox.basis import fourier_sine_family
     f = target.series(fourier_sine_family(), [(1, 0.5), (4, 0.25)])
     assert len(f.panel_edges()) == 5
-
-
-def test_exact_rational_evaluation_of_tent_series():
-    f = target.tent_partial_sum(2)
-    x = Fraction(3, 16)
-    want = (Fraction(2 * 3, 16)
-            + Fraction(1, 2) * Fraction(2, 1) * Fraction(3, 8)
-            + Fraction(1, 4) * Fraction(2, 1) * Fraction(1, 4))
-    assert f.eval_exact(x) == want
-    assert float(f.eval_exact(x)) == pytest.approx(f.evaluate(3.0 / 16.0), rel=1e-15)
-
-
-def test_exact_rational_evaluation_of_samples():
-    f = target.piecewise_linear([0.0, 1.0], [0.0, 3.0])
-    assert f.eval_exact(Fraction(1, 3)) == 1
-
-
-def test_expression_targets_have_no_exact_evaluation():
-    with pytest.raises(CapabilityError):
-        target.from_builtin("exp").eval_exact(Fraction(1, 2))
 
 
 def test_deep_tent_series_declines_breakpoint_listing():
