@@ -127,45 +127,64 @@ def _pair_rule(f, elements, norm: NormTag, points: int) -> quadrature.Quadrature
                                         points=points)
 
 
-def _gram_matrix(elements, norm: NormTag, points: int) -> np.ndarray:
+def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
+    """Symmetric matrix of pairwise inner products; rule_for(a, b) picks the
+    quadrature rule of each pair."""
     k = len(elements)
     G = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            rule = _pair_rule(elements[i], [elements[i], elements[j]], norm, points)
-            G[i, j] = G[j, i] = quadrature.inner_product(
-                elements[i], elements[j], norm, rule)
+            a, b = elements[i], elements[j]
+            G[i, j] = G[j, i] = quadrature.inner_product(a, b, norm, rule_for(a, b))
     return G
 
 
-def approximate_gram(f, elements, norm: NormTag,
-                     settings: ExtractionSettings) -> ApproximationCertificate:
-    """Least-squares coefficients from the normal equations in the given norm."""
-    elements = tuple(elements)
-    fam = _common_family(elements)
-    G = _gram_matrix(elements, norm, settings.points)
-    cond = float(np.linalg.cond(G))
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedBasisError(cond, CONDITION_LIMIT)
-    rhs = np.array([
-        quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm, settings.points))
-        for e in elements])
+def _probes(f, elements, norm: NormTag, points: int) -> np.ndarray:
+    """<f, e> for every element, each on its own construction rule."""
+    return np.array([quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm, points))
+                     for e in elements])
+
+
+def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky solution of G c = rhs and G's condition estimate; an estimate
+    over CONDITION_LIMIT or a failure of either step is IllConditionedBasisError."""
+    cond = math.inf
     try:
-        coeffs = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs)
-    except scipy.linalg.LinAlgError:
+        cond = float(np.linalg.cond(G))
+        if not math.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise IllConditionedBasisError(cond, CONDITION_LIMIT)
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs), cond
+    except np.linalg.LinAlgError:
         raise IllConditionedBasisError(cond, CONDITION_LIMIT) from None
+
+
+def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
+             method: str, stopping: str, miss: str) -> ApproximationCertificate:
+    """Measure the series of coefficients (in element order) against f, gate
+    it, and assemble the claim with its terms in index order."""
+    fam = elements[0].family
     order = sorted(range(len(elements)), key=lambda i: elements[i].index)
     terms = [(elements[i].index, float(coeffs[i])) for i in order]
     g = target_mod.series(fam, terms)
     rule = _pair_rule(f, list(elements) + [g], norm, settings.points)
     err = quadrature.norm_of_difference(f, g, norm, rule)
     if err >= settings.epsilon:
-        raise ToleranceViolated(err, settings.epsilon, "gram solve best fit")
-    construction = Construction(
-        "gram_solve", f"cholesky solve over {len(elements)} elements; "
-        f"condition estimate {cond:.6e}", rule=rule.to_dict())
+        raise ToleranceViolated(err, settings.epsilon, miss)
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
-                    construction)
+                    Construction(method, stopping, rule=rule.to_dict()))
+
+
+def approximate_gram(f, elements, norm: NormTag,
+                     settings: ExtractionSettings) -> ApproximationCertificate:
+    """Least-squares coefficients from the normal equations in the given norm."""
+    elements = tuple(elements)
+    _common_family(elements)
+    G = gram_matrix(elements, norm,
+                    lambda a, b: _pair_rule(a, [a, b], norm, settings.points))
+    coeffs, cond = solve_normal_equations(G, _probes(f, elements, norm, settings.points))
+    return _certify(f, elements, coeffs, norm, settings, "gram_solve",
+                    f"cholesky solve over {len(elements)} elements; "
+                    f"condition estimate {cond:.6e}", "gram solve best fit")
 
 
 def approximate_raw_probe(f, elements, norm: NormTag,
@@ -177,21 +196,10 @@ def approximate_raw_probe(f, elements, norm: NormTag,
     the violation carries the achieved error.
     """
     elements = tuple(elements)
-    fam = _common_family(elements)
-    terms = []
-    for e in sorted(elements, key=lambda e: e.index):
-        rule = _pair_rule(f, [e], norm, settings.points)
-        terms.append((e.index, quadrature.inner_product(f, e, norm, rule)))
-    g = target_mod.series(fam, terms)
-    rule = _pair_rule(f, list(elements) + [g], norm, settings.points)
-    err = quadrature.norm_of_difference(f, g, norm, rule)
-    if err >= settings.epsilon:
-        raise ToleranceViolated(err, settings.epsilon, "raw probes, no correction")
-    construction = Construction("raw_probe",
-                                f"independent probes over {len(elements)} elements",
-                                rule=rule.to_dict())
-    return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
-                    construction)
+    _common_family(elements)
+    return _certify(f, elements, _probes(f, elements, norm, settings.points), norm,
+                    settings, "raw_probe", f"independent probes over {len(elements)} elements",
+                    "raw probes, no correction")
 
 
 # ----------------------------------------------------------------------------
@@ -267,10 +275,9 @@ def approximate_greedy(f, elements, norm: NormTag,
     elements = tuple(elements)
     fam = _common_family(elements)
     k = len(elements)
-    G = _gram_matrix(elements, norm, settings.points)
-    probes = np.array([
-        quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm, settings.points))
-        for e in elements])
+    G = gram_matrix(elements, norm,
+                    lambda a, b: _pair_rule(a, [a, b], norm, settings.points))
+    probes = _probes(f, elements, norm, settings.points)
     norms = np.sqrt(np.diag(G))
     if np.any(norms == 0.0):
         raise ConfigurationError("dictionary contains a zero element")

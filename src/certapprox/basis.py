@@ -147,49 +147,39 @@ class BasisElement:
             raise ConfigurationError(
                 f"{fam.kind} index {j} above family size {fam.max_index}")
 
-    # ------------------------------------------------------------------
-    def _check_domain(self, x: np.ndarray):
-        lo, hi = self.family.domain
-        flat = x.reshape(-1)
-        bad = flat[(flat < lo) | (flat > hi)]
-        if bad.size:
-            raise DomainError(f"x = {bad[0]} outside [{lo}, {hi}]")
-
     def evaluate(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(xs)
-        kind, j = self.family.kind, self.index
-        if kind == CHEBYSHEV:
-            v = np.cos(j * np.arccos(np.clip(xs, -1.0, 1.0)))
-        elif kind == FOURIER_SINE:
-            v = math.sqrt(2.0) * np.sin(j * np.pi * xs)
-        elif kind == MONOMIAL:
-            v = xs ** j
-        elif kind == TENT:
-            u = np.ldexp(xs, j)  # 2^j * x, exact scaling
-            v = 2.0 * np.abs(u - np.round(u))
-        else:
-            v = _bspline_value(self.family.knots(), j - 1, 3, xs)
-        return v if np.ndim(x) else float(v[0])
+        return pointwise(self.family.domain, self._value, x)
 
     def evaluate_deriv(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(xs)
+        return pointwise(self.family.domain, self._deriv, x)
+
+    def _value(self, xs: np.ndarray) -> np.ndarray:
         kind, j = self.family.kind, self.index
         if kind == CHEBYSHEV:
-            v = _chebyshev_deriv(j, xs)
-        elif kind == FOURIER_SINE:
-            v = math.sqrt(2.0) * j * np.pi * np.cos(j * np.pi * xs)
-        elif kind == MONOMIAL:
-            v = j * xs ** (j - 1) if j > 0 else np.zeros_like(xs)
-        elif kind == TENT:
+            return np.cos(j * np.arccos(np.clip(xs, -1.0, 1.0)))
+        if kind == FOURIER_SINE:
+            return math.sqrt(2.0) * np.sin(j * np.pi * xs)
+        if kind == MONOMIAL:
+            return xs ** j
+        if kind == TENT:
+            u = np.ldexp(xs, j)  # 2^j * x, exact scaling
+            return 2.0 * np.abs(u - np.round(u))
+        return _bspline_value(self.family.knots(), j - 1, 3, xs)
+
+    def _deriv(self, xs: np.ndarray) -> np.ndarray:
+        kind, j = self.family.kind, self.index
+        if kind == CHEBYSHEV:
+            return _chebyshev_deriv(j, xs)
+        if kind == FOURIER_SINE:
+            return math.sqrt(2.0) * j * np.pi * np.cos(j * np.pi * xs)
+        if kind == MONOMIAL:
+            return j * xs ** (j - 1) if j > 0 else np.zeros_like(xs)
+        if kind == TENT:
             u = np.ldexp(xs, j)
             frac = u - np.floor(u)
             # right-hand derivative: rising on [0, 1/2), falling on [1/2, 1)
-            v = np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
-        else:
-            v = _bspline_deriv(self.family.knots(), j - 1, 3, xs)
-        return v if np.ndim(x) else float(v[0])
+            return np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
+        return _bspline_deriv(self.family.knots(), j - 1, 3, xs)
 
     def support(self) -> tuple[float, float]:
         fam = self.family
@@ -219,6 +209,18 @@ class BasisElement:
         t = self.family.knots()
         inside = t[(t >= a) & (t <= b)]
         return np.unique(inside)
+
+
+def pointwise(domain: tuple[float, float], fn, x):
+    """fn on x as a float array after the domain check; a scalar x gives a float."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = domain
+    flat = xs.reshape(-1)
+    bad = flat[(flat < lo) | (flat > hi)]
+    if bad.size:
+        raise DomainError(f"x = {bad[0]} outside [{lo}, {hi}]")
+    v = fn(xs)
+    return v if np.ndim(x) else float(v[0])
 
 
 def _ceil_div(a: int, b: int) -> int:

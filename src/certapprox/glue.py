@@ -7,7 +7,9 @@ consecutive locals are compared in the Sobolev norm on their overlap; pairs
 that disagree by delta = eps/(2M) or more get reconciled by adjusting the
 higher-indexed patch, left to right, and every adjustment is recorded with
 its coefficient deltas. The blended approximant uses complementary piecewise
-linear ramps, so a ramp pair sums to one up to a single rounding.
+linear ramps, so a ramp pair sums to one up to a single rounding. The blend
+is a target.TargetFunction like any other, and reconciliation's least
+squares go through the Gram assembly and solve of the approximate module.
 
 The glued certificate's reported error is a direct oracle measurement of the
 blended approximant against the target; the partition-of-unity bound
@@ -21,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import quadrature, target as target_mod
-from .approximate import ExtractionSettings, approximate_gram
+from .approximate import (ExtractionSettings, approximate_gram, gram_matrix,
+                          solve_normal_equations)
 from .basis import BasisFamily, cubic_bspline_family
 from .certificate import (ApproximationCertificate, CertificateStore,
                           Construction, VerificationReport, assemble,
@@ -239,19 +241,14 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
     """
     pre = check_overlap(a, b)
     if pre < delta:
-        record = ReconciliationRecord((a.patch_index, b.patch_index), pre, pre, (), False)
-        return b, record
+        return b, ReconciliationRecord((a.patch_index, b.patch_index), pre, pre, (), False)
     lo = max(a.patch[0], b.patch[0])
     hi = min(a.patch[1], b.patch[1])
     fam = b.cert.basis
     sa = a.series()
     norm = NormTag(quadrature.W12, (lo, hi))
-    old = dict(b.cert.terms)
-    movable = []
-    for j, _ in b.cert.terms:
-        s_lo, s_hi = fam.element(j).support()
-        if s_lo < hi and s_hi > lo:
-            movable.append(j)
+    movable = [j for j, _ in b.cert.terms
+               if fam.element(j).support()[0] < hi and fam.element(j).support()[1] > lo]
     if not movable:
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): no element reaches the overlap")
@@ -259,39 +256,25 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
     els = [fam.element(j) for j in movable]
     rule = quadrature.construction_rule(sa, els + [b.series()], interval=(lo, hi),
                                         points=settings.points)
-    k = len(els)
-    G = np.zeros((k, k))
-    for i in range(k):
-        for jj in range(i, k):
-            G[i, jj] = G[jj, i] = quadrature.inner_product(els[i], els[jj], norm, rule)
+    G = gram_matrix(els, norm, lambda u, v: rule)
+    resid = sa
     if fixed:
-        fixed_series = target_mod.series(fam, fixed)
-        def resid_eval(x):
-            return np.asarray(sa.evaluate(x)) - np.asarray(fixed_series.evaluate(x))
-        def resid_deriv(x):
-            return np.asarray(sa.evaluate_deriv(x)) - np.asarray(fixed_series.evaluate_deriv(x))
-        resid = _Callable(resid_eval, resid_deriv)
-    else:
-        resid = sa
+        # what a's approximant leaves for the movable elements on the overlap
+        rest = target_mod.series(fam, fixed)
+        resid = target_mod.TargetFunction(
+            (lo, hi), "reconcile residual",
+            lambda x: sa.evaluate(x) - rest.evaluate(x),
+            lambda x: sa.evaluate_deriv(x) - rest.evaluate_deriv(x))
     rhs = np.array([quadrature.inner_product(resid, e, norm, rule) for e in els])
     try:
-        cond = float(np.linalg.cond(G))
-        if not math.isfinite(cond) or cond > 1e12:
-            raise IllConditionedBasisError(cond)
-        sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs)
-    except (IllConditionedBasisError, np.linalg.LinAlgError) as e:
+        sol, _ = solve_normal_equations(G, rhs)
+    except IllConditionedBasisError as e:
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): overlap system unsolvable ({e})"
         ) from None
-    new_terms = []
-    deltas = []
-    for j, c in b.cert.terms:
-        if j in movable:
-            cj = float(sol[movable.index(j)])
-            deltas.append((j, cj - old[j]))
-            new_terms.append((j, cj))
-        else:
-            new_terms.append((j, c))
+    old, solved = dict(b.cert.terms), dict(zip(movable, map(float, sol)))
+    new_terms = [(j, solved.get(j, c)) for j, c in b.cert.terms]
+    deltas = [(j, solved[j] - old[j]) for j in movable]
     worst = max(abs(d) for _, d in deltas)
     if worst >= delta:
         raise ReconciliationFailureError(
@@ -307,20 +290,6 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
     record = ReconciliationRecord((a.patch_index, b.patch_index), pre, post,
                                   tuple(deltas), True)
     return candidate, record
-
-
-class _Callable:
-    """Adapter giving residual expressions the target evaluation interface."""
-
-    def __init__(self, fn, dfn):
-        self._fn = fn
-        self._dfn = dfn
-
-    def evaluate(self, x):
-        return self._fn(x)
-
-    def evaluate_deriv(self, x):
-        return self._dfn(x)
 
 
 def _reissue(cert: ApproximationCertificate, new_terms, f,
@@ -345,48 +314,42 @@ def _reissue(cert: ApproximationCertificate, new_terms, f,
 # blending and the glued certificate
 # ----------------------------------------------------------------------------
 
-class GluedFunction:
-    """The blended approximant sum_i psi_i * s_i, evaluable like a target."""
+def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
+    """The blended approximant sum_i psi_i * s_i on the cover's domain."""
+    series = [lc.series() for lc in locals_]
+    cover = pou.cover
 
-    def __init__(self, pou: PartitionOfUnity, locals_: tuple[LocalCertificate, ...]):
-        self.pou = pou
-        self.locals = locals_
-        self._series = [lc.series() for lc in locals_]
-        self.domain = pou.cover.domain
-
-    def evaluate(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+    def blend(xs, deriv=False):
         out = np.zeros_like(xs)
-        for i, s in enumerate(self._series):
-            lo, hi = self.pou.cover.patches[i]
-            mask = (xs >= lo) & (xs <= hi)
-            if np.any(mask):
-                out[mask] += self.pou.weight(i, xs[mask]) * np.asarray(s.evaluate(xs[mask]))
-        return out if np.ndim(x) else float(out[0])
-
-    def evaluate_deriv(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        for i, s in enumerate(self._series):
-            lo, hi = self.pou.cover.patches[i]
+        for i, s in enumerate(series):
+            lo, hi = cover.patches[i]
             mask = (xs >= lo) & (xs <= hi)
             if np.any(mask):
                 xm = xs[mask]
-                out[mask] += (self.pou.weight_deriv(i, xm) * np.asarray(s.evaluate(xm))
-                              + self.pou.weight(i, xm) * np.asarray(s.evaluate_deriv(xm)))
-        return out if np.ndim(x) else float(out[0])
+                term = pou.weight(i, xm) * (s.evaluate_deriv(xm) if deriv else s.evaluate(xm))
+                if deriv:  # the product rule, psi_i' s_i first
+                    term = pou.weight_deriv(i, xm) * s.evaluate(xm) + term
+                out[mask] += term
+        return out
 
-    def panel_edges(self) -> np.ndarray:
-        pieces = [np.asarray(self.domain)]
-        for lo, hi in self.pou.cover.patches:
-            pieces.append(np.asarray([lo, hi]))
-        for s, e in self.pou.ramps:
-            pieces.append(np.asarray([s, e]))
-        for s in self._series:
-            pieces.append(s.panel_edges())
+    def edges():
+        pieces = [np.asarray(cover.domain), *map(np.asarray, cover.patches),
+                  *map(np.asarray, pou.ramps), *(s.panel_edges() for s in series)]
         merged = np.unique(np.concatenate(pieces))
-        lo, hi = self.domain
-        return merged[(merged >= lo) & (merged <= hi)]
+        return merged[(merged >= cover.domain[0]) & (merged <= cover.domain[1])]
+
+    return target_mod.TargetFunction(cover.domain, f"glued:m={cover.m}", blend,
+                                     lambda x: blend(x, deriv=True), edges)
+
+
+def partition_bound(pou: PartitionOfUnity, locals_, epsilon: float) -> tuple[float, float]:
+    """C_PU = 1 + 2 max_i ||psi_i'|| * width_i and the partition-of-unity
+    bound max_i(local error) + C_PU * epsilon/2."""
+    cover = pou.cover
+    c_pu = 1.0 + 2.0 * max(
+        pou.max_ramp_slope(i) * (cover.patches[i][1] - cover.patches[i][0])
+        for i in range(cover.m))
+    return c_pu, max(lc.cert.reported_error for lc in locals_) + c_pu * 0.5 * epsilon
 
 
 @dataclass(frozen=True)
@@ -418,8 +381,8 @@ class GluedCertificate:
             "c_pu": float(self.c_pu),
         })
 
-    def approximant(self) -> GluedFunction:
-        return GluedFunction(self.pou, self.locals)
+    def approximant(self) -> target_mod.TargetFunction:
+        return glued_function(self.pou, self.locals)
 
 
 def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
@@ -452,17 +415,14 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
             parents.append(current[i + 1].cert)
         current[i + 1] = adjusted
         records.append(record)
-    glued_fn = GluedFunction(pou, tuple(current))
+    glued_fn = glued_function(pou, current)
     norm = NormTag(quadrature.W12, cover.domain)
     rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain,
                                         points=settings.points).refined(4)
     global_err = quadrature.norm_of_difference(f, glued_fn, norm, rule)
     if global_err >= epsilon:
         raise ToleranceViolated(global_err, epsilon, "glued global error")
-    c_pu = 1.0 + 2.0 * max(
-        pou.max_ramp_slope(i) * (cover.patches[i][1] - cover.patches[i][0])
-        for i in range(m))
-    bound = max(lc.cert.reported_error for lc in current) + c_pu * 0.5 * epsilon
+    c_pu, bound = partition_bound(pou, current, epsilon)
     cert = GluedCertificate(f.descriptor, cover, pou, tuple(current), tuple(parents),
                             tuple(records), float(epsilon), float(global_err),
                             float(bound), float(c_pu),
@@ -508,14 +468,28 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
     return parse_envelope(doc, "glued", build)
 
 
+def _measured(notes: list, what: str, measure, failed=math.inf):
+    """measure(), or `failed` and a note: an unmeasurable claim is a failed claim."""
+    try:
+        return measure()
+    except Exception as e:
+        notes.append(f"{what} cannot be measured: {e}")
+        return failed
+
+
 def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = None
                  ) -> VerificationReport:
     """Re-check a glued claim: structure, locals, overlap gates, global bound."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
     notes, store = envelope_findings(cert, glued_from_dict, store, embedded)
     cover = cert.cover
-    if cert.pou.ramps != tuple(cover.overlap(i) for i in range(cover.m - 1)):
+    ramps = _measured(notes, "partition ramps",
+                      lambda: tuple(cover.overlap(i) for i in range(cover.m - 1)), None)
+    if ramps is not None and cert.pou.ramps != ramps:
         notes.append("partition ramps disagree with cover overlaps")
+    elif ramps is not None and partition_bound(cert.pou, cert.locals, cert.tolerance) \
+            != (cert.c_pu, cert.bound_estimate):
+        notes.append("C_PU or the partition bound does not follow its formula")
     half = 0.5 * cert.tolerance * (1.0 + 1e-12)
     delta = cert.tolerance / (2.0 * cover.m)
     placed = []
@@ -532,18 +506,23 @@ def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = Non
         # check_overlap trusts each local's own patch, so a misplaced one is skipped
         if not (placed[i] and placed[i + 1]):
             continue
-        mismatch = check_overlap(cert.locals[i], cert.locals[i + 1])
+        a, b = cert.locals[i], cert.locals[i + 1]
+        mismatch = _measured(notes, f"overlap ({i}, {i + 1})", lambda: check_overlap(a, b))
         if mismatch >= delta:
             notes.append(
                 f"overlap ({i}, {i + 1}) mismatch {mismatch:.6g} at or above delta {delta:.6g}")
     structural_ok = not notes
-    glued_fn = cert.approximant()
-    norm = NormTag(quadrature.W12, cover.domain)
-    rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain
-                                        ).refined(8)
+
+    def measure_global():
+        glued_fn, norm = cert.approximant(), NormTag(quadrature.W12, cover.domain)
+        rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain).refined(8)
+        err = quadrature.norm_of_difference(f, glued_fn, norm, rule)
+        return err, f"composite_gl16x{rule.n_panels}"
+
     # a misplaced local would be evaluated outside its own basis domain
-    recomputed = (quadrature.norm_of_difference(f, glued_fn, norm, rule)
-                  if all(placed) else math.inf)
+    unmeasured = (math.inf, "unmeasurable")
+    recomputed, method = (_measured(notes, "global error", measure_global, unmeasured)
+                          if all(placed) else unmeasured)
     honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
     if cert.reported_error > cert.bound_estimate:
         notes.append("direct error exceeds the partition bound estimate")
@@ -553,4 +532,4 @@ def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = Non
                      f"{cert.reported_error:.6g}")
     return VerificationReport(cert.digest, cert.reported_error, recomputed,
                               cert.tolerance, honored, structural_ok,
-                              f"composite_gl16x{rule.n_panels}", tuple(notes))
+                              method, tuple(notes))

@@ -368,6 +368,9 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
             if n != cert.n_star:
                 notes.append(f"evidence {rec.pair} is not anchored at {cert.n_star}")
                 continue
+            if m <= n:
+                notes.append(f"evidence {rec.pair} does not reach past its anchor")
+                continue
             remeasured = exact_pair_sup(n, m)
             if frac_str(remeasured) != rec.measured:
                 notes.append(

@@ -236,6 +236,21 @@ def integrate(fn, rule: QuadratureRule) -> float:
     return math.fsum(rule.weights * v)
 
 
+def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
+    """The integral of integrand(x, deriv=False), plus under W12 that of
+    integrand(x, deriv=True): the one place that decides what a norm pairs."""
+    if norm.kind == CHEBYSHEV_WEIGHTED_L2 and rule.kind != GAUSS_CHEBYSHEV:
+        raise ConfigurationError("chebyshev_weighted_l2 needs a gauss_chebyshev rule")
+    val = integrate(lambda x: integrand(x, False), rule)
+    if norm.kind != W12:
+        return val
+    return val + integrate(lambda x: integrand(x, True), rule)
+
+
+def _at(fn, x, deriv: bool) -> np.ndarray:
+    return np.asarray(fn.evaluate_deriv(x) if deriv else fn.evaluate(x), dtype=float)
+
+
 def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """<f, e> in the given norm's inner product, by the given rule.
 
@@ -244,47 +259,22 @@ def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """
     if norm.kind == SUP:
         raise UnsupportedNormError("sup norm has no inner product")
-    if norm.kind == CHEBYSHEV_WEIGHTED_L2 and rule.kind != GAUSS_CHEBYSHEV:
-        raise ConfigurationError(
-            "chebyshev_weighted_l2 inner products need a gauss_chebyshev rule")
-    val = integrate(lambda x: np.asarray(f.evaluate(x)) * np.asarray(e.evaluate(x)), rule)
-    if norm.kind != W12:
-        return val
-    # W12 adds the L2 pairing of first derivatives
-    der = integrate(lambda x: np.asarray(f.evaluate_deriv(x)) * np.asarray(e.evaluate_deriv(x)),
-                    rule)
-    return val + der
+    return _values_and_derivatives(lambda x, d: _at(f, x, d) * _at(e, x, d), norm, rule)
 
 
 def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule | None = None) -> float:
     """||f - g|| in the given norm; pass g=None for ||f||."""
     if norm.kind == SUP:
-        value, _method = sup_distance(f, g, norm.domain)
-        return value
+        return sup_distance(f, g, norm.domain)[0]
     if rule is None:
         raise ConfigurationError("integral norms need a quadrature rule")
 
-    def diff(x):
-        a = np.asarray(f.evaluate(x), dtype=float)
-        if g is None:
-            return a * a
-        b = np.asarray(g.evaluate(x), dtype=float)
-        return (a - b) ** 2
+    def squared(x, deriv):
+        a = _at(f, x, deriv)
+        d = a if g is None else a - _at(g, x, deriv)
+        return d * d
 
-    def diff_deriv(x):
-        a = np.asarray(f.evaluate_deriv(x), dtype=float)
-        if g is None:
-            return a * a
-        b = np.asarray(g.evaluate_deriv(x), dtype=float)
-        return (a - b) ** 2
-
-    if norm.kind == CHEBYSHEV_WEIGHTED_L2 and rule.kind != GAUSS_CHEBYSHEV:
-        raise ConfigurationError(
-            "chebyshev_weighted_l2 norms need a gauss_chebyshev rule")
-    total = integrate(diff, rule)
-    if norm.kind == W12:
-        total += integrate(diff_deriv, rule)
-    return math.sqrt(max(total, 0.0))
+    return math.sqrt(max(_values_and_derivatives(squared, norm, rule), 0.0))
 
 
 GRID_POINTS = 4097
@@ -306,9 +296,8 @@ def sup_distance(f, g, domain: tuple[float, float], grid: int = GRID_POINTS):
             return np.abs(a)
         return np.abs(a - np.asarray(g.evaluate(x), dtype=float))
 
-    bf = f.linear_breakpoints() if hasattr(f, "linear_breakpoints") else None
-    bg = (g.linear_breakpoints() if hasattr(g, "linear_breakpoints") else None) \
-        if g is not None else np.asarray([lo, hi])
+    bf = f.linear_breakpoints()
+    bg = g.linear_breakpoints() if g is not None else np.asarray([lo, hi])
     if bf is not None and bg is not None:
         pts = np.unique(np.concatenate([bf, bg, [lo, hi]]))
         pts = pts[(pts >= lo) & (pts <= hi)]

@@ -14,7 +14,9 @@ the token set that would have been accepted there. Differentiation is
 symbolic on the parse tree; derivative trees may contain internal sign()
 nodes (from abs) that the surface grammar does not accept.
 
-Targets of all kinds evaluate on scalars or numpy arrays.
+Every target, whatever its source, is one TargetFunction: a record of
+what the function can do, filled in by the factory that made it. Targets
+evaluate on scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,19 +25,16 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import basis
-from .errors import (CapabilityError, ConfigurationError, DomainError,
-                     EvaluationError, ExpressionSyntaxError, SampleFormatError)
+from .errors import (CapabilityError, ConfigurationError, EvaluationError,
+                     ExpressionSyntaxError, SampleFormatError)
 
 FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
-
-EXPRESSION = "expression"
-BUILTIN = "builtin"
-PIECEWISE_LINEAR = "piecewise_linear"
-SERIES = "series"
 
 
 # ----------------------------------------------------------------------------
@@ -282,102 +281,54 @@ def format_ast(node: tuple) -> str:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """A function on an interval, from one of four sources.
+    """A function on an interval, as the record of what it can do.
+
+    value and deriv map a float array inside the domain to values and first
+    derivatives (right-hand at kinks); evaluate and evaluate_deriv add the
+    domain check and the scalar-in, scalar-out rule. On demand, edges gives
+    the panel edges a rule should honor (the endpoints when None) and
+    breakpoints the kinks of a piecewise-linear function (None if it is not
+    one). Both stay lazy: a limit certificate's proxy, a tent series of
+    depth n*+12, has a top grid of 2^(depth+1) floats nothing asks for.
+    family and terms are set for term series only.
 
     descriptor is the stable identity recorded in certificates: expression
     text as written, "builtin:NAME", "data:sha256:HEX" for sample files,
     "series:KIND:n=N" for term series.
     """
 
-    kind: str
     domain: tuple[float, float]
     descriptor: str
-    ast: tuple | None = None
-    deriv_ast: tuple | None = None
-    xs: tuple[float, ...] | None = None
-    ys: tuple[float, ...] | None = None
+    value: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]
+    edges: Callable[[], np.ndarray] | None = None
+    breakpoints: Callable[[], np.ndarray | None] | None = None
     family: basis.BasisFamily | None = None
     terms: tuple[tuple[int, float], ...] | None = None
 
-    # ------------------------------------------------------------------
-    def _check_domain(self, x: np.ndarray):
-        lo, hi = self.domain
-        flat = x.reshape(-1)
-        bad = flat[(flat < lo) | (flat > hi)]
-        if bad.size:
-            raise DomainError(f"x = {bad[0]} outside [{lo}, {hi}]")
-
     def evaluate(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(arr)
-        if self.kind in (EXPRESSION, BUILTIN):
-            v = evaluate_ast(self.ast, arr)
-        elif self.kind == PIECEWISE_LINEAR:
-            v = np.interp(arr, self.xs, self.ys)
-        else:
-            v = np.zeros_like(arr)
-            for j, a in self.terms:
-                v = v + a * self.family.element(j).evaluate(arr)
-        return v if np.ndim(x) else float(v[0])
+        return basis.pointwise(self.domain, self.value, x)
 
     def evaluate_deriv(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(arr)
-        if self.kind in (EXPRESSION, BUILTIN):
-            v = evaluate_ast(self.deriv_ast, arr)
-        elif self.kind == PIECEWISE_LINEAR:
-            px = np.asarray(self.xs)
-            py = np.asarray(self.ys)
-            slopes = np.diff(py) / np.diff(px)
-            # right-hand convention at sample points; left limit at the end
-            idx = np.clip(np.searchsorted(px, arr, side="right") - 1, 0, len(slopes) - 1)
-            v = slopes[idx]
-        else:
-            v = np.zeros_like(arr)
-            for j, a in self.terms:
-                v = v + a * self.family.element(j).evaluate_deriv(arr)
-        return v if np.ndim(x) else float(v[0])
+        return basis.pointwise(self.domain, self.deriv, x)
 
-    # ------------------------------------------------------------------
     def panel_edges(self) -> np.ndarray:
-        lo, hi = self.domain
-        if self.kind == PIECEWISE_LINEAR:
-            return np.asarray(self.xs, dtype=float)
-        if self.kind == SERIES:
-            if not self.terms:
-                return np.asarray([lo, hi])
-            if self.family.kind == basis.CUBIC_BSPLINE:
-                return np.unique(self.family.knots())
-            # the finest term grid refines every coarser one
-            top = max(j for j, _ in self.terms)
-            return self.family.element(top).panel_edges()
-        return np.asarray([lo, hi])
+        return self.edges() if self.edges else np.asarray(self.domain)
 
     def linear_breakpoints(self) -> np.ndarray | None:
-        """Kink locations when this target is piecewise linear, else None.
-
-        Tent series deeper than level 16 would need >131072 breakpoints;
-        those fall back to estimated sup norms here (the exact rational
-        machinery in the limit module reduces over one period instead).
-        """
-        if self.kind == PIECEWISE_LINEAR:
-            return np.asarray(self.xs, dtype=float)
-        if self.kind == SERIES and self.family.kind == basis.TENT:
-            top = max(j for j, _ in self.terms) if self.terms else 0
-            if top > 16:
-                return None
-            return np.linspace(0.0, 1.0, 2 ** (top + 1) + 1)
-        return None
+        return self.breakpoints() if self.breakpoints else None
 
 
 # ----------------------------------------------------------------------------
 # factories
 # ----------------------------------------------------------------------------
 
-def from_expression(text: str, domain: tuple[float, float] = (0.0, 1.0)) -> TargetFunction:
+def from_expression(text: str, domain: tuple[float, float] = (0.0, 1.0),
+                    descriptor: str | None = None) -> TargetFunction:
     ast = parse_expression(text)
-    return TargetFunction(EXPRESSION, (float(domain[0]), float(domain[1])),
-                          text, ast=ast, deriv_ast=differentiate_ast(ast))
+    return TargetFunction((float(domain[0]), float(domain[1])), descriptor or text,
+                          partial(evaluate_ast, ast),
+                          partial(evaluate_ast, differentiate_ast(ast)))
 
 
 _BUILTINS = {
@@ -398,9 +349,7 @@ def from_builtin(name: str) -> TargetFunction:
         known = ", ".join(sorted(_BUILTINS) + ["tent_series(n)"])
         raise ConfigurationError(f"unknown builtin {name!r} (known: {known})")
     text, domain = _BUILTINS[name]
-    ast = parse_expression(text)
-    return TargetFunction(BUILTIN, domain, f"builtin:{name}",
-                          ast=ast, deriv_ast=differentiate_ast(ast))
+    return from_expression(text, domain, f"builtin:{name}")
 
 
 def piecewise_linear(xs, ys, descriptor: str | None = None) -> TargetFunction:
@@ -410,8 +359,16 @@ def piecewise_linear(xs, ys, descriptor: str | None = None) -> TargetFunction:
         raise ConfigurationError("need at least two samples of equal length")
     if any(b <= a for a, b in zip(xt[:-1], xt[1:])):
         raise ConfigurationError("sample abscissae must be strictly increasing")
-    return TargetFunction(PIECEWISE_LINEAR, (xt[0], xt[-1]),
-                          descriptor or f"samples:{len(xt)}", xs=xt, ys=yt)
+    px = np.asarray(xt)
+    slopes = np.diff(np.asarray(yt)) / np.diff(px)
+
+    def deriv(x):
+        # right-hand convention at sample points; left limit at the end
+        return slopes[np.clip(np.searchsorted(px, x, side="right") - 1, 0, len(slopes) - 1)]
+
+    kinks = partial(np.asarray, xt, dtype=float)
+    return TargetFunction((xt[0], xt[-1]), descriptor or f"samples:{len(xt)}",
+                          lambda x: np.interp(x, xt, yt), deriv, kinks, kinks)
 
 
 def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> TargetFunction:
@@ -420,7 +377,31 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
         family.element(j)  # index validation
     if descriptor is None:
         descriptor = f"series:{family.kind}:n={len(tt)}"
-    return TargetFunction(SERIES, family.domain, descriptor, family=family, terms=tt)
+    top = max((j for j, _ in tt), default=0)
+
+    def total(x, deriv=False):
+        v = np.zeros_like(x)
+        for j, a in tt:
+            e = family.element(j)
+            v = v + a * (e.evaluate_deriv(x) if deriv else e.evaluate(x))
+        return v
+
+    def edges():
+        if not tt:
+            return np.asarray(family.domain)
+        if family.kind == basis.CUBIC_BSPLINE:
+            return np.unique(family.knots())
+        # the finest term grid refines every coarser one
+        return family.element(top).panel_edges()
+
+    def tent_kinks():
+        # deeper tent sums fall back to estimated sup norms; the exact
+        # rational machinery in the limit module reduces over one period
+        return np.linspace(0.0, 1.0, 2 ** (top + 1) + 1) if top <= 16 else None
+
+    return TargetFunction(family.domain, descriptor, total, partial(total, deriv=True),
+                          edges, tent_kinks if family.kind == basis.TENT else None,
+                          family, tt)
 
 
 def tent_partial_sum(n: int) -> TargetFunction:

@@ -6,6 +6,7 @@ any of them is a defect, not a fix.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import time
@@ -234,6 +235,9 @@ def test_c7_durability_and_determinism(capsys):
             assert c.digest == compute_digest(c.to_dict())
         second = [serialize(c) for c in _battery()]
         assert blobs == second
+        # every route's bytes, pinned across refactors
+        assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
+            "9a806fea773a59e03badf3f01158e4c7c984ecfccd098eaf9bf7548de158a2d7")
         # forged copies must fail the recheck
         for victim, fn in ((first[70], target.from_builtin("sinpi")),
                            (first[30], target.from_builtin("exp"))):

@@ -492,3 +492,36 @@ def test_local_off_its_patch_fails(glued_cert, workdir, capsys, mutate):
     bad = _resealed(glued_cert, mutate, workdir / ("offpatch" + FILE_SUFFIX))
     assert cli.main(["verify", str(bad)]) == 3
     assert "does not match its patch" in capsys.readouterr().out
+
+
+UNMEASURABLE = {
+    "rung-5-3": ("limit_cert", _set("ladder", 0, "pair", [5, 3]), "past its anchor"),
+    "rung-5-0": ("limit_cert", _set("ladder", 0, "pair", [5, 0]), "past its anchor"),
+    "rung-5-minus-1": ("limit_cert", _set("ladder", 0, "pair", [5, -1]),
+                       "past its anchor"),
+    "patch-narrowed": ("glued_cert", _set("cover", "patches", 1, [0.4, 0.5]),
+                       "partition ramps cannot be measured"),
+    "domain-widened": ("glued_cert", _set("cover", "domain", [-1, 1]),
+                       "global error cannot be measured"),
+    "domain-empty": ("glued_cert", _set("cover", "domain", [0, 0]),
+                     "global error cannot be measured"),
+    "local-term-index-0": ("glued_cert", _set("locals", 0, "certificate", "terms", 0, 0, 0),
+                           "global error cannot be measured"),
+    "c_pu-negative": ("glued_cert", _set("c_pu", -1), "C_PU or the partition bound"),
+    "bound-estimate-2": ("glued_cert", _set("bound_estimate", 2.0),
+                         "C_PU or the partition bound"),
+}
+
+
+@pytest.mark.parametrize("fixture,mutate,note", UNMEASURABLE.values(),
+                         ids=UNMEASURABLE.keys())
+def test_unmeasurable_claims_fail(fixture, mutate, note, request, workdir, capsys):
+    # a claim a helper cannot measure, or a recorded constant off its formula,
+    # is a failed claim: exit 3 with a note, never a crash
+    bad = _resealed(request.getfixturevalue(fixture), mutate,
+                    workdir / ("unmeasurable" + FILE_SUFFIX))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    assert note in out

@@ -271,6 +271,9 @@ def test_glue_reconciles_a_shifted_member(sinpi, locals3, cover3):
     assert len(g.parents) == 1
     assert g.parents[0].digest == shifted.cert.digest
     assert g.genealogy[1] == shifted.cert.digest
+    # the only tier-1 path through the reconcile residual: pins its bytes
+    assert g.digest == ("27cf182c30d44fb683e06bc7cd9ca897"
+                        "09449cf907cdd51ef82aacab4374bc5e")
     assert verify_glued(g, sinpi).verdict
 
 
