@@ -129,11 +129,21 @@ def _pair_rule(f, elements, norm: NormTag, points: int) -> quadrature.Quadrature
 
 def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
     """Symmetric matrix of pairwise inner products; rule_for(a, b) picks the
-    quadrature rule of each pair."""
+    quadrature rule of each pair.
+
+    Only pairs whose supports overlap in an interval of positive length are
+    integrated; every other entry stays +0.0, which is exactly what its
+    integral gives: an element is +0.0 off its support and no rule node
+    sits on a panel edge, where two touching supports meet, so every node
+    contributes a zero and the fsum of zeros is +0.0. For cubic B-splines
+    this keeps the band |i - j| <= 3: 4k - 6 of the k(k + 1)/2 pairs.
+    """
     k = len(elements)
     G = np.zeros((k, k))
+    lo, hi = np.array([e.support() for e in elements], dtype=float).reshape(k, 2).T
     for i in range(k):
-        for j in range(i, k):
+        meets = np.minimum(hi[i], hi[i:]) > np.maximum(lo[i], lo[i:])
+        for j in (np.flatnonzero(meets) + i).tolist():
             a, b = elements[i], elements[j]
             G[i, j] = G[j, i] = quadrature.inner_product(a, b, norm, rule_for(a, b))
     return G

@@ -135,6 +135,10 @@ def _clamped_knots(lo: float, hi: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BasisElement:
+    """One element of a family. value and deriv map a float array inside the
+    domain, unchecked; evaluate and evaluate_deriv add the domain check and
+    the scalar-in, scalar-out rule."""
+
     family: BasisFamily
     index: int
 
@@ -148,12 +152,12 @@ class BasisElement:
                 f"{fam.kind} index {j} above family size {fam.max_index}")
 
     def evaluate(self, x):
-        return pointwise(self.family.domain, self._value, x)
+        return pointwise(self.family.domain, self.value, x)
 
     def evaluate_deriv(self, x):
-        return pointwise(self.family.domain, self._deriv, x)
+        return pointwise(self.family.domain, self.deriv, x)
 
-    def _value(self, xs: np.ndarray) -> np.ndarray:
+    def value(self, xs: np.ndarray) -> np.ndarray:
         kind, j = self.family.kind, self.index
         if kind == CHEBYSHEV:
             return np.cos(j * np.arccos(np.clip(xs, -1.0, 1.0)))
@@ -166,7 +170,7 @@ class BasisElement:
             return 2.0 * np.abs(u - np.round(u))
         return _bspline_value(self.family.knots(), j - 1, 3, xs)
 
-    def _deriv(self, xs: np.ndarray) -> np.ndarray:
+    def deriv(self, xs: np.ndarray) -> np.ndarray:
         kind, j = self.family.kind, self.index
         if kind == CHEBYSHEV:
             return _chebyshev_deriv(j, xs)
@@ -245,30 +249,40 @@ def _chebyshev_deriv(j: int, x: np.ndarray) -> np.ndarray:
 # Cox-de Boor recursion, vectorized over x
 # ----------------------------------------------------------------------------
 
-def _bspline_value(t: np.ndarray, i: int, p: int, x: np.ndarray) -> np.ndarray:
+def _bspline_value(t: np.ndarray, i: int, p: int, x: np.ndarray,
+                   memo: dict | None = None) -> np.ndarray:
+    """N_{i,p}(x); memo holds the sub-results (i, p) of one evaluation, so
+    the subtrees the recursion shares are computed once."""
+    memo = {} if memo is None else memo
+    if (i, p) in memo:
+        return memo[i, p]
     if p == 0:
         if t[i] >= t[i + 1]:
-            return np.zeros_like(x)
-        if t[i + 1] == t[-1]:
+            v = np.zeros_like(x)
+        elif t[i + 1] == t[-1]:
             # close the final span so x == hi belongs to the last element
-            return np.where((x >= t[i]) & (x <= t[i + 1]), 1.0, 0.0)
-        return np.where((x >= t[i]) & (x < t[i + 1]), 1.0, 0.0)
-    v = np.zeros_like(x)
-    d1 = t[i + p] - t[i]
-    if d1 > 0.0:
-        v = v + (x - t[i]) / d1 * _bspline_value(t, i, p - 1, x)
-    d2 = t[i + p + 1] - t[i + 1]
-    if d2 > 0.0:
-        v = v + (t[i + p + 1] - x) / d2 * _bspline_value(t, i + 1, p - 1, x)
+            v = np.where((x >= t[i]) & (x <= t[i + 1]), 1.0, 0.0)
+        else:
+            v = np.where((x >= t[i]) & (x < t[i + 1]), 1.0, 0.0)
+    else:
+        v = np.zeros_like(x)
+        d1 = t[i + p] - t[i]
+        if d1 > 0.0:
+            v = v + (x - t[i]) / d1 * _bspline_value(t, i, p - 1, x, memo)
+        d2 = t[i + p + 1] - t[i + 1]
+        if d2 > 0.0:
+            v = v + (t[i + p + 1] - x) / d2 * _bspline_value(t, i + 1, p - 1, x, memo)
+    memo[i, p] = v
     return v
 
 
 def _bspline_deriv(t: np.ndarray, i: int, p: int, x: np.ndarray) -> np.ndarray:
+    memo: dict = {}
     v = np.zeros_like(x)
     d1 = t[i + p] - t[i]
     if d1 > 0.0:
-        v = v + p / d1 * _bspline_value(t, i, p - 1, x)
+        v = v + p / d1 * _bspline_value(t, i, p - 1, x, memo)
     d2 = t[i + p + 1] - t[i + 1]
     if d2 > 0.0:
-        v = v - p / d2 * _bspline_value(t, i + 1, p - 1, x)
+        v = v - p / d2 * _bspline_value(t, i + 1, p - 1, x, memo)
     return v

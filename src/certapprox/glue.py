@@ -483,6 +483,8 @@ def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = Non
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
     notes, store = envelope_findings(cert, glued_from_dict, store, embedded)
     cover = cert.cover
+    if (cover.patches[0][0], cover.patches[-1][1]) != cover.domain:
+        notes.append("cover domain does not match its patches")
     ramps = _measured(notes, "partition ramps",
                       lambda: tuple(cover.overlap(i) for i in range(cover.m - 1)), None)
     if ramps is not None and cert.pou.ramps != ramps:

@@ -209,14 +209,14 @@ def construction_rule(f, elements, interval: tuple[float, float] | None = None,
     merged = np.concatenate([[lo], merged, [hi]])
     # grids built from different rational spacings can land an ulp apart;
     # such slivers break panel refinement, so coalesce them
-    keep = [merged[0]]
+    keep = merged[:1].tolist()
     tol = (hi - lo) * 1e-13
-    for v in merged[1:]:
+    for v in merged[1:].tolist():
         if v - keep[-1] > tol:
             keep.append(v)
     keep[-1] = hi
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points,
-                          tuple(float(v) for v in keep), policy="structural")
+    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points, tuple(keep),
+                          policy="structural")
 
 
 # ----------------------------------------------------------------------------

@@ -372,18 +372,33 @@ def piecewise_linear(xs, ys, descriptor: str | None = None) -> TargetFunction:
 
 
 def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> TargetFunction:
+    """sum_j a_j e_j over the family's elements.
+
+    The domain is checked once per evaluation, not once per term, and a term
+    whose support is a proper subinterval of the domain is evaluated only at
+    the points inside its closed support. That is exact: off its support a
+    term adds a * 0.0, and v + (+-0.0) == v because v starts at +0.0 and a
+    sum never turns it into -0.0.
+    """
     tt = tuple((int(j), float(a)) for j, a in terms)
-    for j, _ in tt:
-        family.element(j)  # index validation
+    parts = []
+    for j, a in tt:
+        e = family.element(j)  # index validation
+        support = e.support()
+        parts.append((e, a, None if support == family.domain else support))
     if descriptor is None:
         descriptor = f"series:{family.kind}:n={len(tt)}"
     top = max((j for j, _ in tt), default=0)
 
     def total(x, deriv=False):
         v = np.zeros_like(x)
-        for j, a in tt:
-            e = family.element(j)
-            v = v + a * (e.evaluate_deriv(x) if deriv else e.evaluate(x))
+        for e, a, support in parts:
+            fn = e.deriv if deriv else e.value
+            if support is None:
+                v = v + a * fn(x)
+            else:
+                inside = (x >= support[0]) & (x <= support[1])
+                v[inside] += a * fn(x[inside])
         return v
 
     def edges():

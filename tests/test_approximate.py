@@ -5,11 +5,11 @@ import pytest
 import scipy.special
 
 from certapprox import quadrature, target
-from certapprox.approximate import (ExtractionSettings, approximate_chebyshev,
-                                    approximate_gram, approximate_greedy,
-                                    approximate_orthonormal,
+from certapprox.approximate import (ExtractionSettings, _pair_rule,
+                                    approximate_chebyshev, approximate_gram,
+                                    approximate_greedy, approximate_orthonormal,
                                     approximate_raw_probe,
-                                    chebyshev_coefficients)
+                                    chebyshev_coefficients, gram_matrix)
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family)
 from certapprox.certificate import verify
@@ -104,6 +104,60 @@ def test_gram_solve_condition_gate_on_monomials():
     with pytest.raises(IllConditionedBasisError):
         approximate_gram(f, els, quadrature.l2_norm((0.0, 0.1)),
                          ExtractionSettings(1e-10))
+
+
+def _every_pair_gram(elements, norm, rule_for):
+    # the reference: integrate all k(k+1)/2 pairs, overlapping or not
+    k = len(elements)
+    G = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            a, b = elements[i], elements[j]
+            G[i, j] = G[j, i] = quadrature.inner_product(a, b, norm, rule_for(a, b))
+    return G
+
+
+@pytest.mark.parametrize("norm", [quadrature.w12_norm(), quadrature.l2_norm()],
+                         ids=["w12", "l2"])
+def test_banded_gram_is_byte_identical_to_every_pair(norm):
+    els = cubic_bspline_family(100).interior_elements()
+
+    def rule_for(a, b):
+        return _pair_rule(a, [a, b], norm, 16)
+
+    G = gram_matrix(els, norm, rule_for)
+    assert G.tobytes() == _every_pair_gram(els, norm, rule_for).tobytes()
+    assert np.count_nonzero(G) == 674
+
+
+def test_banded_gram_is_byte_identical_on_an_overlap_rule():
+    # the reconcile shape: one rule on a patch overlap for every pair
+    fam = cubic_bspline_family(30, (0.25, 0.75))
+    lo, hi = 0.25, 0.45
+    els = [e for e in fam.elements() if e.support()[0] < hi and e.support()[1] > lo]
+    s = target.series(fam, [(e.index, 0.1 * e.index) for e in els])
+    rule = quadrature.construction_rule(s, els, interval=(lo, hi))
+    norm = quadrature.w12_norm((lo, hi))
+    G = gram_matrix(els, norm, lambda u, v: rule)
+    assert G.tobytes() == _every_pair_gram(els, norm, lambda u, v: rule).tobytes()
+    assert np.count_nonzero(G) < len(els) ** 2
+
+
+def test_banded_gram_integrates_only_the_band(monkeypatch):
+    # a work count, not a timer: k interior cubic B-splines overlap in 4k - 6 pairs
+    els = cubic_bspline_family(200).interior_elements()
+    calls = []
+
+    def counting(a, b, norm, rule):
+        calls.append((a.index, b.index))
+        return 1.0
+
+    monkeypatch.setattr(quadrature, "inner_product", counting)
+    G = gram_matrix(els, quadrature.w12_norm(), lambda a, b: None)
+    k = len(els)
+    assert k == 198 and len(calls) == 4 * k - 6 == 786
+    assert all(0 <= j - i <= 3 for i, j in calls)
+    assert np.count_nonzero(G) == 2 * len(calls) - k
 
 
 def test_mixed_families_are_rejected():

@@ -184,6 +184,28 @@ def test_bspline_support_is_sound(x, j):
         assert e.evaluate(x) == 0.0
 
 
+FAMILIES = [chebyshev_family(), fourier_sine_family(), monomial_family((-0.5, 2.0)),
+            tent_family(), cubic_bspline_family(10, (-0.5, 2.0))]
+
+
+@given(fam=st.sampled_from(FAMILIES), j=st.integers(min_value=1, max_value=10),
+       u=st.floats(min_value=0.0, max_value=1.0), left=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_support_is_sound_for_every_family(fam, j, u, left):
+    # sums and Gram assembly skip an element off its support; that needs a
+    # value and a derivative of exactly 0.0 there
+    e = fam.element(j)
+    lo, hi = e.support()
+    assert fam.domain[0] <= lo < hi <= fam.domain[1]
+    # a point of [domain lo, support lo] or [support hi, domain hi]
+    a, b = (fam.domain[0], lo) if left else (hi, fam.domain[1])
+    x = min(max(a + u * (b - a), a), b)
+    if lo <= x <= hi:
+        return
+    assert e.evaluate(x) == 0.0
+    assert e.evaluate_deriv(x) == 0.0
+
+
 def test_bspline_right_endpoint_belongs_to_last_element():
     fam = cubic_bspline_family(8)
     assert fam.element(8).evaluate(1.0) == pytest.approx(1.0)

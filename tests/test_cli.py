@@ -510,6 +510,8 @@ UNMEASURABLE = {
     "c_pu-negative": ("glued_cert", _set("c_pu", -1), "C_PU or the partition bound"),
     "bound-estimate-2": ("glued_cert", _set("bound_estimate", 2.0),
                          "C_PU or the partition bound"),
+    "domain-narrowed": ("glued_cert", _set("cover", "domain", [0.2, 0.8]),
+                        "cover domain does not match its patches"),
 }
 
 

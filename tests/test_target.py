@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import target
+from certapprox import quadrature, target
+from certapprox.basis import cubic_bspline_family
 from certapprox.errors import (ConfigurationError, DomainError,
                                EvaluationError, ExpressionSyntaxError,
                                SampleFormatError)
@@ -208,6 +209,22 @@ def test_series_panel_edges_use_finest_term():
     from certapprox.basis import fourier_sine_family
     f = target.series(fourier_sine_family(), [(1, 0.5), (4, 0.25)])
     assert len(f.panel_edges()) == 5
+
+
+def test_bspline_series_on_supports_matches_full_evaluation():
+    # each term runs only on its closed support; the sum must not move a bit
+    rng = np.random.default_rng(3)
+    fam = cubic_bspline_family(30, (-0.5, 2.0))
+    terms = [(j, float(rng.normal())) for j in range(1, 31)]
+    s = target.series(fam, terms)
+    rule = quadrature.construction_rule(s, []).refined(4)
+    x = np.concatenate([[-0.5], rule.nodes, [2.0]])  # x == hi is in the last span
+    for restricted, full in ((s.evaluate, "evaluate"), (s.evaluate_deriv, "evaluate_deriv")):
+        want = np.zeros_like(x)
+        for j, a in terms:
+            want = want + a * getattr(fam.element(j), full)(x)
+        assert restricted(x).tobytes() == want.tobytes()
+    assert s.evaluate(2.0) == terms[-1][1]
 
 
 def test_deep_tent_series_declines_breakpoint_listing():
