@@ -33,10 +33,9 @@ from .limit import (CertifiedSequence, LimitCertificate, Modulus, dyadic_modulus
                     exact_ceil_log2, exact_pair_sup, limit_from_dict,
                     tent_certificate, tent_sequence, transfer, verify_limit)
 from .quadrature import (NormTag, QuadratureRule, chebyshev_weighted_norm,
-                         composite_gauss_legendre_rule, construction_rule,
-                         gauss_chebyshev_rule, gauss_legendre_rule, inner_product,
-                         integrate, l2_norm, norm_of_difference, sup_distance,
-                         sup_norm, w12_norm)
+                         construction_rule, gauss_chebyshev_rule,
+                         gauss_legendre_rule, inner_product, integrate, l2_norm,
+                         norm_of_difference, sup_distance, sup_norm, w12_norm)
 from .target import (TargetFunction, from_builtin, from_expression, load_samples,
                      parse_expression, piecewise_linear, resolve_spec,
                      tent_partial_sum)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import basis, quadrature, target as target_mod
 from .certificate import ApproximationCertificate, Construction, assemble
@@ -42,11 +41,10 @@ CHEB_TAIL_TERMS = 8
 
 @dataclass(frozen=True)
 class ExtractionSettings:
-    """Tolerance and construction-rule parameters shared by all routes."""
+    """Tolerance and term budget shared by all routes."""
 
     epsilon: float
     max_terms: int = 512
-    points: int = 16
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -81,8 +79,7 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
         raise ConfigurationError(
             f"{family.kind} is not orthonormal in L2; use gram_solve")
     norm = NormTag(quadrature.L2, family.domain)
-    f2_rule = quadrature.construction_rule(f, [], interval=family.domain,
-                                           points=settings.points).refined(4)
+    f2_rule = quadrature.construction_rule(f, [], interval=family.domain).refined(4)
     f2 = quadrature.integrate(lambda x: np.asarray(f.evaluate(x)) ** 2, f2_rule)
     acc = 0.0
     terms: list[tuple[int, float]] = []
@@ -91,16 +88,14 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     last_rule = None
     for n in range(1, settings.max_terms + 1):
         e = family.element(n)
-        rule = quadrature.construction_rule(f, [e], interval=family.domain,
-                                            points=settings.points)
+        rule = quadrature.construction_rule(f, [e], interval=family.domain)
         a = quadrature.inner_product(f, e, norm, rule)
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
         if parseval < settings.epsilon:
             g = target_mod.series(family, terms)
-            last_rule = quadrature.construction_rule(f, [g], interval=family.domain,
-                                                     points=settings.points)
+            last_rule = quadrature.construction_rule(f, [g], interval=family.domain)
             direct = quadrature.norm_of_difference(f, g, norm, last_rule)
             if direct < settings.epsilon:
                 break
@@ -119,12 +114,11 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
 # gram solve and raw probes
 # ----------------------------------------------------------------------------
 
-def _pair_rule(f, elements, norm: NormTag, points: int) -> quadrature.QuadratureRule:
+def _pair_rule(f, elements, norm: NormTag) -> quadrature.QuadratureRule:
     if norm.kind == quadrature.CHEBYSHEV_WEIGHTED_L2:
         top = max(e.index for e in elements) if elements else 0
         return quadrature.gauss_chebyshev_rule(max(64, 2 * (top + 1)))
-    return quadrature.construction_rule(f, elements, interval=norm.domain,
-                                        points=points)
+    return quadrature.construction_rule(f, elements, interval=norm.domain)
 
 
 def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
@@ -149,23 +143,58 @@ def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
     return G
 
 
-def _probes(f, elements, norm: NormTag, points: int) -> np.ndarray:
+def _probes(f, elements, norm: NormTag) -> np.ndarray:
     """<f, e> for every element, each on its own construction rule."""
-    return np.array([quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm, points))
+    return np.array([quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm))
                      for e in elements])
 
 
+def _fsum_dot(head: float, u: np.ndarray, v: np.ndarray) -> float:
+    """head - sum(u * v), exactly rounded over the rounded products."""
+    return math.fsum([head, *(-u * v).tolist()])
+
+
+def envelope_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower factor L of the symmetric G = L L^T, and the column where each
+    row of G starts. L keeps that envelope (George & Liu 1981), so a banded
+    G costs O(k band^2). Each entry is one math.fsum, so L does not depend
+    on summation order; a non-positive pivot is a LinAlgError."""
+    k = len(G)
+    first = np.array([np.argmax(G[i, :i + 1] != 0.0) for i in range(k)], dtype=int)
+    L = np.zeros((k, k))
+    for i in range(k):
+        for j in range(first[i], i + 1):
+            lo = max(first[i], first[j])
+            s = _fsum_dot(G[i, j], L[i, lo:j], L[j, lo:j])
+            if j < i:
+                L[i, j] = s / L[j, j]
+            elif s > 0.0:
+                L[i, i] = math.sqrt(s)
+            else:
+                raise np.linalg.LinAlgError(f"non-positive pivot {s:.3e} in row {i}")
+    return L, first
+
+
 def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky solution of G c = rhs and G's condition estimate; an estimate
-    over CONDITION_LIMIT or a failure of either step is IllConditionedBasisError."""
+    """Envelope-Cholesky solution of G c = rhs, one fsum per value, and G's
+    condition estimate; an estimate over CONDITION_LIMIT or a non-positive
+    pivot is IllConditionedBasisError."""
     cond = math.inf
     try:
         cond = float(np.linalg.cond(G))
         if not math.isfinite(cond) or cond > CONDITION_LIMIT:
             raise IllConditionedBasisError(cond, CONDITION_LIMIT)
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs), cond
+        L, first = envelope_cholesky(G)
     except np.linalg.LinAlgError:
         raise IllConditionedBasisError(cond, CONDITION_LIMIT) from None
+    k = len(G)
+    y, x = np.zeros(k), np.zeros(k)
+    for i in range(k):
+        y[i] = _fsum_dot(rhs[i], L[i, first[i]:i], y[first[i]:i]) / L[i, i]
+    for i in reversed(range(k)):
+        below = np.flatnonzero(first[i + 1:] <= i) + i + 1
+        x[i] = _fsum_dot(y[i], L[below, i], x[below]) / L[i, i]
+    return x, cond
 
 
 def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
@@ -176,7 +205,7 @@ def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
     order = sorted(range(len(elements)), key=lambda i: elements[i].index)
     terms = [(elements[i].index, float(coeffs[i])) for i in order]
     g = target_mod.series(fam, terms)
-    rule = _pair_rule(f, list(elements) + [g], norm, settings.points)
+    rule = _pair_rule(f, list(elements) + [g], norm)
     err = quadrature.norm_of_difference(f, g, norm, rule)
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, miss)
@@ -189,9 +218,8 @@ def approximate_gram(f, elements, norm: NormTag,
     """Least-squares coefficients from the normal equations in the given norm."""
     elements = tuple(elements)
     _common_family(elements)
-    G = gram_matrix(elements, norm,
-                    lambda a, b: _pair_rule(a, [a, b], norm, settings.points))
-    coeffs, cond = solve_normal_equations(G, _probes(f, elements, norm, settings.points))
+    G = gram_matrix(elements, norm, lambda a, b: _pair_rule(a, [a, b], norm))
+    coeffs, cond = solve_normal_equations(G, _probes(f, elements, norm))
     return _certify(f, elements, coeffs, norm, settings, "gram_solve",
                     f"cholesky solve over {len(elements)} elements; "
                     f"condition estimate {cond:.6e}", "gram solve best fit")
@@ -207,7 +235,7 @@ def approximate_raw_probe(f, elements, norm: NormTag,
     """
     elements = tuple(elements)
     _common_family(elements)
-    return _certify(f, elements, _probes(f, elements, norm, settings.points), norm,
+    return _certify(f, elements, _probes(f, elements, norm), norm,
                     settings, "raw_probe", f"independent probes over {len(elements)} elements",
                     "raw probes, no correction")
 
@@ -216,16 +244,13 @@ def approximate_raw_probe(f, elements, norm: NormTag,
 # weighted Chebyshev pipeline
 # ----------------------------------------------------------------------------
 
-def chebyshev_coefficients(f, degree: int, points: int | None = None) -> np.ndarray:
+def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
 
-    Uses the n = 2(degree+1) point Chebyshev rule unless a larger node
-    count is requested; a_0 carries the 1/pi normalization, the rest 2/pi.
+    Uses the 2(degree+1) point Chebyshev rule; a_0 carries the 1/pi
+    normalization, the rest 2/pi.
     """
-    n = points if points is not None else 2 * (degree + 1)
-    if n < degree + 1:
-        raise ConfigurationError("node count too small for the degree")
-    rule = quadrature.gauss_chebyshev_rule(n)
+    rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     fam = basis.chebyshev_family()
     norm = quadrature.chebyshev_weighted_norm()
     out = np.empty(degree + 1)
@@ -285,9 +310,8 @@ def approximate_greedy(f, elements, norm: NormTag,
     elements = tuple(elements)
     fam = _common_family(elements)
     k = len(elements)
-    G = gram_matrix(elements, norm,
-                    lambda a, b: _pair_rule(a, [a, b], norm, settings.points))
-    probes = _probes(f, elements, norm, settings.points)
+    G = gram_matrix(elements, norm, lambda a, b: _pair_rule(a, [a, b], norm))
+    probes = _probes(f, elements, norm)
     norms = np.sqrt(np.diag(G))
     if np.any(norms == 0.0):
         raise ConfigurationError("dictionary contains a zero element")
@@ -308,7 +332,7 @@ def approximate_greedy(f, elements, norm: NormTag,
         g = target_mod.series(fam, picks)
         chosen = {j for j, _ in picks}
         sel = [e for e in elements if e.index in chosen]
-        err_rule = _pair_rule(f, sel + [g], norm, settings.points)
+        err_rule = _pair_rule(f, sel + [g], norm)
         new_err = quadrature.norm_of_difference(f, g, norm, err_rule)
         if new_err < settings.epsilon:
             err = new_err

@@ -229,8 +229,8 @@ class ReconciliationRecord:
                 "adjusted": self.adjusted}
 
 
-def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
-              settings: ExtractionSettings) -> tuple[LocalCertificate, ReconciliationRecord]:
+def reconcile(f, a: LocalCertificate, b: LocalCertificate,
+              delta: float) -> tuple[LocalCertificate, ReconciliationRecord]:
     """Pull b toward a on their overlap, touching only b's coefficients.
 
     Elements of b with no support on the overlap keep their coefficients;
@@ -254,8 +254,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
             f"pair ({a.patch_index}, {b.patch_index}): no element reaches the overlap")
     fixed = [(j, c) for j, c in b.cert.terms if j not in movable]
     els = [fam.element(j) for j in movable]
-    rule = quadrature.construction_rule(sa, els + [b.series()], interval=(lo, hi),
-                                        points=settings.points)
+    rule = quadrature.construction_rule(sa, els + [b.series()], interval=(lo, hi))
     G = gram_matrix(els, norm, lambda u, v: rule)
     resid = sa
     if fixed:
@@ -280,7 +279,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): coefficient delta {worst:.6g}"
             f" exceeds gate {delta:.6g}")
-    candidate_cert = _reissue(b.cert, new_terms, f, settings)
+    candidate_cert = _reissue(b.cert, new_terms, f)
     candidate = LocalCertificate(b.patch_index, b.patch, candidate_cert)
     post = check_overlap(a, candidate)
     if post >= delta:
@@ -292,12 +291,10 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate, delta: float,
     return candidate, record
 
 
-def _reissue(cert: ApproximationCertificate, new_terms, f,
-             settings: ExtractionSettings) -> ApproximationCertificate:
+def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCertificate:
     """Child certificate with adjusted coefficients, re-measured on its patch."""
     g = target_mod.series(cert.basis, new_terms)
-    rule = quadrature.construction_rule(f, [g], interval=cert.norm.domain,
-                                        points=settings.points)
+    rule = quadrature.construction_rule(f, [g], interval=cert.norm.domain)
     err = quadrature.norm_of_difference(f, g, cert.norm, rule)
     if err >= cert.tolerance:
         raise ReconciliationFailureError(
@@ -386,14 +383,12 @@ class GluedCertificate:
 
 
 def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
-         epsilon: float, settings: ExtractionSettings | None = None) -> GluedCertificate:
+         epsilon: float) -> GluedCertificate:
     """Reconcile pairwise left to right, blend, and certify the global error.
 
     Locals must each hold a budget of at most epsilon/2 on their patch.
     delta = epsilon/(2M) gates every overlap mismatch after reconciliation.
     """
-    if settings is None:
-        settings = ExtractionSettings(epsilon=epsilon)
     cover = pou.cover
     m = cover.m
     if len(locals_) != m:
@@ -410,15 +405,14 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
     records = []
     parents = []
     for i in range(m - 1):
-        adjusted, record = reconcile(f, current[i], current[i + 1], delta, settings)
+        adjusted, record = reconcile(f, current[i], current[i + 1], delta)
         if record.adjusted:
             parents.append(current[i + 1].cert)
         current[i + 1] = adjusted
         records.append(record)
     glued_fn = glued_function(pou, current)
     norm = NormTag(quadrature.W12, cover.domain)
-    rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain,
-                                        points=settings.points).refined(4)
+    rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain).refined(4)
     global_err = quadrature.norm_of_difference(f, glued_fn, norm, rule)
     if global_err >= epsilon:
         raise ToleranceViolated(global_err, epsilon, "glued global error")

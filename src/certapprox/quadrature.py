@@ -182,14 +182,8 @@ def gauss_chebyshev_rule(points: int) -> QuadratureRule:
     return QuadratureRule(GAUSS_CHEBYSHEV, points, (-1.0, 1.0))
 
 
-def composite_gauss_legendre_rule(points: int, edges) -> QuadratureRule:
-    e = tuple(float(v) for v in np.unique(np.asarray(edges, dtype=float)))
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points, e)
-
-
-def construction_rule(f, elements, interval: tuple[float, float] | None = None,
-                      points: int = 16) -> QuadratureRule:
-    """Composite GL rule whose edges honor f's and every element's structure.
+def construction_rule(f, elements, interval: tuple[float, float] | None = None) -> QuadratureRule:
+    """Composite 16-point GL rule whose edges honor f's and every element's structure.
 
     interval restricts the rule (overlap measurements, patch norms); by
     default the rule spans the intersection of the operand domains.
@@ -215,7 +209,7 @@ def construction_rule(f, elements, interval: tuple[float, float] | None = None,
         if v - keep[-1] > tol:
             keep.append(v)
     keep[-1] = hi
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points, tuple(keep),
+    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, 16, tuple(keep),
                           policy="structural")
 
 
@@ -280,7 +274,7 @@ def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule | None = None) 
 GRID_POINTS = 4097
 
 
-def sup_distance(f, g, domain: tuple[float, float], grid: int = GRID_POINTS):
+def sup_distance(f, g, domain: tuple[float, float]):
     """Max of |f - g| over the interval, with the method used.
 
     When both operands expose linear breakpoints (piecewise-linear
@@ -304,13 +298,13 @@ def sup_distance(f, g, domain: tuple[float, float], grid: int = GRID_POINTS):
         vals = h(pts)
         return float(np.max(vals)), "breakpoint_sup"
 
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     vals = h(xs)
     i = int(np.argmax(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    b = xs[min(i + 1, GRID_POINTS - 1)]
     best = _golden_max(h, a, b, tol=(hi - lo) * 1e-12)
-    return float(max(vals[i], best)), f"grid_{grid}+golden"
+    return float(max(vals[i], best)), f"grid_{GRID_POINTS}+golden"
 
 
 def _golden_max(h, a: float, b: float, tol: float) -> float:

@@ -259,22 +259,6 @@ def differentiate_ast(node: tuple) -> tuple:
     raise CapabilityError(f"no derivative rule for {name!r}")
 
 
-def format_ast(node: tuple) -> str:
-    """Conservatively parenthesized text that reparses to the same tree."""
-    op = node[0]
-    if op == "num":
-        return repr(node[1])
-    if op == "x":
-        return "x"
-    if op == "pi":
-        return "pi"
-    if op == "neg":
-        return f"(-{format_ast(node[1])})"
-    if op == "call":
-        return f"{node[1]}({format_ast(node[2])})"
-    return f"({format_ast(node[1])}{op}{format_ast(node[2])})"
-
-
 # ----------------------------------------------------------------------------
 # target functions
 # ----------------------------------------------------------------------------

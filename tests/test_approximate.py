@@ -1,15 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
 from certapprox import quadrature, target
-from certapprox.approximate import (ExtractionSettings, _pair_rule,
+from certapprox.approximate import (ExtractionSettings, _pair_rule, _probes,
                                     approximate_chebyshev, approximate_gram,
                                     approximate_greedy, approximate_orthonormal,
                                     approximate_raw_probe,
-                                    chebyshev_coefficients, gram_matrix)
+                                    chebyshev_coefficients, envelope_cholesky,
+                                    gram_matrix, solve_normal_equations)
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family)
 from certapprox.certificate import verify
@@ -106,6 +108,75 @@ def test_gram_solve_condition_gate_on_monomials():
                          ExtractionSettings(1e-10))
 
 
+def _normal_equations(case):
+    f = target.from_builtin("sinpi")
+    if case == "banded":
+        els, norm = cubic_bspline_family(12).interior_elements(), quadrature.w12_norm()
+    else:
+        els, norm = [monomial_family().element(j) for j in range(7)], quadrature.l2_norm()
+    G = gram_matrix(els, norm, lambda a, b: _pair_rule(a, [a, b], norm))
+    return G, _probes(f, els, norm)
+
+
+def _exact_solve(G, rhs):
+    # Gauss-Jordan over the rationals the floats stand for
+    k = len(G)
+    rows = [[Fraction(v) for v in G[i].tolist()] + [Fraction(float(rhs[i]))]
+            for i in range(k)]
+    for c in range(k):
+        for r in range(k):
+            if r != c and rows[r][c]:
+                m = rows[r][c] / rows[c][c]
+                rows[r] = [a - m * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+@pytest.mark.parametrize("case", ["banded", "dense"])
+def test_cholesky_solution_is_near_the_exact_one(case):
+    G, rhs = _normal_equations(case)
+    x, cond = solve_normal_equations(G, rhs)
+    exact = _exact_solve(G, rhs)
+    got = [Fraction(v) for v in x.tolist()]
+    u = Fraction(2) ** -53
+    # backward: every row of rhs - G x is within a few ulps of |G| |x|
+    for i in range(len(G)):
+        row = [Fraction(v) for v in G[i].tolist()]
+        resid = Fraction(float(rhs[i])) - sum(g * c for g, c in zip(row, got))
+        assert abs(resid) <= 4 * u * sum(abs(g * c) for g, c in zip(row, got))
+    # forward: the banded W12 Gram (condition 12) leaves every coefficient
+    # within 4 ulps; the dense degree-6 monomial Gram (condition 4.7e8) only
+    # admits the error its conditioning allows
+    if case == "banded":
+        assert cond < 20.0
+        for c, e in zip(got, exact):
+            assert abs(c - e) <= 4 * Fraction(math.ulp(float(e)))
+    else:
+        assert cond > 1e8
+        scale = max(abs(e) for e in exact)
+        assert max(abs(c - e) for c, e in zip(got, exact)) <= Fraction(cond) * u * scale
+
+
+@pytest.mark.parametrize("case", ["banded", "dense"])
+def test_cholesky_factor_keeps_the_envelope(case):
+    G, _ = _normal_equations(case)
+    L, _ = envelope_cholesky(G)
+    for i in range(len(G)):
+        first = int(np.flatnonzero(G[i, :i + 1])[0])
+        assert not np.any(L[i, :first]) and not np.any(L[i, i + 1:])
+        assert L[i, first] != 0.0
+    if case == "banded":
+        assert [int(np.flatnonzero(G[i])[0]) for i in range(len(G))] == \
+            [max(0, i - 3) for i in range(len(G))]
+    np.testing.assert_allclose(L @ L.T, G, rtol=1e-14, atol=1e-14 * np.abs(G).max())
+
+
+def test_cholesky_refuses_an_indefinite_matrix():
+    G = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert np.linalg.cond(G) < 4.0
+    with pytest.raises(IllConditionedBasisError):
+        solve_normal_equations(G, np.array([1.0, 1.0]))
+
+
 def _every_pair_gram(elements, norm, rule_for):
     # the reference: integrate all k(k+1)/2 pairs, overlapping or not
     k = len(elements)
@@ -123,7 +194,7 @@ def test_banded_gram_is_byte_identical_to_every_pair(norm):
     els = cubic_bspline_family(100).interior_elements()
 
     def rule_for(a, b):
-        return _pair_rule(a, [a, b], norm, 16)
+        return _pair_rule(a, [a, b], norm)
 
     G = gram_matrix(els, norm, rule_for)
     assert G.tobytes() == _every_pair_gram(els, norm, rule_for).tobytes()

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,11 +298,11 @@ def test_limit_tolerance_gate(workdir):
 
 GOLDEN = {
     "spline": {
-        "digest": "170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405",
-        "sha256": "4112c629fa202cc88e994b9c952513eb9d5823e794dfeb9869e390ef6b2e2011",
+        "digest": "6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260",
+        "sha256": "38309ed784bf8f660201b03ab8cc415735ec73b2d416f6ea8587a3124242cd34",
         "verify": (
             "kind: approximation\n"
-            "digest: 170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405\n"
+            "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"
             "reported error: 0.000559534\n"
             "recomputed error: 0.000559534 (method: composite_gl16x36)\n"
             "tolerance: 0.001\n"
@@ -316,14 +320,14 @@ GOLDEN = {
             "reported error: 0.000559534\n"
             "tolerance: 0.001\n"
             "genealogy: 0 entries\n"
-            "digest: 170b9e1aee727d967898853c34a3d37ab20ed0ea2fe4fa02cea2d36e00cb6405\n"),
+            "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"),
     },
     "glued": {
-        "digest": "24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f",
-        "sha256": "119fb4719517f148e3422517a76e429deaec6d8a20e332b6897dab3e77be608e",
+        "digest": "687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b",
+        "sha256": "6cd14bdf40ee87e8c77e2d407eccc971664c2448bf6febc83a41222544a2b4c9",
         "verify": (
             "kind: glued\n"
-            "digest: 24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f\n"
+            "digest: 687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b\n"
             "reported error: 6.72633e-05\n"
             "recomputed error: 6.72633e-05 (method: composite_gl16x184)\n"
             "tolerance: 0.01\n"
@@ -341,7 +345,7 @@ GOLDEN = {
             "reported error: 6.72633e-05\n"
             "partition bound: 0.0650594 (C_PU 13)\n"
             "tolerance: 0.01\n"
-            "digest: 24f9b92cb82f799cfcc1a755b98c043cb406596fbe80b6a4f90c6bfb3f0c089f\n"),
+            "digest: 687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b\n"),
     },
     "limit": {
         "digest": "45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475",
@@ -419,6 +423,49 @@ def test_golden_corpus(spline_cert, glued_cert, limit_cert, sample_cert, capsys)
         assert capsys.readouterr().out == want["verify"], name
         assert cli.main(["inspect", str(path)]) == 0
         assert capsys.readouterr().out == want["inspect"], name
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(code, tmp_path, **env):
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_BUILD_SOLVED = """
+import json
+from certapprox import cli
+builds = {"spline": ["approximate", "--target", "builtin:sinpi", "--basis",
+                     "cubic_bspline", "--knots", "10", "--eps", "1e-3"],
+          "glued": ["glue", "--target", "builtin:sinpi", "--patches", "3",
+                    "--eps", "1e-2"]}
+digests = {}
+for name, args in builds.items():
+    assert cli.main(args + ["--out", name + ".json"]) == 0
+    with open(name + ".json") as fh:
+        digests[name] = json.load(fh)["digest"]
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_corpus_is_blas_independent(coretype, tmp_path):
+    # the fixtures that run a Cholesky solve, under another OpenBLAS kernel;
+    # where the BLAS ignores the variable this still checks the digests
+    out = _python(_BUILD_SOLVED, tmp_path, OPENBLAS_CORETYPE=coretype)
+    assert json.loads(out.splitlines()[-1]) == {name: GOLDEN[name]["digest"]
+                               for name in ("spline", "glued")}
+
+
+def test_import_loads_no_scipy(tmp_path):
+    out = _python("import sys, certapprox, certapprox.cli\n"
+                  "print(sorted(m for m in sys.modules"
+                  " if m == 'scipy' or m.startswith('scipy.')))", tmp_path)
+    assert out == "[]\n"
 
 
 # ----------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_disjoint_patches_cannot_be_checked(locals3):
 
 def test_reconcile_leaves_compatible_locals_alone(sinpi, locals3, cover3):
     delta = EPS / (2 * cover3.m)
-    child, rec = reconcile(sinpi, locals3[0], locals3[1], delta, LOCAL_SETTINGS)
+    child, rec = reconcile(sinpi, locals3[0], locals3[1], delta)
     assert not rec.adjusted
     assert child.cert.digest == locals3[1].cert.digest
     assert rec.deltas == ()
@@ -187,7 +187,7 @@ def test_reconcile_pulls_a_shifted_patch_back(sinpi, locals3, cover3):
     delta = EPS / (2 * cover3.m)
     shifted = _perturbed_local(sinpi, locals3[1])
     assert check_overlap(locals3[0], shifted) >= delta
-    child, rec = reconcile(sinpi, locals3[0], shifted, delta, LOCAL_SETTINGS)
+    child, rec = reconcile(sinpi, locals3[0], shifted, delta)
     assert rec.adjusted
     assert rec.pre_mismatch == pytest.approx(2.010795544201116e-03, rel=1e-8)
     assert rec.post_mismatch == pytest.approx(1.1410015434055295e-05, rel=1e-6)
@@ -203,7 +203,7 @@ def test_reconcile_pulls_a_shifted_patch_back(sinpi, locals3, cover3):
 def test_reconcile_only_touches_overlap_supported_terms(sinpi, locals3, cover3):
     delta = EPS / (2 * cover3.m)
     shifted = _perturbed_local(sinpi, locals3[1])
-    child, rec = reconcile(sinpi, locals3[0], shifted, delta, LOCAL_SETTINGS)
+    child, rec = reconcile(sinpi, locals3[0], shifted, delta)
     touched = {j for j, _ in rec.deltas}
     fam = local_bspline_family(shifted.patch, 8)
     s, e = cover3.overlap(0)
@@ -215,7 +215,7 @@ def test_reconcile_only_touches_overlap_supported_terms(sinpi, locals3, cover3):
 def test_reconcile_fails_on_an_unreachable_gate(sinpi, locals3):
     shifted = _perturbed_local(sinpi, locals3[1])
     with pytest.raises(ReconciliationFailureError):
-        reconcile(sinpi, locals3[0], shifted, 1e-9, LOCAL_SETTINGS)
+        reconcile(sinpi, locals3[0], shifted, 1e-9)
 
 
 # ----------------------------------------------------------------------------
@@ -272,8 +272,8 @@ def test_glue_reconciles_a_shifted_member(sinpi, locals3, cover3):
     assert g.parents[0].digest == shifted.cert.digest
     assert g.genealogy[1] == shifted.cert.digest
     # the only tier-1 path through the reconcile residual: pins its bytes
-    assert g.digest == ("27cf182c30d44fb683e06bc7cd9ca897"
-                        "09449cf907cdd51ef82aacab4374bc5e")
+    assert g.digest == ("97532078073edea0addf9791becc3c80"
+                        "57acb68de2660a9bbccea1688894421c")
     assert verify_glued(g, sinpi).verdict
 
 

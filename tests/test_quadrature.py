@@ -43,7 +43,8 @@ def test_gauss_legendre_polynomial_exactness(points, degree):
 
 
 def test_composite_rule_integrates_exp():
-    rule = q.composite_gauss_legendre_rule(16, np.linspace(-1, 1, 5))
+    rule = q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 16,
+                            tuple(np.linspace(-1.0, 1.0, 5).tolist()))
     got = q.integrate(np.exp, rule)
     assert got == pytest.approx(math.e - 1.0 / math.e, rel=1e-15)
 

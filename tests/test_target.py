@@ -10,8 +10,7 @@ from certapprox.basis import cubic_bspline_family
 from certapprox.errors import (ConfigurationError, DomainError,
                                EvaluationError, ExpressionSyntaxError,
                                SampleFormatError)
-from certapprox.target import (differentiate_ast, evaluate_ast, format_ast,
-                               parse_expression)
+from certapprox.target import differentiate_ast, evaluate_ast, parse_expression
 
 
 # ----------------------------------------------------------------------------
@@ -85,14 +84,6 @@ def expressions(draw, depth=3):
         a = draw(expressions(depth=depth - 1))
         return f"({a})^2"
     return draw(_LEAVES)
-
-
-@given(text=expressions())
-@settings(max_examples=150, deadline=None)
-def test_format_reparse_round_trip(text):
-    """Formatting a tree and reparsing it must reproduce the tree."""
-    ast = parse_expression(text)
-    assert parse_expression(format_ast(ast)) == ast
 
 
 @given(text=expressions())
