@@ -1,8 +1,9 @@
 r"""Certificate construction: five routes from a target to a finite claim.
 
 orthonormal_probe   coefficient-by-coefficient probes against an orthonormal
-                    family with a Parseval error ledger, re-measured directly
-                    before assembly.
+                    family, on one shared rule per doubling block of
+                    indices, with a Parseval error ledger, re-measured
+                    directly before assembly.
 gram_solve          normal equations over an arbitrary independent set,
                     solved by Cholesky after a conditioning gate.
 raw_probe           bare inner products with no correction; honest about how
@@ -74,6 +75,12 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     Only the sine family is orthonormal in L2 here; the remainder ledger
     err_N^2 = ||f||^2 - sum a_n^2 is exact for it, and the direct re-check
     before assembly defends against quadrature drift in the ledger.
+
+    The probes share one rule per block: coefficients n in (M/2, M], with
+    M = 1, 2, 4, ... capped at max_terms, are measured on
+    construction_rule(f, [e_M]), which resolves every e_n with n <= M, and
+    f is evaluated on it once. Each coefficient is still computed in turn,
+    so the ledger stops at the same N as with a rule per probe.
     """
     if family.kind != basis.FOURIER_SINE:
         raise ConfigurationError(
@@ -86,10 +93,15 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     direct = math.inf
     parseval = math.inf
     last_rule = None
+    block_end = 0
     for n in range(1, settings.max_terms + 1):
+        if n > block_end:
+            block_end = min(max(2 * block_end, 1), settings.max_terms)
+            rule = quadrature.construction_rule(f, [family.element(block_end)],
+                                                interval=family.domain)
+            fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
         e = family.element(n)
-        rule = quadrature.construction_rule(f, [e], interval=family.domain)
-        a = quadrature.inner_product(f, e, norm, rule)
+        a = quadrature.integrate(lambda x: fx * e.evaluate(x), rule)
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
@@ -144,7 +156,9 @@ def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
 
 
 def _probes(f, elements, norm: NormTag) -> np.ndarray:
-    """<f, e> for every element, each on its own construction rule."""
+    """<f, e> for every element, each on its own construction rule, which
+    for a B-spline spans only its support; f is evaluated anew on each.
+    approximate_orthonormal's probes share one rule per block instead."""
     return np.array([quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm))
                      for e in elements])
 

@@ -130,8 +130,8 @@ def cmd_approximate(args) -> int:
                             tuple(args.domain) if args.domain else None)
     family = _make_family(args, f)
     method = args.method or _DEFAULT_METHOD[family.kind]
-    settings = ExtractionSettings(epsilon=args.eps,
-                                  max_terms=args.max_terms or 512)
+    settings = ExtractionSettings(
+        epsilon=args.eps, max_terms=512 if args.max_terms is None else args.max_terms)
     if method == "chebyshev_pipeline":
         if family.kind != basis.CHEBYSHEV:
             raise ConfigurationError("chebyshev_pipeline needs --basis chebyshev")

@@ -14,6 +14,7 @@ digests reproducible across machines.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -157,11 +158,14 @@ class QuadratureRule:
         if self.kind == GAUSS_CHEBYSHEV:
             return QuadratureRule(GAUSS_CHEBYSHEV, self.points * factor,
                                   (-1.0, 1.0), policy="oracle")
+        # np.linspace(a, b, factor + 1) for every panel at once, by its own
+        # formula: a + i * ((b - a) / factor), with b itself as the stop
         e = np.asarray(self.edges)
-        fine = [e[0]]
-        for a, b in zip(e[:-1], e[1:]):
-            fine.extend(np.linspace(a, b, factor + 1)[1:])
-        return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, self.points, tuple(fine),
+        a, b = e[:-1, None], e[1:]
+        fine = np.arange(1.0, factor + 1.0) * ((b[:, None] - a) / factor) + a
+        fine[:, -1] = b
+        return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, self.points,
+                              (float(e[0]), *fine.reshape(-1).tolist()),
                               policy="oracle")
 
     def to_dict(self) -> dict:
@@ -217,8 +221,15 @@ def construction_rule(f, elements, interval: tuple[float, float] | None = None) 
 # integration and norms
 # ----------------------------------------------------------------------------
 
+FSUM_CHUNK = 4096
+
+
 def integrate(fn, rule: QuadratureRule) -> float:
-    """Weighted node sum of fn; exactly-rounded accumulation via fsum."""
+    """Weighted node sum of fn; exactly-rounded accumulation via fsum.
+
+    fsum reads Python floats far faster than numpy scalars, so it is fed
+    the products as lists of FSUM_CHUNK at a time: the sum is the same
+    exactly rounded value, and no list of every node is held at once."""
     x = rule.nodes
     v = np.asarray(fn(x), dtype=float)
     if v.shape != x.shape:
@@ -227,7 +238,9 @@ def integrate(fn, rule: QuadratureRule) -> float:
     if np.any(bad):
         raise EvaluationError(
             f"non-finite integrand value at node x = {x[bad][0]}", float(x[bad][0]))
-    return math.fsum(rule.weights * v)
+    wv = rule.weights * v
+    return math.fsum(itertools.chain.from_iterable(
+        wv[i:i + FSUM_CHUNK].tolist() for i in range(0, wv.size, FSUM_CHUNK)))
 
 
 def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:

@@ -355,14 +355,114 @@ def piecewise_linear(xs, ys, descriptor: str | None = None) -> TargetFunction:
                           lambda x: np.interp(x, xt, yt), deriv, kinks, kinks)
 
 
+# Bridging a gap in the sine indices costs a multiply and three adds per
+# node and missing index; starting a new run costs a sine and a cosine per
+# node, about as much as bridging a gap of this width.
+SINE_RUN_GAP = 16
+# nodes per recurrence pass; its four working arrays stay in the L2 cache
+SINE_CHUNK = 8192
+
+
+def _sine_runs(terms) -> list[tuple[int, np.ndarray]]:
+    """The sine coefficients as runs (j0, c), c[k] the coefficient of index
+    j0 + k, for _sine_sum.
+
+    Duplicate indices are summed in term order. The sorted indices split
+    where two neighbours lie more than SINE_RUN_GAP apart, and the indices a
+    run skips get zero coefficients. The first run starts at index 0 when it
+    can, so a series of low indices needs no shift.
+    """
+    coeffs: dict[int, float] = {}
+    for j, a in terms:
+        coeffs[j] = coeffs.get(j, 0.0) + a
+    runs: list[tuple[int, list[float]]] = [(0, [])]
+    prev = 0
+    for j in sorted(coeffs):
+        if j - prev > SINE_RUN_GAP:
+            runs.append((j, []))
+        j0, cs = runs[-1]
+        cs.extend([0.0] * (j - j0 - len(cs)))
+        cs.append(coeffs[j])
+        prev = j
+    return [(j0, np.asarray(cs)) for j0, cs in runs if cs]
+
+
+def _sine_sum(runs, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """sqrt(2) sum_j a_j sin(j pi x), or with deriv its derivative
+    sqrt(2) pi sum_j j a_j cos(j pi x), over _sine_runs' runs.
+
+    A node x > 1/2 is evaluated at y = 1 - x, which is exact there, with
+    the reflected coefficients (-1)^(j+1) a_j, or (-1)^j j a_j for the
+    derivative, so every angle pi y lies in [0, pi/2], where Reinsch's
+    recurrence is stable (see _sine_chunk).
+    """
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    far = flat > 0.5
+    for reflected in (False, True):
+        at = np.flatnonzero(far == reflected)
+        y = 1.0 - flat[at] if reflected else flat[at]
+        passes = []
+        for j0, c in runs:
+            j = np.arange(j0, j0 + c.size)
+            cs = j * c if deriv else c
+            if reflected:
+                cs = np.where(j % 2 == deriv, -cs, cs)
+            passes.append((j0, cs.tolist()))
+        for i in range(0, at.size, SINE_CHUNK):
+            out[at[i:i + SINE_CHUNK]] = _sine_chunk(passes, y[i:i + SINE_CHUNK], deriv)
+    scale = math.sqrt(2.0) * math.pi if deriv else math.sqrt(2.0)
+    return (scale * out).reshape(x.shape)
+
+
+def _sine_chunk(passes, y: np.ndarray, deriv: bool) -> np.ndarray:
+    """sum over the passes (j0, c) of sum_k c_k sin((j0 + k) theta), or with
+    deriv cos((j0 + k) theta), at theta = pi y in [0, pi/2].
+
+    Reinsch's form of Clenshaw's recurrence (Stoer & Bulirsch, Introduction
+    to Numerical Analysis, 2.3): with u = -4 sin^2(theta/2),
+    d_k = c_k + u b_{k+1} + d_{k+1} and b_k = d_k + b_{k+1} give
+    sum_k c_k sin(k theta) = sin(theta) b_1 and
+    sum_k c_k cos(k theta) = c_0 + d_1 + (u/2) b_1. A pass that starts at
+    j0 > 0 shifts both by the angle j0 theta. Only elementwise + - * run
+    per term, so a node's value depends on neither its neighbours nor the
+    chunking.
+    """
+    s = np.sin((0.5 * np.pi) * y)
+    u = -4.0 * (s * s)
+    sin_theta = 2.0 * s * np.sqrt(1.0 - s * s)
+    theta = np.pi * y
+    v = np.zeros_like(y)
+    b, d, t = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    for j0, cs in passes:
+        b.fill(0.0)
+        d.fill(0.0)
+        for c in reversed(cs[1:]):
+            np.multiply(u, b, out=t)
+            t += c
+            d += t
+            b += d
+        sines = sin_theta * b
+        cosines = cs[0] + d + 0.5 * u * b
+        if j0:
+            sj, cj = np.sin(j0 * theta), np.cos(j0 * theta)
+            v += (cj * cosines - sj * sines) if deriv else (sj * cosines + cj * sines)
+        else:
+            v += cosines if deriv else sines
+    return v
+
+
 def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> TargetFunction:
     """sum_j a_j e_j over the family's elements.
 
-    The domain is checked once per evaluation, not once per term, and a term
-    whose support is a proper subinterval of the domain is evaluated only at
-    the points inside its closed support. That is exact: off its support a
-    term adds a * 0.0, and v + (+-0.0) == v because v starts at +0.0 and a
-    sum never turns it into -0.0.
+    The domain is checked once per evaluation, not once per term. A sine
+    series is summed by Reinsch's recurrence (see _sine_sum): one sine and
+    one square root per node, then a multiply and three adds per node and
+    index. Every other family sums its terms one by one, and a term whose
+    support is a proper subinterval of the domain is evaluated only at the
+    points inside its closed support. That is exact: off its support a term
+    adds a * 0.0, and v + (+-0.0) == v because v starts at +0.0 and a sum
+    never turns it into -0.0.
     """
     tt = tuple((int(j), float(a)) for j, a in terms)
     parts = []
@@ -374,16 +474,19 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
         descriptor = f"series:{family.kind}:n={len(tt)}"
     top = max((j for j, _ in tt), default=0)
 
-    def total(x, deriv=False):
-        v = np.zeros_like(x)
-        for e, a, support in parts:
-            fn = e.deriv if deriv else e.value
-            if support is None:
-                v = v + a * fn(x)
-            else:
-                inside = (x >= support[0]) & (x <= support[1])
-                v[inside] += a * fn(x[inside])
-        return v
+    if family.kind == basis.FOURIER_SINE:
+        total = partial(_sine_sum, _sine_runs(tt))
+    else:
+        def total(x, deriv=False):
+            v = np.zeros_like(x)
+            for e, a, support in parts:
+                fn = e.deriv if deriv else e.value
+                if support is None:
+                    v = v + a * fn(x)
+                else:
+                    inside = (x >= support[0]) & (x <= support[1])
+                    v[inside] += a * fn(x[inside])
+            return v
 
     def edges():
         if not tt:

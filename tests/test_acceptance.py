@@ -237,7 +237,7 @@ def test_c7_durability_and_determinism(capsys):
         assert blobs == second
         # every route's bytes, pinned across refactors
         assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
-            "d3a94c9df26430516895142e39e06443934369f7e157eab19f7f1085b3b4751f")
+            "d3396499e8cb194842b3abaea6650b4115a6fbde982801951650b5d13c445af0")
         # forged copies must fail the recheck
         for victim, fn in ((first[70], target.from_builtin("sinpi")),
                            (first[30], target.from_builtin("exp"))):

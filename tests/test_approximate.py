@@ -49,6 +49,27 @@ def test_probe_sawtooth_tail_reaches_eighty_one_terms():
         assert a == pytest.approx(want, rel=1e-12), j
 
 
+def _identity_remainder(n):
+    """The exact L2 remainder of the identity after n sine terms,
+    sqrt(2/pi^2 * psi'(n+1)), as in criterion 4."""
+    return math.sqrt(2.0 / math.pi ** 2 * float(scipy.special.polygamma(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [64, 65, 128, 129])
+def test_probe_rank_is_minimal_at_block_boundaries(n):
+    # probes n in (M/2, M] share the rule of e_M; a block capped at
+    # max_terms = n must stop at the same rank as an uncapped one
+    eps = 0.5 * (_identity_remainder(n - 1) + _identity_remainder(n))
+    assert _identity_remainder(n - 1) >= eps > _identity_remainder(n)
+    f = target.from_builtin("linear")
+    for max_terms in (n, 512):
+        cert = approximate_orthonormal(f, fourier_sine_family(),
+                                       ExtractionSettings(eps, max_terms=max_terms))
+        assert len(cert.terms) == n, max_terms
+        assert cert.reported_error == pytest.approx(_identity_remainder(n), rel=1e-9)
+        assert verify(cert, f).verdict
+
+
 def test_probe_rejects_non_orthonormal_families():
     f = target.from_builtin("exp")
     with pytest.raises(ConfigurationError):

@@ -79,6 +79,16 @@ def test_spline_family_needs_knots(workdir):
     assert code == 4
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_max_terms_must_be_positive(count, workdir, capsys):
+    out = workdir / f"max-terms{count}.json"
+    assert cli.main(["approximate", "--target", "builtin:sinpi", "--basis",
+                     "fourier_sine", "--eps", "1e-2", "--max-terms", count,
+                     "--out", str(out)]) == 4
+    assert "max_terms must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_expression_errors_point_at_the_offset(capsys):
     code = cli.main(["approximate", "--target", "expr:sin(pi*", "--basis",
                      "fourier_sine", "--eps", "1e-2"])
@@ -183,6 +193,19 @@ def test_store_files_must_hold_approximations(spline_cert, glued_cert):
                      "--store", str(glued_cert)]) == 4
     assert cli.main(["verify", str(spline_cert),
                      "--store", str(spline_cert)]) == 0
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_sine_certificate_from_the_direct_sum_still_verifies(capsys):
+    # 225 sine probes of x at eps=0.03, written when sine series were still
+    # summed term by term; the recurrence re-measures the same error
+    path = DATA / ("sine_probe_linear" + FILE_SUFFIX)
+    assert cli.main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "recomputed error: 0.0299772" in out
+    assert "verdict: PASS" in out
 
 
 # ----------------------------------------------------------------------------
@@ -381,11 +404,11 @@ GOLDEN = {
             "digest: 45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475\n"),
     },
     "ramp": {
-        "digest": "d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713",
-        "sha256": "82f003814f0e54ffa33dc512c1e0fc9d447289f3c965e8b7f96f0777d6905c29",
+        "digest": "0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc",
+        "sha256": "15cef3160b0217d18716856fe9ddb40af99816850c29fc4f14e729722c61c89a",
         "verify": (
             "kind: approximation\n"
-            "digest: d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713\n"
+            "digest: 0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc\n"
             "reported error: 0.191686\n"
             "recomputed error: 0.191686 (method: composite_gl16x24)\n"
             "tolerance: 0.2\n"
@@ -403,7 +426,7 @@ GOLDEN = {
             "reported error: 0.191686\n"
             "tolerance: 0.2\n"
             "genealogy: 0 entries\n"
-            "digest: d2a35e95f8cbe17617ad0e7c11dd8e34b1d07844b2cd64c5b9812497328bb713\n"),
+            "digest: 0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc\n"),
     },
 }
 

@@ -5,7 +5,8 @@ import pytest
 
 from certapprox import quadrature as q
 from certapprox import target
-from certapprox.basis import chebyshev_family, fourier_sine_family, tent_family
+from certapprox.basis import (chebyshev_family, cubic_bspline_family,
+                              fourier_sine_family, tent_family)
 from certapprox.errors import (ConfigurationError, EvaluationError,
                                UnsupportedNormError)
 
@@ -79,6 +80,26 @@ def test_refined_nodes_disjoint_from_construction_nodes():
     fine = rule.refined(4)
     assert fine.n_panels == 4 * rule.n_panels
     assert not set(rule.nodes) & set(fine.nodes)
+
+
+def _refined_edges_by_loop(edges, factor):
+    fine = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        fine.extend(np.linspace(a, b, factor + 1)[1:])
+    return np.asarray(fine)
+
+
+@pytest.mark.parametrize("case", ["sine2026", "bspline", "tent"])
+@pytest.mark.parametrize("factor", [4, 8])
+def test_refined_edges_match_per_panel_linspace(case, factor):
+    domain = (-0.3, 1.7) if case == "bspline" else (0.0, 1.0)
+    f = target.from_expression("x", domain)
+    els = {"sine2026": [fourier_sine_family().element(2026)],
+           "bspline": list(cubic_bspline_family(12, domain).elements()),
+           "tent": [tent_family().element(5)]}[case]
+    rule = q.construction_rule(f, els, interval=domain)
+    fine = np.asarray(rule.refined(factor).edges)
+    assert fine.tobytes() == _refined_edges_by_loop(rule.edges, factor).tobytes()
 
 
 def test_refined_chebyshev_multiplies_points():
@@ -226,3 +247,19 @@ def test_fsum_accumulation_is_permutation_stable():
     for _ in range(5):
         p = rng.permutation(4096)
         assert math.fsum(w[p] * v[p]) == ref
+
+
+def test_integrate_streams_one_exactly_rounded_sum():
+    # 1/1024-wide panels share their weights, so +-1e308 at one local node
+    # of two neighbouring panels cancel exactly across the chunk boundary;
+    # only one fsum over every product keeps the tiny terms
+    rule = q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 16,
+                            tuple(np.linspace(0.0, 1.0, 1025)))
+    v = np.random.default_rng(11).uniform(-1e-300, 1e-300, rule.nodes.size)
+    edge = q.FSUM_CHUNK - 1
+    v[edge], v[edge + 16] = 1e308, -1e308
+    v[3 * q.FSUM_CHUNK - 2], v[3 * q.FSUM_CHUNK + 14] = -1e308, 1e308
+    assert rule.nodes.size > 3 * q.FSUM_CHUNK + 16
+    got = q.integrate(lambda x: v, rule)
+    assert got == math.fsum((rule.weights * v).tolist())
+    assert got != 0.0 and abs(got) < 1e-300

@@ -1,12 +1,15 @@
 import math
+import time
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import quadrature, target
-from certapprox.basis import cubic_bspline_family
+from certapprox.basis import cubic_bspline_family, fourier_sine_family
 from certapprox.errors import (ConfigurationError, DomainError,
                                EvaluationError, ExpressionSyntaxError,
                                SampleFormatError)
@@ -197,7 +200,6 @@ def test_piecewise_linear_derivative_convention():
 
 
 def test_series_panel_edges_use_finest_term():
-    from certapprox.basis import fourier_sine_family
     f = target.series(fourier_sine_family(), [(1, 0.5), (4, 0.25)])
     assert len(f.panel_edges()) == 5
 
@@ -216,6 +218,81 @@ def test_bspline_series_on_supports_matches_full_evaluation():
             want = want + a * getattr(fam.element(j), full)(x)
         assert restricted(x).tobytes() == want.tobytes()
     assert s.evaluate(2.0) == terms[-1][1]
+
+
+def _direct_sine_sum(terms, x, deriv):
+    """The per-term sum over the basis elements: the reference the sine
+    recurrence is held to."""
+    fam = fourier_sine_family()
+    v = np.zeros_like(x)
+    for j, a in terms:
+        e = fam.element(j)
+        v = v + a * (e.evaluate_deriv(x) if deriv else e.evaluate(x))
+    return v
+
+
+def _sine_oracle(terms, x, deriv):
+    with mpmath.workprec(113):
+        X = mpmath.mpf(float(x))
+        if deriv:
+            return mpmath.sqrt(2) * mpmath.pi * mpmath.fsum(
+                j * mpmath.mpf(a) * mpmath.cos(j * mpmath.pi * X) for j, a in terms)
+        return mpmath.sqrt(2) * mpmath.fsum(
+            mpmath.mpf(a) * mpmath.sin(j * mpmath.pi * X) for j, a in terms)
+
+
+@st.composite
+def _sine_terms(draw):
+    """Up to 2100 as the top index: a contiguous run below it, scattered
+    indices with gaps either side of the run-splitting width, and repeats."""
+    top = draw(st.integers(1, 2100))
+    dense = draw(st.integers(0, min(top, 200)))
+    idx = list(range(top - dense + 1, top + 1))
+    idx += draw(st.lists(st.integers(1, top), max_size=40)) or [top]
+    idx += draw(st.lists(st.sampled_from(idx), max_size=5))
+    coeff = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    coeffs = draw(st.lists(coeff, min_size=len(idx), max_size=len(idx)))
+    return list(zip(draw(st.permutations(idx)), coeffs))
+
+
+_SINE_POINTS = [0.0, 1e-9, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 1.0 - 1e-9, 1.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sine_terms(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_sine_series_recurrence_against_oracle_and_direct_sum(terms, extra):
+    s = target.series(fourier_sine_family(), terms)
+    x = np.asarray(_SINE_POINTS + extra)
+    top = max(j for j, _ in terms)
+    u = 2.0 ** -53
+    for deriv, fn in ((False, s.evaluate), (True, s.evaluate_deriv)):
+        # each |a_j| scaled by the size of its term's contribution
+        scale = math.fsum(abs(a) * (math.sqrt(2.0) * j * math.pi if deriv else 1.0)
+                          for j, a in terms)
+        got = fn(x)
+        for xi, g in zip(x, got):
+            assert abs(mpmath.mpf(float(g)) - _sine_oracle(terms, xi, deriv)) \
+                <= 16 * top * u * scale, (xi, deriv)
+        # the direct sum rounds each angle j pi x, which alone moves a term
+        # by up to about 1.5 sqrt(2) pi j u |a_j|: 1.5e-12 |a_j| at j = 2100
+        direct = _direct_sine_sum(terms, x, deriv)
+        assert np.max(np.abs(got - direct)) <= 2e-12 * scale
+        assert np.asarray([fn(float(xi)) for xi in x]).tobytes() == got.tobytes()
+        with mock.patch.object(target, "SINE_CHUNK", 2):
+            assert fn(x).tobytes() == got.tobytes()
+
+
+def test_sparse_sine_series_costs_its_terms_not_its_top_index():
+    terms = [(1, 0.75), (10 ** 6, -0.25)]
+    s = target.series(fourier_sine_family(), terms)
+    x = np.linspace(0.0, 1.0, 16)
+    t0 = time.perf_counter()
+    got = s.evaluate(x), s.evaluate_deriv(x)
+    assert time.perf_counter() - t0 < 0.5
+    # index 10^6 rounds its angle to about 10^6 pi u
+    for deriv, g in zip((False, True), got):
+        want = _direct_sine_sum(terms, x, deriv)
+        assert np.max(np.abs(g - want)) < 1e-8 * (1e6 * math.pi if deriv else 1.0)
 
 
 def test_deep_tent_series_declines_breakpoint_listing():
