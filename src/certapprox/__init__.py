@@ -17,8 +17,8 @@ from .basis import (BasisElement, BasisFamily, chebyshev_family,
                     tent_family)
 from .certificate import (ApproximationCertificate, CertificateStore,
                           Construction, VerificationReport, assemble,
-                          canonical_dumps, compute_digest, deserialize,
-                          serialize, verify)
+                          canonical_dumps, claim_findings, compute_digest,
+                          deserialize, measure, serialize, verify)
 from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
                      DomainError, EvaluationError, EvidenceContradictionError,
                      ExpressionSyntaxError, IllConditionedBasisError,
@@ -32,10 +32,10 @@ from .glue import (Cover, GluedCertificate, LocalCertificate, PartitionOfUnity,
 from .limit import (CertifiedSequence, LimitCertificate, Modulus, dyadic_modulus,
                     exact_ceil_log2, exact_pair_sup, limit_from_dict,
                     tent_certificate, tent_sequence, transfer, verify_limit)
-from .quadrature import (NormTag, QuadratureRule, chebyshev_weighted_norm,
-                         construction_rule, gauss_chebyshev_rule,
-                         gauss_legendre_rule, inner_product, integrate, l2_norm,
-                         norm_of_difference, sup_distance, sup_norm, w12_norm)
+from .quadrature import (NormTag, QuadratureRule, construction_rule,
+                         gauss_chebyshev_rule, gauss_legendre_rule,
+                         inner_product, integrate, l2_norm, norm_of_difference,
+                         sup_distance, sup_norm, w12_norm)
 from .target import (TargetFunction, from_builtin, from_expression, load_samples,
                      parse_expression, piecewise_linear, resolve_spec,
                      tent_partial_sum)

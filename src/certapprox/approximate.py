@@ -127,9 +127,6 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
 # ----------------------------------------------------------------------------
 
 def _pair_rule(f, elements, norm: NormTag) -> quadrature.QuadratureRule:
-    if norm.kind == quadrature.CHEBYSHEV_WEIGHTED_L2:
-        top = max(e.index for e in elements) if elements else 0
-        return quadrature.gauss_chebyshev_rule(max(64, 2 * (top + 1)))
     return quadrature.construction_rule(f, elements, interval=norm.domain)
 
 
@@ -261,15 +258,17 @@ def approximate_raw_probe(f, elements, norm: NormTag,
 def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
 
-    Uses the 2(degree+1) point Chebyshev rule; a_0 carries the 1/pi
-    normalization, the rest 2/pi.
+    Integrates f * T_j on the 2(degree+1) point Gauss-Chebyshev rule, whose
+    weights carry 1/sqrt(1-x^2), with f evaluated once; a_0 carries the
+    1/pi normalization, the rest 2/pi.
     """
     rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     fam = basis.chebyshev_family()
-    norm = quadrature.chebyshev_weighted_norm()
+    fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
     out = np.empty(degree + 1)
     for j in range(degree + 1):
-        ip = quadrature.inner_product(f, fam.element(j), norm, rule)
+        e = fam.element(j)
+        ip = quadrature.integrate(lambda x: fx * e.evaluate(x), rule)
         out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
     return out
 
@@ -296,12 +295,12 @@ def approximate_chebyshev(f, degree: int,
     err = grid_max + tail
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, "degree too low")
-    rule_dict = {"kind": quadrature.GAUSS_CHEBYSHEV,
-                 "points": 2 * (degree + 1), "panels": 1, "policy": "pipeline"}
+    rule = quadrature.QuadratureRule(quadrature.GAUSS_CHEBYSHEV, 2 * (degree + 1),
+                                     (-1.0, 1.0), policy="pipeline")
     construction = Construction(
         "chebyshev_pipeline",
         f"grid max {grid_max:.6e} + tail estimate {tail:.6e}",
-        rule=rule_dict, supnorm_method=f"cheb_grid_{CHEB_ERROR_GRID}+tail_{CHEB_TAIL_TERMS}")
+        rule=rule.to_dict(), supnorm_method=f"cheb_grid_{CHEB_ERROR_GRID}+tail_{CHEB_TAIL_TERMS}")
     norm = NormTag(quadrature.SUP, fam.domain)
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
                     construction)

@@ -220,7 +220,7 @@ def pointwise(domain: tuple[float, float], fn, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = domain
     flat = xs.reshape(-1)
-    bad = flat[(flat < lo) | (flat > hi)]
+    bad = flat[~((flat >= lo) & (flat <= hi))]  # NaN fails both comparisons
     if bad.size:
         raise DomainError(f"x = {bad[0]} outside [{lo}, {hi}]")
     v = fn(xs)

@@ -8,13 +8,15 @@ the canonical bytes minus the digest field is the certificate's identity.
 The envelope every document kind shares (schema_version, kind, genealogy,
 digest) is written, parsed and checked here; glue and limit add payloads.
 
-Verification recomputes the error with a verification-grade measurement
-(refined quadrature panels or the finer sup scan) and checks
+Verification re-measures the error with measure(), the one
+verification-grade distance (the finer sup scan or refined quadrature
+panels, which builders use too), checks the claim's shape with the
+claim_findings() that assemble() applies, and checks
 
     recomputed <= reported * (1 + 1e-6) + 1e-12   and   reported < tolerance
 
-alongside the structural invariants. Adverse findings land in the report's
-notes; verification itself does not raise on a failed claim.
+Adverse findings land in the report's notes; verification itself does not
+raise on a failed claim.
 """
 
 from __future__ import annotations
@@ -160,12 +162,10 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
     """Validate the claim data and mint the digest.
 
     The reported error must already be measured with the construction-grade
-    rule; assembly checks the tolerance gate and the term-shape invariants
+    rule; assembly checks finiteness, the tolerance gate and claim_findings
     but never re-measures.
     """
     tt = tuple((int(j), float(a)) for j, a in terms)
-    if not tt:
-        raise ConfigurationError("a certificate needs at least one term")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"invalid tolerance {tolerance}")
     if not math.isfinite(reported_error) or reported_error < 0.0:
@@ -173,18 +173,39 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
     if reported_error >= tolerance:
         raise ToleranceViolated(reported_error, tolerance, "at assembly")
     for j, a in tt:
-        basis.element(j)
         if not math.isfinite(a):
             raise ConfigurationError(f"non-finite coefficient for index {j}")
-    if construction.method != GREEDY:
-        idx = [j for j, _ in tt]
-        if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
-            raise ConfigurationError(
-                "term indices must be strictly increasing (greedy excepted)")
     cert = ApproximationCertificate(target_descriptor, basis, tt, norm,
                                     float(tolerance), float(reported_error),
                                     construction, tuple(genealogy))
+    findings = claim_findings(cert)
+    if findings:
+        raise ConfigurationError(findings[0])
     return seal(cert)
+
+
+def claim_findings(cert: ApproximationCertificate) -> list[str]:
+    """Shape faults of a claim: no terms, a report not below tolerance,
+    indices invalid or not increasing (greedy excepted), a norm domain
+    outside the basis domain."""
+    findings = []
+    if not cert.terms:
+        findings.append("empty term list")
+    if not cert.reported_error < cert.tolerance:
+        findings.append("reported error does not beat the tolerance")
+    if cert.construction.method != GREEDY:
+        idx = [j for j, _ in cert.terms]
+        if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
+            findings.append("term indices not strictly increasing")
+    try:
+        cert.elements()
+    except ConfigurationError as e:
+        findings.append(f"invalid term index: {e}")
+    nlo, nhi = cert.norm.domain
+    blo, bhi = cert.basis.domain
+    if nlo < blo - 1e-12 or nhi > bhi + 1e-12:
+        findings.append("norm domain exceeds basis domain")
+    return findings
 
 
 def serialize(cert) -> bytes:
@@ -312,24 +333,16 @@ def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bo
             and reported < tolerance)
 
 
-def recompute_error(cert: ApproximationCertificate, f) -> tuple[float, str]:
-    """Verification-grade error measurement for the certificate's claim."""
-    approx = cert.approximant()
-    if cert.norm.kind == quadrature.SUP:
-        value, method = quadrature.sup_distance(f, approx, cert.norm.domain)
-        return value, method
-    if cert.norm.kind == quadrature.CHEBYSHEV_WEIGHTED_L2:
-        base_points = 64
-        if cert.construction.rule and cert.construction.rule.get("kind") == quadrature.GAUSS_CHEBYSHEV:
-            base_points = int(cert.construction.rule["points"])
-        rule = quadrature.gauss_chebyshev_rule(base_points).refined(4)
-        return quadrature.norm_of_difference(f, approx, cert.norm, rule), \
-            f"gauss_chebyshev_{rule.points}"
+def measure(f, g, norm: NormTag, refine: int = 4) -> tuple[float, str]:
+    """Verification-grade ||f - g||, and its method: sup_distance for the sup
+    norm, else the construction rule of f and g on the norm's domain with
+    every panel split `refine` ways, so no node is a construction node."""
+    if norm.kind == quadrature.SUP:
+        return quadrature.sup_distance(f, g, norm.domain)
     # the approximant's own panel edges already consolidate every term's
     # structure; per-element unions would balloon for high-index series
-    rule = quadrature.construction_rule(f, [approx],
-                                        interval=cert.norm.domain).refined(4)
-    return quadrature.norm_of_difference(f, approx, cert.norm, rule), \
+    rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(refine)
+    return quadrature.norm_of_difference(f, g, norm, rule), \
         f"composite_gl{rule.points}x{rule.n_panels}"
 
 
@@ -372,25 +385,10 @@ def verify(cert: ApproximationCertificate, f, store=None) -> VerificationReport:
     Never raises on adverse findings; the report carries them.
     """
     notes, _ = envelope_findings(cert, certificate_from_dict, store)
-    if not cert.terms:
-        notes.append("empty term list")
-    if not cert.reported_error < cert.tolerance:
-        notes.append("reported error does not beat the tolerance")
-    if cert.construction.method != GREEDY:
-        idx = [j for j, _ in cert.terms]
-        if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
-            notes.append("term indices not strictly increasing")
-    try:
-        cert.elements()
-    except ConfigurationError as e:
-        notes.append(f"invalid term index: {e}")
-    nlo, nhi = cert.norm.domain
-    blo, bhi = cert.basis.domain
-    if nlo < blo - 1e-12 or nhi > bhi + 1e-12:
-        notes.append("norm domain exceeds basis domain")
+    notes += claim_findings(cert)
     structural_ok = not notes
     try:
-        recomputed, method = recompute_error(cert, f)
+        recomputed, method = measure(f, cert.approximant(), cert.norm)
     except Exception as e:  # a claim that cannot be measured is a failed claim
         notes.append(f"error recomputation failed: {e}")
         return VerificationReport(cert.digest, cert.reported_error, math.inf,

@@ -11,8 +11,10 @@ linear ramps, so a ramp pair sums to one up to a single rounding. The blend
 is a target.TargetFunction like any other, and reconciliation's least
 squares go through the Gram assembly and solve of the approximate module.
 
-The glued certificate's reported error is a direct oracle measurement of the
-blended approximant against the target; the partition-of-unity bound
+Overlap mismatches and the glued certificate's reported error, a direct
+measurement of the blended approximant against the target, are
+certificate.measure's W12 distance, which verify_glued repeats (eightfold
+panels for the global error); the partition-of-unity bound
 max_i(local error) + C_PU * eps/2 with C_PU = 1 + 2 max_i ||psi_i'|| * width_i
 is recorded alongside for comparison, never as the acceptance figure.
 """
@@ -31,7 +33,7 @@ from .basis import BasisFamily, cubic_bspline_family
 from .certificate import (ApproximationCertificate, CertificateStore,
                           Construction, VerificationReport, assemble,
                           bound_is_honored, certificate_from_dict, envelope,
-                          envelope_findings, parse_envelope, seal)
+                          envelope_findings, measure, parse_envelope, seal)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      IllConditionedBasisError, ReconciliationFailureError,
@@ -207,10 +209,7 @@ def check_overlap(a: LocalCertificate, b: LocalCertificate) -> float:
     if not lo < hi:
         raise TopologyError(
             f"patches {a.patch_index} and {b.patch_index} do not overlap")
-    sa, sb = a.series(), b.series()
-    norm = NormTag(quadrature.W12, (lo, hi))
-    rule = quadrature.construction_rule(sa, [sb], interval=(lo, hi)).refined(4)
-    return quadrature.norm_of_difference(sa, sb, norm, rule)
+    return measure(a.series(), b.series(), NormTag(quadrature.W12, (lo, hi)))[0]
 
 
 @dataclass(frozen=True)
@@ -410,10 +409,8 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
             parents.append(current[i + 1].cert)
         current[i + 1] = adjusted
         records.append(record)
-    glued_fn = glued_function(pou, current)
-    norm = NormTag(quadrature.W12, cover.domain)
-    rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain).refined(4)
-    global_err = quadrature.norm_of_difference(f, glued_fn, norm, rule)
+    global_err, _ = measure(f, glued_function(pou, current),
+                            NormTag(quadrature.W12, cover.domain))
     if global_err >= epsilon:
         raise ToleranceViolated(global_err, epsilon, "glued global error")
     c_pu, bound = partition_bound(pou, current, epsilon)
@@ -509,16 +506,11 @@ def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = Non
                 f"overlap ({i}, {i + 1}) mismatch {mismatch:.6g} at or above delta {delta:.6g}")
     structural_ok = not notes
 
-    def measure_global():
-        glued_fn, norm = cert.approximant(), NormTag(quadrature.W12, cover.domain)
-        rule = quadrature.construction_rule(f, [glued_fn], interval=cover.domain).refined(8)
-        err = quadrature.norm_of_difference(f, glued_fn, norm, rule)
-        return err, f"composite_gl16x{rule.n_panels}"
-
     # a misplaced local would be evaluated outside its own basis domain
     unmeasured = (math.inf, "unmeasurable")
-    recomputed, method = (_measured(notes, "global error", measure_global, unmeasured)
-                          if all(placed) else unmeasured)
+    recomputed, method = (_measured(notes, "global error", lambda: measure(
+        f, cert.approximant(), NormTag(quadrature.W12, cover.domain), refine=8),
+        unmeasured) if all(placed) else unmeasured)
     honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
     if cert.reported_error > cert.bound_estimate:
         notes.append("direct error exceeds the partition bound estimate")

@@ -5,7 +5,8 @@ S_n(x) = sum_{k=0..n} 2^-k T_k(x) where T_k is the unit tent at scale k.
 Every question the transfer asks about this sequence has an exact rational
 answer. The sup distance between two partial sums is periodic with the
 finer structure's period, so it reduces to finitely many dyadic grid
-evaluations done in integer arithmetic; tails telescope to 2^-n.
+evaluations done in integer arithmetic; tails telescope to 2^-n. Members,
+proxy and verifier take the tent law from target.tent_partial_sum.
 
 transfer(seq, eps) evaluates the modulus at eps/2 to pick the anchor depth
 n_star, measures a ladder of Cauchy gaps (n_star against the next K deeper
@@ -18,7 +19,6 @@ digest, so the claim re-checks from the file alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -55,33 +55,14 @@ def parse_frac(s: str) -> Fraction:
 
 
 def exact_ceil_log2(q: Fraction) -> int:
-    """Smallest integer n with 2**n >= q, by integer comparison only."""
+    """Smallest integer n with 2**n >= q: the bit length of ceil(q) - 1 for
+    q >= 1, else 1 less the bit length of floor(1/q)."""
     if q <= 0:
         raise ConfigurationError("ceil(log2) needs a positive argument")
     num, den = q.numerator, q.denominator
-    n = num.bit_length() - den.bit_length() - 1
-
-    def pow2_ge(k: int) -> bool:
-        if k >= 0:
-            return den << k >= num
-        return den >= num << (-k)
-
-    while not pow2_ge(n):
-        n += 1
-    while pow2_ge(n - 1):
-        n -= 1
-    return n
-
-
-def tent_value_exact(k: int, x: Fraction) -> Fraction:
-    """Unit tent at scale k: T_k(x) = dist(2^k x, nearest integer) * 2."""
-    u = x * 2 ** k
-    t = u - math.floor(u)
-    return 2 * t if t <= Fraction(1, 2) else 2 * (1 - t)
-
-
-def partial_sum_exact(n: int, x: Fraction) -> Fraction:
-    return sum(Fraction(1, 2 ** k) * tent_value_exact(k, x) for k in range(n + 1))
+    if num >= den:
+        return (-(-num // den) - 1).bit_length()
+    return 1 - (den // num).bit_length()
 
 
 def exact_pair_sup(n: int, m: int) -> Fraction:
@@ -89,18 +70,16 @@ def exact_pair_sup(n: int, m: int) -> Fraction:
 
     The difference is a sum of scales n+1..m, so it repeats with period
     2^-(n+1) and is linear between consecutive multiples of 2^-(m+1).
-    One period therefore holds the sup on its dyadic grid.
+    One period therefore holds the sup on its dyadic grid, where scale k
+    adds 2^-m min(r, P - r) at x = j 2^-(m+1), with P = 2^(m+1-k) and
+    r = j mod P: an integer maximum over 2^-m.
     """
     if not 0 <= n < m:
         raise ConfigurationError(f"need 0 <= n < m, got ({n}, {m})")
-    best = Fraction(0)
-    step = Fraction(1, 2 ** (m + 1))
-    for j in range(2 ** (m - n) + 1):
-        x = j * step
-        d = abs(partial_sum_exact(m, x) - partial_sum_exact(n, x))
-        if d > best:
-            best = d
-    return best
+    periods = [2 ** (m + 1 - k) for k in range(n + 1, m + 1)]
+    best = max(sum(min(j % p, p - j % p) for p in periods)
+               for j in range(2 ** (m - n) + 1))
+    return Fraction(best, 2 ** m)
 
 
 # ----------------------------------------------------------------------------
@@ -112,13 +91,11 @@ def tent_certificate(n: int) -> ApproximationCertificate:
     if n < 0:
         raise ConfigurationError("partial sum depth must be nonnegative")
     f = target_mod.tent_partial_sum(n)
-    fam = tent_family()
-    terms = [(k, float(2.0 ** -k)) for k in range(n + 1)]
     construction = Construction("exact_representation",
                                 f"terms copied through depth {n}; distance zero "
                                 "by shared breakpoints",
                                 supnorm_method="breakpoint_sup")
-    return assemble(f.descriptor, fam, terms, NormTag(SUP, (0.0, 1.0)),
+    return assemble(f.descriptor, f.family, f.terms, NormTag(SUP, (0.0, 1.0)),
                     MEMBER_TOLERANCE, 0.0, construction)
 
 
@@ -252,9 +229,7 @@ class LimitCertificate:
                                  descriptor=f"series:tent:n={self.proxy_depth}")
 
 
-def transfer(seq: CertifiedSequence, epsilon: float,
-             ladder: int = LADDER_RUNGS,
-             proxy_extra: int = PROXY_EXTRA) -> LimitCertificate:
+def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
     """Anchor at the modulus depth for eps/2 and certify the limit to eps.
 
     The anchor member's own certificate plus the exact telescoped tail
@@ -262,11 +237,9 @@ def transfer(seq: CertifiedSequence, epsilon: float,
     consistency evidence, not part of the bound, but any rung at or above
     eps/2 contradicts the modulus and aborts the transfer.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
+    if not 0 < epsilon < 1:  # before Fraction, which refuses nan and inf
         raise ConfigurationError("limit transfer expects 0 < epsilon < 1")
-    if ladder < 1:
-        raise ConfigurationError("ladder needs at least one rung")
+    eps = Fraction(epsilon)
     half = eps / 2
     n_star = seq.modulus(half)
     if n_star < 1:
@@ -274,15 +247,15 @@ def transfer(seq: CertifiedSequence, epsilon: float,
     mod_rec = seal(ModulusRecord(seq.modulus.rule, frac_str(eps), frac_str(half), n_star))
     members = tuple(seq.member(n) for n in range(1, n_star + 1))
     evidence = tuple(check_pair(seq, n_star, n_star + i, half)
-                     for i in range(1, ladder + 1))
+                     for i in range(1, LADDER_RUNGS + 1))
     tail = Fraction(1, 2 ** n_star)
     if not tail <= half:
         raise EvidenceContradictionError(n_star, n_star, frac_str(half),
                                          frac_str(tail))
     base = members[-1]
     reported = base.reported_error + float(tail)
-    depth = n_star + proxy_extra
-    proxy_terms = tuple((k, float(2.0 ** -k)) for k in range(depth + 1))
+    depth = n_star + PROXY_EXTRA
+    proxy_terms = target_mod.tent_partial_sum(depth).terms
     proxy_tail = Fraction(1, 2 ** depth)
     genealogy = tuple(c.digest for c in members) \
         + tuple(r.digest for r in evidence) + (mod_rec.digest,)
@@ -335,7 +308,7 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
     """Re-derive every exact quantity in a limit claim from scratch.
 
     Members are re-verified against their own partial sums, ladder gaps are
-    re-measured in rational arithmetic and compared to the recorded strings,
+    re-measured in integer arithmetic and compared to the recorded strings,
     the modulus value is re-evaluated when the rule is the known dyadic one,
     and the telescoped tail is re-compared to its budget exactly.
     """
@@ -380,9 +353,9 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
                 notes.append(
                     f"evidence {rec.pair}: measured gap {frac_str(remeasured)} "
                     f"reaches bound {rec.bound}")
-        expected_proxy = tuple(
-            (k, float(2.0 ** -k)) for k in range(cert.proxy_depth + 1))
-        if cert.proxy_terms != expected_proxy:
+        # the length first: a hostile depth must not build a huge series
+        if (len(cert.proxy_terms) != cert.proxy_depth + 1 or cert.proxy_terms
+                != target_mod.tent_partial_sum(cert.proxy_depth).terms):
             notes.append("proxy terms do not follow the sequence law")
     if not digest_ok(cert.modulus_record):
         notes.append("modulus record digest mismatch")

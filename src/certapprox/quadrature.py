@@ -4,8 +4,10 @@ Two grades of accuracy run through everything built on top of this module.
 Construction-grade rules are composite 16-point Gauss-Legendre rules whose
 panel edges honor every structural breakpoint of the integrand factors
 (knots, kinks, oscillation scales). Verification-grade rules refine each
-construction panel fourfold, so a verifier never evaluates at construction
-nodes and cannot alias construction error.
+construction panel fourfold in certificate.measure, so a verifier never
+evaluates at construction nodes and cannot alias construction error. The
+Gauss-Chebyshev rule, weight 1/sqrt(1-x^2) folded in, serves the Chebyshev
+coefficient table alone.
 
 All weighted sums go through math.fsum, which is exactly rounded and hence
 independent of summation order and platform; this is what makes certificate
@@ -34,9 +36,8 @@ def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
 L2 = "l2"
 W12 = "w12"
 SUP = "sup"
-CHEBYSHEV_WEIGHTED_L2 = "chebyshev_weighted_l2"
 
-_NORM_KINDS = (L2, W12, SUP, CHEBYSHEV_WEIGHTED_L2)
+_NORM_KINDS = (L2, W12, SUP)
 
 GAUSS_CHEBYSHEV = "gauss_chebyshev"
 COMPOSITE_GAUSS_LEGENDRE = "composite_gauss_legendre"
@@ -76,10 +77,6 @@ def w12_norm(domain=(0.0, 1.0)) -> NormTag:
 
 def sup_norm(domain=(0.0, 1.0)) -> NormTag:
     return NormTag(SUP, domain)
-
-
-def chebyshev_weighted_norm() -> NormTag:
-    return NormTag(CHEBYSHEV_WEIGHTED_L2, (-1.0, 1.0))
 
 
 # ----------------------------------------------------------------------------
@@ -246,8 +243,6 @@ def integrate(fn, rule: QuadratureRule) -> float:
 def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
     """The integral of integrand(x, deriv=False), plus under W12 that of
     integrand(x, deriv=True): the one place that decides what a norm pairs."""
-    if norm.kind == CHEBYSHEV_WEIGHTED_L2 and rule.kind != GAUSS_CHEBYSHEV:
-        raise ConfigurationError("chebyshev_weighted_l2 needs a gauss_chebyshev rule")
     val = integrate(lambda x: integrand(x, False), rule)
     if norm.kind != W12:
         return val
@@ -259,11 +254,8 @@ def _at(fn, x, deriv: bool) -> np.ndarray:
 
 
 def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
-    """<f, e> in the given norm's inner product, by the given rule.
-
-    The Chebyshev-weighted pairing demands a Gauss-Chebyshev rule (the
-    weight is folded into the nodes); sup admits no inner product.
-    """
+    """<f, e> in the given norm's inner product, by the given rule; sup
+    admits no inner product."""
     if norm.kind == SUP:
         raise UnsupportedNormError("sup norm has no inner product")
     return _values_and_derivatives(lambda x, d: _at(f, x, d) * _at(e, x, d), norm, rule)

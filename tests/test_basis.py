@@ -253,6 +253,10 @@ def test_domain_violation_raises():
         tent_family().element(1).evaluate(1.5)
     with pytest.raises(DomainError):
         chebyshev_family().element(2).evaluate_deriv(np.array([0.0, -1.01]))
+    with pytest.raises(DomainError):
+        fourier_sine_family().element(2).evaluate(float("nan"))
+    with pytest.raises(DomainError):
+        tent_family().element(1).evaluate(np.array([0.5, np.nan]))
 
 
 def test_scalar_in_scalar_out():

@@ -124,6 +124,13 @@ def test_assemble_validates_indices_against_family():
                  Construction("raw_probe", "s"))
 
 
+def test_assemble_refuses_a_norm_domain_wider_than_the_basis():
+    fam = cubic_bspline_family(6, (0.0, 0.5))
+    with pytest.raises(ConfigurationError, match="norm domain exceeds basis domain"):
+        assemble("t", fam, [(2, 0.1)], quadrature.w12_norm((0.0, 1.0)), 0.1, 0.0,
+                 Construction("gram_solve", "s"))
+
+
 # ----------------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,35 @@ from certapprox.errors import (CertificateParseError, ConfigurationError,
 from certapprox.limit import (LADDER_RUNGS, Modulus, check_pair,
                               dyadic_modulus, exact_ceil_log2, exact_pair_sup,
                               frac_str, limit_from_dict, parse_frac,
-                              partial_sum_exact, tent_certificate,
-                              tent_sequence, tent_value_exact, transfer,
+                              tent_certificate, tent_sequence, transfer,
                               verify_limit)
 
 
 @pytest.fixture(scope="module")
 def lim_milli():
     return transfer(tent_sequence(), 1e-3)
+
+
+# ----------------------------------------------------------------------------
+# exact rational oracle: the tent sums evaluated point by point
+# ----------------------------------------------------------------------------
+
+def tent_value_exact(k: int, x: Fraction) -> Fraction:
+    """Unit tent at scale k: T_k(x) = dist(2^k x, nearest integer) * 2."""
+    u = x * 2 ** k
+    t = u - math.floor(u)
+    return 2 * t if t <= Fraction(1, 2) else 2 * (1 - t)
+
+
+def partial_sum_exact(n: int, x: Fraction) -> Fraction:
+    return sum(Fraction(1, 2 ** k) * tent_value_exact(k, x) for k in range(n + 1))
+
+
+def pair_sup_by_scan(n: int, m: int) -> Fraction:
+    """max |S_m - S_n| over one period's dyadic grid, point by point."""
+    step = Fraction(1, 2 ** (m + 1))
+    return max(abs(partial_sum_exact(m, j * step) - partial_sum_exact(n, j * step))
+               for j in range(2 ** (m - n) + 1))
 
 
 # ----------------------------------------------------------------------------
@@ -88,6 +110,12 @@ def test_pair_sup_lands_in_the_dyadic_window(n, gap):
     s = exact_pair_sup(n, n + gap)
     assert Fraction(1, 2) * Fraction(2) ** -n <= s
     assert s <= Fraction(2, 3) * Fraction(2) ** -n
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_integer_pair_sup_equals_the_rational_scan(m):
+    for n in range(m):
+        assert exact_pair_sup(n, m) == pair_sup_by_scan(n, m)
 
 
 def test_pair_sup_needs_an_ordered_pair():

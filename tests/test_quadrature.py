@@ -180,14 +180,6 @@ def test_sobolev_norm_of_sine():
     assert got == pytest.approx(math.sqrt((1.0 + math.pi ** 2) / 2.0), rel=1e-14)
 
 
-def test_weighted_inner_product_requires_chebyshev_rule():
-    f = target.from_builtin("exp")
-    e = chebyshev_family().element(1)
-    with pytest.raises(ConfigurationError):
-        q.inner_product(f, e, q.chebyshev_weighted_norm(),
-                        q.gauss_legendre_rule(16, (-1.0, 1.0)))
-
-
 def test_sup_norm_has_no_inner_product():
     f = target.from_builtin("sinpi")
     e = fourier_sine_family().element(1)

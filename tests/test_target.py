@@ -138,6 +138,10 @@ def test_domain_check_on_targets():
     f = target.from_builtin("sinpi")
     with pytest.raises(DomainError):
         f.evaluate(1.2)
+    with pytest.raises(DomainError):
+        f.evaluate(float("nan"))
+    with pytest.raises(DomainError):
+        f.evaluate_deriv(np.array([0.25, np.nan, 0.75]))
 
 
 # ----------------------------------------------------------------------------
