@@ -15,10 +15,10 @@ from .approximate import (ExtractionSettings, approximate_chebyshev,
 from .basis import (BasisElement, BasisFamily, chebyshev_family,
                     cubic_bspline_family, fourier_sine_family, monomial_family,
                     tent_family)
-from .certificate import (ApproximationCertificate, CertificateStore,
-                          Construction, VerificationReport, assemble,
-                          canonical_dumps, claim_findings, compute_digest,
-                          deserialize, measure, serialize, verify)
+from .certificate import (ApproximationCertificate, Construction,
+                          VerificationReport, assemble, canonical_dumps,
+                          claim_findings, compute_digest, deserialize, measure,
+                          serialize, verify)
 from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
                      DomainError, EvaluationError, EvidenceContradictionError,
                      ExpressionSyntaxError, IllConditionedBasisError,
@@ -33,9 +33,9 @@ from .limit import (CertifiedSequence, LimitCertificate, Modulus, dyadic_modulus
                     exact_ceil_log2, exact_pair_sup, limit_from_dict,
                     tent_certificate, tent_sequence, transfer, verify_limit)
 from .quadrature import (NormTag, QuadratureRule, construction_rule,
-                         gauss_chebyshev_rule, gauss_legendre_rule,
-                         inner_product, integrate, l2_norm, norm_of_difference,
-                         sup_distance, sup_norm, w12_norm)
+                         gauss_chebyshev_rule, inner_product, integrate,
+                         l2_norm, norm_of_difference, sup_distance, sup_norm,
+                         w12_norm)
 from .target import (TargetFunction, from_builtin, from_expression, load_samples,
                      parse_expression, piecewise_linear, resolve_spec,
                      tent_partial_sum)

@@ -92,7 +92,6 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     terms: list[tuple[int, float]] = []
     direct = math.inf
     parseval = math.inf
-    last_rule = None
     block_end = 0
     for n in range(1, settings.max_terms + 1):
         if n > block_end:
@@ -126,10 +125,6 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
 # gram solve and raw probes
 # ----------------------------------------------------------------------------
 
-def _pair_rule(f, elements, norm: NormTag) -> quadrature.QuadratureRule:
-    return quadrature.construction_rule(f, elements, interval=norm.domain)
-
-
 def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
     """Symmetric matrix of pairwise inner products; rule_for(a, b) picks the
     quadrature rule of each pair.
@@ -156,8 +151,16 @@ def _probes(f, elements, norm: NormTag) -> np.ndarray:
     """<f, e> for every element, each on its own construction rule, which
     for a B-spline spans only its support; f is evaluated anew on each.
     approximate_orthonormal's probes share one rule per block instead."""
-    return np.array([quadrature.inner_product(f, e, norm, _pair_rule(f, [e], norm))
-                     for e in elements])
+    return np.array([quadrature.inner_product(
+        f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
+
+
+def _normal_system(f, elements, norm: NormTag) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix, each pair on the construction rule of its two
+    elements over the norm's domain, and the probes <f, e>."""
+    G = gram_matrix(elements, norm, lambda a, b: quadrature.construction_rule(
+        a, [a, b], norm.domain))
+    return G, _probes(f, elements, norm)
 
 
 def _fsum_dot(head: float, u: np.ndarray, v: np.ndarray) -> float:
@@ -216,7 +219,7 @@ def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
     order = sorted(range(len(elements)), key=lambda i: elements[i].index)
     terms = [(elements[i].index, float(coeffs[i])) for i in order]
     g = target_mod.series(fam, terms)
-    rule = _pair_rule(f, list(elements) + [g], norm)
+    rule = quadrature.construction_rule(f, list(elements) + [g], norm.domain)
     err = quadrature.norm_of_difference(f, g, norm, rule)
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, miss)
@@ -229,8 +232,7 @@ def approximate_gram(f, elements, norm: NormTag,
     """Least-squares coefficients from the normal equations in the given norm."""
     elements = tuple(elements)
     _common_family(elements)
-    G = gram_matrix(elements, norm, lambda a, b: _pair_rule(a, [a, b], norm))
-    coeffs, cond = solve_normal_equations(G, _probes(f, elements, norm))
+    coeffs, cond = solve_normal_equations(*_normal_system(f, elements, norm))
     return _certify(f, elements, coeffs, norm, settings, "gram_solve",
                     f"cholesky solve over {len(elements)} elements; "
                     f"condition estimate {cond:.6e}", "gram solve best fit")
@@ -295,8 +297,8 @@ def approximate_chebyshev(f, degree: int,
     err = grid_max + tail
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, "degree too low")
-    rule = quadrature.QuadratureRule(quadrature.GAUSS_CHEBYSHEV, 2 * (degree + 1),
-                                     (-1.0, 1.0), policy="pipeline")
+    # the rule chebyshev_coefficients integrates on
+    rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     construction = Construction(
         "chebyshev_pipeline",
         f"grid max {grid_max:.6e} + tail estimate {tail:.6e}",
@@ -323,8 +325,7 @@ def approximate_greedy(f, elements, norm: NormTag,
     elements = tuple(elements)
     fam = _common_family(elements)
     k = len(elements)
-    G = gram_matrix(elements, norm, lambda a, b: _pair_rule(a, [a, b], norm))
-    probes = _probes(f, elements, norm)
+    G, probes = _normal_system(f, elements, norm)
     norms = np.sqrt(np.diag(G))
     if np.any(norms == 0.0):
         raise ConfigurationError("dictionary contains a zero element")
@@ -332,7 +333,6 @@ def approximate_greedy(f, elements, norm: NormTag,
     picks: list[tuple[int, float]] = []
     err = math.inf
     stall = 0
-    err_rule = None
     for _ in range(settings.max_terms):
         scores = np.abs(rho) / norms
         best = float(np.max(scores))
@@ -345,7 +345,7 @@ def approximate_greedy(f, elements, norm: NormTag,
         g = target_mod.series(fam, picks)
         chosen = {j for j, _ in picks}
         sel = [e for e in elements if e.index in chosen]
-        err_rule = _pair_rule(f, sel + [g], norm)
+        err_rule = quadrature.construction_rule(f, sel + [g], norm.domain)
         new_err = quadrature.norm_of_difference(f, g, norm, err_rule)
         if new_err < settings.epsilon:
             err = new_err

@@ -16,7 +16,8 @@ claim_findings() that assemble() applies, and checks
     recomputed <= reported * (1 + 1e-6) + 1e-12   and   reported < tolerance
 
 Adverse findings land in the report's notes; verification itself does not
-raise on a failed claim.
+raise on a failed claim. Genealogy resolves in a store, a plain dict from
+digest to certificate or record, which every verifier takes as `store`.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class ApproximationCertificate:
     def approximant(self) -> target_mod.TargetFunction:
         return target_mod.series(self.basis, self.terms)
 
-    def elements(self):
-        return tuple(self.basis.element(j) for j, _ in self.terms)
-
 
 def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
              tolerance: float, reported_error: float, construction: Construction,
@@ -198,7 +196,8 @@ def claim_findings(cert: ApproximationCertificate) -> list[str]:
         if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
             findings.append("term indices not strictly increasing")
     try:
-        cert.elements()
+        for j, _ in cert.terms:
+            cert.basis.element(j)
     except ConfigurationError as e:
         findings.append(f"invalid term index: {e}")
     nlo, nhi = cert.norm.domain
@@ -346,14 +345,15 @@ def measure(f, g, norm: NormTag, refine: int = 4) -> tuple[float, str]:
         f"composite_gl{rule.points}x{rule.n_panels}"
 
 
-def envelope_findings(cert, parse, store=None, embedded=None):
+def envelope_findings(cert, parse, store: dict | None = None, embedded=None):
     """Structural checks that every document kind shares.
 
     The digest must seal the canonical content, the canonical bytes must
     round-trip through parse (the kind's own from_dict), and every genealogy
     entry must be a well-formed digest. Given embedded certificates or
-    records, they join the caller's store; when there is a store, every
-    genealogy entry must resolve in it. Returns the notes and that store.
+    records, they join the caller's store, whose entries win on a shared
+    digest; when there is a store, every genealogy entry must resolve in it.
+    Returns the notes and that store.
     """
     notes = []
     if not digest_ok(cert):
@@ -365,22 +365,18 @@ def envelope_findings(cert, parse, store=None, embedded=None):
     except CertificateParseError as e:
         notes.append(f"serialization round-trip failed: {e}")
     if embedded is not None:
-        merged = CertificateStore()
-        for item in embedded:
-            merged.add(item)
-        for d in store.digests() if store is not None else ():
-            merged.add(store.get(d))
-        store = merged
+        store = {**{item.digest: item for item in embedded}, **(store or {})}
     for g in cert.genealogy:
         if len(g) != 64 or any(c not in "0123456789abcdef" for c in g):
             notes.append(f"malformed genealogy digest {g[:16]}...")
-        elif store is not None and store.get(g) is None:
+        elif store is not None and g not in store:
             notes.append(f"genealogy digest {g[:16]}... does not resolve")
     return notes, store
 
 
-def verify(cert: ApproximationCertificate, f, store=None) -> VerificationReport:
-    """Independently check a certificate against the target it claims to fit.
+def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> VerificationReport:
+    """Independently check a certificate against the target it claims to fit;
+    given a store, every genealogy digest must resolve in it.
 
     Never raises on adverse findings; the report carries them.
     """
@@ -403,23 +399,3 @@ def verify(cert: ApproximationCertificate, f, store=None) -> VerificationReport:
                               cert.tolerance, honored, structural_ok, method,
                               tuple(notes))
 
-
-# ----------------------------------------------------------------------------
-# store
-# ----------------------------------------------------------------------------
-
-class CertificateStore:
-    """In-memory digest-addressed collection used for genealogy resolution."""
-
-    def __init__(self):
-        self._by_digest: dict[str, object] = {}
-
-    def add(self, cert) -> str:
-        self._by_digest[cert.digest] = cert
-        return cert.digest
-
-    def get(self, digest: str):
-        return self._by_digest.get(digest)
-
-    def digests(self) -> tuple[str, ...]:
-        return tuple(self._by_digest)

@@ -30,10 +30,10 @@ from . import quadrature, target as target_mod
 from .approximate import (ExtractionSettings, approximate_gram, gram_matrix,
                           solve_normal_equations)
 from .basis import BasisFamily, cubic_bspline_family
-from .certificate import (ApproximationCertificate, CertificateStore,
-                          Construction, VerificationReport, assemble,
-                          bound_is_honored, certificate_from_dict, envelope,
-                          envelope_findings, measure, parse_envelope, seal)
+from .certificate import (ApproximationCertificate, Construction,
+                          VerificationReport, assemble, bound_is_honored,
+                          certificate_from_dict, envelope, envelope_findings,
+                          measure, parse_envelope, seal)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      IllConditionedBasisError, ReconciliationFailureError,
@@ -170,9 +170,6 @@ class LocalCertificate:
     patch: tuple[float, float]
     cert: ApproximationCertificate
 
-    def series(self) -> target_mod.TargetFunction:
-        return self.cert.approximant()
-
     def to_dict(self) -> dict:
         return {"patch_index": int(self.patch_index),
                 "patch": [float(self.patch[0]), float(self.patch[1])],
@@ -209,7 +206,8 @@ def check_overlap(a: LocalCertificate, b: LocalCertificate) -> float:
     if not lo < hi:
         raise TopologyError(
             f"patches {a.patch_index} and {b.patch_index} do not overlap")
-    return measure(a.series(), b.series(), NormTag(quadrature.W12, (lo, hi)))[0]
+    return measure(a.cert.approximant(), b.cert.approximant(),
+                   NormTag(quadrature.W12, (lo, hi)))[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
     lo = max(a.patch[0], b.patch[0])
     hi = min(a.patch[1], b.patch[1])
     fam = b.cert.basis
-    sa = a.series()
+    sa = a.cert.approximant()
     norm = NormTag(quadrature.W12, (lo, hi))
     movable = [j for j, _ in b.cert.terms
                if fam.element(j).support()[0] < hi and fam.element(j).support()[1] > lo]
@@ -253,7 +251,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
             f"pair ({a.patch_index}, {b.patch_index}): no element reaches the overlap")
     fixed = [(j, c) for j, c in b.cert.terms if j not in movable]
     els = [fam.element(j) for j in movable]
-    rule = quadrature.construction_rule(sa, els + [b.series()], interval=(lo, hi))
+    rule = quadrature.construction_rule(sa, els + [b.cert.approximant()], interval=(lo, hi))
     G = gram_matrix(els, norm, lambda u, v: rule)
     resid = sa
     if fixed:
@@ -312,7 +310,7 @@ def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCerti
 
 def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
     """The blended approximant sum_i psi_i * s_i on the cover's domain."""
-    series = [lc.series() for lc in locals_]
+    series = [lc.cert.approximant() for lc in locals_]
     cover = pou.cover
 
     def blend(xs, deriv=False):
@@ -468,8 +466,7 @@ def _measured(notes: list, what: str, measure, failed=math.inf):
         return failed
 
 
-def verify_glued(cert: GluedCertificate, f, store: CertificateStore | None = None
-                 ) -> VerificationReport:
+def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
     """Re-check a glued claim: structure, locals, overlap gates, global bound."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
     notes, store = envelope_findings(cert, glued_from_dict, store, embedded)

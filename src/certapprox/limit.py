@@ -3,9 +3,8 @@ r"""Certificate sequences, exact Cauchy evidence, and limit transfer.
 The model sequence is the dyadic tent series: partial sums
 S_n(x) = sum_{k=0..n} 2^-k T_k(x) where T_k is the unit tent at scale k.
 Every question the transfer asks about this sequence has an exact rational
-answer. The sup distance between two partial sums is periodic with the
-finer structure's period, so it reduces to finitely many dyadic grid
-evaluations done in integer arithmetic; tails telescope to 2^-n. Members,
+answer. The sup distance between S_n and S_m is the closed form
+floor(2^(L+1)/3) / 2^m with L = m - n; tails telescope to 2^-n. Members,
 proxy and verifier take the tent law from target.tent_partial_sum.
 
 transfer(seq, eps) evaluates the modulus at eps/2 to pick the anchor depth
@@ -14,21 +13,23 @@ members) exactly, and refuses with a contradiction naming the pair if any
 measured gap reaches eps/2. The resulting limit certificate carries the
 member certificates up to the anchor, the evidence records, the modulus
 evaluation, and a deeper proxy expansion for evaluation, each with its own
-digest, so the claim re-checks from the file alone.
+digest, so the claim re-checks from the file alone. verify_limit ties the
+anchor to its modulus record, and the ladder to its anchor, first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import target as target_mod
 from .basis import tent_family
-from .certificate import (ApproximationCertificate, CertificateStore,
-                          Construction, VerificationReport, assemble,
-                          bound_is_honored, certificate_from_dict, digest_ok,
-                          envelope, envelope_findings, parse_envelope, seal)
+from .certificate import (ApproximationCertificate, Construction,
+                          VerificationReport, assemble, bound_is_honored,
+                          certificate_from_dict, digest_ok, envelope,
+                          envelope_findings, parse_envelope, seal)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, IncompleteSequenceError)
@@ -66,20 +67,21 @@ def exact_ceil_log2(q: Fraction) -> int:
 
 
 def exact_pair_sup(n: int, m: int) -> Fraction:
-    """sup |S_m - S_n| on [0, 1], exactly.
+    """sup |S_m - S_n| on [0, 1], exactly: floor(2^(L+1) / 3) / 2^m, L = m - n.
 
     The difference is a sum of scales n+1..m, so it repeats with period
     2^-(n+1) and is linear between consecutive multiples of 2^-(m+1).
     One period therefore holds the sup on its dyadic grid, where scale k
     adds 2^-m min(r, P - r) at x = j 2^-(m+1), with P = 2^(m+1-k) and
-    r = j mod P: an integer maximum over 2^-m.
+    r = j mod P: an integer maximum over 2^-m. The periods are 2^L ... 2^1,
+    so that maximum depends on L alone; the j whose bits alternate attains
+    it, floor(2^(L+1) / 3). tests/test_limit.py checks the closed form
+    against that integer scan for L = 1..16 and against exact rational
+    evaluation for m <= 10; a verified ladder only holds L <= LADDER_RUNGS.
     """
     if not 0 <= n < m:
         raise ConfigurationError(f"need 0 <= n < m, got ({n}, {m})")
-    periods = [2 ** (m + 1 - k) for k in range(n + 1, m + 1)]
-    best = max(sum(min(j % p, p - j % p) for p in periods)
-               for j in range(2 ** (m - n) + 1))
-    return Fraction(best, 2 ** m)
+    return Fraction(2 ** (m - n + 1) // 3, 2 ** m)
 
 
 # ----------------------------------------------------------------------------
@@ -119,7 +121,6 @@ class CertifiedSequence:
     name: str
     generator: Callable[[int], ApproximationCertificate]
     modulus: Modulus
-    pair_sup: Callable[[int, int], Fraction] | None = None
 
     def member(self, n: int) -> ApproximationCertificate:
         try:
@@ -132,7 +133,7 @@ class CertifiedSequence:
 
 def tent_sequence(modulus: Modulus | None = None) -> CertifiedSequence:
     return CertifiedSequence(SEQUENCE_TENT, tent_certificate,
-                             modulus or dyadic_modulus(), exact_pair_sup)
+                             modulus or dyadic_modulus())
 
 
 # ----------------------------------------------------------------------------
@@ -152,13 +153,9 @@ class EvidenceRecord:
                 "digest": self.digest}
 
 
-def check_pair(seq: CertifiedSequence, n: int, m: int,
-               budget: Fraction) -> EvidenceRecord:
+def check_pair(n: int, m: int, budget: Fraction) -> EvidenceRecord:
     """Measure |S_m - S_n| exactly; contradiction if it reaches the budget."""
-    if seq.pair_sup is None:
-        raise IncompleteSequenceError(
-            f"sequence {seq.name!r} has no exact pair oracle")
-    measured = seq.pair_sup(n, m)
+    measured = exact_pair_sup(n, m)
     if not measured < budget:
         raise EvidenceContradictionError(n, m, frac_str(budget), frac_str(measured))
     return seal(EvidenceRecord((n, m), frac_str(measured), frac_str(budget)))
@@ -219,10 +216,6 @@ class LimitCertificate:
             "reported_error": float(self.reported_error),
         })
 
-    def base(self) -> target_mod.TargetFunction:
-        """The anchored partial sum the bound is stated for."""
-        return self.members[-1].approximant()
-
     def approximant(self) -> target_mod.TargetFunction:
         """Deeper proxy expansion, within proxy_tail of the limit."""
         return target_mod.series(tent_family(), self.proxy_terms,
@@ -246,7 +239,7 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
         n_star = 1
     mod_rec = seal(ModulusRecord(seq.modulus.rule, frac_str(eps), frac_str(half), n_star))
     members = tuple(seq.member(n) for n in range(1, n_star + 1))
-    evidence = tuple(check_pair(seq, n_star, n_star + i, half)
+    evidence = tuple(check_pair(n_star, n_star + i, half)
                      for i in range(1, LADDER_RUNGS + 1))
     tail = Fraction(1, 2 ** n_star)
     if not tail <= half:
@@ -303,16 +296,19 @@ def limit_from_dict(doc: dict) -> LimitCertificate:
     return parse_envelope(doc, "limit", build)
 
 
-def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
-                 ) -> VerificationReport:
+def verify_limit(cert: LimitCertificate, store: dict | None = None) -> VerificationReport:
     """Re-derive every exact quantity in a limit claim from scratch.
 
-    Members are re-verified against their own partial sums, ladder gaps are
-    re-measured in integer arithmetic and compared to the recorded strings,
-    the modulus value is re-evaluated when the rule is the known dyadic one,
-    and the telescoped tail is re-compared to its budget exactly.
+    Members are re-verified against their own partial sums and the modulus
+    value is re-evaluated when the rule is the known dyadic one. n_star must
+    be that value and the member count, at epsilon and eps/2; only then are
+    the tail 2^-n_star and the ladder computed (else the recomputed error is
+    inf), so a resealed depth never sizes the work. The ladder must be the
+    pairs (n_star, n_star + i), i = 1 .. LADDER_RUNGS, each bounded by eps/2; its
+    gaps are re-measured exactly, and the tail is compared to its budget.
     """
-    embedded = cert.members + cert.ladder + (cert.modulus_record,)
+    mod = cert.modulus_record
+    embedded = cert.members + cert.ladder + (mod,)
     notes, store = envelope_findings(cert, limit_from_dict, store, embedded)
     if cert.sequence != SEQUENCE_TENT:
         notes.append(f"unknown sequence {cert.sequence!r}; nothing can be re-measured")
@@ -320,12 +316,28 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
     half = eps / 2
     if parse_frac(cert.tail_budget) != half:
         notes.append("tail budget is not half of epsilon")
+    if cert.genealogy != tuple(item.digest for item in embedded):
+        notes.append("genealogy does not list members, ladder, modulus in order")
+    if not digest_ok(mod):
+        notes.append("modulus record digest mismatch")
+    if mod.rule == DYADIC_RULE:
+        if exact_ceil_log2(2 / parse_frac(mod.argument)) != mod.value:
+            notes.append("modulus value does not match its rule")
+    else:
+        notes.append(f"unrecognized modulus rule {mod.rule!r}; value taken as claimed")
+    # n_star sizes the tail and every rung; anchored, it is the member count
+    before = len(notes)
     if len(cert.members) != cert.n_star:
         notes.append(f"expected {cert.n_star} members, found {len(cert.members)}")
-    expected_genealogy = tuple(c.digest for c in cert.members) \
-        + tuple(r.digest for r in cert.ladder) + (cert.modulus_record.digest,)
-    if cert.genealogy != expected_genealogy:
-        notes.append("genealogy does not list members, ladder, modulus in order")
+    if cert.n_star != mod.value:
+        notes.append(f"anchor {cert.n_star} is not the modulus value {mod.value}")
+    if parse_frac(mod.epsilon) != eps or parse_frac(mod.argument) != half:
+        notes.append("modulus record is not taken at epsilon and epsilon/2")
+    anchored = len(notes) == before
+    rungs = tuple((cert.n_star, cert.n_star + i) for i in range(1, LADDER_RUNGS + 1))
+    climbs = tuple(rec.pair for rec in cert.ladder) == rungs
+    if not climbs:
+        notes.append(f"ladder is not the {LADDER_RUNGS} rungs {rungs[0]} ... {rungs[-1]}")
     if cert.sequence == SEQUENCE_TENT:
         for i, member in enumerate(cert.members, start=1):
             f_n = target_mod.tent_partial_sum(i)
@@ -337,42 +349,31 @@ def verify_limit(cert: LimitCertificate, store: CertificateStore | None = None
         for rec in cert.ladder:
             if not digest_ok(rec):
                 notes.append(f"evidence {rec.pair} digest mismatch")
-            n, m = rec.pair
-            if n != cert.n_star:
-                notes.append(f"evidence {rec.pair} is not anchored at {cert.n_star}")
+            if parse_frac(rec.bound) != half:
+                notes.append(f"evidence {rec.pair}: bound {rec.bound} is not the tail budget")
+            if not (anchored and climbs):
                 continue
-            if m <= n:
-                notes.append(f"evidence {rec.pair} does not reach past its anchor")
-                continue
-            remeasured = exact_pair_sup(n, m)
+            remeasured = exact_pair_sup(*rec.pair)
             if frac_str(remeasured) != rec.measured:
                 notes.append(
                     f"evidence {rec.pair}: recorded gap {rec.measured}, "
                     f"re-measured {frac_str(remeasured)}")
-            if not remeasured < parse_frac(rec.bound):
+            if not remeasured < half:
                 notes.append(
                     f"evidence {rec.pair}: measured gap {frac_str(remeasured)} "
-                    f"reaches bound {rec.bound}")
+                    f"reaches bound {frac_str(half)}")
         # the length first: a hostile depth must not build a huge series
         if (len(cert.proxy_terms) != cert.proxy_depth + 1 or cert.proxy_terms
                 != target_mod.tent_partial_sum(cert.proxy_depth).terms):
             notes.append("proxy terms do not follow the sequence law")
-    if not digest_ok(cert.modulus_record):
-        notes.append("modulus record digest mismatch")
-    if cert.modulus_record.rule == DYADIC_RULE:
-        arg = parse_frac(cert.modulus_record.argument)
-        if exact_ceil_log2(2 / arg) != cert.modulus_record.value:
-            notes.append("modulus value does not match its rule")
-    else:
-        notes.append(f"unrecognized modulus rule {cert.modulus_record.rule!r};"
-                     " value taken as claimed")
-    tail = Fraction(1, 2 ** cert.n_star)
-    if parse_frac(cert.tail_bound) != tail:
-        notes.append("tail bound is not the telescoped closed form")
-    if not tail <= half:
-        notes.append(f"tail {frac_str(tail)} exceeds budget {frac_str(half)}")
-    recomputed = (cert.members[-1].reported_error if cert.members else float("inf")) \
-        + float(tail)
+    recomputed = math.inf
+    if anchored:
+        tail = Fraction(1, 2 ** cert.n_star)
+        if parse_frac(cert.tail_bound) != tail:
+            notes.append("tail bound is not the telescoped closed form")
+        if not tail <= half:
+            notes.append(f"tail {frac_str(tail)} exceeds budget {frac_str(half)}")
+        recomputed = cert.members[-1].reported_error + float(tail)
     honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
     if not honored:
         notes.append(f"combined bound {recomputed:.6g} breaks the claim")

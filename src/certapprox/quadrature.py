@@ -3,11 +3,12 @@ r"""Deterministic quadrature, inner products, and norm measurements.
 Two grades of accuracy run through everything built on top of this module.
 Construction-grade rules are composite 16-point Gauss-Legendre rules whose
 panel edges honor every structural breakpoint of the integrand factors
-(knots, kinks, oscillation scales). Verification-grade rules refine each
-construction panel fourfold in certificate.measure, so a verifier never
-evaluates at construction nodes and cannot alias construction error. The
-Gauss-Chebyshev rule, weight 1/sqrt(1-x^2) folded in, serves the Chebyshev
-coefficient table alone.
+(knots, kinks, oscillation scales) on an interval the caller names.
+Verification-grade rules refine each construction panel fourfold in
+certificate.measure, so a verifier never evaluates at construction nodes
+and cannot alias construction error. The Gauss-Chebyshev rule, weight
+1/sqrt(1-x^2) folded in, serves the Chebyshev coefficient table alone.
+L2 and W12 norms are integrated; the sup norm is sup_distance's.
 
 All weighted sums go through math.fsum, which is exactly rounded and hence
 independent of summation order and platform; this is what makes certificate
@@ -41,8 +42,6 @@ _NORM_KINDS = (L2, W12, SUP)
 
 GAUSS_CHEBYSHEV = "gauss_chebyshev"
 COMPOSITE_GAUSS_LEGENDRE = "composite_gauss_legendre"
-
-MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -95,18 +94,13 @@ class QuadratureRule:
     kind: str
     points: int
     edges: tuple[float, ...]
-    policy: str = "explicit"
 
     def __post_init__(self):
         if self.kind not in (GAUSS_CHEBYSHEV, COMPOSITE_GAUSS_LEGENDRE):
             raise ConfigurationError(f"unknown rule kind {self.kind!r}")
-        if self.kind == GAUSS_CHEBYSHEV:
-            # node count scales with the requested degree, only bounded sanity-wise
-            if not (1 <= self.points <= 1_000_000):
-                raise ConfigurationError(f"unreasonable node count {self.points}")
-        elif not (1 <= self.points <= MAX_POINTS):
-            raise ConfigurationError(
-                f"points per panel must lie in 1..{MAX_POINTS}, got {self.points}")
+        # the Gauss-Chebyshev count scales with the requested degree
+        if not (1 <= self.points <= 1_000_000):
+            raise ConfigurationError(f"unreasonable node count {self.points}")
         e = np.asarray(self.edges, dtype=float)
         if e.size < 2 or np.any(np.diff(e) <= 0.0):
             raise ConfigurationError("panel edges must be strictly increasing")
@@ -146,15 +140,12 @@ class QuadratureRule:
         w.setflags(write=False)
         return x, w
 
-    def refined(self, factor: int = 4) -> "QuadratureRule":
-        """Verification-grade companion: every panel split `factor` ways.
+    def refined(self, factor: int) -> "QuadratureRule":
+        """Verification-grade Gauss-Legendre companion: panels split `factor` ways.
 
         The refined node set is disjoint from the original's, so a
         verification measurement never reuses construction samples.
         """
-        if self.kind == GAUSS_CHEBYSHEV:
-            return QuadratureRule(GAUSS_CHEBYSHEV, self.points * factor,
-                                  (-1.0, 1.0), policy="oracle")
         # np.linspace(a, b, factor + 1) for every panel at once, by its own
         # formula: a + i * ((b - a) / factor), with b itself as the stop
         e = np.asarray(self.edges)
@@ -162,41 +153,26 @@ class QuadratureRule:
         fine = np.arange(1.0, factor + 1.0) * ((b[:, None] - a) / factor) + a
         fine[:, -1] = b
         return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, self.points,
-                              (float(e[0]), *fine.reshape(-1).tolist()),
-                              policy="oracle")
+                              (float(e[0]), *fine.reshape(-1).tolist()))
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "points": int(self.points),
-             "panels": int(self.n_panels), "policy": self.policy}
-        if self.policy == "explicit":
-            d["edges"] = [float(v) for v in self.edges]
-        return d
-
-
-def gauss_legendre_rule(points: int, interval: tuple[float, float]) -> QuadratureRule:
-    """Single-panel Gauss-Legendre rule on the interval."""
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, points,
-                          (float(interval[0]), float(interval[1])))
+        """Provenance record; the policy is "structural" or "pipeline" by kind."""
+        policy = "structural" if self.kind == COMPOSITE_GAUSS_LEGENDRE else "pipeline"
+        return {"kind": self.kind, "points": int(self.points),
+                "panels": int(self.n_panels), "policy": policy}
 
 
 def gauss_chebyshev_rule(points: int) -> QuadratureRule:
     return QuadratureRule(GAUSS_CHEBYSHEV, points, (-1.0, 1.0))
 
 
-def construction_rule(f, elements, interval: tuple[float, float] | None = None) -> QuadratureRule:
-    """Composite 16-point GL rule whose edges honor f's and every element's structure.
-
-    interval restricts the rule (overlap measurements, patch norms); by
-    default the rule spans the intersection of the operand domains.
-    """
+def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureRule:
+    """Composite 16-point GL rule on interval (a norm's domain, a patch, an
+    overlap) whose edges honor f's and every element's structure."""
     pieces = [np.asarray(f.panel_edges(), dtype=float)]
     for e in elements:
         pieces.append(np.asarray(e.panel_edges(), dtype=float))
-    if interval is None:
-        lo = max(float(p[0]) for p in pieces)
-        hi = min(float(p[-1]) for p in pieces)
-    else:
-        lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigurationError(f"empty integration interval [{lo}, {hi}]")
     merged = np.unique(np.concatenate(pieces))
@@ -210,8 +186,7 @@ def construction_rule(f, elements, interval: tuple[float, float] | None = None) 
         if v - keep[-1] > tol:
             keep.append(v)
     keep[-1] = hi
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, 16, tuple(keep),
-                          policy="structural")
+    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, 16, tuple(keep))
 
 
 # ----------------------------------------------------------------------------
@@ -242,7 +217,10 @@ def integrate(fn, rule: QuadratureRule) -> float:
 
 def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
     """The integral of integrand(x, deriv=False), plus under W12 that of
-    integrand(x, deriv=True): the one place that decides what a norm pairs."""
+    integrand(x, deriv=True): the one place that decides what a norm pairs.
+    The sup norm pairs nothing."""
+    if norm.kind == SUP:
+        raise UnsupportedNormError("sup norm has no inner product; sup_distance measures it")
     val = integrate(lambda x: integrand(x, False), rule)
     if norm.kind != W12:
         return val
@@ -256,21 +234,15 @@ def _at(fn, x, deriv: bool) -> np.ndarray:
 def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """<f, e> in the given norm's inner product, by the given rule; sup
     admits no inner product."""
-    if norm.kind == SUP:
-        raise UnsupportedNormError("sup norm has no inner product")
     return _values_and_derivatives(lambda x, d: _at(f, x, d) * _at(e, x, d), norm, rule)
 
 
-def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule | None = None) -> float:
-    """||f - g|| in the given norm; pass g=None for ||f||."""
-    if norm.kind == SUP:
-        return sup_distance(f, g, norm.domain)[0]
-    if rule is None:
-        raise ConfigurationError("integral norms need a quadrature rule")
+def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule) -> float:
+    """||f - g|| in the given L2 or W12 norm, by the given rule; the sup
+    norm is sup_distance's."""
 
     def squared(x, deriv):
-        a = _at(f, x, deriv)
-        d = a if g is None else a - _at(g, x, deriv)
+        d = _at(f, x, deriv) - _at(g, x, deriv)
         return d * d
 
     return math.sqrt(max(_values_and_derivatives(squared, norm, rule), 0.0))
@@ -290,13 +262,11 @@ def sup_distance(f, g, domain: tuple[float, float]):
     lo, hi = domain
 
     def h(x):
-        a = np.asarray(f.evaluate(x), dtype=float)
-        if g is None:
-            return np.abs(a)
-        return np.abs(a - np.asarray(g.evaluate(x), dtype=float))
+        return np.abs(np.asarray(f.evaluate(x), dtype=float)
+                      - np.asarray(g.evaluate(x), dtype=float))
 
     bf = f.linear_breakpoints()
-    bg = g.linear_breakpoints() if g is not None else np.asarray([lo, hi])
+    bg = g.linear_breakpoints()
     if bf is not None and bg is not None:
         pts = np.unique(np.concatenate([bf, bg, [lo, hi]]))
         pts = pts[(pts >= lo) & (pts <= hi)]

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 
 from certapprox import quadrature, target
-from certapprox.approximate import (ExtractionSettings, _pair_rule, _probes,
+from certapprox.approximate import (ExtractionSettings, _normal_system,
                                     approximate_chebyshev, approximate_gram,
                                     approximate_greedy, approximate_orthonormal,
                                     approximate_raw_probe,
@@ -135,8 +135,7 @@ def _normal_equations(case):
         els, norm = cubic_bspline_family(12).interior_elements(), quadrature.w12_norm()
     else:
         els, norm = [monomial_family().element(j) for j in range(7)], quadrature.l2_norm()
-    G = gram_matrix(els, norm, lambda a, b: _pair_rule(a, [a, b], norm))
-    return G, _probes(f, els, norm)
+    return _normal_system(f, els, norm)
 
 
 def _exact_solve(G, rhs):
@@ -215,7 +214,7 @@ def test_banded_gram_is_byte_identical_to_every_pair(norm):
     els = cubic_bspline_family(100).interior_elements()
 
     def rule_for(a, b):
-        return _pair_rule(a, [a, b], norm)
+        return quadrature.construction_rule(a, [a, b], norm.domain)
 
     G = gram_matrix(els, norm, rule_for)
     assert G.tobytes() == _every_pair_gram(els, norm, rule_for).tobytes()

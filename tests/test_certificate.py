@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from certapprox import quadrature, target
 from certapprox.basis import cubic_bspline_family, fourier_sine_family
-from certapprox.certificate import (CertificateStore, Construction, assemble,
+from certapprox.certificate import (Construction, assemble,
                                     bound_is_honored, canonical_dumps,
                                     certificate_from_dict, compute_digest,
                                     deserialize, serialize, verify)
@@ -230,11 +230,9 @@ def test_verify_never_raises_on_unmeasurable_targets():
 def test_verify_resolves_genealogy_through_store():
     parent = _simple_cert()
     child = _simple_cert(genealogy=(parent.digest,))
-    store = CertificateStore()
-    store.add(parent)
     f = target.from_builtin("sinpi")
-    assert verify(child, f, store).structural_ok
-    dangling = verify(child, f, CertificateStore())
+    assert verify(child, f, {parent.digest: parent}).structural_ok
+    dangling = verify(child, f, {})
     assert not dangling.structural_ok
     assert any("does not resolve" in n for n in dangling.notes)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from certapprox import cli
-from certapprox.certificate import FILE_SUFFIX, compute_digest
+from certapprox.certificate import FILE_SUFFIX, compute_digest, serialize
+from certapprox.limit import tent_sequence, transfer
 
 
 @pytest.fixture(scope="module")
@@ -514,32 +515,57 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _regenealogized(mutate):
+    """mutate, then list the members, ladder and modulus in the genealogy."""
+    def run(doc):
+        mutate(doc)
+        doc["genealogy"] = [d["digest"] for d in
+                            doc["members"] + doc["ladder"] + [doc["modulus"]]]
+    return run
+
+
+def _anchor_past_its_modulus(doc):
+    # the n*=6 claim under the n*=5 claim's own, self-consistent record
+    deeper = json.loads(serialize(transfer(tent_sequence(), 0.0625)))
+    doc.update(deeper, modulus=doc["modulus"])
+
+
+# fixture, mutation, verify's exit code: 4 for a malformed document, refused
+# at parse time before any checking; 3 for a well-formed forgery
 HOSTILE = {
-    "limit-epsilon-abc": ("limit_cert", _set("epsilon_exact", "abc")),
-    "limit-tail-abc": ("limit_cert", _set("tail_bound", "abc")),
-    "limit-rung-bound-abc": ("limit_cert", _set("ladder", 0, "bound", "abc")),
-    "limit-modulus-abc": ("limit_cert", _set("modulus", "argument", "abc")),
-    "limit-epsilon-1/0": ("limit_cert", _set("epsilon_exact", "1/0")),
-    "limit-modulus-0/1": ("limit_cert", _set("modulus", "argument", "0/1")),
-    "limit-n_star-negative": ("limit_cert", _set("n_star", -1)),
-    "glued-no-patches": ("glued_cert", _set("cover", "patches", [])),
-    "glued-no-locals": ("glued_cert", _set("locals", [])),
-    "glued-no-ramps": ("glued_cert", _set("pou", "ramps", [])),
-    "approximation-tolerance-x": ("spline_cert", _set("tolerance", "x")),
-    "approximation-construction-list": ("spline_cert", _set("construction", [])),
+    "limit-epsilon-abc": ("limit_cert", _set("epsilon_exact", "abc"), 4),
+    "limit-tail-abc": ("limit_cert", _set("tail_bound", "abc"), 4),
+    "limit-rung-bound-abc": ("limit_cert", _set("ladder", 0, "bound", "abc"), 4),
+    "limit-modulus-abc": ("limit_cert", _set("modulus", "argument", "abc"), 4),
+    "limit-epsilon-1/0": ("limit_cert", _set("epsilon_exact", "1/0"), 4),
+    "limit-modulus-0/1": ("limit_cert", _set("modulus", "argument", "0/1"), 4),
+    "limit-n_star-negative": ("limit_cert", _set("n_star", -1), 4),
+    "limit-ladder-emptied": ("limit_cert", _regenealogized(_set("ladder", [])), 3),
+    "limit-anchor-past-its-modulus": (
+        "limit_cert", _regenealogized(_anchor_past_its_modulus), 3),
+    "limit-n_star-1e12": ("limit_cert", _set("n_star", 10 ** 12), 3),
+    "glued-no-patches": ("glued_cert", _set("cover", "patches", []), 4),
+    "glued-no-locals": ("glued_cert", _set("locals", []), 4),
+    "glued-no-ramps": ("glued_cert", _set("pou", "ramps", []), 4),
+    "approximation-tolerance-x": ("spline_cert", _set("tolerance", "x"), 4),
+    "approximation-construction-list": ("spline_cert", _set("construction", []), 4),
     # no route writes this norm kind any more
     "approximation-chebyshev-weighted-norm": ("spline_cert", _set(
-        "norm", "kind", "chebyshev_weighted_l2")),
+        "norm", "kind", "chebyshev_weighted_l2"), 4),
 }
 
 
-@pytest.mark.parametrize("fixture,mutate", HOSTILE.values(), ids=HOSTILE.keys())
-def test_hostile_documents_never_raise(fixture, mutate, request, workdir):
+@pytest.mark.parametrize("fixture,mutate,code", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_documents_never_raise(fixture, mutate, code, request, workdir, capsys):
     bad = _resealed(request.getfixturevalue(fixture), mutate,
                     workdir / ("hostile" + FILE_SUFFIX))
-    # each is malformed, so it is refused at parse time, before any checking
-    assert cli.main(["verify", str(bad)]) == 4
-    assert cli.main(["inspect", str(bad)]) == 4
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert "verdict: FAIL" in out and err == ""
+    # inspect only parses
+    assert cli.main(["inspect", str(bad)]) == (0 if code == 3 else 4)
 
 
 def _swap_patch_indices(doc):
@@ -570,10 +596,10 @@ def test_local_off_its_patch_fails(glued_cert, workdir, capsys, mutate):
 
 
 UNMEASURABLE = {
-    "rung-5-3": ("limit_cert", _set("ladder", 0, "pair", [5, 3]), "past its anchor"),
-    "rung-5-0": ("limit_cert", _set("ladder", 0, "pair", [5, 0]), "past its anchor"),
+    "rung-5-3": ("limit_cert", _set("ladder", 0, "pair", [5, 3]), "ladder is not the 8 rungs"),
+    "rung-5-0": ("limit_cert", _set("ladder", 0, "pair", [5, 0]), "ladder is not the 8 rungs"),
     "rung-5-minus-1": ("limit_cert", _set("ladder", 0, "pair", [5, -1]),
-                       "past its anchor"),
+                       "ladder is not the 8 rungs"),
     "patch-narrowed": ("glued_cert", _set("cover", "patches", 1, [0.4, 0.5]),
                        "partition ramps cannot be measured"),
     "domain-widened": ("glued_cert", _set("cover", "domain", [-1, 1]),

@@ -251,7 +251,7 @@ def test_single_patch_glue_embeds_the_local_verbatim(sinpi):
     assert g.c_pu == 1.0
     xs = np.linspace(0.0, 1.0, 2001)
     blended = g.approximant().evaluate(xs)
-    assert np.array_equal(blended, lc.series().evaluate(xs))
+    assert np.array_equal(blended, lc.cert.approximant().evaluate(xs))
 
 
 def test_five_patch_glue_still_verifies(sinpi):

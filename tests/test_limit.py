@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import target
-from certapprox.certificate import serialize
+from certapprox.certificate import compute_digest, serialize
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                EvidenceContradictionError)
 from certapprox.limit import (LADDER_RUNGS, Modulus, check_pair,
@@ -42,6 +42,15 @@ def pair_sup_by_scan(n: int, m: int) -> Fraction:
     step = Fraction(1, 2 ** (m + 1))
     return max(abs(partial_sum_exact(m, j * step) - partial_sum_exact(n, j * step))
                for j in range(2 ** (m - n) + 1))
+
+
+def pair_sup_by_integer_scan(n: int, m: int) -> Fraction:
+    """The same grid in integers: at x = j 2^-(m+1) scale k adds
+    2^-m min(r, P - r), with P = 2^(m+1-k) and r = j mod P."""
+    periods = [2 ** (m + 1 - k) for k in range(n + 1, m + 1)]
+    best = max(sum(min(j % p, p - j % p) for p in periods)
+               for j in range(2 ** (m - n) + 1))
+    return Fraction(best, 2 ** m)
 
 
 # ----------------------------------------------------------------------------
@@ -118,6 +127,15 @@ def test_integer_pair_sup_equals_the_rational_scan(m):
         assert exact_pair_sup(n, m) == pair_sup_by_scan(n, m)
 
 
+@pytest.mark.parametrize("gap", range(1, 17))
+def test_closed_form_pair_sup_equals_the_integer_scan(gap):
+    # the scan depends on the gap alone; 16 covers every rung a verified
+    # ladder holds, which is at most LADDER_RUNGS deep
+    assert LADDER_RUNGS <= 16
+    n = gap % 6
+    assert exact_pair_sup(n, n + gap) == pair_sup_by_integer_scan(n, n + gap)
+
+
 def test_pair_sup_needs_an_ordered_pair():
     with pytest.raises(ConfigurationError):
         exact_pair_sup(4, 4)
@@ -153,23 +171,21 @@ def test_generator_failures_surface_as_incomplete_sequence():
         raise RuntimeError("backing data lost")
 
     seq = tent_sequence()
-    hollow = type(seq)(seq.name, broken, seq.modulus, seq.pair_sup)
+    hollow = type(seq)(seq.name, broken, seq.modulus)
     with pytest.raises(IncompleteSequenceError):
         hollow.member(4)
 
 
 def test_check_pair_seals_honest_evidence():
-    seq = tent_sequence()
-    rec = check_pair(seq, 3, 4, Fraction(1, 8))
+    rec = check_pair(3, 4, Fraction(1, 8))
     assert rec.pair == (3, 4)
     assert rec.measured == "1/16"
     assert len(rec.digest) == 64
 
 
 def test_check_pair_raises_on_a_false_bound():
-    seq = tent_sequence()
     with pytest.raises(EvidenceContradictionError) as e:
-        check_pair(seq, 3, 4, Fraction(1, 32))
+        check_pair(3, 4, Fraction(1, 32))
     assert e.value.pair == (3, 4)
     assert e.value.measured == "1/16"
 
@@ -286,3 +302,92 @@ def test_dyadic_modulus_matches_the_named_rule():
     assert mod(Fraction(1, 4)) == 3
     assert mod(Fraction(1, 2)) == 2
     assert mod(Fraction(1e-3) / 2) == 12
+
+
+# ----------------------------------------------------------------------------
+# resealed forgeries: the anchor follows its modulus, the ladder its anchor
+# ----------------------------------------------------------------------------
+
+def resealed(lim, edit):
+    """lim's document after edit, with every rung and the modulus record
+    resealed, the genealogy listing them again, and the document resealed."""
+    doc = json.loads(serialize(lim))
+    edit(doc)
+    for rec in doc["ladder"] + [doc["modulus"]]:
+        rec["digest"] = compute_digest(rec)
+    doc["genealogy"] = [d["digest"] for d in doc["members"] + doc["ladder"] + [doc["modulus"]]]
+    doc["digest"] = compute_digest(doc)
+    return limit_from_dict(doc)
+
+
+def _empty_ladder(doc):
+    doc["ladder"] = []
+
+
+def _anchor_past_its_modulus(doc):
+    # the n*=13 claim under the n*=12 claim's own, self-consistent record
+    deeper = json.loads(serialize(transfer(tent_sequence(), 5e-4)))
+    doc.update(deeper, modulus=doc["modulus"])
+
+
+def _huge_anchor(doc):
+    doc["n_star"] = 10 ** 12
+
+
+def _far_rung(doc):
+    doc["ladder"][0]["pair"] = [12, 60]
+
+
+@pytest.mark.parametrize("edit,note", [
+    (_empty_ladder, "ladder is not the 8 rungs (12, 13) ... (12, 20)"),
+    (_anchor_past_its_modulus, "anchor 13 is not the modulus value 12"),
+    (_huge_anchor, "expected 1000000000000 members, found 12"),
+    (_far_rung, "ladder is not the 8 rungs (12, 13) ... (12, 20)"),
+], ids=["empty-ladder", "anchor-past-its-modulus", "anchor-1e12", "rung-12-60"])
+def test_resealed_forgeries_fail(lim_milli, edit, note):
+    rep = verify_limit(resealed(lim_milli, edit))
+    assert not rep.verdict
+    assert not rep.structural_ok
+    assert note in rep.notes
+
+
+def test_an_unanchored_claim_recomputes_to_inf(lim_milli):
+    # neither the tail 2^-n_star nor a rung is computed for a depth the
+    # modulus record and the members do not back
+    rep = verify_limit(resealed(lim_milli, _huge_anchor))
+    assert math.isinf(rep.recomputed_error)
+    assert not any(n.startswith("evidence") for n in rep.notes)
+
+
+def test_a_rung_bound_must_be_the_tail_budget(lim_milli):
+    def loosen(doc):
+        doc["ladder"][2]["bound"] = "1/2"
+    rep = verify_limit(resealed(lim_milli, loosen))
+    assert not rep.verdict
+    assert "evidence (12, 15): bound 1/2 is not the tail budget" in rep.notes
+
+
+INTEGER_FIELDS = [("n_star",), ("ladder", "rung", "pair", 0),
+                  ("ladder", "rung", "pair", 1), ("modulus", "value"),
+                  ("proxy_depth",)]
+
+
+@given(path=st.sampled_from(INTEGER_FIELDS),
+       rung=st.integers(min_value=0, max_value=LADDER_RUNGS - 1),
+       value=st.integers(min_value=-10 ** 12, max_value=10 ** 12))
+@settings(max_examples=60, deadline=5000)
+def test_resealed_integer_fields_end_in_a_verdict(lim_milli, path, rung, value):
+    keys = [rung if k == "rung" else k for k in path]
+
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+
+    try:
+        cert = resealed(lim_milli, edit)
+    except CertificateParseError:
+        return
+    rep = verify_limit(cert)
+    # only the unchanged document passes
+    assert rep.verdict == (cert.digest == lim_milli.digest)

@@ -214,7 +214,7 @@ def test_bspline_series_on_supports_matches_full_evaluation():
     fam = cubic_bspline_family(30, (-0.5, 2.0))
     terms = [(j, float(rng.normal())) for j in range(1, 31)]
     s = target.series(fam, terms)
-    rule = quadrature.construction_rule(s, []).refined(4)
+    rule = quadrature.construction_rule(s, [], (-0.5, 2.0)).refined(4)
     x = np.concatenate([[-0.5], rule.nodes, [2.0]])  # x == hi is in the last span
     for restricted, full in ((s.evaluate, "evaluate"), (s.evaluate_deriv, "evaluate_deriv")):
         want = np.zeros_like(x)
