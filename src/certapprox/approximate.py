@@ -100,7 +100,7 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
                                                 interval=family.domain)
             fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
         e = family.element(n)
-        a = quadrature.integrate(lambda x: fx * e.evaluate(x), rule)
+        a = quadrature.integrate(lambda x: fx * e.value(x), rule)
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
@@ -270,7 +270,7 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     out = np.empty(degree + 1)
     for j in range(degree + 1):
         e = fam.element(j)
-        ip = quadrature.integrate(lambda x: fx * e.evaluate(x), rule)
+        ip = quadrature.integrate(lambda x: fx * e.value(x), rule)
         out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
     return out
 

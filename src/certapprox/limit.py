@@ -12,7 +12,8 @@ n_star, measures a ladder of Cauchy gaps (n_star against the next K deeper
 members) exactly, and refuses with a contradiction naming the pair if any
 measured gap reaches eps/2. The resulting limit certificate carries the
 member certificates up to the anchor, the evidence records, the modulus
-evaluation, and a deeper proxy expansion for evaluation, each with its own
+evaluation, and a deeper proxy expansion (tent series terms a reader may
+sum; verify_limit checks them against the tent law), each with its own
 digest, so the claim re-checks from the file alone. verify_limit ties the
 anchor to its modulus record, and the ladder to its anchor, first.
 """
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Callable
 
 from . import target as target_mod
-from .basis import tent_family
 from .certificate import (ApproximationCertificate, Construction,
                           VerificationReport, assemble, bound_is_honored,
                           certificate_from_dict, digest_ok, envelope,
@@ -215,11 +215,6 @@ class LimitCertificate:
             "proxy_tail": self.proxy_tail,
             "reported_error": float(self.reported_error),
         })
-
-    def approximant(self) -> target_mod.TargetFunction:
-        """Deeper proxy expansion, within proxy_tail of the limit."""
-        return target_mod.series(tent_family(), self.proxy_terms,
-                                 descriptor=f"series:tent:n={self.proxy_depth}")
 
 
 def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:

@@ -10,14 +10,17 @@ and cannot alias construction error. The Gauss-Chebyshev rule, weight
 1/sqrt(1-x^2) folded in, serves the Chebyshev coefficient table alone.
 L2 and W12 norms are integrated; the sup norm is sup_distance's.
 
-All weighted sums go through math.fsum, which is exactly rounded and hence
-independent of summation order and platform; this is what makes certificate
-digests reproducible across machines.
+Every weighted sum is exactly rounded, so it does not depend on summation
+order, platform or BLAS kernel; this is what makes certificate digests
+reproducible across machines. integrate gets there by error-free
+extraction: each full slice of FSUM_CHUNK products is split, by exact
+power-of-two scalings and truncations, into a few partials whose float sums
+are exact, and one math.fsum rounds those partials together with the short
+leftover slice. Its result is bit for bit math.fsum of every product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -194,25 +197,61 @@ def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureR
 # ----------------------------------------------------------------------------
 
 FSUM_CHUNK = 4096
+# 2^_HEADROOM >= 2 * FSUM_CHUNK, so a slice's integer sum stays below 2^52
+_HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
-    """Weighted node sum of fn; exactly-rounded accumulation via fsum.
+    """Weighted node sum of fn, exactly rounded: math.fsum of every product.
 
-    fsum reads Python floats far faster than numpy scalars, so it is fed
-    the products as lists of FSUM_CHUNK at a time: the sum is the same
-    exactly rounded value, and no list of every node is held at once."""
+    The products w_i * fn(x_i) must be finite. Each full slice r of
+    FSUM_CHUNK of them is reduced by error-free extraction (ExtractVector
+    of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): while r has a
+    nonzero entry, with max|r| < 2^e take s = e + _HEADROOM - 53 and
+
+        h = trunc(r * 2^-s) * 2^s,   partial = sum(h * 2^-s) * 2^s,   r -= h.
+
+    Every step is exact. Truncation keeps the bits of each entry at or
+    above 2^s, so h and r - h keep bit subsets of r; r * 2^-s is exact but
+    where it underflows, and there it is below 1 and truncates to 0 anyway.
+    Each |h * 2^-s| is an integer below 2^(53 - _HEADROOM), so the sum
+    of FSUM_CHUNK of them is an integer below 2^52 in whatever order numpy
+    adds them, and the partial is exact too. The remainder of each entry
+    is below 2^s, so each pass lowers e by at least 53 - _HEADROOM bits,
+    and a pass with 2^s at or below the smallest subnormal empties r. The
+    partials and the leftover slice (shorter than FSUM_CHUNK) therefore
+    sum exactly to the sum of the products, and one math.fsum rounds that
+    sum correctly: the value is bit for bit that of math.fsum over every
+    product, and no order-dependent reduction reaches a digest. A sum that
+    leaves the float range on the way raises EvaluationError. A rule under
+    FSUM_CHUNK nodes goes to math.fsum as floats alone, and the temporaries
+    stay one slice in size.
+    """
     x = rule.nodes
     v = np.asarray(fn(x), dtype=float)
     if v.shape != x.shape:
         v = np.broadcast_to(v, x.shape)
-    bad = ~np.isfinite(v)
-    if np.any(bad):
-        raise EvaluationError(
-            f"non-finite integrand value at node x = {x[bad][0]}", float(x[bad][0]))
-    wv = rule.weights * v
-    return math.fsum(itertools.chain.from_iterable(
-        wv[i:i + FSUM_CHUNK].tolist() for i in range(0, wv.size, FSUM_CHUNK)))
+    with np.errstate(over="ignore"):
+        wv = rule.weights * v
+    if not np.isfinite(wv).all():
+        at = float(x[~np.isfinite(wv)][0])
+        raise EvaluationError(f"non-finite weighted integrand at node x = {at}", at)
+    full = wv.size - wv.size % FSUM_CHUNK
+    parts = wv[full:].tolist()
+    ints = np.empty(FSUM_CHUNK)
+    try:
+        for i in range(0, full, FSUM_CHUNK):
+            r = wv[i:i + FSUM_CHUNK]  # a view: wv is spent slice by slice
+            top = max(r.max(), -r.min())
+            while top:
+                s = math.frexp(top)[1] + _HEADROOM - 53
+                np.trunc(np.ldexp(r, -s, out=ints), out=ints)
+                parts.append(math.ldexp(float(ints.sum()), s))
+                r -= np.ldexp(ints, s, out=ints)
+                top = max(r.max(), -r.min())
+        return math.fsum(parts)
+    except OverflowError:
+        raise EvaluationError("weighted node sum overflows the float range") from None
 
 
 def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:

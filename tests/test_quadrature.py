@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certapprox import quadrature as q
 from certapprox import target
@@ -197,6 +200,59 @@ def test_non_finite_integrand_is_reported():
     with pytest.raises(EvaluationError):
         q.integrate(lambda x: np.full_like(x, np.inf),
                     q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 8, (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["constant", "alternating"])
+def test_overflowing_weighted_products_are_reported(alternate):
+    # finite values, but a weight of 94.7 lifts 1e308 past the float range
+    rule = q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 16, (0.0, 1000.0))
+    assert rule.weights.max() > 1.8  # and 1.8e308 overflows
+    sign = (-1.0) ** np.arange(rule.nodes.size) if alternate else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite weighted integrand"):
+            q.integrate(lambda x: sign * np.full_like(x, 1e308), rule)
+
+
+@pytest.mark.parametrize("points", [q.FSUM_CHUNK - 1, q.FSUM_CHUNK])
+def test_a_sum_past_the_float_range_is_reported(points):
+    # every product is finite, their sum is not
+    rule = q.gauss_chebyshev_rule(points)
+    with pytest.raises(EvaluationError, match="overflows"):
+        q.integrate(lambda x: np.full_like(x, 1.7e308), rule)
+
+
+CHUNK_LENGTHS = [k * q.FSUM_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@given(points=st.sampled_from(CHUNK_LENGTHS),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       low=st.integers(min_value=-1062, max_value=1010),
+       span=st.integers(min_value=0, max_value=2072),
+       zeros=st.floats(min_value=0.0, max_value=1.0),
+       planted=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=8),
+       reach=st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_integrate_is_fsum_of_every_product_bit_for_bit(points, seed, low, span,
+                                                         zeros, planted, reach):
+    # Gauss-Chebyshev weights are all pi/n, so v[j] = -v[i] cancels the
+    # products exactly; v's exponents in [-1062, 1011] put the products
+    # between the smallest subnormal 2^-1074 and about 2^1000
+    rule = q.gauss_chebyshev_rule(points)
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(low, min(low + span, 1010) + 1, points)
+    v = rng.choice([-1.0, 1.0], points) * np.ldexp(rng.uniform(1.0, 2.0, points), exps)
+    v[rng.random(points) < zeros] = 0.0
+    v[rng.random(points) < zeros / 2] = -0.0
+    for x in planted:
+        v[rng.integers(points)] = x
+    for b in range(q.FSUM_CHUNK, points, q.FSUM_CHUNK):
+        left, right = b - rng.integers(1, reach + 1), b + rng.integers(0, reach)
+        v[min(right, points - 1)] = -v[left]
+    products = rule.weights * v
+    want = math.fsum(products.tolist())
+    assert q.integrate(lambda x: v, rule).hex() == want.hex()
 
 
 # ----------------------------------------------------------------------------
