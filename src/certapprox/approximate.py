@@ -159,7 +159,7 @@ def _normal_system(f, elements, norm: NormTag) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix, each pair on the construction rule of its two
     elements over the norm's domain, and the probes <f, e>."""
     G = gram_matrix(elements, norm, lambda a, b: quadrature.construction_rule(
-        a, [a, b], norm.domain))
+        a, [b], norm.domain))
     return G, _probes(f, elements, norm)
 
 

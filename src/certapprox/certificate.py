@@ -16,8 +16,11 @@ claim_findings() that assemble() applies, and checks
     recomputed <= reported * (1 + 1e-6) + 1e-12   and   reported < tolerance
 
 Adverse findings land in the report's notes; verification itself does not
-raise on a failed claim. Genealogy resolves in a store, a plain dict from
-digest to certificate or record, which every verifier takes as `store`.
+raise on a failed claim. Every verifier ends in verdict(): structure from
+the structural notes alone, then the measurement, then the bound, so a
+numeric lie fails the bound, never the structure. Genealogy resolves in a
+store, a plain dict from digest to certificate or record, which every
+verifier takes as `store`.
 """
 
 from __future__ import annotations
@@ -263,13 +266,26 @@ def parse_envelope(doc, kind: str, build, path: str = "$"):
         raise CertificateParseError(f"malformed {kind} document at {path}: {e!r}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise CertificateParseError(f"non-finite number {text} in JSON")
+    return value
+
+
+def load_json(data, source: str = "document"):
+    """UTF-8 JSON as a Python value. Invalid JSON, NaN, Infinity and float
+    overflow, which no canonical document holds, are CertificateParseErrors."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CertificateParseError(f"{source} is not valid JSON: {e}") from None
+
+
 def deserialize(data) -> ApproximationCertificate:
     """Parse canonical bytes back into an approximation certificate."""
-    try:
-        doc = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CertificateParseError(f"not valid JSON: {e}") from None
-    return certificate_from_dict(doc)
+    return certificate_from_dict(load_json(data))
 
 
 def certificate_from_dict(doc: dict, path: str = "$") -> ApproximationCertificate:
@@ -374,6 +390,31 @@ def envelope_findings(cert, parse, store: dict | None = None, embedded=None):
     return notes, store
 
 
+def measure_or_note(notes: list, what: str, compute, failed=math.inf):
+    """compute(), or `failed` and a note: an unmeasurable claim is a failed claim."""
+    try:
+        return compute()
+    except Exception as e:
+        notes.append(f"{what} cannot be measured: {e}")
+        return failed
+
+
+def verdict(cert, notes: list, measured, what: str) -> VerificationReport:
+    """The only maker of a VerificationReport. Structure is the absence of
+    notes so far; measured() gives the recomputed error and its method, or
+    raises, and then `what` recomputes to inf; a broken bound adds one note."""
+    structural_ok = not notes
+    recomputed, method = measure_or_note(notes, what, measured, (math.inf, "unmeasurable"))
+    honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
+    if not honored:
+        notes.append(
+            f"recomputed {what} {recomputed:.6g} vs reported {cert.reported_error:.6g}"
+            f" at tolerance {cert.tolerance:.6g}")
+    return VerificationReport(cert.digest, cert.reported_error, recomputed,
+                              cert.tolerance, honored, structural_ok, method,
+                              tuple(notes))
+
+
 def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> VerificationReport:
     """Independently check a certificate against the target it claims to fit;
     given a store, every genealogy digest must resolve in it.
@@ -382,20 +423,4 @@ def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> Veri
     """
     notes, _ = envelope_findings(cert, certificate_from_dict, store)
     notes += claim_findings(cert)
-    structural_ok = not notes
-    try:
-        recomputed, method = measure(f, cert.approximant(), cert.norm)
-    except Exception as e:  # a claim that cannot be measured is a failed claim
-        notes.append(f"error recomputation failed: {e}")
-        return VerificationReport(cert.digest, cert.reported_error, math.inf,
-                                  cert.tolerance, False, structural_ok,
-                                  "unmeasurable", tuple(notes))
-    honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
-    if not honored:
-        notes.append(
-            f"recomputed error {recomputed:.6g} vs reported {cert.reported_error:.6g}"
-            f" at tolerance {cert.tolerance:.6g}")
-    return VerificationReport(cert.digest, cert.reported_error, recomputed,
-                              cert.tolerance, honored, structural_ok, method,
-                              tuple(notes))
-
+    return verdict(cert, notes, lambda: measure(f, cert.approximant(), cert.norm), "error")

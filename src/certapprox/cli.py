@@ -13,14 +13,14 @@ to stdout with six significant digits; certificate files carry the full
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
 
 from . import basis, certificate, glue as glue_mod, limit as limit_mod, quadrature, target
 from .approximate import (ExtractionSettings, approximate_chebyshev,
                           approximate_gram, approximate_greedy,
                           approximate_orthonormal, approximate_raw_probe)
-from .certificate import FILE_SUFFIX, serialize
+from .certificate import FILE_SUFFIX
 from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, ExpressionSyntaxError,
                      IllConditionedBasisError, NoProgressError,
@@ -71,22 +71,13 @@ def _fmt(v: float) -> str:
     return f"{float(v):.6g}"
 
 
-def _write_certificate(data: bytes, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-    print(f"wrote: {path}")
-
-
 def _load_document(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise CertificateParseError(f"cannot read {path}: {e.strerror}") from None
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CertificateParseError(f"{path} is not valid JSON: {e}") from None
+    doc = certificate.load_json(raw, path)
     if not isinstance(doc, dict):
         raise CertificateParseError(f"{path} does not hold an object")
     return doc
@@ -157,14 +148,7 @@ def cmd_approximate(args) -> int:
         fn = {"gram_solve": approximate_gram, "raw_probe": approximate_raw_probe,
               "greedy": approximate_greedy}[method]
         cert = fn(f, pool, norm, settings)
-    print(f"target: {cert.target_descriptor}")
-    print(f"method: {cert.construction.method}")
-    print(f"terms: {len(cert.terms)}")
-    print(f"reported error: {_fmt(cert.reported_error)}")
-    print(f"tolerance: {_fmt(cert.tolerance)}")
-    print(f"digest: {cert.digest}")
-    _write_certificate(serialize(cert), args.out)
-    return EXIT_OK
+    return _write_certificate(cert, args.out)
 
 
 # ----------------------------------------------------------------------------
@@ -209,8 +193,8 @@ def _verify_against_target(verify, cert, domain, args, store):
     descriptor = cert.target_descriptor
     if args.target is not None:
         f = target.resolve_spec(args.target, domain)
-    elif descriptor.startswith("series:tent:n="):
-        f = target.tent_partial_sum(int(descriptor.rsplit("=", 1)[1]))
+    elif tent := re.fullmatch(r"series:tent:n=(\d+)", descriptor):
+        f = target.tent_partial_sum(int(tent[1]))
     elif descriptor.startswith(("data:sha256:", "samples:")):
         raise ConfigurationError(
             "this certificate names sampled data by hash; pass --target data:PATH")
@@ -308,12 +292,25 @@ def cmd_verify(args) -> int:
     return _print_report(report)
 
 
+def _summarize(kind: str, cert) -> None:
+    print(f"kind: {kind}")
+    _KINDS[kind][2](cert)
+
+
 def cmd_inspect(args) -> int:
     doc = _load_document(args.file)
-    kind, parse, _, summary = _kind_entry(doc)
-    cert = parse(doc)
-    print(f"kind: {kind}")
-    summary(cert)
+    kind, parse, _, _ = _kind_entry(doc)
+    _summarize(kind, parse(doc))
+    return EXIT_OK
+
+
+def _write_certificate(cert, path: str) -> int:
+    """Write a freshly built certificate, then print what inspect would."""
+    doc = cert.to_dict()
+    with open(path, "wb") as fh:
+        fh.write(certificate.canonical_dumps(doc))
+    _summarize(doc["kind"], cert)
+    print(f"wrote: {path}")
     return EXIT_OK
 
 
@@ -332,36 +329,14 @@ def cmd_glue(args) -> int:
     for i, patch in enumerate(cover.patches):
         fam = glue_mod.local_bspline_family(patch, args.knots_per_patch)
         locals_.append(glue_mod.extract_local(f, i, patch, fam, settings))
-    cert = glue_mod.glue(f, locals_, pou, args.eps)
-    print(f"target: {cert.target_descriptor}")
-    print(f"patches: {cover.m}, overlap fraction {_fmt(cover.overlap_fraction)}")
-    for lc in cert.locals:
-        print(f"  patch {lc.patch_index}: error {_fmt(lc.cert.reported_error)}")
-    adjusted = [r.pair for r in cert.records if r.adjusted]
-    print(f"reconciled pairs: {adjusted if adjusted else 'none'}")
-    print(f"global error: {_fmt(cert.reported_error)}")
-    print(f"partition bound: {_fmt(cert.bound_estimate)} (C_PU {_fmt(cert.c_pu)})")
-    print(f"tolerance: {_fmt(cert.tolerance)}")
-    print(f"digest: {cert.digest}")
-    _write_certificate(serialize(cert), args.out)
-    return EXIT_OK
+    return _write_certificate(glue_mod.glue(f, locals_, pou, args.eps), args.out)
 
 
 def cmd_limit(args) -> int:
     if args.sequence != limit_mod.SEQUENCE_TENT:
         raise ConfigurationError(f"unknown sequence {args.sequence!r}")
     seq = limit_mod.tent_sequence()
-    cert = limit_mod.transfer(seq, args.eps)
-    print(f"sequence: {cert.sequence}")
-    print(f"anchor depth: {cert.n_star}")
-    print(f"ladder rungs: {len(cert.ladder)}")
-    print(f"tail bound: {cert.tail_bound} within budget {cert.tail_budget}")
-    print(f"proxy depth: {cert.proxy_depth}")
-    print(f"reported error: {_fmt(cert.reported_error)}")
-    print(f"tolerance: {_fmt(cert.tolerance)}")
-    print(f"digest: {cert.digest}")
-    _write_certificate(serialize(cert), args.out)
-    return EXIT_OK
+    return _write_certificate(limit_mod.transfer(seq, args.eps), args.out)
 
 
 # ----------------------------------------------------------------------------

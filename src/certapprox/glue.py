@@ -31,9 +31,9 @@ from .approximate import (ExtractionSettings, approximate_gram, gram_matrix,
                           solve_normal_equations)
 from .basis import BasisFamily, cubic_bspline_family
 from .certificate import (ApproximationCertificate, Construction,
-                          VerificationReport, assemble, bound_is_honored,
-                          certificate_from_dict, envelope, envelope_findings,
-                          measure, parse_envelope, seal)
+                          VerificationReport, assemble, certificate_from_dict,
+                          envelope, envelope_findings, measure, measure_or_note,
+                          parse_envelope, seal, verdict)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      IllConditionedBasisError, ReconciliationFailureError,
@@ -457,15 +457,6 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
     return parse_envelope(doc, "glued", build)
 
 
-def _measured(notes: list, what: str, measure, failed=math.inf):
-    """measure(), or `failed` and a note: an unmeasurable claim is a failed claim."""
-    try:
-        return measure()
-    except Exception as e:
-        notes.append(f"{what} cannot be measured: {e}")
-        return failed
-
-
 def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
     """Re-check a glued claim: structure, locals, overlap gates, global bound."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
@@ -473,8 +464,8 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
     cover = cert.cover
     if (cover.patches[0][0], cover.patches[-1][1]) != cover.domain:
         notes.append("cover domain does not match its patches")
-    ramps = _measured(notes, "partition ramps",
-                      lambda: tuple(cover.overlap(i) for i in range(cover.m - 1)), None)
+    ramps = measure_or_note(notes, "partition ramps", lambda: tuple(
+        cover.overlap(i) for i in range(cover.m - 1)), None)
     if ramps is not None and cert.pou.ramps != ramps:
         notes.append("partition ramps disagree with cover overlaps")
     elif ramps is not None and partition_bound(cert.pou, cert.locals, cert.tolerance) \
@@ -497,24 +488,17 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
         if not (placed[i] and placed[i + 1]):
             continue
         a, b = cert.locals[i], cert.locals[i + 1]
-        mismatch = _measured(notes, f"overlap ({i}, {i + 1})", lambda: check_overlap(a, b))
+        mismatch = measure_or_note(notes, f"overlap ({i}, {i + 1})",
+                                   lambda: check_overlap(a, b))
         if mismatch >= delta:
             notes.append(
                 f"overlap ({i}, {i + 1}) mismatch {mismatch:.6g} at or above delta {delta:.6g}")
-    structural_ok = not notes
-
-    # a misplaced local would be evaluated outside its own basis domain
-    unmeasured = (math.inf, "unmeasurable")
-    recomputed, method = (_measured(notes, "global error", lambda: measure(
-        f, cert.approximant(), NormTag(quadrature.W12, cover.domain), refine=8),
-        unmeasured) if all(placed) else unmeasured)
-    honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
     if cert.reported_error > cert.bound_estimate:
         notes.append("direct error exceeds the partition bound estimate")
-        structural_ok = False
-    if not honored:
-        notes.append(f"recomputed global error {recomputed:.6g} vs reported "
-                     f"{cert.reported_error:.6g}")
-    return VerificationReport(cert.digest, cert.reported_error, recomputed,
-                              cert.tolerance, honored, structural_ok,
-                              method, tuple(notes))
+
+    def measured():
+        # a misplaced local would be evaluated outside its own basis domain
+        if not all(placed):
+            raise ConfigurationError("a local does not match its patch")
+        return measure(f, cert.approximant(), NormTag(quadrature.W12, cover.domain), refine=8)
+    return verdict(cert, notes, measured, "global error")

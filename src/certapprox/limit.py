@@ -20,16 +20,15 @@ anchor to its modulus record, and the ladder to its anchor, first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import target as target_mod
 from .certificate import (ApproximationCertificate, Construction,
-                          VerificationReport, assemble, bound_is_honored,
-                          certificate_from_dict, digest_ok, envelope,
-                          envelope_findings, parse_envelope, seal)
+                          VerificationReport, assemble, certificate_from_dict,
+                          digest_ok, envelope, envelope_findings, parse_envelope,
+                          seal, verdict)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, IncompleteSequenceError)
@@ -361,18 +360,15 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
         if (len(cert.proxy_terms) != cert.proxy_depth + 1 or cert.proxy_terms
                 != target_mod.tent_partial_sum(cert.proxy_depth).terms):
             notes.append("proxy terms do not follow the sequence law")
-    recomputed = math.inf
     if anchored:
         tail = Fraction(1, 2 ** cert.n_star)
         if parse_frac(cert.tail_bound) != tail:
             notes.append("tail bound is not the telescoped closed form")
         if not tail <= half:
             notes.append(f"tail {frac_str(tail)} exceeds budget {frac_str(half)}")
-        recomputed = cert.members[-1].reported_error + float(tail)
-    honored = bound_is_honored(recomputed, cert.reported_error, cert.tolerance)
-    if not honored:
-        notes.append(f"combined bound {recomputed:.6g} breaks the claim")
-    structural_ok = not notes
-    return VerificationReport(cert.digest, cert.reported_error, recomputed,
-                              cert.tolerance, honored, structural_ok,
-                              "exact_dyadic_tail", tuple(notes))
+
+    def measured():
+        if not anchored:
+            raise ConfigurationError("the anchor does not follow the members and modulus")
+        return cert.members[-1].reported_error + float(tail), "exact_dyadic_tail"
+    return verdict(cert, notes, measured, "combined bound")

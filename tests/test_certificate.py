@@ -176,6 +176,16 @@ def test_deserialize_rejects_non_json():
         deserialize(b"{nope")
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_deserialize_refuses_non_finite_numbers(text):
+    # refused at parse time, so verify never meets a float it cannot encode
+    data = serialize(_simple_cert()).decode().replace('"tolerance":0.05',
+                                                        f'"tolerance":{text}')
+    assert text in data
+    with pytest.raises(CertificateParseError, match="non-finite number"):
+        deserialize(data)
+
+
 # ----------------------------------------------------------------------------
 # verification semantics
 # ----------------------------------------------------------------------------

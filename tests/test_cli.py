@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from certapprox import cli
-from certapprox.certificate import FILE_SUFFIX, compute_digest, serialize
-from certapprox.limit import tent_sequence, transfer
+from certapprox.certificate import (FILE_SUFFIX, certificate_from_dict, compute_digest,
+                                    serialize, verify)
+from certapprox.glue import glued_from_dict, verify_glued
+from certapprox.limit import limit_from_dict, tent_sequence, transfer, verify_limit
+from certapprox.target import from_builtin
 
 
 @pytest.fixture(scope="module")
@@ -17,31 +22,35 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("certs")
 
 
+# each fixture build's stdout, by fixture name
+BUILD_STDOUT = {}
+
+
+def _build(name, argv, workdir):
+    out = workdir / (name + FILE_SUFFIX)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    BUILD_STDOUT[name] = printed.getvalue()
+    return out
+
+
 @pytest.fixture(scope="module")
 def spline_cert(workdir):
-    out = workdir / ("spline" + FILE_SUFFIX)
-    code = cli.main(["approximate", "--target", "builtin:sinpi",
-                     "--basis", "cubic_bspline", "--knots", "10",
-                     "--eps", "1e-3", "--out", str(out)])
-    assert code == 0
-    return out
+    return _build("spline", ["approximate", "--target", "builtin:sinpi",
+                             "--basis", "cubic_bspline", "--knots", "10",
+                             "--eps", "1e-3"], workdir)
 
 
 @pytest.fixture(scope="module")
 def glued_cert(workdir):
-    out = workdir / ("glued" + FILE_SUFFIX)
-    code = cli.main(["glue", "--target", "builtin:sinpi", "--patches", "3",
-                     "--eps", "1e-2", "--out", str(out)])
-    assert code == 0
-    return out
+    return _build("glued", ["glue", "--target", "builtin:sinpi", "--patches", "3",
+                            "--eps", "1e-2"], workdir)
 
 
 @pytest.fixture(scope="module")
 def limit_cert(workdir):
-    out = workdir / ("limit" + FILE_SUFFIX)
-    code = cli.main(["limit", "--eps", "0.125", "--out", str(out)])
-    assert code == 0
-    return out
+    return _build("limit", ["limit", "--eps", "0.125"], workdir)
 
 
 # ----------------------------------------------------------------------------
@@ -217,11 +226,8 @@ def test_sine_certificate_from_the_direct_sum_still_verifies(capsys):
 def sample_cert(workdir):
     data = workdir / "ramp.dat"
     data.write_text("# identity samples\n0.0 0.0\n0.5 0.5\n1.0 1.0\n")
-    out = workdir / ("ramp" + FILE_SUFFIX)
-    code = cli.main(["approximate", "--target", f"data:{data}", "--basis",
-                     "fourier_sine", "--eps", "0.2", "--out", str(out)])
-    assert code == 0
-    return data, out
+    return data, _build("ramp", ["approximate", "--target", f"data:{data}",
+                                 "--basis", "fourier_sine", "--eps", "0.2"], workdir)
 
 
 def test_sampled_target_certifies(sample_cert):
@@ -443,6 +449,8 @@ def test_golden_corpus(spline_cert, glued_cert, limit_cert, sample_cert, capsys)
         raw = path.read_bytes()
         assert json.loads(raw)["digest"] == want["digest"], name
         assert hashlib.sha256(raw).hexdigest() == want["sha256"], name
+        # a build prints what inspect prints, then where it wrote
+        assert BUILD_STDOUT[name] == want["inspect"] + f"wrote: {path}\n", name
         capsys.readouterr()
         assert cli.main(["verify", str(path)] + extra) == 0
         assert capsys.readouterr().out == want["verify"], name
@@ -628,3 +636,52 @@ def test_unmeasurable_claims_fail(fixture, mutate, note, request, workdir, capsy
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out
     assert note in out
+
+
+@pytest.mark.parametrize("fixture", ["spline_cert", "glued_cert"])
+@pytest.mark.parametrize("name", ["series:tent:n=abc", "series:tent:n=", "series:tent:n=3x"])
+def test_hostile_target_names_are_expression_errors(fixture, name, request, workdir, capsys):
+    bad = _resealed(request.getfixturevalue(fixture), _set("target", name),
+                    workdir / ("badname" + FILE_SUFFIX))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert "expression error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_are_parse_errors(spline_cert, text, workdir, capsys):
+    raw = spline_cert.read_text()
+    bad = workdir / ("nonfinite" + FILE_SUFFIX)
+    bad.write_text(raw.replace('"tolerance":0.001', f'"tolerance":{text}'))
+    assert bad.read_text() != raw
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 4
+    assert cli.main(["inspect", str(bad)]) == 4
+    assert "non-finite number" in capsys.readouterr().err
+
+
+# each kind's fixture, parser and verifier
+VERIFIERS = {
+    "approximation": ("spline_cert", certificate_from_dict,
+                      lambda c: verify(c, from_builtin("sinpi"))),
+    "glued": ("glued_cert", glued_from_dict,
+              lambda c: verify_glued(c, from_builtin("sinpi"))),
+    "limit": ("limit_cert", limit_from_dict, verify_limit),
+}
+
+
+@pytest.mark.parametrize("fixture,parse,check", VERIFIERS.values(), ids=VERIFIERS.keys())
+def test_a_halved_report_breaks_the_bound_not_the_structure(fixture, parse, check,
+                                                            request, workdir, capsys):
+    def halve(doc):
+        doc["reported_error"] /= 2
+    bad = _resealed(request.getfixturevalue(fixture), halve,
+                    workdir / ("halved" + FILE_SUFFIX))
+    report = check(parse(json.loads(bad.read_text())))
+    assert report.structural_ok and not report.bound_honored
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 3
+    out = capsys.readouterr().out
+    assert "bound honored: no\nstructure: ok\n" in out
+    assert "verdict: FAIL" in out
