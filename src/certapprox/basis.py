@@ -6,6 +6,8 @@ hierarchy phi_{2^k} on [0, 1], and clamped uniform cubic B-splines on an
 arbitrary interval. An element evaluates pointwise or on numpy arrays,
 differentiates (one-sided, right-hand convention at kinks), and reports a
 support interval that is sound: the element vanishes identically outside it.
+A B-spline and its derivative come from one loop up the Cox-de Boor
+triangle over the element's five knots, degree 0 to 3, with no recursion.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -166,9 +168,10 @@ class BasisElement:
         if kind == MONOMIAL:
             return xs ** j
         if kind == TENT:
-            u = np.ldexp(xs, j)  # 2^j * x, exact scaling
-            return 2.0 * np.abs(u - np.round(u))
-        return _bspline_value(self.family.knots(), j - 1, 3, xs)
+            frac = np.ldexp(xs, j)  # 2^j * x, exact scaling
+            frac -= np.floor(frac)  # exact, and in place: no third array
+            return 2.0 * np.minimum(frac, 1.0 - frac)
+        return _bspline(self.family.knots(), j - 1, xs)
 
     def deriv(self, xs: np.ndarray) -> np.ndarray:
         kind, j = self.family.kind, self.index
@@ -179,11 +182,11 @@ class BasisElement:
         if kind == MONOMIAL:
             return j * xs ** (j - 1) if j > 0 else np.zeros_like(xs)
         if kind == TENT:
-            u = np.ldexp(xs, j)
-            frac = u - np.floor(u)
+            frac = np.ldexp(xs, j)
+            frac -= np.floor(frac)
             # right-hand derivative: rising on [0, 1/2), falling on [1/2, 1)
             return np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
-        return _bspline_deriv(self.family.knots(), j - 1, 3, xs)
+        return _bspline(self.family.knots(), j - 1, xs, slope=True)
 
     def support(self) -> tuple[float, float]:
         fam = self.family
@@ -246,43 +249,34 @@ def _chebyshev_deriv(j: int, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Cox-de Boor recursion, vectorized over x
+# Cox-de Boor triangle, vectorized over x
 # ----------------------------------------------------------------------------
 
-def _bspline_value(t: np.ndarray, i: int, p: int, x: np.ndarray,
-                   memo: dict | None = None) -> np.ndarray:
-    """N_{i,p}(x); memo holds the sub-results (i, p) of one evaluation, so
-    the subtrees the recursion shares are computed once."""
-    memo = {} if memo is None else memo
-    if (i, p) in memo:
-        return memo[i, p]
-    if p == 0:
-        if t[i] >= t[i + 1]:
-            v = np.zeros_like(x)
-        elif t[i + 1] == t[-1]:
-            # close the final span so x == hi belongs to the last element
-            v = np.where((x >= t[i]) & (x <= t[i + 1]), 1.0, 0.0)
+def _bspline(t: np.ndarray, i: int, x: np.ndarray, slope: bool = False) -> np.ndarray:
+    """N_{i,3}(x), or with slope its right-hand derivative, by the Cox-de
+    Boor triangle over the knots t[i..i+4] (de Boor, A Practical Guide to
+    Splines, rev. 2001). row starts as the four span indicators; pass p
+    overwrites row[r] with N_{k,p} = (x - t_k)/d1 N_{k,p-1}
+    + (t_{k+p+1} - x)/d2 N_{k+1,p-1}, k = i + r, leaving out a term over a
+    zero-width span. The slope weighs the top entry by 3/d1 and -3/d2."""
+    row = []
+    for k in range(i, i + 4):
+        if t[k] >= t[k + 1]:
+            row.append(np.zeros_like(x))
         else:
-            v = np.where((x >= t[i]) & (x < t[i + 1]), 1.0, 0.0)
-    else:
-        v = np.zeros_like(x)
-        d1 = t[i + p] - t[i]
-        if d1 > 0.0:
-            v = v + (x - t[i]) / d1 * _bspline_value(t, i, p - 1, x, memo)
-        d2 = t[i + p + 1] - t[i + 1]
-        if d2 > 0.0:
-            v = v + (t[i + p + 1] - x) / d2 * _bspline_value(t, i + 1, p - 1, x, memo)
-    memo[i, p] = v
-    return v
-
-
-def _bspline_deriv(t: np.ndarray, i: int, p: int, x: np.ndarray) -> np.ndarray:
-    memo: dict = {}
-    v = np.zeros_like(x)
-    d1 = t[i + p] - t[i]
-    if d1 > 0.0:
-        v = v + p / d1 * _bspline_value(t, i, p - 1, x, memo)
-    d2 = t[i + p + 1] - t[i + 1]
-    if d2 > 0.0:
-        v = v - p / d2 * _bspline_value(t, i + 1, p - 1, x, memo)
-    return v
+            # close the final span so x == hi belongs to the last element
+            below = x <= t[k + 1] if t[k + 1] == t[-1] else x < t[k + 1]
+            row.append(np.where((x >= t[k]) & below, 1.0, 0.0))
+    for p in (1, 2, 3):
+        top = slope and p == 3
+        for r in range(4 - p):
+            k = i + r
+            v = np.zeros_like(x)
+            d1 = t[k + p] - t[k]
+            if d1 > 0.0:
+                v = v + (p / d1 if top else (x - t[k]) / d1) * row[r]
+            d2 = t[k + p + 1] - t[k + 1]
+            if d2 > 0.0:
+                v = v + (-p / d2 if top else (t[k + p + 1] - x) / d2) * row[r + 1]
+            row[r] = v
+    return row[0]

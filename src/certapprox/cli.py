@@ -13,7 +13,6 @@ to stdout with six significant digits; certificate files carry the full
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import basis, certificate, glue as glue_mod, limit as limit_mod, quadrature, target
@@ -188,16 +187,17 @@ def _verify_against_target(verify, cert, domain, args, store):
 
     Sampled targets only store a content hash, so verifying one needs
     --target data:PATH; the hash is then cross-checked by descriptor
-    equality. Returns None after reporting a target mismatch.
+    equality. A data: path named inside a document is never opened.
+    Returns None after reporting a target mismatch.
     """
     descriptor = cert.target_descriptor
     if args.target is not None:
         f = target.resolve_spec(args.target, domain)
-    elif tent := re.fullmatch(r"series:tent:n=(\d+)", descriptor):
-        f = target.tent_partial_sum(int(tent[1]))
-    elif descriptor.startswith(("data:sha256:", "samples:")):
+    elif (depth := target.tent_depth(descriptor, "series:tent:n=")) is not None:
+        f = target.tent_partial_sum(depth)
+    elif descriptor.startswith(("data:", "samples:")):
         raise ConfigurationError(
-            "this certificate names sampled data by hash; pass --target data:PATH")
+            "this certificate names sampled data; pass --target data:PATH")
     else:
         f = target.resolve_spec(descriptor, domain)
     if f.descriptor != descriptor:
@@ -307,8 +307,11 @@ def cmd_inspect(args) -> int:
 def _write_certificate(cert, path: str) -> int:
     """Write a freshly built certificate, then print what inspect would."""
     doc = cert.to_dict()
-    with open(path, "wb") as fh:
-        fh.write(certificate.canonical_dumps(doc))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(certificate.canonical_dumps(doc))
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {path}: {e.strerror}") from None
     _summarize(doc["kind"], cert)
     print(f"wrote: {path}")
     return EXIT_OK

@@ -12,7 +12,10 @@ The expression language is deliberately small:
 -(x^2) while 2^-3 still parses. Syntax errors carry the character offset and
 the token set that would have been accepted there. Differentiation is
 symbolic on the parse tree; derivative trees may contain internal sign()
-nodes (from abs) that the surface grammar does not accept.
+nodes (from abs) that the surface grammar does not accept. Each node
+evaluates as one numpy ufunc from a single op table, after a second table's
+check of the operands it refuses (/ by 0, log of <= 0, sqrt of < 0); a
+refusal names the first point where it happened.
 
 Every target, whatever its source, is one TargetFunction: a record of
 what the function can do, filled in by the factory that made it. Targets
@@ -154,63 +157,47 @@ def parse_expression(text: str) -> tuple:
 # evaluation and symbolic differentiation
 # ----------------------------------------------------------------------------
 
+# op -> the numpy ufunc that evaluates it; "neg" and the functions take one
+# operand, the rest two
+_UFUNCS = {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+           "/": np.divide, "^": np.power, "sin": np.sin, "cos": np.cos,
+           "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+           "sign": np.sign}
+
+# op -> (the values of its last operand it refuses, what the refusal says)
+_REFUSED = {"/": (lambda b: b == 0.0, "division by zero"),
+            "log": (lambda a: a <= 0.0, "log of non-positive value"),
+            "sqrt": (lambda a: a < 0.0, "sqrt of negative value")}
+
+
+def _refuse(x: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise EvaluationError at the first point of x where bad holds, if any."""
+    if np.any(bad):
+        raise EvaluationError(f"{what} at x = {x[bad][0]}", float(x[bad][0]))
+
+
 def evaluate_ast(node: tuple, x: np.ndarray) -> np.ndarray:
-    op = node[0]
+    """The tree's values at the points x: each node is one _UFUNCS call on
+    its evaluated operands, after _REFUSED's check of the last one. A power
+    runs with floating-point warnings off and refuses a non-finite result."""
+    op, *operands = node[1:] if node[0] == "call" else node
     if op == "num":
-        return np.full_like(x, node[1])
+        return np.full_like(x, operands[0])
     if op == "x":
         return x.copy()
     if op == "pi":
         return np.full_like(x, np.pi)
-    if op == "neg":
-        return -evaluate_ast(node[1], x)
-    if op in ("+", "-", "*", "/", "^"):
-        a = evaluate_ast(node[1], x)
-        b = evaluate_ast(node[2], x)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            bad = b == 0.0
-            if np.any(bad):
-                raise EvaluationError(f"division by zero at x = {x[bad][0]}",
-                                      float(x[bad][0]))
-            return a / b
-        with np.errstate(all="ignore"):
-            v = a ** b
-        bad = ~np.isfinite(v)
-        if np.any(bad):
-            raise EvaluationError(f"non-finite power at x = {x[bad][0]}",
-                                  float(x[bad][0]))
-        return v
-    name, arg = node[1], node[2]
-    a = evaluate_ast(arg, x)
-    if name == "sin":
-        return np.sin(a)
-    if name == "cos":
-        return np.cos(a)
-    if name == "exp":
-        return np.exp(a)
-    if name == "log":
-        bad = a <= 0.0
-        if np.any(bad):
-            raise EvaluationError(f"log of non-positive value at x = {x[bad][0]}",
-                                  float(x[bad][0]))
-        return np.log(a)
-    if name == "sqrt":
-        bad = a < 0.0
-        if np.any(bad):
-            raise EvaluationError(f"sqrt of negative value at x = {x[bad][0]}",
-                                  float(x[bad][0]))
-        return np.sqrt(a)
-    if name == "abs":
-        return np.abs(a)
-    if name == "sign":
-        return np.sign(a)
-    raise EvaluationError(f"unknown function {name!r}")
+    args = [evaluate_ast(a, x) for a in operands]
+    if op in _REFUSED:
+        bad, what = _REFUSED[op]
+        _refuse(x, bad(args[-1]), what)
+    fn = _UFUNCS[op]
+    if fn is not np.power:
+        return fn(*args)
+    with np.errstate(all="ignore"):
+        v = fn(*args)
+    _refuse(x, ~np.isfinite(v), "non-finite power")
+    return v
 
 
 def differentiate_ast(node: tuple) -> tuple:
@@ -236,9 +223,9 @@ def differentiate_ast(node: tuple) -> tuple:
             n = b[1]
             return ("*", ("*", ("num", n), ("^", a, ("num", n - 1.0))),
                     differentiate_ast(a))
-        if a[0] == "num":
+        if a[0] == "num" and a[1] > 0.0:
             return ("*", ("*", node, ("num", math.log(a[1]))), differentiate_ast(b))
-        # general case: a^b * (b' log a + b a'/a)
+        # general case, a constant base <= 0 too: a^b * (b' log a + b a'/a)
         return ("*", node,
                 ("+", ("*", differentiate_ast(b), ("call", "log", a)),
                  ("/", ("*", b, differentiate_ast(a)), a)))
@@ -322,13 +309,25 @@ _BUILTINS = {
     "runge": ("1/(1+25*x^2)", (-1.0, 1.0)),
 }
 
-_TENT_SERIES_RE = re.compile(r"^tent_series\((\d+)\)$")
+
+def tent_depth(text: str, head: str, tail: str = "") -> int | None:
+    """N when text is head, N's decimal digits, tail; else None. It reads the
+    builtin "tent_series(N)" and the descriptor "series:tent:n=N"; a depth
+    with more digits than int() takes is a ConfigurationError."""
+    m = re.fullmatch(re.escape(head) + r"(\d+)" + re.escape(tail), text)
+    if m is None:
+        return None
+    try:
+        return int(m[1])
+    except ValueError:
+        raise ConfigurationError(
+            f"tent series depth of {len(m[1])} digits is too large") from None
 
 
 def from_builtin(name: str) -> TargetFunction:
-    m = _TENT_SERIES_RE.match(name)
-    if m:
-        return tent_partial_sum(int(m.group(1)))
+    n = tent_depth(name, "tent_series(", ")")
+    if n is not None:
+        return tent_partial_sum(n)
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS) + ["tent_series(n)"])
         raise ConfigurationError(f"unknown builtin {name!r} (known: {known})")
@@ -517,8 +516,11 @@ def tent_partial_sum(n: int) -> TargetFunction:
 
 def load_samples(path: str) -> TargetFunction:
     """Read "x y" sample lines; '#' starts a comment; abscissae must increase."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise ConfigurationError(f"cannot read {path}: {e.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
     xs, ys = [], []
     for lineno, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(), 1):

@@ -264,3 +264,72 @@ def test_scalar_in_scalar_out():
     assert isinstance(v, float)
     arr = fourier_sine_family().element(2).evaluate(np.array([0.25, 0.5]))
     assert arr.shape == (2,)
+
+
+# ----------------------------------------------------------------------------
+# the Cox-de Boor triangle against the memoised recursion it replaced
+# ----------------------------------------------------------------------------
+
+def _recursive_value(t, i, p, x, memo):
+    """N_{i,p}(x) by the recursive Cox-de Boor formula; memo holds the
+    (i, p) sub-results the recursion shares."""
+    if (i, p) in memo:
+        return memo[i, p]
+    if p == 0:
+        if t[i] >= t[i + 1]:
+            v = np.zeros_like(x)
+        elif t[i + 1] == t[-1]:
+            v = np.where((x >= t[i]) & (x <= t[i + 1]), 1.0, 0.0)
+        else:
+            v = np.where((x >= t[i]) & (x < t[i + 1]), 1.0, 0.0)
+    else:
+        v = np.zeros_like(x)
+        d1 = t[i + p] - t[i]
+        if d1 > 0.0:
+            v = v + (x - t[i]) / d1 * _recursive_value(t, i, p - 1, x, memo)
+        d2 = t[i + p + 1] - t[i + 1]
+        if d2 > 0.0:
+            v = v + (t[i + p + 1] - x) / d2 * _recursive_value(t, i + 1, p - 1, x, memo)
+    memo[i, p] = v
+    return v
+
+
+def _recursive_deriv(t, i, x):
+    memo = {}
+    v = np.zeros_like(x)
+    d1 = t[i + 3] - t[i]
+    if d1 > 0.0:
+        v = v + 3 / d1 * _recursive_value(t, i, 2, x, memo)
+    d2 = t[i + 4] - t[i + 1]
+    if d2 > 0.0:
+        v = v - 3 / d2 * _recursive_value(t, i + 1, 2, x, memo)
+    return v
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(m=st.integers(min_value=4, max_value=40),
+       lo=st.floats(min_value=-1e6, max_value=1e6),
+       width=st.floats(min_value=1e-6, max_value=1e6),
+       us=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=16))
+@settings(max_examples=120, deadline=None)
+def test_bspline_triangle_matches_the_recursion_bit_for_bit(m, lo, width, us):
+    hi = lo + width
+    fam = cubic_bspline_family(m, (lo, hi))
+    t = fam.knots()
+    # every knot, both endpoints and points in between
+    xs = np.clip(np.concatenate([t, [lo, hi], lo + np.asarray(us) * width]), lo, hi)
+    for e in fam.elements():
+        i = e.index - 1
+        assert _same_bits(e.value(xs), _recursive_value(t, i, 3, xs, {}))
+        assert _same_bits(e.deriv(xs), _recursive_deriv(t, i, xs))
+
+
+def test_tent_value_matches_the_distance_to_the_nearest_integer():
+    xs = np.concatenate([np.linspace(0.0, 1.0, 4097),
+                         np.random.default_rng(3).uniform(0.0, 1.0, 20000)])
+    for j in range(30):
+        u = np.ldexp(xs, j)
+        assert _same_bits(tent_family().element(j).value(xs), 2.0 * np.abs(u - np.round(u)))

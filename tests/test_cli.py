@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -647,6 +648,51 @@ def test_hostile_target_names_are_expression_errors(fixture, name, request, work
     assert cli.main(["verify", str(bad)]) == 4
     err = capsys.readouterr().err
     assert "expression error" in err and "Traceback" not in err
+
+
+def _usage_error(argv, tmp_path):
+    """Run the CLI as a process; it must exit 4 with one stderr line."""
+    main = "import sys; from certapprox.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", main, *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    return done.stderr
+
+
+def test_a_document_never_opens_its_data_path(sample_cert, workdir, capsys):
+    data, out = sample_cert
+    bad = _resealed(out, _set("target", f"data:{data}"),
+                    workdir / ("datapath" + FILE_SUFFIX))
+    capsys.readouterr()
+    with mock.patch("builtins.open", wraps=open) as opened:
+        assert cli.main(["verify", str(bad)]) == 4
+    assert [c.args[0] for c in opened.call_args_list] == [str(bad)]
+    assert "pass --target data:PATH" in capsys.readouterr().err
+
+
+def test_a_missing_data_file_is_a_usage_error(tmp_path):
+    err = _usage_error(["approximate", "--target", f"data:{tmp_path / 'missing.dat'}",
+                        "--basis", "fourier_sine", "--eps", "0.2"], tmp_path)
+    assert "missing.dat" in err
+
+
+def test_an_unconvertible_tent_depth_is_a_usage_error(spline_cert, tmp_path):
+    digits = "9" * 5000
+    err = _usage_error(["approximate", "--target", f"builtin:tent_series({digits})",
+                        "--basis", "tent", "--eps", "0.1"], tmp_path)
+    assert "5000 digits" in err
+    bad = _resealed(spline_cert, _set("target", f"series:tent:n={digits}"),
+                    tmp_path / ("deep" + FILE_SUFFIX))
+    assert "5000 digits" in _usage_error(["verify", str(bad)], tmp_path)
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    err = _usage_error(["limit", "--eps", "0.125", "--out", str(out)], tmp_path)
+    assert str(out) in err and not out.parent.exists()
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -126,12 +126,114 @@ def test_abs_derivative_uses_sign():
     ("log(x)", 0.0),
     ("sqrt(0-x)", 0.5),
     ("(0-1)^x", 0.5),
+    ("x/(x-0.5)", 0.5),
+    ("log(0-x)", 0.5),
+    ("0^(0-x)", 0.5),
+    ("10^(400*x)", 1.0),
 ])
 def test_evaluation_errors_name_the_point(text, x):
     f = target.from_expression(text)
     with pytest.raises(EvaluationError) as e:
         f.evaluate(np.asarray([x]))
     assert e.value.x == x
+    assert str(e.value).endswith(f" at x = {x}")
+
+
+@pytest.mark.parametrize("text,x,what", [
+    ("sqrt(x)", 0.0, "division by zero"),
+    ("log(x)", 0.0, "division by zero"),
+    ("x^0.5", 0.0, "non-finite power"),
+    ("x^x", 0.0, "log of non-positive value"),
+    ("0^x", 0.5, "log of non-positive value"),
+])
+def test_derivative_refusals_name_the_point(text, x, what):
+    f = target.from_expression(text)
+    with pytest.raises(EvaluationError) as e:
+        f.evaluate_deriv(np.asarray([0.5, x]))
+    assert e.value.x == x
+    assert str(e.value) == f"{what} at x = {x}"
+
+
+# ----------------------------------------------------------------------------
+# the op table against numpy written out
+# ----------------------------------------------------------------------------
+
+XS = np.concatenate([np.linspace(0.01, 0.99, 33), [0.5, 1.0 / 3.0, 0.1, 0.7]])
+
+
+def _c(v):
+    return np.full_like(XS, v)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("text,direct", [
+    ("-x", lambda x: -x),
+    ("x+0.3", lambda x: x + _c(0.3)),
+    ("x-0.3", lambda x: x - _c(0.3)),
+    ("x*3.7", lambda x: x * _c(3.7)),
+    ("x/3.7", lambda x: x / _c(3.7)),
+    ("x^2.5", lambda x: x ** _c(2.5)),
+    ("x^2", lambda x: x ** _c(2.0)),
+    ("pi*x", lambda x: _c(np.pi) * x),
+    ("sin(x)", np.sin),
+    ("cos(x)", np.cos),
+    ("exp(x)", np.exp),
+    ("log(x)", np.log),
+    ("sqrt(x)", np.sqrt),
+    ("abs(x-0.5)", lambda x: np.abs(x - _c(0.5))),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_each_op_is_its_numpy_expression(text, direct):
+    assert _same_bits(evaluate_ast(parse_expression(text), XS), direct(XS))
+
+
+@pytest.mark.parametrize("text,direct", [
+    # d/dx abs(u) = sign(u) u'
+    ("abs(x-0.5)", lambda x: np.sign(x - _c(0.5)) * (_c(1.0) - _c(0.0))),
+    ("sin(3*x)", lambda x: np.cos(_c(3.0) * x) * (_c(0.0) * x + _c(3.0) * _c(1.0))),
+    ("-exp(x)", lambda x: -(np.exp(x) * _c(1.0))),
+    ("sqrt(x)", lambda x: _c(1.0) / (_c(2.0) * np.sqrt(x))),
+    ("log(x)", lambda x: _c(1.0) / x),
+    ("1/x", lambda x: (_c(0.0) * x - _c(1.0) * _c(1.0)) / x ** _c(2.0)),
+    ("x^3", lambda x: _c(3.0) * x ** _c(2.0) * _c(1.0)),
+    ("2^x", lambda x: _c(2.0) ** x * _c(math.log(2.0)) * _c(1.0)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_derivative_trees_are_their_numpy_expressions(text, direct):
+    d = differentiate_ast(parse_expression(text))
+    assert _same_bits(evaluate_ast(d, XS), direct(XS))
+
+
+def _direct(node, x):
+    """The tree by numpy operators, one branch per op."""
+    op = node[0]
+    if op == "num":
+        return np.full_like(x, node[1])
+    if op == "pi":
+        return np.full_like(x, np.pi)
+    if op == "x":
+        return x.copy()
+    if op == "neg":
+        return -_direct(node[1], x)
+    if op == "call":
+        return getattr(np, node[1])(_direct(node[2], x))
+    a, b = _direct(node[1], x), _direct(node[2], x)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[op]
+
+
+@given(text=expressions())
+@settings(max_examples=150, deadline=None)
+def test_random_trees_and_their_derivatives_are_numpy_expressions(text):
+    ast = parse_expression(text)
+    for tree in (ast, differentiate_ast(ast)):
+        with np.errstate(all="ignore"):
+            want = _direct(tree, XS)
+            try:
+                got = evaluate_ast(tree, XS)
+            except EvaluationError:
+                continue
+        assert _same_bits(got, want)
 
 
 def test_domain_check_on_targets():
