@@ -7,7 +7,9 @@ every structural fact from the serialized bytes alone. Gluing and limit
 transfer compose certified pieces without weakening either side.
 """
 
-from . import approximate, basis, certificate, cli, errors, glue, limit
+import importlib
+
+from . import approximate, basis, certificate, errors, glue, limit
 from . import quadrature, target
 from .approximate import (ExtractionSettings, approximate_chebyshev,
                           approximate_gram, approximate_greedy,
@@ -41,3 +43,10 @@ from .target import (TargetFunction, from_builtin, from_expression, load_samples
                      tent_partial_sum)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use, so `python -m certapprox.cli` runs it only once
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -348,15 +348,15 @@ def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bo
             and reported < tolerance)
 
 
-def measure(f, g, norm: NormTag, refine: int = 4) -> tuple[float, str]:
+def measure(f, g, norm: NormTag) -> tuple[float, str]:
     """Verification-grade ||f - g||, and its method: sup_distance for the sup
     norm, else the construction rule of f and g on the norm's domain with
-    every panel split `refine` ways, so no node is a construction node."""
+    every panel split four ways, so no node is a construction node."""
     if norm.kind == quadrature.SUP:
         return quadrature.sup_distance(f, g, norm.domain)
     # the approximant's own panel edges already consolidate every term's
     # structure; per-element unions would balloon for high-index series
-    rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(refine)
+    rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(4)
     return quadrature.norm_of_difference(f, g, norm, rule), \
         f"composite_gl{rule.points}x{rule.n_panels}"
 

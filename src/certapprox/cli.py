@@ -232,8 +232,6 @@ def _glued_summary(cert) -> None:
     adjusted = [r.pair for r in cert.records if r.adjusted]
     print(f"reconciled pairs: {adjusted if adjusted else 'none'}")
     print(f"reported error: {_fmt(cert.reported_error)}")
-    print(f"partition bound: {_fmt(cert.bound_estimate)}"
-          f" (C_PU {_fmt(cert.c_pu)})")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"digest: {cert.digest}")
 
@@ -285,7 +283,11 @@ def cmd_verify(args) -> int:
     doc = _load_document(args.file)
     store = _load_store(args.store)
     kind, parse, verify, _ = _kind_entry(doc)
-    report = verify(parse(doc), args, store)
+    cert = parse(doc)
+    # parsing reads only the fields it knows; the digest seals only those
+    if certificate.canonical_dumps(doc) != certificate.serialize(cert):
+        raise CertificateParseError(f"{args.file} holds what its certificate does not seal")
+    report = verify(cert, args, store)
     if report is None:
         return EXIT_VERIFICATION
     print(f"kind: {kind}")

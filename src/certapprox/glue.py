@@ -6,17 +6,22 @@ Locals are extracted per patch at half the global tolerance. Before blending,
 consecutive locals are compared in the Sobolev norm on their overlap; pairs
 that disagree by delta = eps/(2M) or more get reconciled by adjusting the
 higher-indexed patch, left to right, and every adjustment is recorded with
-its coefficient deltas. The blended approximant uses complementary piecewise
-linear ramps, so a ramp pair sums to one up to a single rounding. The blend
-is a target.TargetFunction like any other, and reconciliation's least
-squares go through the Gram assembly and solve of the approximate module.
+its coefficient deltas. The blended approximant sum_i psi_i s_i uses
+complementary piecewise linear ramps across the overlaps, so a ramp pair
+sums to one up to a single rounding. The blend is a target.TargetFunction
+like any other, and reconciliation's least squares go through the Gram
+assembly and solve of the approximate module.
 
-Overlap mismatches and the glued certificate's reported error, a direct
-measurement of the blended approximant against the target, are
-certificate.measure's W12 distance, which verify_glued repeats (eightfold
-panels for the global error); the partition-of-unity bound
-max_i(local error) + C_PU * eps/2 with C_PU = 1 + 2 max_i ||psi_i'|| * width_i
-is recorded alongside for comparison, never as the acceptance figure.
+The glued certificate's reported error is certified from its parts, never
+by measuring the blend: with e_i local i's reported W12 error on its patch
+and mu_i the W12 mismatch of locals i and i+1 on their overlap O_i,
+
+    B = sqrt(sum_i e_i^2) + sqrt(sum_i (mu_i / |O_i|)^2)
+
+bounds the blend's W12 error (Melenk & Babuska 1996, Thm 1, with overlap
+mismatches in place of local errors). It needs psi_i >= 0, sum_i psi_i = 1
+and psi_i' = -psi_{i+1}' = -1/|O_i| on O_i, which hold when the cover and
+the locals meet premise_faults(); glue() and verify_glued() enforce it.
 """
 
 from __future__ import annotations
@@ -94,26 +99,45 @@ def make_cover(domain: tuple[float, float], m: int,
         c = lo + (i + 0.5) * h
         patches.append((max(lo, c - 0.5 * width), min(hi, c + 0.5 * width)))
     cover = Cover((lo, hi), tuple(patches), overlap_fraction)
-    for i in range(m - 1):
-        cover.overlap(i)  # raises if degenerate
-    for i in range(m - 2):
-        if cover.patches[i][1] >= cover.patches[i + 2][0]:
-            raise ConfigurationError("non-consecutive patches must stay disjoint")
+    faults = premise_faults(cover)
+    if faults:
+        raise ConfigurationError(faults[0])
     return cover
+
+
+def premise_faults(cover: Cover, locals_=(), epsilon: float = math.inf) -> list[str]:
+    """Why the compositional bound would not hold; make_cover checks the
+    cover alone. The patches must span the domain as a chain, lo_i < lo_{i+1}
+    < hi_i < hi_{i+1} and hi_i < lo_{i+2}; local i must sit on patch i, basis
+    and W12 norm on the patch, with a budget of at most epsilon/2."""
+    p = cover.patches
+    faults = []
+    if (p[0][0], p[-1][1]) != cover.domain:
+        faults.append("cover domain does not match its patches")
+    # the chain is lo_0 < lo_1 < hi_0 < lo_2 < hi_1 < ... < hi_{m-1}
+    ends = [p[0][0], *(x for a, b in zip(p[:-1], p[1:]) for x in (b[0], a[1])), p[-1][1]]
+    if not all(a < b for a, b in zip(ends[:-1], ends[1:])):
+        faults.append("patches are not a chain of consecutive overlaps")
+    for i, lc in enumerate(locals_):
+        if not (lc.patch_index == i and lc.patch == p[i] == lc.cert.basis.domain
+                and lc.cert.norm == NormTag(quadrature.W12, lc.patch)):
+            faults.append(f"local {i} does not match its patch")
+        if lc.cert.tolerance > 0.5 * epsilon * (1.0 + 1e-12):
+            faults.append(f"local {i} budget exceeds half the global tolerance")
+    return faults
 
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
-    """Complementary piecewise-linear ramps over a cover's overlaps."""
+    """Complementary piecewise-linear ramps across a cover's overlaps."""
 
     cover: Cover
-    ramps: tuple[tuple[float, float], ...]
 
     def _ramp_up(self, i: int, x: np.ndarray) -> np.ndarray:
         # ascending weight of patch i across overlap (i-1, i)
         if i == 0:
             return np.ones_like(x)
-        s, e = self.ramps[i - 1]
+        s, e = self.cover.overlap(i - 1)
         return np.clip((x - s) / (e - s), 0.0, 1.0)
 
     def weight(self, i: int, x) -> np.ndarray:
@@ -132,32 +156,18 @@ class PartitionOfUnity:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         v = np.zeros_like(xs)
         if i > 0:
-            s, e = self.ramps[i - 1]
+            s, e = self.cover.overlap(i - 1)
             v = np.where((xs >= s) & (xs < e), 1.0 / (e - s), v)
         if i < self.cover.m - 1:
-            s, e = self.ramps[i]
+            s, e = self.cover.overlap(i)
             v = np.where((xs >= s) & (xs < e), -1.0 / (e - s), v)
         lo, hi = self.cover.patches[i]
         v = np.where((xs < lo) | (xs > hi), 0.0, v)
         return v if np.ndim(x) else float(v[0])
 
-    def max_ramp_slope(self, i: int) -> float:
-        slopes = []
-        if i > 0:
-            s, e = self.ramps[i - 1]
-            slopes.append(1.0 / (e - s))
-        if i < self.cover.m - 1:
-            s, e = self.ramps[i]
-            slopes.append(1.0 / (e - s))
-        return max(slopes, default=0.0)
-
-    def to_dict(self) -> dict:
-        return {"ramps": [[float(s), float(e)] for s, e in self.ramps]}
-
 
 def build_pou(cover: Cover) -> PartitionOfUnity:
-    ramps = tuple(cover.overlap(i) for i in range(cover.m - 1))
-    return PartitionOfUnity(cover, ramps)
+    return PartitionOfUnity(cover)
 
 
 # ----------------------------------------------------------------------------
@@ -327,8 +337,9 @@ def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
         return out
 
     def edges():
+        # the ramps run between patch ends, so the patches carry their edges
         pieces = [np.asarray(cover.domain), *map(np.asarray, cover.patches),
-                  *map(np.asarray, pou.ramps), *(s.panel_edges() for s in series)]
+                  *(s.panel_edges() for s in series)]
         merged = np.unique(np.concatenate(pieces))
         return merged[(merged >= cover.domain[0]) & (merged <= cover.domain[1])]
 
@@ -336,28 +347,24 @@ def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
                                      lambda x: blend(x, deriv=True), edges)
 
 
-def partition_bound(pou: PartitionOfUnity, locals_, epsilon: float) -> tuple[float, float]:
-    """C_PU = 1 + 2 max_i ||psi_i'|| * width_i and the partition-of-unity
-    bound max_i(local error) + C_PU * epsilon/2."""
-    cover = pou.cover
-    c_pu = 1.0 + 2.0 * max(
-        pou.max_ramp_slope(i) * (cover.patches[i][1] - cover.patches[i][0])
-        for i in range(cover.m))
-    return c_pu, max(lc.cert.reported_error for lc in locals_) + c_pu * 0.5 * epsilon
+def compositional_bound(cover: Cover, errors, mismatches) -> float:
+    """B = sqrt(sum_i e_i^2) + sqrt(sum_i (mu_i / |O_i|)^2) from the locals'
+    errors e_i and the overlap mismatches mu_i; see the module docstring."""
+    overlaps = map(cover.overlap, range(cover.m - 1))
+    seams = (mu / (e - s) for mu, (s, e) in zip(mismatches, overlaps))
+    return (math.sqrt(math.fsum(e ** 2 for e in errors))
+            + math.sqrt(math.fsum(r ** 2 for r in seams)))
 
 
 @dataclass(frozen=True)
 class GluedCertificate:
     target_descriptor: str
     cover: Cover
-    pou: PartitionOfUnity
     locals: tuple[LocalCertificate, ...]
     parents: tuple[ApproximationCertificate, ...]
     records: tuple[ReconciliationRecord, ...]
     tolerance: float
     reported_error: float
-    bound_estimate: float
-    c_pu: float
     genealogy: tuple[str, ...]
     digest: str = ""
 
@@ -365,39 +372,29 @@ class GluedCertificate:
         return envelope("glued", self, {
             "target": self.target_descriptor,
             "cover": self.cover.to_dict(),
-            "pou": self.pou.to_dict(),
             "locals": [lc.to_dict() for lc in self.locals],
             "parents": [p.to_dict() for p in self.parents],
             "reconciliation": [r.to_dict() for r in self.records],
             "tolerance": float(self.tolerance),
             "reported_error": float(self.reported_error),
-            "bound_estimate": float(self.bound_estimate),
-            "c_pu": float(self.c_pu),
         })
 
     def approximant(self) -> target_mod.TargetFunction:
-        return glued_function(self.pou, self.locals)
+        return glued_function(build_pou(self.cover), self.locals)
 
 
 def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
          epsilon: float) -> GluedCertificate:
-    """Reconcile pairwise left to right, blend, and certify the global error.
-
-    Locals must each hold a budget of at most epsilon/2 on their patch.
-    delta = epsilon/(2M) gates every overlap mismatch after reconciliation.
-    """
+    """Reconcile pairwise left to right under the gate delta = epsilon/(2M),
+    then certify the compositional bound; locals must meet premise_faults()."""
     cover = pou.cover
     m = cover.m
     if len(locals_) != m:
         raise ConfigurationError(f"cover has {m} patches, got {len(locals_)} locals")
-    for i, lc in enumerate(locals_):
-        if lc.patch_index != i or lc.patch != cover.patches[i]:
-            raise ConfigurationError(f"local {i} does not match its patch")
-        if lc.cert.tolerance > 0.5 * epsilon * (1.0 + 1e-12):
-            raise ConfigurationError(
-                f"local {i} budget {lc.cert.tolerance:.6g} exceeds epsilon/2")
+    faults = premise_faults(cover, locals_, epsilon)
+    if faults:
+        raise ConfigurationError(faults[0])
     delta = epsilon / (2.0 * m)
-    originals = tuple(locals_)
     current = list(locals_)
     records = []
     parents = []
@@ -407,15 +404,13 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
             parents.append(current[i + 1].cert)
         current[i + 1] = adjusted
         records.append(record)
-    global_err, _ = measure(f, glued_function(pou, current),
-                            NormTag(quadrature.W12, cover.domain))
-    if global_err >= epsilon:
-        raise ToleranceViolated(global_err, epsilon, "glued global error")
-    c_pu, bound = partition_bound(pou, current, epsilon)
-    cert = GluedCertificate(f.descriptor, cover, pou, tuple(current), tuple(parents),
-                            tuple(records), float(epsilon), float(global_err),
-                            float(bound), float(c_pu),
-                            tuple(lc.cert.digest for lc in originals))
+    bound = compositional_bound(cover, [lc.cert.reported_error for lc in current],
+                                [r.post_mismatch for r in records])
+    if bound >= epsilon:
+        raise ToleranceViolated(bound, epsilon, "glued error bound")
+    cert = GluedCertificate(f.descriptor, cover, tuple(current), tuple(parents),
+                            tuple(records), float(epsilon), float(bound),
+                            tuple(lc.cert.digest for lc in locals_))
     return seal(cert)
 
 
@@ -429,9 +424,6 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
         m = cover.m
         if m < 1:
             raise CertificateParseError("the cover has no patches")
-        ramps = tuple((float(s), float(e)) for s, e in doc["pou"]["ramps"])
-        if len(ramps) != m - 1:
-            raise CertificateParseError(f"{m} patches need {m - 1} ramps, got {len(ramps)}")
         locals_ = tuple(
             LocalCertificate(int(d["patch_index"]),
                              (float(d["patch"][0]), float(d["patch"][1])),
@@ -449,56 +441,50 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
                                  bool(r["adjusted"]))
             for r in doc.get("reconciliation", []))
         return GluedCertificate(
-            str(doc["target"]), cover, PartitionOfUnity(cover, ramps), locals_,
-            parents, records, float(doc["tolerance"]), float(doc["reported_error"]),
-            float(doc["bound_estimate"]), float(doc["c_pu"]),
+            str(doc["target"]), cover, locals_, parents, records,
+            float(doc["tolerance"]), float(doc["reported_error"]),
             tuple(doc["genealogy"]), doc["digest"])
 
     return parse_envelope(doc, "glued", build)
 
 
 def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
-    """Re-check a glued claim: structure, locals, overlap gates, global bound."""
+    """Re-check a glued claim from its parts, never evaluating the blend: the
+    premises, every local, the records, and each overlap mismatch against its
+    record and the gate tolerance/(2M). The recomputed error is the bound over
+    the locals' reported errors and the recomputed mismatches."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
     notes, store = envelope_findings(cert, glued_from_dict, store, embedded)
     cover = cert.cover
-    if (cover.patches[0][0], cover.patches[-1][1]) != cover.domain:
-        notes.append("cover domain does not match its patches")
-    ramps = measure_or_note(notes, "partition ramps", lambda: tuple(
-        cover.overlap(i) for i in range(cover.m - 1)), None)
-    if ramps is not None and cert.pou.ramps != ramps:
-        notes.append("partition ramps disagree with cover overlaps")
-    elif ramps is not None and partition_bound(cert.pou, cert.locals, cert.tolerance) \
-            != (cert.c_pu, cert.bound_estimate):
-        notes.append("C_PU or the partition bound does not follow its formula")
-    half = 0.5 * cert.tolerance * (1.0 + 1e-12)
-    delta = cert.tolerance / (2.0 * cover.m)
-    placed = []
+    faults = premise_faults(cover, cert.locals, cert.tolerance)
+    notes += faults
     for i, lc in enumerate(cert.locals):
-        placed.append(lc.patch_index == i and lc.patch == cover.patches[i]
-                      and lc.cert.basis.domain == lc.patch)
-        if not placed[i]:
-            notes.append(f"local {i} does not match its patch")
-        if lc.cert.tolerance > half:
-            notes.append(f"local {i} budget exceeds half the global tolerance")
         report = verify_approximation(lc.cert, f, store)
         notes.extend(f"local {i}: {n}" for n in report.notes)
-    for i in range(cover.m - 1):
-        # check_overlap trusts each local's own patch, so a misplaced one is skipped
-        if not (placed[i] and placed[i + 1]):
-            continue
-        a, b = cert.locals[i], cert.locals[i + 1]
-        mismatch = measure_or_note(notes, f"overlap ({i}, {i + 1})",
-                                   lambda: check_overlap(a, b))
-        if mismatch >= delta:
-            notes.append(
-                f"overlap ({i}, {i + 1}) mismatch {mismatch:.6g} at or above delta {delta:.6g}")
-    if cert.reported_error > cert.bound_estimate:
-        notes.append("direct error exceeds the partition bound estimate")
+    chain = [(i, i + 1) for i in range(cover.m - 1)]
+    if [r.pair for r in cert.records] != chain:
+        notes.append("reconciliation records are not the consecutive pairs")
+    for r in cert.records:
+        if not r.adjusted and (r.pre_mismatch != r.post_mismatch or r.deltas):
+            notes.append(f"unadjusted pair {r.pair} records an adjustment")
+    if sum(r.adjusted for r in cert.records) != len(cert.parents):
+        notes.append("adjusted pairs and parents differ in number")
+    recorded = {r.pair: r.post_mismatch for r in cert.records}
+    delta = cert.tolerance / (2.0 * cover.m)
+    mismatches = []
+    # check_overlap trusts each local's own patch, so a broken premise skips it
+    for i, j in [] if faults else chain:
+        mu = measure_or_note(notes, f"overlap ({i}, {j})",
+                             lambda: check_overlap(cert.locals[i], cert.locals[j]))
+        if mu >= delta:
+            notes.append(f"overlap ({i}, {j}) mismatch {mu:.6g} at or above delta {delta:.6g}")
+        if mu != recorded.get((i, j)):
+            notes.append(f"overlap ({i}, {j}) mismatch {mu:.6g} is not the recorded one")
+        mismatches.append(mu)
 
     def measured():
-        # a misplaced local would be evaluated outside its own basis domain
-        if not all(placed):
-            raise ConfigurationError("a local does not match its patch")
-        return measure(f, cert.approximant(), NormTag(quadrature.W12, cover.domain), refine=8)
+        if faults:
+            raise ConfigurationError("the cover or a local breaks the bound's premises")
+        errors = [lc.cert.reported_error for lc in cert.locals]
+        return compositional_bound(cover, errors, mismatches), "compositional_w12"
     return verdict(cert, notes, measured, "global error")

@@ -278,10 +278,9 @@ def test_glue_rejects_an_oversized_overlap(workdir):
 
 
 def test_glued_tamper_fails(glued_cert, workdir, capsys):
-    doc = json.loads(glued_cert.read_text())
-    doc["bound_estimate"] = 1e9
-    bad = workdir / ("badglue" + FILE_SUFFIX)
-    bad.write_text(json.dumps(doc))
+    def halve(doc):
+        doc["reported_error"] /= 2
+    bad = _resealed(glued_cert, halve, workdir / ("badglue" + FILE_SUFFIX))
     assert cli.main(["verify", str(bad)]) == 3
     assert "verdict: FAIL" in capsys.readouterr().out
 
@@ -355,13 +354,13 @@ GOLDEN = {
             "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"),
     },
     "glued": {
-        "digest": "687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b",
-        "sha256": "6cd14bdf40ee87e8c77e2d407eccc971664c2448bf6febc83a41222544a2b4c9",
+        "digest": "6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375",
+        "sha256": "db2a5809965ee24e4efbb77194cc361d0762b0bcb765e8ecdd499241597f7356",
         "verify": (
             "kind: glued\n"
-            "digest: 687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b\n"
-            "reported error: 6.72633e-05\n"
-            "recomputed error: 6.72633e-05 (method: composite_gl16x184)\n"
+            "digest: 6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375\n"
+            "reported error: 0.000447257\n"
+            "recomputed error: 0.000447257 (method: compositional_w12)\n"
             "tolerance: 0.01\n"
             "bound honored: yes\n"
             "structure: ok\n"
@@ -374,10 +373,9 @@ GOLDEN = {
             "  patch 1: [0.3, 0.7] 10 terms, error 5.94362e-05\n"
             "  patch 2: [0.633333, 1] 10 terms, error 2.67098e-05\n"
             "reconciled pairs: none\n"
-            "reported error: 6.72633e-05\n"
-            "partition bound: 0.0650594 (C_PU 13)\n"
+            "reported error: 0.000447257\n"
             "tolerance: 0.01\n"
-            "digest: 687765d75dba093362f31d4b157094e183b4aa6e04e4d98c0f2b7e334493df8b\n"),
+            "digest: 6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375\n"),
     },
     "limit": {
         "digest": "45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475",
@@ -555,7 +553,6 @@ HOSTILE = {
     "limit-n_star-1e12": ("limit_cert", _set("n_star", 10 ** 12), 3),
     "glued-no-patches": ("glued_cert", _set("cover", "patches", []), 4),
     "glued-no-locals": ("glued_cert", _set("locals", []), 4),
-    "glued-no-ramps": ("glued_cert", _set("pou", "ramps", []), 4),
     "approximation-tolerance-x": ("spline_cert", _set("tolerance", "x"), 4),
     "approximation-construction-list": ("spline_cert", _set("construction", []), 4),
     # no route writes this norm kind any more
@@ -590,14 +587,26 @@ def _widen_patch_and_cover(doc):
     doc["cover"]["patches"][1] = doc["locals"][1]["patch"] = [0.25, 0.75]
 
 
+def _local_resealed(*keys_and_value):
+    """Set a field of local 1's certificate and reseal that local too, so
+    only the glued claim can object."""
+    def mutate(doc):
+        local = doc["locals"][1]["certificate"]
+        _set(*keys_and_value)(local)
+        doc["genealogy"][1] = local["digest"] = compute_digest(local)
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _set("locals", 1, "patch_index", 7),
     _swap_patch_indices,
     _set("locals", 1, "patch", [0.25, 0.75]),
     _swap_locals,
     _widen_patch_and_cover,
+    _local_resealed("norm", "kind", "l2"),
+    _local_resealed("norm", "domain", [0.35, 0.7]),
 ], ids=["index-7", "indices-swapped", "patch-widened", "locals-swapped",
-        "patch-and-cover-widened"])
+        "patch-and-cover-widened", "norm-l2", "norm-narrowed"])
 def test_local_off_its_patch_fails(glued_cert, workdir, capsys, mutate):
     bad = _resealed(glued_cert, mutate, workdir / ("offpatch" + FILE_SUFFIX))
     assert cli.main(["verify", str(bad)]) == 3
@@ -610,26 +619,33 @@ UNMEASURABLE = {
     "rung-5-minus-1": ("limit_cert", _set("ladder", 0, "pair", [5, -1]),
                        "ladder is not the 8 rungs"),
     "patch-narrowed": ("glued_cert", _set("cover", "patches", 1, [0.4, 0.5]),
-                       "partition ramps cannot be measured"),
+                       "patches are not a chain"),
     "domain-widened": ("glued_cert", _set("cover", "domain", [-1, 1]),
-                       "global error cannot be measured"),
+                       "global error cannot be measured: the cover or a local breaks"),
     "domain-empty": ("glued_cert", _set("cover", "domain", [0, 0]),
-                     "global error cannot be measured"),
+                     "cover domain does not match its patches"),
     "local-term-index-0": ("glued_cert", _set("locals", 0, "certificate", "terms", 0, 0, 0),
-                           "global error cannot be measured"),
-    "c_pu-negative": ("glued_cert", _set("c_pu", -1), "C_PU or the partition bound"),
-    "bound-estimate-2": ("glued_cert", _set("bound_estimate", 2.0),
-                         "C_PU or the partition bound"),
+                           "overlap (0, 1) cannot be measured"),
     "domain-narrowed": ("glued_cert", _set("cover", "domain", [0.2, 0.8]),
                         "cover domain does not match its patches"),
+    "records-emptied": ("glued_cert", _set("reconciliation", []),
+                        "reconciliation records are not the consecutive pairs"),
+    "post-mismatch-1e9": ("glued_cert", _set("reconciliation", 0, "post_mismatch", 1e9),
+                          "overlap (0, 1) mismatch 1.77641e-05 is not the recorded one"),
+    "unadjusted-with-deltas": ("glued_cert", _set("reconciliation", 0, "deltas", [[2, 1e-3]]),
+                               "unadjusted pair (0, 1) records an adjustment"),
+    "unadjusted-flagged": ("glued_cert", _set("reconciliation", 1, "adjusted", True),
+                           "adjusted pairs and parents differ in number"),
+    "local-error-lowered": ("glued_cert", _local_resealed("reported_error", 1e-9),
+                            "local 1: recomputed error 5.94362e-05 vs reported 1e-09"),
 }
 
 
 @pytest.mark.parametrize("fixture,mutate,note", UNMEASURABLE.values(),
                          ids=UNMEASURABLE.keys())
 def test_unmeasurable_claims_fail(fixture, mutate, note, request, workdir, capsys):
-    # a claim a helper cannot measure, or a recorded constant off its formula,
-    # is a failed claim: exit 3 with a note, never a crash
+    # a claim a helper cannot measure, or a record its parts contradict, is
+    # a failed claim: exit 3 with a note, never a crash
     bad = _resealed(request.getfixturevalue(fixture), mutate,
                     workdir / ("unmeasurable" + FILE_SUFFIX))
     capsys.readouterr()
@@ -650,10 +666,10 @@ def test_hostile_target_names_are_expression_errors(fixture, name, request, work
     assert "expression error" in err and "Traceback" not in err
 
 
-def _usage_error(argv, tmp_path):
+def _usage_error(argv, tmp_path, launch=None):
     """Run the CLI as a process; it must exit 4 with one stderr line."""
     main = "import sys; from certapprox.cli import main; sys.exit(main(sys.argv[1:]))"
-    done = subprocess.run([sys.executable, "-c", main, *argv],
+    done = subprocess.run([sys.executable, *(launch or ["-c", main]), *argv],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 4, done.stderr
@@ -693,6 +709,43 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     out = tmp_path / "missing" / "x.json"
     err = _usage_error(["limit", "--eps", "0.125", "--out", str(out)], tmp_path)
     assert str(out) in err and not out.parent.exists()
+
+
+def test_the_module_entry_point_prints_one_stderr_line(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    err = _usage_error(["limit", "--eps", "0.125", "--out", str(out)], tmp_path,
+                       launch=["-m", "certapprox.cli"])
+    assert str(out) in err
+
+
+def test_the_package_loads_cli_on_first_use(tmp_path):
+    out = _python("import sys, certapprox\n"
+                  "print('certapprox.cli' in sys.modules, certapprox.cli.main.__module__)",
+                  tmp_path)
+    assert out == "False certapprox.cli\n"
+
+
+def _old_format(doc):
+    # the fields a glued document carried before its error came from its parts
+    doc.update(pou={"ramps": [[0.3, 0.36666666666666664], [0.6333333333333333, 0.7]]},
+               c_pu=13.0, bound_estimate=0.065059436242204685)
+
+
+@pytest.mark.parametrize("fixture,mutate", [
+    ("spline_cert", _set("note", "edited after sealing")),
+    ("glued_cert", _set("locals", 1, "note", "edited after sealing")),
+    ("glued_cert", _old_format),
+], ids=["top-level", "inside-a-local", "old-glued-format"])
+def test_unsealed_fields_are_parse_errors(fixture, mutate, request, workdir, capsys):
+    bad = _resealed(request.getfixturevalue(fixture), mutate,
+                    workdir / ("unsealed" + FILE_SUFFIX))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "does not seal" in err
+    # inspect only parses
+    assert cli.main(["inspect", str(bad)]) == 0
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certapprox import quadrature, target
+from certapprox import glue as glue_mod, quadrature, target
 from certapprox.approximate import ExtractionSettings
-from certapprox.certificate import Construction, assemble, serialize
+from certapprox.certificate import Construction, assemble, measure, seal, serialize
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ReconciliationFailureError, TopologyError)
-from certapprox.glue import (DEFAULT_OVERLAP_FRACTION, Cover, LocalCertificate,
-                             build_pou, check_overlap, extract_local, glue,
+from certapprox.glue import (DEFAULT_OVERLAP_FRACTION, Cover, GluedCertificate,
+                             LocalCertificate, ReconciliationRecord, build_pou,
+                             check_overlap, compositional_bound, extract_local, glue,
                              glued_from_dict, local_bspline_family, make_cover,
-                             reconcile, verify_glued)
+                             premise_faults, reconcile, verify_glued)
 
 EPS = 1e-2
 LOCAL_SETTINGS = ExtractionSettings(0.5 * EPS)
@@ -39,16 +42,16 @@ def glued3(sinpi, cover3, locals3):
     return glue(sinpi, list(locals3), build_pou(cover3), EPS)
 
 
-def _perturbed_local(sinpi, lc, bump=4e-4, at=2):
+def _perturbed_local(f, lc, bump=4e-4, at=2, eps=EPS):
     """Reissue a local certificate with one coefficient shifted, the patch
     error re-measured honestly so the document itself stays valid."""
     new_terms = [(j, a + (bump if j == at else 0.0)) for j, a in lc.cert.terms]
     fam = local_bspline_family(lc.patch, 8)
     g = target.series(fam, new_terms)
     norm = quadrature.w12_norm(lc.patch)
-    rule = quadrature.construction_rule(sinpi, [g], interval=lc.patch).refined(4)
-    err = quadrature.norm_of_difference(sinpi, g, norm, rule)
-    cert = assemble(sinpi.descriptor, fam, new_terms, norm, 0.5 * EPS, err,
+    rule = quadrature.construction_rule(f, [g], interval=lc.patch).refined(4)
+    err = quadrature.norm_of_difference(f, g, norm, rule)
+    cert = assemble(f.descriptor, fam, new_terms, norm, 0.5 * eps, err,
                     Construction("gram_solve", "shifted for mismatch tests"))
     return LocalCertificate(lc.patch_index, lc.patch, cert)
 
@@ -94,6 +97,23 @@ def test_cover_round_trips_through_its_dict(cover3):
     assert Cover.from_dict(cover3.to_dict()) == cover3
 
 
+# a cover whose patches 0 and 2 meet, so the ramps do not sum to one
+NON_CHAIN = Cover((0.0, 1.0), ((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)), 0.2)
+
+
+@pytest.mark.parametrize("cover,fault", [
+    (NON_CHAIN, "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.4), (0.5, 1.0)), 0.2), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.6), (0.2, 0.5), (0.4, 1.0)), 0.2), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.5),), 0.2), "domain does not match"),
+    (Cover((0.5, 0.5), ((0.5, 0.5),), 0.2), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.6), (0.4, 0.9)), 0.2), "domain does not match"),
+])
+def test_premise_faults_name_a_broken_cover(cover, fault):
+    faults = premise_faults(cover)
+    assert len(faults) == 1 and fault in faults[0]
+
+
 # ----------------------------------------------------------------------------
 # partition of unity
 # ----------------------------------------------------------------------------
@@ -132,8 +152,13 @@ def test_weight_derivatives_cancel(cover3):
 
 
 def test_ramp_slope_is_reciprocal_overlap_width(cover3):
+    # the bound's premise: psi_i' = -psi_{i+1}' = -1/|O_i| on O_i
     pou = build_pou(cover3)
-    assert pou.max_ramp_slope(0) == pytest.approx(15.0, rel=1e-12)
+    s, e = cover3.overlap(0)
+    xs = np.linspace(0.31, 0.36, 11)
+    assert np.all(pou.weight_deriv(0, xs) == -1.0 / (e - s))
+    assert np.all(pou.weight_deriv(1, xs) == -pou.weight_deriv(0, xs))
+    assert pou.weight_deriv(1, 0.32) == pytest.approx(15.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -222,12 +247,18 @@ def test_reconcile_fails_on_an_unreachable_gate(sinpi, locals3):
 # gluing
 # ----------------------------------------------------------------------------
 
-def test_glued_report_and_overhead_constant(glued3):
-    assert glued3.reported_error == pytest.approx(6.72633204877917e-05, rel=1e-9)
+def test_glued_report_and_overhead_constant(glued3, locals3, sinpi):
+    # the report is the compositional bound, each seam weighted by the ramp
+    # slope 1/|O_i| = 15; the blend's measured error stays below it
+    errors = np.array([lc.cert.reported_error for lc in locals3])
+    seams = 15.0 * np.array([check_overlap(locals3[0], locals3[1]),
+                             check_overlap(locals3[1], locals3[2])])
+    by_hand = np.sqrt(np.sum(errors ** 2)) + np.sqrt(np.sum(seams ** 2))
+    assert glued3.reported_error == pytest.approx(by_hand, rel=1e-12)
+    assert glued3.reported_error == pytest.approx(4.4725691925925415e-04, rel=1e-9)
     assert glued3.reported_error < EPS
-    assert glued3.c_pu == pytest.approx(13.0, rel=1e-12)
-    assert glued3.bound_estimate == pytest.approx(6.505943624220469e-02, rel=1e-9)
-    assert glued3.reported_error <= glued3.bound_estimate
+    direct, _ = measure(sinpi, glued3.approximant(), quadrature.w12_norm())
+    assert direct == pytest.approx(6.72633204877917e-05, rel=1e-9)
 
 
 def test_genealogy_lists_the_original_locals(glued3, locals3):
@@ -248,7 +279,7 @@ def test_single_patch_glue_embeds_the_local_verbatim(sinpi):
                        local_bspline_family(cover.patches[0], 8), LOCAL_SETTINGS)
     g = glue(sinpi, [lc], build_pou(cover), EPS)
     assert g.locals[0].cert.digest == lc.cert.digest
-    assert g.c_pu == 1.0
+    assert g.reported_error == lc.cert.reported_error
     xs = np.linspace(0.0, 1.0, 2001)
     blended = g.approximant().evaluate(xs)
     assert np.array_equal(blended, lc.cert.approximant().evaluate(xs))
@@ -259,7 +290,7 @@ def test_five_patch_glue_still_verifies(sinpi):
     ls = [extract_local(sinpi, i, p, local_bspline_family(p, 8), LOCAL_SETTINGS)
           for i, p in enumerate(cover.patches)]
     g = glue(sinpi, ls, build_pou(cover), EPS)
-    assert g.reported_error == pytest.approx(1.548627353208248e-05, rel=1e-8)
+    assert g.reported_error == pytest.approx(1.3221380942289563e-04, rel=1e-8)
     assert verify_glued(g, sinpi).verdict
 
 
@@ -272,8 +303,8 @@ def test_glue_reconciles_a_shifted_member(sinpi, locals3, cover3):
     assert g.parents[0].digest == shifted.cert.digest
     assert g.genealogy[1] == shifted.cert.digest
     # the only tier-1 path through the reconcile residual: pins its bytes
-    assert g.digest == ("97532078073edea0addf9791becc3c80"
-                        "57acb68de2660a9bbccea1688894421c")
+    assert g.digest == ("3894543269f83b431cbc89332a3776cb"
+                        "dcf9eb7a8cf41317e478a8880f5479a9")
     assert verify_glued(g, sinpi).verdict
 
 
@@ -289,6 +320,57 @@ def test_glue_rejects_locals_from_another_cover(sinpi, locals3):
     other = make_cover((0.0, 1.0), 3, overlap_fraction=0.3)
     with pytest.raises(ConfigurationError):
         glue(sinpi, list(locals3), build_pou(other), EPS)
+
+
+def _locals_on(f, cover, settings=LOCAL_SETTINGS):
+    return [extract_local(f, i, p, local_bspline_family(p, 8), settings)
+            for i, p in enumerate(cover.patches)]
+
+
+def test_glue_refuses_a_cover_that_is_not_a_chain(sinpi):
+    with pytest.raises(ConfigurationError, match="not a chain"):
+        glue(sinpi, _locals_on(sinpi, NON_CHAIN), build_pou(NON_CHAIN), EPS)
+
+
+def test_a_forged_claim_on_a_non_chain_cover_fails(sinpi):
+    # the bound alone would pass this claim, but the ramps of NON_CHAIN do
+    # not sum to one and the blend misses sin(pi x) by far more than EPS
+    ls = _locals_on(sinpi, NON_CHAIN)
+    mus = [check_overlap(ls[0], ls[1]), check_overlap(ls[1], ls[2])]
+    records = tuple(ReconciliationRecord((i, i + 1), mu, mu, (), False)
+                    for i, mu in enumerate(mus))
+    bound = compositional_bound(NON_CHAIN, [lc.cert.reported_error for lc in ls], mus)
+    assert bound < EPS
+    forged = seal(GluedCertificate(sinpi.descriptor, NON_CHAIN, tuple(ls), (), records,
+                                   EPS, bound, tuple(lc.cert.digest for lc in ls)))
+    xs = np.linspace(0.0, 1.0, 4001)
+    assert np.max(np.abs(forged.approximant().evaluate(xs) - sinpi.evaluate(xs))) > EPS
+    rep = verify_glued(forged, sinpi)
+    assert not rep.verdict and rep.recomputed_error == math.inf
+    assert "patches are not a chain of consecutive overlaps" in rep.notes
+
+
+TARGETS = {"sinpi": target.from_builtin("sinpi"),
+           "exp-sin": target.from_expression("exp(x)*sin(3*x)"),
+           "runge": target.from_expression("1/(1+25*(2*x-1)^2)")}
+
+
+@given(name=st.sampled_from(sorted(TARGETS)), m=st.integers(1, 8),
+       overlap=st.floats(0.05, 0.5), bumps=st.lists(st.floats(-1e-2, 1e-2), min_size=8,
+                                                    max_size=8),
+       at=st.integers(1, 10))
+@settings(max_examples=15, deadline=None)
+def test_the_blend_error_stays_under_the_bound(name, m, overlap, bumps, at):
+    # a generous tolerance keeps every bumped pair unreconciled, so the
+    # mismatch term carries the bumps
+    f, eps = TARGETS[name], 100.0
+    cover = make_cover((0.0, 1.0), m, overlap)
+    ls = [_perturbed_local(f, lc, bump, at, eps) if bump else lc
+          for lc, bump in zip(_locals_on(f, cover, ExtractionSettings(0.5 * eps)), bumps)]
+    g = glue(f, ls, build_pou(cover), eps)
+    assert not any(r.adjusted for r in g.records)
+    direct, _ = measure(f, g.approximant(), quadrature.w12_norm())
+    assert direct <= g.reported_error * (1 + 1e-6) + 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -312,8 +394,16 @@ def test_glued_parse_rejects_wrong_kind(glued3):
 def test_verify_glued_passes_and_recomputes(glued3, sinpi):
     rep = verify_glued(glued3, sinpi)
     assert rep.verdict
-    assert rep.recomputed_error == pytest.approx(glued3.reported_error, rel=1e-6)
-    assert rep.method.startswith("composite_gl16x")
+    assert rep.recomputed_error == glued3.reported_error
+    assert rep.method == "compositional_w12"
+
+
+def test_glue_and_verify_never_evaluate_the_blend(sinpi, cover3, locals3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the blend was evaluated")
+    monkeypatch.setattr(glue_mod, "glued_function", refuse)
+    g = glue(sinpi, list(locals3), build_pou(cover3), EPS)
+    assert verify_glued(g, sinpi).verdict
 
 
 def test_verify_glued_catches_tampering(glued3, sinpi):
