@@ -90,17 +90,6 @@ class BasisFamily:
             raise ConfigurationError(f"{self.kind} has no knot vector")
         return _clamped_knots(self.domain[0], self.domain[1], self.m)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "domain": [float(self.domain[0]), float(self.domain[1])]}
-        if self.kind == CUBIC_BSPLINE:
-            d["m"] = int(self.m)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BasisFamily":
-        return BasisFamily(str(d["kind"]), (float(d["domain"][0]), float(d["domain"][1])),
-                           int(d["m"]) if "m" in d else None)
-
 
 def chebyshev_family() -> BasisFamily:
     return BasisFamily(CHEBYSHEV, (-1.0, 1.0))

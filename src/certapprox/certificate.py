@@ -5,8 +5,11 @@ target within this error in this norm. Claims are serialized canonically
 (sorted keys, no insignificant whitespace, floats as 17-significant-digit
 decimals) so that equal claims are equal bytes, and the SHA-256 digest of
 the canonical bytes minus the digest field is the certificate's identity.
-The envelope every document kind shares (schema_version, kind, genealogy,
-digest) is written, parsed and checked here; glue and limit add payloads.
+Every record is a frozen dataclass whose fields are its schema: to_dict()
+writes it and from_dict() reads it back by the field annotations, refusing
+a wrong type, an out-of-range number or a value the class refuses with a
+CertificateParseError that names the path. A Document (a whole file) opens
+with schema_version and its KIND; glue and limit define the other kinds.
 
 Verification re-measures the error with measure(), the one
 verification-grade distance (the finer sup scan or refined quadrature
@@ -29,7 +32,11 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import sys
+import typing
+from dataclasses import dataclass, field
+from functools import cache
+from typing import ClassVar
 
 from . import quadrature, target as target_mod
 from .basis import BasisFamily
@@ -87,7 +94,10 @@ def _encode(value, out: list, path: str):
 def canonical_dumps(value) -> bytes:
     """Canonical JSON bytes: sorted keys, %.17g floats, UTF-8, no whitespace."""
     out: list[str] = []
-    _encode(value, out, "$")
+    try:
+        _encode(value, out, "$")
+    except RecursionError:
+        raise ConfigurationError("value nests too deeply to encode") from None
     return "".join(out).encode("utf-8")
 
 
@@ -97,10 +107,181 @@ def compute_digest(doc: dict) -> str:
     return hashlib.sha256(canonical_dumps(body)).hexdigest()
 
 
-def envelope(kind: str, cert, payload: dict) -> dict:
-    """A document of the given kind: the shared envelope around its payload."""
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, **payload,
-            "genealogy": list(cert.genealogy), "digest": cert.digest}
+# ----------------------------------------------------------------------------
+# records as documents
+# ----------------------------------------------------------------------------
+
+# integers beyond 2^53 lose exactness in many JSON readers (RFC 7493)
+JSON_INT_LIMIT = 2 ** 53
+_FLOAT_MAX = sys.float_info.max
+
+
+class Document:
+    """A record that is a whole file: its dict opens with schema_version and
+    the class's KIND."""
+
+    KIND: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return to_dict(self)
+
+
+class _Refused(Exception):
+    """A value its field refuses; `at` gathers the path, innermost first."""
+
+    def __init__(self, why: str, *at: str):
+        self.why, self.at = why, list(at)
+
+
+def _read_int(v):
+    if type(v) is int and -JSON_INT_LIMIT <= v <= JSON_INT_LIMIT:
+        return v
+    raise _Refused("integer out of range" if type(v) is int else "not an integer")
+
+
+def _read_float(v):
+    if type(v) is float:
+        if -_FLOAT_MAX <= v <= _FLOAT_MAX:  # NaN fails both comparisons
+            return v
+    elif type(v) is int:
+        if -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            return float(v)
+    else:
+        raise _Refused("not a number")
+    raise _Refused("non-finite number")
+
+
+def _read_exact(tp, what: str):
+    def read(v):
+        if type(v) is not tp:
+            raise _Refused(f"not {what}")
+        return v
+    return read
+
+
+_SCALARS = {int: _read_int, float: _read_float, str: _read_exact(str, "a string"),
+            bool: _read_exact(bool, "true or false"), dict: _read_exact(dict, "an object")}
+
+
+def _read_tuple(item):
+    def read(v):
+        if type(v) is not list:
+            raise _Refused("not a list")
+        out = []
+        try:
+            for x in v:
+                out.append(item(x))
+        except _Refused as r:
+            r.at.append(f"[{len(out)}]")
+            raise
+        return tuple(out)
+    return read
+
+
+def _read_pair(first, second):
+    def read(v):
+        if type(v) is not list or len(v) != 2:
+            raise _Refused("not a pair")
+        a, b = v
+        try:
+            a = first(a)
+        except _Refused as r:
+            r.at.append("[0]")
+            raise
+        try:
+            return a, second(b)
+        except _Refused as r:
+            r.at.append("[1]")
+            raise
+    return read
+
+
+def _codec(tp):
+    """(read, write) for one field annotation. read takes the JSON value to
+    the field's; write takes it back, and is None where the field's value is
+    its own JSON: scalars, and the opaque dict."""
+    if dataclasses.is_dataclass(tp):
+        return _record_codec(tp)
+    if tp in _SCALARS:
+        return _SCALARS[tp], None
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and len(args) == 2:
+        if args[1] is Ellipsis:
+            read, write = _codec(args[0])
+            return _read_tuple(read), \
+                list if write is None else lambda v: list(map(write, v))
+        (r0, w0), (r1, w1) = _codec(args[0]), _codec(args[1])
+        if w0 is None and w1 is None:
+            return _read_pair(r0, r1), list
+    raise TypeError(f"no JSON codec for {tp!r}")
+
+
+@cache
+def _record_codec(cls):
+    """(read, write) for a record class. Each field sits under its name, or
+    under the key its metadata gives; a field that defaults to None, typed
+    X | None, is left out when None and may be missing."""
+    kind = getattr(cls, "KIND", "")
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        optional = f.default is None
+        if optional:
+            tp = typing.get_args(tp)[0]
+        fields.append((f.name, f.metadata.get("key", f.name), *_codec(tp), optional))
+
+    def write(record) -> dict:
+        doc = {"schema_version": SCHEMA_VERSION, "kind": kind} if kind else {}
+        for name, key, _, write_field, _ in fields:
+            value = getattr(record, name)
+            if value is not None:
+                doc[key] = value if write_field is None else write_field(value)
+        return doc
+
+    def read(doc):
+        if type(doc) is not dict:
+            raise _Refused("not an object")
+        if kind:
+            for key, want in (("schema_version", SCHEMA_VERSION), ("kind", kind)):
+                if doc.get(key) != want:
+                    raise _Refused(f"expected {want!r}" if key in doc else "missing field",
+                                   "." + key)
+        values = []
+        for _, key, read_field, _, optional in fields:
+            if key in doc:
+                try:
+                    values.append(read_field(doc[key]))
+                except _Refused as r:
+                    r.at.append("." + key)
+                    raise
+            elif optional:
+                values.append(None)
+            else:
+                raise _Refused("missing field", "." + key)
+        try:
+            return cls(*values)
+        except ConfigurationError as e:
+            raise _Refused(str(e)) from None
+
+    return read, write
+
+
+def to_dict(record) -> dict:
+    """The record as a JSON-ready dict: records become objects, tuples lists."""
+    return _record_codec(type(record))[1](record)
+
+
+def from_dict(cls, doc, path: str = "$"):
+    """The record of class cls that the JSON value doc holds, read by the
+    field annotations. A missing key, a null, a wrong JSON type, an
+    out-of-range number or a value the class refuses is a
+    CertificateParseError naming its path. The digest is kept as claimed,
+    so tampering surfaces as a verification failure, not a parse error."""
+    try:
+        return _record_codec(cls)[0](doc)
+    except _Refused as r:
+        raise CertificateParseError(f"{path}{''.join(reversed(r.at))}: {r.why}") from None
 
 
 # ----------------------------------------------------------------------------
@@ -116,23 +297,12 @@ class Construction:
     rule: dict | None = None
     supnorm_method: str | None = None
 
-    def to_dict(self) -> dict:
-        d = {"method": self.method, "stopping": self.stopping}
-        if self.rule is not None:
-            d["rule"] = self.rule
-        if self.supnorm_method is not None:
-            d["supnorm_method"] = self.supnorm_method
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "Construction":
-        return Construction(str(d["method"]), str(d["stopping"]),
-                            d.get("rule"), d.get("supnorm_method"))
-
 
 @dataclass(frozen=True)
-class ApproximationCertificate:
-    target_descriptor: str
+class ApproximationCertificate(Document):
+    KIND = "approximation"
+
+    target_descriptor: str = field(metadata={"key": "target"})
     basis: BasisFamily
     terms: tuple[tuple[int, float], ...]
     norm: NormTag
@@ -142,16 +312,9 @@ class ApproximationCertificate:
     genealogy: tuple[str, ...] = ()
     digest: str = ""
 
-    def to_dict(self) -> dict:
-        return envelope("approximation", self, {
-            "target": self.target_descriptor,
-            "basis": self.basis.to_dict(),
-            "terms": [[int(j), float(a)] for j, a in self.terms],
-            "norm": self.norm.to_dict(),
-            "tolerance": float(self.tolerance),
-            "reported_error": float(self.reported_error),
-            "construction": self.construction.to_dict(),
-        })
+    def __post_init__(self):
+        if not self.terms:
+            raise ConfigurationError("terms must be a non-empty list")
 
     def approximant(self) -> target_mod.TargetFunction:
         return target_mod.series(self.basis, self.terms)
@@ -186,12 +349,10 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
 
 
 def claim_findings(cert: ApproximationCertificate) -> list[str]:
-    """Shape faults of a claim: no terms, a report not below tolerance,
-    indices invalid or not increasing (greedy excepted), a norm domain
-    outside the basis domain."""
+    """Shape faults of a claim: a report not below tolerance, indices
+    invalid or not increasing (greedy excepted), a norm domain outside the
+    basis domain. The class itself refuses an empty term list."""
     findings = []
-    if not cert.terms:
-        findings.append("empty term list")
     if not cert.reported_error < cert.tolerance:
         findings.append("reported error does not beat the tolerance")
     if cert.construction.method != GREEDY:
@@ -212,75 +373,34 @@ def claim_findings(cert: ApproximationCertificate) -> list[str]:
 
 def serialize(cert) -> bytes:
     """Canonical bytes of a certificate of any kind."""
-    return canonical_dumps(cert.to_dict())
+    return canonical_dumps(to_dict(cert))
 
 
 def seal(record):
     """A copy of the record with its digest minted over its canonical content."""
-    return dataclasses.replace(record, digest=compute_digest(record.to_dict()))
+    return dataclasses.replace(record, digest=compute_digest(to_dict(record)))
 
 
 def digest_ok(record) -> bool:
     """The record's digest seals its canonical content."""
-    return record.digest == compute_digest(record.to_dict())
+    return record.digest == compute_digest(to_dict(record))
 
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise CertificateParseError(f"missing field {path}.{key}")
-    return doc[key]
-
-
-# errors a malformed payload raises while its fields are converted
-_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
-                   ConfigurationError)
-
-
-def parse_envelope(doc, kind: str, build, path: str = "$"):
-    """Check the fields every document kind shares, then build the payload.
-
-    The envelope is an object with the supported schema_version, the
-    expected kind, a string digest and a genealogy list of strings.
-    build(doc) reads the kind's own fields; a missing key or a value of the
-    wrong type or range there becomes a CertificateParseError. The digest
-    is kept as claimed so that tampering surfaces as a verification failure,
-    not a parse error.
-    """
-    if not isinstance(doc, dict):
-        raise CertificateParseError(f"{path} is not an object")
-    version = _need(doc, "schema_version", path)
-    if version != SCHEMA_VERSION:
-        raise CertificateParseError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
-    found = _need(doc, "kind", path)
-    if found != kind:
-        raise CertificateParseError(f"{path}.kind is {found!r}, not {kind!r}")
-    if not isinstance(_need(doc, "digest", path), str):
-        raise CertificateParseError(f"{path}.digest must be a string")
-    genealogy = _need(doc, "genealogy", path)
-    if not isinstance(genealogy, list) or not all(isinstance(g, str) for g in genealogy):
-        raise CertificateParseError(f"{path}.genealogy must be a list of digests")
-    try:
-        return build(doc)
-    except _PAYLOAD_ERRORS as e:
-        raise CertificateParseError(f"malformed {kind} document at {path}: {e!r}") from None
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise CertificateParseError(f"non-finite number {text} in JSON")
-    return value
+def _non_finite(text: str):
+    raise CertificateParseError(f"non-finite number {text} in JSON")
 
 
 def load_json(data, source: str = "document"):
-    """UTF-8 JSON as a Python value. Invalid JSON, NaN, Infinity and float
-    overflow, which no canonical document holds, are CertificateParseErrors."""
+    """UTF-8 JSON as a Python value. Invalid JSON, NaN and Infinity, which
+    no canonical document holds, and nesting past the recursion limit are
+    CertificateParseErrors; from_dict refuses a number that overflows."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+        return json.loads(text, parse_constant=_non_finite)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CertificateParseError(f"{source} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise CertificateParseError(f"{source} nests too deeply") from None
 
 
 def deserialize(data) -> ApproximationCertificate:
@@ -289,25 +409,7 @@ def deserialize(data) -> ApproximationCertificate:
 
 
 def certificate_from_dict(doc: dict, path: str = "$") -> ApproximationCertificate:
-    def build(doc):
-        raw_terms = doc["terms"]
-        if not isinstance(raw_terms, list) or not raw_terms:
-            raise CertificateParseError(f"{path}.terms must be a non-empty list")
-        terms = []
-        for i, pair in enumerate(raw_terms):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not isinstance(pair[0], int) or isinstance(pair[0], bool)
-                    or not isinstance(pair[1], (int, float))):
-                raise CertificateParseError(
-                    f"{path}.terms[{i}] must be [index, coefficient]")
-            terms.append((pair[0], float(pair[1])))
-        return ApproximationCertificate(
-            str(doc["target"]), BasisFamily.from_dict(doc["basis"]), tuple(terms),
-            NormTag.from_dict(doc["norm"]), float(doc["tolerance"]),
-            float(doc["reported_error"]), Construction.from_dict(doc["construction"]),
-            tuple(doc["genealogy"]), doc["digest"])
-
-    return parse_envelope(doc, "approximation", build, path)
+    return from_dict(ApproximationCertificate, doc, path)
 
 
 # ----------------------------------------------------------------------------

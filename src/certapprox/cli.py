@@ -223,8 +223,7 @@ def _approximation_summary(cert) -> None:
 def _glued_summary(cert) -> None:
     print(f"target: {cert.target_descriptor}")
     print(f"patches: {cert.cover.m} on [{_fmt(cert.cover.domain[0])},"
-          f" {_fmt(cert.cover.domain[1])}],"
-          f" overlap fraction {_fmt(cert.cover.overlap_fraction)}")
+          f" {_fmt(cert.cover.domain[1])}]")
     for lc in cert.locals:
         print(f"  patch {lc.patch_index}: [{_fmt(lc.patch[0])},"
               f" {_fmt(lc.patch[1])}] {len(lc.cert.terms)} terms,"

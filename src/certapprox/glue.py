@@ -27,7 +27,7 @@ the locals meet premise_faults(); glue() and verify_glued() enforce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,9 @@ from . import quadrature, target as target_mod
 from .approximate import (ExtractionSettings, approximate_gram, gram_matrix,
                           solve_normal_equations)
 from .basis import BasisFamily, cubic_bspline_family
-from .certificate import (ApproximationCertificate, Construction,
-                          VerificationReport, assemble, certificate_from_dict,
-                          envelope, envelope_findings, measure, measure_or_note,
-                          parse_envelope, seal, verdict)
+from .certificate import (ApproximationCertificate, Construction, Document,
+                          VerificationReport, assemble, envelope_findings,
+                          from_dict, measure, measure_or_note, seal, verdict)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      IllConditionedBasisError, ReconciliationFailureError,
@@ -56,7 +55,6 @@ DEFAULT_OVERLAP_FRACTION = 0.2
 class Cover:
     domain: tuple[float, float]
     patches: tuple[tuple[float, float], ...]
-    overlap_fraction: float
 
     @property
     def m(self) -> int:
@@ -69,17 +67,6 @@ class Cover:
         if not s < e:
             raise TopologyError(f"patches {i} and {i + 1} do not overlap")
         return (s, e)
-
-    def to_dict(self) -> dict:
-        return {"domain": [float(self.domain[0]), float(self.domain[1])],
-                "patches": [[float(a), float(b)] for a, b in self.patches],
-                "overlap_fraction": float(self.overlap_fraction)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Cover":
-        return Cover((float(d["domain"][0]), float(d["domain"][1])),
-                     tuple((float(a), float(b)) for a, b in d["patches"]),
-                     float(d["overlap_fraction"]))
 
 
 def make_cover(domain: tuple[float, float], m: int,
@@ -98,7 +85,7 @@ def make_cover(domain: tuple[float, float], m: int,
     for i in range(m):
         c = lo + (i + 0.5) * h
         patches.append((max(lo, c - 0.5 * width), min(hi, c + 0.5 * width)))
-    cover = Cover((lo, hi), tuple(patches), overlap_fraction)
+    cover = Cover((lo, hi), tuple(patches))
     faults = premise_faults(cover)
     if faults:
         raise ConfigurationError(faults[0])
@@ -178,12 +165,7 @@ def build_pou(cover: Cover) -> PartitionOfUnity:
 class LocalCertificate:
     patch_index: int
     patch: tuple[float, float]
-    cert: ApproximationCertificate
-
-    def to_dict(self) -> dict:
-        return {"patch_index": int(self.patch_index),
-                "patch": [float(self.patch[0]), float(self.patch[1])],
-                "certificate": self.cert.to_dict()}
+    cert: ApproximationCertificate = field(metadata={"key": "certificate"})
 
 
 def local_bspline_family(patch: tuple[float, float], knots: int) -> BasisFamily:
@@ -227,13 +209,6 @@ class ReconciliationRecord:
     post_mismatch: float
     deltas: tuple[tuple[int, float], ...]
     adjusted: bool
-
-    def to_dict(self) -> dict:
-        return {"pair": [int(self.pair[0]), int(self.pair[1])],
-                "pre_mismatch": float(self.pre_mismatch),
-                "post_mismatch": float(self.post_mismatch),
-                "deltas": [[int(j), float(d)] for j, d in self.deltas],
-                "adjusted": self.adjusted}
 
 
 def reconcile(f, a: LocalCertificate, b: LocalCertificate,
@@ -357,27 +332,18 @@ def compositional_bound(cover: Cover, errors, mismatches) -> float:
 
 
 @dataclass(frozen=True)
-class GluedCertificate:
-    target_descriptor: str
+class GluedCertificate(Document):
+    KIND = "glued"
+
+    target_descriptor: str = field(metadata={"key": "target"})
     cover: Cover
     locals: tuple[LocalCertificate, ...]
     parents: tuple[ApproximationCertificate, ...]
-    records: tuple[ReconciliationRecord, ...]
+    records: tuple[ReconciliationRecord, ...] = field(metadata={"key": "reconciliation"})
     tolerance: float
     reported_error: float
     genealogy: tuple[str, ...]
     digest: str = ""
-
-    def to_dict(self) -> dict:
-        return envelope("glued", self, {
-            "target": self.target_descriptor,
-            "cover": self.cover.to_dict(),
-            "locals": [lc.to_dict() for lc in self.locals],
-            "parents": [p.to_dict() for p in self.parents],
-            "reconciliation": [r.to_dict() for r in self.records],
-            "tolerance": float(self.tolerance),
-            "reported_error": float(self.reported_error),
-        })
 
     def approximant(self) -> target_mod.TargetFunction:
         return glued_function(build_pou(self.cover), self.locals)
@@ -419,33 +385,12 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
 # ----------------------------------------------------------------------------
 
 def glued_from_dict(doc: dict) -> GluedCertificate:
-    def build(doc):
-        cover = Cover.from_dict(doc["cover"])
-        m = cover.m
-        if m < 1:
-            raise CertificateParseError("the cover has no patches")
-        locals_ = tuple(
-            LocalCertificate(int(d["patch_index"]),
-                             (float(d["patch"][0]), float(d["patch"][1])),
-                             certificate_from_dict(d["certificate"],
-                                                   f"$.locals[{i}]"))
-            for i, d in enumerate(doc["locals"]))
-        if len(locals_) != m:
-            raise CertificateParseError(f"{m} patches need {m} locals, got {len(locals_)}")
-        parents = tuple(certificate_from_dict(d, f"$.parents[{i}]")
-                        for i, d in enumerate(doc.get("parents", [])))
-        records = tuple(
-            ReconciliationRecord((int(r["pair"][0]), int(r["pair"][1])),
-                                 float(r["pre_mismatch"]), float(r["post_mismatch"]),
-                                 tuple((int(j), float(d)) for j, d in r["deltas"]),
-                                 bool(r["adjusted"]))
-            for r in doc.get("reconciliation", []))
-        return GluedCertificate(
-            str(doc["target"]), cover, locals_, parents, records,
-            float(doc["tolerance"]), float(doc["reported_error"]),
-            tuple(doc["genealogy"]), doc["digest"])
-
-    return parse_envelope(doc, "glued", build)
+    cert = from_dict(GluedCertificate, doc)
+    m = cert.cover.m
+    if not 1 <= m == len(cert.locals):
+        raise CertificateParseError(
+            f"$.locals: {len(cert.locals)} locals for {m} patches; need one per patch")
+    return cert
 
 
 def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:

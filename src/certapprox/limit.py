@@ -20,15 +20,14 @@ anchor to its modulus record, and the ladder to its anchor, first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from . import target as target_mod
-from .certificate import (ApproximationCertificate, Construction,
-                          VerificationReport, assemble, certificate_from_dict,
-                          digest_ok, envelope, envelope_findings, parse_envelope,
-                          seal, verdict)
+from .certificate import (ApproximationCertificate, Construction, Document,
+                          VerificationReport, assemble, digest_ok,
+                          envelope_findings, from_dict, seal, verdict)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, IncompleteSequenceError)
@@ -146,11 +145,6 @@ class EvidenceRecord:
     bound: str
     digest: str = ""
 
-    def to_dict(self) -> dict:
-        return {"pair": [int(self.pair[0]), int(self.pair[1])],
-                "measured": self.measured, "bound": self.bound,
-                "digest": self.digest}
-
 
 def check_pair(n: int, m: int, budget: Fraction) -> EvidenceRecord:
     """Measure |S_m - S_n| exactly; contradiction if it reaches the budget."""
@@ -168,26 +162,23 @@ class ModulusRecord:
     value: int
     digest: str = ""
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "epsilon": self.epsilon,
-                "argument": self.argument, "value": int(self.value),
-                "digest": self.digest}
-
 
 # ----------------------------------------------------------------------------
 # the limit certificate
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LimitCertificate:
+class LimitCertificate(Document):
+    KIND = "limit"
+
     sequence: str
-    target_descriptor: str
+    target_descriptor: str = field(metadata={"key": "target"})
     tolerance: float
     epsilon_exact: str
     n_star: int
     members: tuple[ApproximationCertificate, ...]
     ladder: tuple[EvidenceRecord, ...]
-    modulus_record: ModulusRecord
+    modulus_record: ModulusRecord = field(metadata={"key": "modulus"})
     tail_bound: str
     tail_budget: str
     proxy_depth: int
@@ -196,24 +187,6 @@ class LimitCertificate:
     reported_error: float
     genealogy: tuple[str, ...]
     digest: str = ""
-
-    def to_dict(self) -> dict:
-        return envelope("limit", self, {
-            "sequence": self.sequence,
-            "target": self.target_descriptor,
-            "tolerance": float(self.tolerance),
-            "epsilon_exact": self.epsilon_exact,
-            "n_star": int(self.n_star),
-            "members": [c.to_dict() for c in self.members],
-            "ladder": [r.to_dict() for r in self.ladder],
-            "modulus": self.modulus_record.to_dict(),
-            "tail_bound": self.tail_bound,
-            "tail_budget": self.tail_budget,
-            "proxy_depth": int(self.proxy_depth),
-            "proxy_terms": [[int(k), float(a)] for k, a in self.proxy_terms],
-            "proxy_tail": self.proxy_tail,
-            "reported_error": float(self.reported_error),
-        })
 
 
 def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
@@ -258,36 +231,21 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
 # ----------------------------------------------------------------------------
 
 def limit_from_dict(doc: dict) -> LimitCertificate:
-    def build(doc):
-        members = tuple(certificate_from_dict(d, f"$.members[{i}]")
-                        for i, d in enumerate(doc["members"]))
-        ladder = tuple(
-            EvidenceRecord((int(r["pair"][0]), int(r["pair"][1])),
-                           str(r["measured"]), str(r["bound"]), str(r["digest"]))
-            for r in doc["ladder"])
-        mod = doc["modulus"]
-        mod_rec = ModulusRecord(str(mod["rule"]), str(mod["epsilon"]),
-                                str(mod["argument"]), int(mod["value"]),
-                                str(mod["digest"]))
-        cert = LimitCertificate(
-            str(doc["sequence"]), str(doc["target"]), float(doc["tolerance"]),
-            str(doc["epsilon_exact"]), int(doc["n_star"]), members, ladder,
-            mod_rec, str(doc["tail_bound"]), str(doc["tail_budget"]),
-            int(doc["proxy_depth"]),
-            tuple((int(k), float(a)) for k, a in doc["proxy_terms"]),
-            str(doc["proxy_tail"]), float(doc["reported_error"]),
-            tuple(doc["genealogy"]), doc["digest"])
-        if cert.n_star < 1 or cert.proxy_depth < 0:
-            raise CertificateParseError("n_star must be at least 1, proxy_depth at least 0")
-        # every exact rational of an honest transfer is positive
-        for q in (cert.epsilon_exact, cert.tail_bound, cert.tail_budget,
-                  cert.proxy_tail, mod_rec.epsilon, mod_rec.argument,
-                  *(r.measured for r in ladder), *(r.bound for r in ladder)):
-            if not parse_frac(q) > 0:
-                raise CertificateParseError(f"{q!r} is not a positive fraction")
-        return cert
-
-    return parse_envelope(doc, "limit", build)
+    cert = from_dict(LimitCertificate, doc)
+    if cert.n_star < 1 or cert.proxy_depth < 0:
+        raise CertificateParseError("$: n_star must be at least 1, proxy_depth at least 0")
+    # every exact rational of an honest transfer is positive
+    mod = cert.modulus_record
+    for q in (cert.epsilon_exact, cert.tail_bound, cert.tail_budget,
+              cert.proxy_tail, mod.epsilon, mod.argument,
+              *(r.measured for r in cert.ladder), *(r.bound for r in cert.ladder)):
+        try:
+            positive = parse_frac(q) > 0
+        except (ValueError, ZeroDivisionError):
+            positive = False
+        if not positive:
+            raise CertificateParseError(f"{q!r} is not a positive fraction")
+    return cert
 
 
 def verify_limit(cert: LimitCertificate, store: dict | None = None) -> VerificationReport:

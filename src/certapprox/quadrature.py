@@ -61,13 +61,6 @@ class NormTag:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigurationError(f"invalid norm domain [{lo}, {hi}]")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "domain": [float(self.domain[0]), float(self.domain[1])]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NormTag":
-        return NormTag(str(d["kind"]), (float(d["domain"][0]), float(d["domain"][1])))
-
 
 def l2_norm(domain=(0.0, 1.0)) -> NormTag:
     return NormTag(L2, domain)

@@ -156,7 +156,7 @@ def test_c5_gluing_across_patch_counts(capsys):
             if m == 1:
                 assert serialize(g.locals[0].cert) == serialize(locals_[0].cert)
         # independently extracted restrictions agree on their overlaps
-        explicit = Cover((0.0, 1.0), ((0.0, 0.3), (0.2, 0.7), (0.6, 1.0)), 0.2)
+        explicit = Cover((0.0, 1.0), ((0.0, 0.3), (0.2, 0.7), (0.6, 1.0)))
         rs = [extract_local(f, i, p, local_bspline_family(p, 8), settings)
               for i, p in enumerate(explicit.patches)]
         assert check_overlap(rs[0], rs[1]) < 5e-4

@@ -46,6 +46,16 @@ def test_non_finite_floats_are_rejected():
         canonical_dumps([float("inf")])
 
 
+def test_nesting_past_the_recursion_limit_is_refused():
+    value = []
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(ConfigurationError, match="nests too deeply"):
+        canonical_dumps(value)
+    with pytest.raises(CertificateParseError, match="nests too deeply"):
+        deserialize("[" * 5000 + "]" * 5000)
+
+
 def test_bools_are_not_confused_with_ints():
     assert canonical_dumps({"t": True, "n": 1}).decode() == '{"n":1,"t":true}'
 

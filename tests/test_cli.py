@@ -13,6 +13,7 @@ import pytest
 from certapprox import cli
 from certapprox.certificate import (FILE_SUFFIX, certificate_from_dict, compute_digest,
                                     serialize, verify)
+from certapprox.errors import CertificateParseError
 from certapprox.glue import glued_from_dict, verify_glued
 from certapprox.limit import limit_from_dict, tent_sequence, transfer, verify_limit
 from certapprox.target import from_builtin
@@ -354,11 +355,11 @@ GOLDEN = {
             "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"),
     },
     "glued": {
-        "digest": "6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375",
-        "sha256": "db2a5809965ee24e4efbb77194cc361d0762b0bcb765e8ecdd499241597f7356",
+        "digest": "935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe",
+        "sha256": "575d76c1648d2870c756e12e5b870464df9fb95ae07d092cddd7fc0869c91f79",
         "verify": (
             "kind: glued\n"
-            "digest: 6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375\n"
+            "digest: 935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe\n"
             "reported error: 0.000447257\n"
             "recomputed error: 0.000447257 (method: compositional_w12)\n"
             "tolerance: 0.01\n"
@@ -368,14 +369,14 @@ GOLDEN = {
         "inspect": (
             "kind: glued\n"
             "target: builtin:sinpi\n"
-            "patches: 3 on [0, 1], overlap fraction 0.2\n"
+            "patches: 3 on [0, 1]\n"
             "  patch 0: [0, 0.366667] 10 terms, error 2.67098e-05\n"
             "  patch 1: [0.3, 0.7] 10 terms, error 5.94362e-05\n"
             "  patch 2: [0.633333, 1] 10 terms, error 2.67098e-05\n"
             "reconciled pairs: none\n"
             "reported error: 0.000447257\n"
             "tolerance: 0.01\n"
-            "digest: 6f5ed89351a5f9fb820fc18e87b06971ed159f820172b598efdfb7ee71761375\n"),
+            "digest: 935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe\n"),
     },
     "limit": {
         "digest": "45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475",
@@ -705,6 +706,33 @@ def test_an_unconvertible_tent_depth_is_a_usage_error(spline_cert, tmp_path):
     assert "5000 digits" in _usage_error(["verify", str(bad)], tmp_path)
 
 
+@pytest.mark.parametrize("mutate", [
+    _set("tolerance", 10 ** 400),
+    _set("reported_error", 10 ** 400),
+    _set("terms", 0, 1, 10 ** 400),
+], ids=["tolerance", "reported-error", "coefficient"])
+def test_an_overflowing_number_is_a_usage_error(spline_cert, mutate, tmp_path):
+    bad = _resealed(spline_cert, mutate, tmp_path / ("overflow" + FILE_SUFFIX))
+    for command in ("verify", "inspect"):
+        assert "non-finite number" in _usage_error([command, str(bad)], tmp_path)
+
+
+def test_nesting_past_the_recursion_limit_is_a_usage_error(spline_cert, tmp_path):
+    top = tmp_path / ("top" + FILE_SUFFIX)
+    top.write_text("[" * 200000)
+    for command in ("verify", "inspect"):
+        assert "nests too deeply" in _usage_error([command, str(top)], tmp_path)
+    # inside the opaque rule, shallow enough to load but, under the module
+    # entry point's frames, too deep for the canonical comparison
+    raw = spline_cert.read_text()
+    nested = raw.replace('"rule":{', '"rule":{"nested":' + "[" * 985 + "]" * 985 + ",", 1)
+    assert nested != raw
+    deep = tmp_path / ("deep" + FILE_SUFFIX)
+    deep.write_text(nested)
+    assert "nests too deeply to encode" in _usage_error(
+        ["verify", str(deep)], tmp_path, launch=["-m", "certapprox.cli"])
+
+
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     out = tmp_path / "missing" / "x.json"
     err = _usage_error(["limit", "--eps", "0.125", "--out", str(out)], tmp_path)
@@ -768,6 +796,46 @@ VERIFIERS = {
               lambda c: verify_glued(c, from_builtin("sinpi"))),
     "limit": ("limit_cert", limit_from_dict, verify_limit),
 }
+
+
+# a value of each JSON type; 10**400 is the number, out of range for every
+# numeric field
+REPLACEMENTS = {"string": "x", "bool": True, "null": None, "list": [],
+                "object": {}, "number": 10 ** 400}
+JSON_TYPES = {str: "string", bool: "bool", type(None): "null", list: "list",
+              dict: "object", int: "number", float: "number"}
+
+
+def _leaves(value, path="$"):
+    """(path, holder, key) of every scalar and empty container in value,
+    except under the opaque construction.rule."""
+    items = value.items() if type(value) is dict else enumerate(value)
+    for k, v in items:
+        at = f"{path}.{k}" if type(value) is dict else f"{path}[{k}]"
+        if type(v) not in (dict, list) or not v:
+            yield at, value, k
+        elif not at.endswith(".construction.rule"):
+            yield from _leaves(v, at)
+
+
+@pytest.mark.parametrize("replacement", REPLACEMENTS)
+@pytest.mark.parametrize("kind", VERIFIERS)
+def test_a_leaf_of_the_wrong_type_is_a_parse_error_naming_it(kind, replacement, request):
+    fixture, parse, _ = VERIFIERS[kind]
+    doc = json.loads(request.getfixturevalue(fixture).read_text())
+    value = REPLACEMENTS[replacement]
+    replaced = 0
+    for path, holder, key in list(_leaves(doc)):
+        old = holder[key]
+        if JSON_TYPES[type(old)] == replacement != "number":
+            continue
+        holder[key] = value
+        with pytest.raises(CertificateParseError) as e:
+            parse(doc)
+        holder[key] = old
+        assert str(e.value).startswith(path + ": "), (path, str(e.value))
+        replaced += 1
+    assert replaced > 20
 
 
 @pytest.mark.parametrize("fixture,parse,check", VERIFIERS.values(), ids=VERIFIERS.keys())

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from certapprox import glue as glue_mod, quadrature, target
 from certapprox.approximate import ExtractionSettings
-from certapprox.certificate import Construction, assemble, measure, seal, serialize
+from certapprox.certificate import (Construction, assemble, from_dict, measure, seal,
+                                    serialize, to_dict)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ReconciliationFailureError, TopologyError)
-from certapprox.glue import (DEFAULT_OVERLAP_FRACTION, Cover, GluedCertificate,
+from certapprox.glue import (Cover, GluedCertificate,
                              LocalCertificate, ReconciliationRecord, build_pou,
                              check_overlap, compositional_bound, extract_local, glue,
                              glued_from_dict, local_bspline_family, make_cover,
                              premise_faults, reconcile, verify_glued)
+from certapprox.limit import tent_sequence, transfer
 
 EPS = 1e-2
 LOCAL_SETTINGS = ExtractionSettings(0.5 * EPS)
@@ -67,7 +69,6 @@ def test_three_patch_cover_geometry(cover3):
         assert hi == pytest.approx(whi, abs=1e-15)
     s, e = cover3.overlap(0)
     assert e - s == pytest.approx(1.0 / 15.0, abs=1e-15)
-    assert cover3.overlap_fraction == DEFAULT_OVERLAP_FRACTION
 
 
 def test_single_patch_cover_is_the_domain():
@@ -78,7 +79,7 @@ def test_single_patch_cover_is_the_domain():
 
 def test_consecutive_patches_must_overlap():
     with pytest.raises(TopologyError):
-        Cover((0.0, 1.0), ((0.0, 0.4), (0.5, 1.0)), 0.2).overlap(0)
+        Cover((0.0, 1.0), ((0.0, 0.4), (0.5, 1.0))).overlap(0)
 
 
 @pytest.mark.parametrize("domain,m,frac", [
@@ -93,21 +94,31 @@ def test_make_cover_rejects_bad_requests(domain, m, frac):
         make_cover(domain, m, overlap_fraction=frac)
 
 
-def test_cover_round_trips_through_its_dict(cover3):
-    assert Cover.from_dict(cover3.to_dict()) == cover3
+def test_every_record_round_trips_through_its_dict(sinpi, locals3, cover3):
+    shifted = _perturbed_local(sinpi, locals3[1])
+    g = glue(sinpi, [locals3[0], shifted, locals3[2]], build_pou(cover3), EPS)
+    lim = transfer(tent_sequence(), 0.125)
+    member = lim.members[0]
+    records = [g, g.cover, *g.locals, *g.parents, *g.records, lim, *lim.ladder,
+               lim.modulus_record, member, member.basis, member.norm,
+               member.construction, g.locals[0].cert.construction]
+    assert len({type(r) for r in records}) == 11
+    assert any(r.deltas for r in g.records)
+    for r in records:
+        assert from_dict(type(r), to_dict(r)) == r
 
 
 # a cover whose patches 0 and 2 meet, so the ramps do not sum to one
-NON_CHAIN = Cover((0.0, 1.0), ((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)), 0.2)
+NON_CHAIN = Cover((0.0, 1.0), ((0.0, 0.6), (0.3, 0.8), (0.5, 1.0)))
 
 
 @pytest.mark.parametrize("cover,fault", [
     (NON_CHAIN, "not a chain"),
-    (Cover((0.0, 1.0), ((0.0, 0.4), (0.5, 1.0)), 0.2), "not a chain"),
-    (Cover((0.0, 1.0), ((0.0, 0.6), (0.2, 0.5), (0.4, 1.0)), 0.2), "not a chain"),
-    (Cover((0.0, 1.0), ((0.0, 0.5),), 0.2), "domain does not match"),
-    (Cover((0.5, 0.5), ((0.5, 0.5),), 0.2), "not a chain"),
-    (Cover((0.0, 1.0), ((0.0, 0.6), (0.4, 0.9)), 0.2), "domain does not match"),
+    (Cover((0.0, 1.0), ((0.0, 0.4), (0.5, 1.0))), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.6), (0.2, 0.5), (0.4, 1.0))), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.5),)), "domain does not match"),
+    (Cover((0.5, 0.5), ((0.5, 0.5),)), "not a chain"),
+    (Cover((0.0, 1.0), ((0.0, 0.6), (0.4, 0.9))), "domain does not match"),
 ])
 def test_premise_faults_name_a_broken_cover(cover, fault):
     faults = premise_faults(cover)
@@ -303,8 +314,8 @@ def test_glue_reconciles_a_shifted_member(sinpi, locals3, cover3):
     assert g.parents[0].digest == shifted.cert.digest
     assert g.genealogy[1] == shifted.cert.digest
     # the only tier-1 path through the reconcile residual: pins its bytes
-    assert g.digest == ("3894543269f83b431cbc89332a3776cb"
-                        "dcf9eb7a8cf41317e478a8880f5479a9")
+    assert g.digest == ("7e22a874a3770e30312a932e30718d89"
+                        "5e0a910045b66b7077789f06e42a6246")
     assert verify_glued(g, sinpi).verdict
 
 
