@@ -125,9 +125,9 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
 # gram solve and raw probes
 # ----------------------------------------------------------------------------
 
-def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
-    """Symmetric matrix of pairwise inner products; rule_for(a, b) picks the
-    quadrature rule of each pair.
+def gram_matrix(elements, norm: NormTag,
+                rule: quadrature.QuadratureRule | None = None) -> np.ndarray:
+    """Symmetric matrix of pairwise inner products in the norm.
 
     Only pairs whose supports overlap in an interval of positive length are
     integrated; every other entry stays +0.0, which is exactly what its
@@ -135,16 +135,68 @@ def gram_matrix(elements, norm: NormTag, rule_for) -> np.ndarray:
     sits on a panel edge, where two touching supports meet, so every node
     contributes a zero and the fsum of zeros is +0.0. For cubic B-splines
     this keeps the band |i - j| <= 3: 4k - 6 of the k(k + 1)/2 pairs.
+
+    Every pair is integrated on `rule` if one is given. Otherwise cubic
+    B-splines share one span rule, the construction rule of all the
+    elements over the norm's domain, and a pair of any other family, whose
+    elements span the domain, gets construction_rule(a, [b], norm.domain).
+    An element is evaluated once per rule, on the nodes in its closed
+    support, and a pair sums w a b (and w a' b' under W12) over the nodes
+    in both supports, a contiguous range as the nodes ascend. That is bit
+    for bit the integral over the pair's own rule: on the intersection the
+    span rule's panels are the knot spans, as are the pair rule's, every
+    other node carries an exact zero product, and integrate is an exactly
+    rounded sum.
     """
     k = len(elements)
     G = np.zeros((k, k))
     lo, hi = np.array([e.support() for e in elements], dtype=float).reshape(k, 2).T
+    if rule is None and k and elements[0].family.kind == basis.CUBIC_BSPLINE:
+        rule = quadrature.construction_rule(elements[0], elements, norm.domain)
+    shared = None if rule is None else [_on_support(e, norm, rule) for e in elements]
     for i in range(k):
         meets = np.minimum(hi[i], hi[i:]) > np.maximum(lo[i], lo[i:])
         for j in (np.flatnonzero(meets) + i).tolist():
-            a, b = elements[i], elements[j]
-            G[i, j] = G[j, i] = quadrature.inner_product(a, b, norm, rule_for(a, b))
+            if shared is not None:
+                u, v = shared[i], shared[j]
+            else:
+                a, b = elements[i], elements[j]
+                pair = quadrature.construction_rule(a, [b], norm.domain)
+                u, v = _on_support(a, norm, pair), _on_support(b, norm, pair)
+            G[i, j] = G[j, i] = _pair_inner(u, v)
     return G
+
+
+@dataclass(frozen=True)
+class _OnSupport:
+    """An element on the nodes start..stop - 1 of a rule, those in its
+    closed support: its values there for each deriv flag the norm pairs."""
+
+    element: basis.BasisElement
+    rule: quadrature.QuadratureRule
+    start: int
+    stop: int
+    values: tuple[np.ndarray, ...]
+
+
+def _on_support(e, norm: NormTag, rule: quadrature.QuadratureRule) -> _OnSupport:
+    lo, hi = e.support()
+    start = int(np.searchsorted(rule.nodes, lo, side="left"))
+    stop = int(np.searchsorted(rule.nodes, hi, side="right"))
+    x = rule.nodes[start:stop]
+    values = tuple(e.evaluate_deriv(x) if d else e.evaluate(x) for d in quadrature.paired(norm))
+    return _OnSupport(e, rule, start, stop, values)
+
+
+def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
+    """<u, v> on their common rule, summed over the nodes in both supports:
+    the integral of u v, plus under W12 that of u' v'."""
+    start, stop = max(u.start, v.start), min(u.stop, v.stop)
+    w, x = u.rule.weights[start:stop], u.rule.nodes[start:stop]
+    a, b = slice(start - u.start, stop - u.start), slice(start - v.start, stop - v.start)
+    val, *der = [quadrature.weighted_sum(w, fu[a] * fv[b], x)
+                 for fu, fv in zip(u.values, v.values)]
+    return val + der[0] if der else val
 
 
 def _probes(f, elements, norm: NormTag) -> np.ndarray:
@@ -156,11 +208,8 @@ def _probes(f, elements, norm: NormTag) -> np.ndarray:
 
 
 def _normal_system(f, elements, norm: NormTag) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix, each pair on the construction rule of its two
-    elements over the norm's domain, and the probes <f, e>."""
-    G = gram_matrix(elements, norm, lambda a, b: quadrature.construction_rule(
-        a, [b], norm.domain))
-    return G, _probes(f, elements, norm)
+    """The Gram matrix and the probes <f, e>."""
+    return gram_matrix(elements, norm), _probes(f, elements, norm)
 
 
 def _fsum_dot(head: float, u: np.ndarray, v: np.ndarray) -> float:

@@ -6,8 +6,9 @@ hierarchy phi_{2^k} on [0, 1], and clamped uniform cubic B-splines on an
 arbitrary interval. An element evaluates pointwise or on numpy arrays,
 differentiates (one-sided, right-hand convention at kinks), and reports a
 support interval that is sound: the element vanishes identically outside it.
-A B-spline and its derivative come from one loop up the Cox-de Boor
-triangle over the element's five knots, degree 0 to 3, with no recursion.
+Every B-spline value and slope, of one element or of a series, is read from
+one span table: per node, its knot span s and the four B-splines non-zero
+there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -160,7 +161,7 @@ class BasisElement:
             frac = np.ldexp(xs, j)  # 2^j * x, exact scaling
             frac -= np.floor(frac)  # exact, and in place: no third array
             return 2.0 * np.minimum(frac, 1.0 - frac)
-        return _bspline(self.family.knots(), j - 1, xs)
+        return spline_sum(self.family.knots(), ((j - 1, 1.0),), xs)
 
     def deriv(self, xs: np.ndarray) -> np.ndarray:
         kind, j = self.family.kind, self.index
@@ -175,7 +176,7 @@ class BasisElement:
             frac -= np.floor(frac)
             # right-hand derivative: rising on [0, 1/2), falling on [1/2, 1)
             return np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
-        return _bspline(self.family.knots(), j - 1, xs, slope=True)
+        return spline_sum(self.family.knots(), ((j - 1, 1.0),), xs, deriv=True)
 
     def support(self) -> tuple[float, float]:
         fam = self.family
@@ -238,34 +239,77 @@ def _chebyshev_deriv(j: int, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Cox-de Boor triangle, vectorized over x
+# the span table: Cox-de Boor over the non-zero B-splines of each node
 # ----------------------------------------------------------------------------
 
-def _bspline(t: np.ndarray, i: int, x: np.ndarray, slope: bool = False) -> np.ndarray:
-    """N_{i,3}(x), or with slope its right-hand derivative, by the Cox-de
-    Boor triangle over the knots t[i..i+4] (de Boor, A Practical Guide to
-    Splines, rev. 2001). row starts as the four span indicators; pass p
-    overwrites row[r] with N_{k,p} = (x - t_k)/d1 N_{k,p-1}
-    + (t_{k+p+1} - x)/d2 N_{k+1,p-1}, k = i + r, leaving out a term over a
-    zero-width span. The slope weighs the top entry by 3/d1 and -3/d2."""
-    row = []
-    for k in range(i, i + 4):
-        if t[k] >= t[k + 1]:
-            row.append(np.zeros_like(x))
-        else:
-            # close the final span so x == hi belongs to the last element
-            below = x <= t[k + 1] if t[k + 1] == t[-1] else x < t[k + 1]
-            row.append(np.where((x >= t[k]) & below, 1.0, 0.0))
+# nodes per pass up the triangle, so that its temporaries stay a few
+# hundred KB however many nodes a rule has
+SPAN_CHUNK = 1024
+
+
+def span_table(t: np.ndarray, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and right-hand slopes of the four B-splines N_{s-3..s,3} that
+    may be non-zero at each node x in span s, as two (n, 4) arrays; column r
+    holds N_{s-3+r,3}. One pass up the Cox-de Boor triangle over gathered
+    knots (de Boor, A Practical Guide to Splines, rev. 2001): degree p
+    fills N_{s-p+q,p}, q = 0..p, from +0.0 as
+
+        (+0.0 + (x - t_k)/d1 N_{k,p-1}) + (t_{k+p+1} - x)/d2 N_{k+1,p-1},
+
+    k = s - p + q, leaving out the two terms outside the triangle, which
+    are exact zeros. Both widths are t[s+1+j] - t[s-p+1+j] for some j, so
+    they are positive in a non-empty span and no division is masked. The
+    slope of N_{k,3} is (+0.0 + 3/d1 N_{k,2}) + (-3/d2) N_{k+1,2}. Every
+    entry is bit for bit that of the recursive formula, which computes the
+    same terms in the same order and adds zeros for the rest.
+    """
+    xc = x[:, None]
+    tk = t[s[:, None] + np.arange(-2, 4)]  # t[s-2], ..., t[s+3]
+    row = np.ones((x.size, 1))
     for p in (1, 2, 3):
-        top = slope and p == 3
-        for r in range(4 - p):
-            k = i + r
-            v = np.zeros_like(x)
-            d1 = t[k + p] - t[k]
-            if d1 > 0.0:
-                v = v + (p / d1 if top else (x - t[k]) / d1) * row[r]
-            d2 = t[k + p + 1] - t[k + 1]
-            if d2 > 0.0:
-                v = v + (-p / d2 if top else (t[k + p + 1] - x) / d2) * row[r + 1]
-            row[r] = v
-    return row[0]
+        left, right = tk[:, 3 - p:3], tk[:, 3:3 + p]  # t[s-p+1..s], t[s+1..s+p]
+        d = right - left
+        if p == 3:
+            slopes = np.zeros((x.size, 4))
+            slopes[:, 1:] += 3 / d * row
+            slopes[:, :3] += -3 / d * row
+        new = np.zeros((x.size, p + 1))
+        new[:, 1:] += (xc - left) / d * row
+        new[:, :p] += (right - xc) / d * row
+        row = new
+    return row, slopes
+
+
+def spline_sum(t: np.ndarray, terms, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """sum a N_{i,3}(x), or of the slopes, over the (i, a) terms, read from
+    span tables of SPAN_CHUNK nodes at a time, with x inside the domain.
+
+    A node's span s is the last with t[s] <= x, so t[s] < t[s+1]; x == hi
+    is closed into the last non-empty span. The terms are added in term
+    order, a repeated index again, each on the nodes of spans i..i+3: its
+    closed support but for x = t_{i+4}, where it adds +0.0. Leaving out a
+    +0.0 changes nothing, because v starts at +0.0 and a sum never turns
+    it into -0.0. Only the nodes between the first support's start and
+    the last one's end get a span, and a chunk that no term reaches builds
+    no table.
+    """
+    v = np.zeros(x.shape)
+    if not terms:
+        return v
+    into, flat = v.reshape(-1), x.reshape(-1)
+    lo, hi = t[min(i for i, _ in terms)], t[max(i for i, _ in terms) + 4]
+    inside = np.flatnonzero((flat >= lo) & (flat <= hi))
+    last = int(np.searchsorted(t, t[-1])) - 1
+    for c in range(0, inside.size, SPAN_CHUNK):
+        at = inside[c:c + SPAN_CHUNK]
+        xs = flat[at]
+        s = np.minimum(np.searchsorted(t, xs, side="right") - 1, last)
+        first, final = int(s.min()), int(s.max())
+        near = [(i, a) for i, a in terms if first - 3 <= i <= final]
+        if near:
+            rows = span_table(t, xs, s)[1 if deriv else 0]
+            for i, a in near:
+                r = i + 3 - s
+                hit = np.flatnonzero((r >= 0) & (r <= 3))
+                into[at[hit]] += a * rows[hit, r[hit]]
+    return v

@@ -51,21 +51,33 @@ ABSOLUTE_SLACK = 1e-12
 
 GREEDY = "greedy"
 
+# what json.dumps(text, ensure_ascii=False) returns for a str
+_quoted = json.encoder.encode_basestring
+
 
 # ----------------------------------------------------------------------------
 # canonical encoding
 # ----------------------------------------------------------------------------
 
-def _encode(value, out: list, path: str):
+class _Unencodable(Exception):
+    """A value canonical JSON cannot hold. The path to it is prefixed while
+    the recursion unwinds, so encoding builds no path string on success."""
+
+    def __init__(self, what: str):
+        super().__init__(what)
+        self.what, self.path = what, ""
+
+
+def _encode(value, out: list):
     if isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(_quoted(value))
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, int):
         out.append(repr(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
-            raise ConfigurationError(f"non-finite float at {path}")
+            raise _Unencodable("non-finite float")
         # the sign of zero depends on the computation path, so it must not
         # reach the digest
         out.append("%.17g" % (value + 0.0))
@@ -74,28 +86,39 @@ def _encode(value, out: list, path: str):
         for i, item in enumerate(value):
             if i:
                 out.append(",")
-            _encode(item, out, f"{path}[{i}]")
+            try:
+                _encode(item, out)
+            except _Unencodable as e:
+                e.path = f"[{i}]{e.path}"
+                raise
         out.append("]")
     elif isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
             if not isinstance(key, str):
-                raise ConfigurationError(f"non-string key at {path}")
+                raise _Unencodable("non-string key")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(_quoted(key))
             out.append(":")
-            _encode(value[key], out, f"{path}.{key}")
+            try:
+                _encode(value[key], out)
+            except _Unencodable as e:
+                e.path = f".{key}{e.path}"
+                raise
         out.append("}")
     else:
-        raise ConfigurationError(f"unserializable {type(value).__name__} at {path}")
+        raise _Unencodable(f"unserializable {type(value).__name__}")
 
 
 def canonical_dumps(value) -> bytes:
-    """Canonical JSON bytes: sorted keys, %.17g floats, UTF-8, no whitespace."""
+    """Canonical JSON bytes: sorted keys, %.17g floats, UTF-8, no whitespace.
+    A value JSON cannot hold is a ConfigurationError naming its path."""
     out: list[str] = []
     try:
-        _encode(value, out, "$")
+        _encode(value, out)
+    except _Unencodable as e:
+        raise ConfigurationError(f"{e.what} at ${e.path}") from None
     except RecursionError:
         raise ConfigurationError("value nests too deeply to encode") from None
     return "".join(out).encode("utf-8")

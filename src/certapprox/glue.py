@@ -237,7 +237,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
     fixed = [(j, c) for j, c in b.cert.terms if j not in movable]
     els = [fam.element(j) for j in movable]
     rule = quadrature.construction_rule(sa, els + [b.cert.approximant()], interval=(lo, hi))
-    G = gram_matrix(els, norm, lambda u, v: rule)
+    G = gram_matrix(els, norm, rule)
     resid = sa
     if fixed:
         # what a's approximant leaves for the movable elements on the overlap

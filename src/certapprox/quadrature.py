@@ -195,12 +195,21 @@ _HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
-    """Weighted node sum of fn, exactly rounded: math.fsum of every product.
+    """Weighted node sum of fn on the rule, exactly rounded: weighted_sum."""
+    x = rule.nodes
+    v = np.asarray(fn(x), dtype=float)
+    if v.shape != x.shape:
+        v = np.broadcast_to(v, x.shape)
+    return weighted_sum(rule.weights, v, x)
 
-    The products w_i * fn(x_i) must be finite. Each full slice r of
-    FSUM_CHUNK of them is reduced by error-free extraction (ExtractVector
-    of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): while r has a
-    nonzero entry, with max|r| < 2^e take s = e + _HEADROOM - 53 and
+
+def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
+    """math.fsum of the products w_i * v_i at the nodes x_i, exactly rounded.
+
+    The products must be finite. Each full slice r of FSUM_CHUNK of them
+    is reduced by error-free extraction (ExtractVector of Rump, Ogita and
+    Oishi, SIAM J. Sci. Comput. 31, 2008): while r has a nonzero entry,
+    with max|r| < 2^e take s = e + _HEADROOM - 53 and
 
         h = trunc(r * 2^-s) * 2^s,   partial = sum(h * 2^-s) * 2^s,   r -= h.
 
@@ -215,17 +224,15 @@ def integrate(fn, rule: QuadratureRule) -> float:
     partials and the leftover slice (shorter than FSUM_CHUNK) therefore
     sum exactly to the sum of the products, and one math.fsum rounds that
     sum correctly: the value is bit for bit that of math.fsum over every
-    product, and no order-dependent reduction reaches a digest. A sum that
-    leaves the float range on the way raises EvaluationError. A rule under
-    FSUM_CHUNK nodes goes to math.fsum as floats alone, and the temporaries
-    stay one slice in size.
+    product, and no order-dependent reduction reaches a digest. So leaving
+    out products that are exact zeros does not change it either. A product
+    that is not finite raises EvaluationError naming its node, and so does
+    a sum that leaves the float range on the way. Under FSUM_CHUNK
+    products go to math.fsum as floats alone, and the temporaries stay one
+    slice in size.
     """
-    x = rule.nodes
-    v = np.asarray(fn(x), dtype=float)
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape)
     with np.errstate(over="ignore"):
-        wv = rule.weights * v
+        wv = w * v
     if not np.isfinite(wv).all():
         at = float(x[~np.isfinite(wv)][0])
         raise EvaluationError(f"non-finite weighted integrand at node x = {at}", at)
@@ -247,16 +254,20 @@ def integrate(fn, rule: QuadratureRule) -> float:
         raise EvaluationError("weighted node sum overflows the float range") from None
 
 
-def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
-    """The integral of integrand(x, deriv=False), plus under W12 that of
-    integrand(x, deriv=True): the one place that decides what a norm pairs.
-    The sup norm pairs nothing."""
+def paired(norm: NormTag) -> tuple[bool, ...]:
+    """The deriv flags a norm's inner product pairs: values under L2, values
+    then first derivatives under W12; the one place that decides it. The
+    sup norm pairs nothing."""
     if norm.kind == SUP:
         raise UnsupportedNormError("sup norm has no inner product; sup_distance measures it")
-    val = integrate(lambda x: integrand(x, False), rule)
-    if norm.kind != W12:
-        return val
-    return val + integrate(lambda x: integrand(x, True), rule)
+    return (False, True) if norm.kind == W12 else (False,)
+
+
+def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
+    """The integral of integrand(x, deriv) for each flag paired(norm) gives,
+    added in that order."""
+    val, *der = [integrate(lambda x, d=d: integrand(x, d), rule) for d in paired(norm)]
+    return val + der[0] if der else val
 
 
 def _at(fn, x, deriv: bool) -> np.ndarray:

@@ -457,34 +457,25 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
     The domain is checked once per evaluation, not once per term. A sine
     series is summed by Reinsch's recurrence (see _sine_sum): one sine and
     one square root per node, then a multiply and three adds per node and
-    index. Every other family sums its terms one by one, and a term whose
-    support is a proper subinterval of the domain is evaluated only at the
-    points inside its closed support. That is exact: off its support a term
-    adds a * 0.0, and v + (+-0.0) == v because v starts at +0.0 and a sum
-    never turns it into -0.0.
+    index. A B-spline series reads every term from one span table per
+    chunk of nodes (see basis.spline_sum). Every other family sums its
+    terms one by one.
     """
     tt = tuple((int(j), float(a)) for j, a in terms)
-    parts = []
-    for j, a in tt:
-        e = family.element(j)  # index validation
-        support = e.support()
-        parts.append((e, a, None if support == family.domain else support))
+    parts = [(family.element(j), a) for j, a in tt]  # index validation
     if descriptor is None:
         descriptor = f"series:{family.kind}:n={len(tt)}"
     top = max((j for j, _ in tt), default=0)
 
     if family.kind == basis.FOURIER_SINE:
         total = partial(_sine_sum, _sine_runs(tt))
+    elif family.kind == basis.CUBIC_BSPLINE:
+        total = partial(basis.spline_sum, family.knots(), tuple((j - 1, a) for j, a in tt))
     else:
         def total(x, deriv=False):
             v = np.zeros_like(x)
-            for e, a, support in parts:
-                fn = e.deriv if deriv else e.value
-                if support is None:
-                    v = v + a * fn(x)
-                else:
-                    inside = (x >= support[0]) & (x <= support[1])
-                    v[inside] += a * fn(x[inside])
+            for e, a in parts:
+                v = v + a * (e.deriv(x) if deriv else e.value(x))
             return v
 
     def edges():

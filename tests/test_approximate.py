@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certapprox import quadrature, target
+from certapprox import approximate, basis, quadrature, target
 from certapprox.approximate import (ExtractionSettings, _normal_system,
                                     approximate_chebyshev, approximate_gram,
                                     approximate_greedy, approximate_orthonormal,
@@ -208,17 +210,22 @@ def _every_pair_gram(elements, norm, rule_for):
     return G
 
 
-@pytest.mark.parametrize("norm", [quadrature.w12_norm(), quadrature.l2_norm()],
-                         ids=["w12", "l2"])
-def test_banded_gram_is_byte_identical_to_every_pair(norm):
-    els = cubic_bspline_family(100).interior_elements()
-
-    def rule_for(a, b):
-        return quadrature.construction_rule(a, [a, b], norm.domain)
-
-    G = gram_matrix(els, norm, rule_for)
-    assert G.tobytes() == _every_pair_gram(els, norm, rule_for).tobytes()
-    assert np.count_nonzero(G) == 674
+@pytest.mark.parametrize("kind", [quadrature.W12, quadrature.L2], ids=["w12", "l2"])
+@given(m=st.integers(min_value=4, max_value=60),
+       lo=st.floats(min_value=-1e6, max_value=1e6),
+       width=st.floats(min_value=1e-6, max_value=1e6))
+@settings(max_examples=15, deadline=None)
+def test_banded_gram_is_byte_identical_to_every_pair(kind, m, lo, width):
+    # the shared span rule leaves out only exact-zero products, so each
+    # entry keeps the bits of its pair's own rule over the whole domain
+    domain = (lo, lo + width)
+    els = cubic_bspline_family(m, domain).elements()
+    norm = quadrature.NormTag(kind, domain)
+    G = gram_matrix(els, norm)
+    want = _every_pair_gram(els, norm, lambda a, b: quadrature.construction_rule(
+        a, [b], norm.domain))
+    assert G.tobytes() == want.tobytes()
+    assert np.count_nonzero(G) == 7 * m - 12  # the band |i - j| <= 3
 
 
 def test_banded_gram_is_byte_identical_on_an_overlap_rule():
@@ -229,7 +236,7 @@ def test_banded_gram_is_byte_identical_on_an_overlap_rule():
     s = target.series(fam, [(e.index, 0.1 * e.index) for e in els])
     rule = quadrature.construction_rule(s, els, interval=(lo, hi))
     norm = quadrature.w12_norm((lo, hi))
-    G = gram_matrix(els, norm, lambda u, v: rule)
+    G = gram_matrix(els, norm, rule)
     assert G.tobytes() == _every_pair_gram(els, norm, lambda u, v: rule).tobytes()
     assert np.count_nonzero(G) < len(els) ** 2
 
@@ -239,16 +246,36 @@ def test_banded_gram_integrates_only_the_band(monkeypatch):
     els = cubic_bspline_family(200).interior_elements()
     calls = []
 
-    def counting(a, b, norm, rule):
-        calls.append((a.index, b.index))
+    def counting(u, v):
+        calls.append((u.element.index, v.element.index))
         return 1.0
 
-    monkeypatch.setattr(quadrature, "inner_product", counting)
-    G = gram_matrix(els, quadrature.w12_norm(), lambda a, b: None)
+    monkeypatch.setattr(approximate, "_pair_inner", counting)
+    G = gram_matrix(els, quadrature.w12_norm())
     k = len(els)
     assert k == 198 and len(calls) == 4 * k - 6 == 786
     assert all(0 <= j - i <= 3 for i, j in calls)
     assert np.count_nonzero(G) == 2 * len(calls) - k
+
+
+def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):
+    # a work count, not a timer: the span tables one W12 Gram fit builds.
+    # 98 elements, each probed on its own rule (value and slope: 196), then
+    # evaluated once on the Gram's shared span rule (196); the series is
+    # measured on its 1,552-node rule in two chunks, twice (4). Evaluating
+    # per pair would build four tables for each of the 386 pairs instead.
+    calls = []
+    table = basis.span_table
+
+    def counting(t, x, s):
+        calls.append(x.size)
+        return table(t, x, s)
+
+    monkeypatch.setattr(basis, "span_table", counting)
+    els = cubic_bspline_family(100).interior_elements()
+    approximate_gram(target.from_builtin("sinpi"), els, quadrature.w12_norm(),
+                     ExtractionSettings(1e-3))
+    assert len(calls) == 2 * 98 + 2 * 98 + 4 == 396
 
 
 def test_mixed_families_are_rejected():

@@ -312,18 +312,24 @@ def test_series_panel_edges_use_finest_term():
 
 def test_bspline_series_on_supports_matches_full_evaluation():
     # each term runs only on its closed support; the sum must not move a bit
+    # in term order, shuffled or with an index picked again, as greedy does
     rng = np.random.default_rng(3)
     fam = cubic_bspline_family(30, (-0.5, 2.0))
-    terms = [(j, float(rng.normal())) for j in range(1, 31)]
-    s = target.series(fam, terms)
-    rule = quadrature.construction_rule(s, [], (-0.5, 2.0)).refined(4)
+    ordered = [(j, float(rng.normal())) for j in range(1, 31)]
+    shuffled = [ordered[i] for i in rng.permutation(30)]
+    repeated = shuffled + [(int(j), float(rng.normal())) for j in rng.integers(1, 31, 12)]
+    rule = quadrature.construction_rule(target.series(fam, ordered), [], (-0.5, 2.0)).refined(4)
     x = np.concatenate([[-0.5], rule.nodes, [2.0]])  # x == hi is in the last span
-    for restricted, full in ((s.evaluate, "evaluate"), (s.evaluate_deriv, "evaluate_deriv")):
-        want = np.zeros_like(x)
-        for j, a in terms:
-            want = want + a * getattr(fam.element(j), full)(x)
-        assert restricted(x).tobytes() == want.tobytes()
-    assert s.evaluate(2.0) == terms[-1][1]
+    for terms in (ordered, shuffled, repeated):
+        s = target.series(fam, terms)
+        for xs in (x, rng.permutation(x)):
+            for restricted, full in ((s.evaluate, "evaluate"),
+                                     (s.evaluate_deriv, "evaluate_deriv")):
+                want = np.zeros_like(xs)
+                for j, a in terms:
+                    want = want + a * getattr(fam.element(j), full)(xs)
+                assert restricted(xs).tobytes() == want.tobytes()
+    assert target.series(fam, ordered).evaluate(2.0) == ordered[-1][1]
 
 
 def _direct_sine_sum(terms, x, deriv):
