@@ -474,9 +474,18 @@ def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bo
 
 
 def measure(f, g, norm: NormTag) -> tuple[float, str]:
-    """Verification-grade ||f - g||, and its method: sup_distance for the sup
-    norm, else the construction rule of f and g on the norm's domain with
-    every panel split four ways, so no node is a construction node."""
+    """Verification-grade ||f - g||, and its method.
+
+    Two term series over one family whose terms are equal, in the same
+    order, are "same_series" at 0.0 in every norm, settled before any rule
+    or scan: the same code sums them on the same nodes, so every node
+    difference is +0.0 and the measurement below would return 0.0 too.
+    Terms that differ in any bit fall through to it: sup_distance for the
+    sup norm, else the construction rule of f and g on the norm's domain
+    with every panel split four ways, so no node is a construction node."""
+    terms = getattr(f, "terms", None)
+    if terms is not None and terms == getattr(g, "terms", None) and f.family == g.family:
+        return 0.0, "same_series"
     if norm.kind == quadrature.SUP:
         return quadrature.sup_distance(f, g, norm.domain)
     # the approximant's own panel edges already consolidate every term's

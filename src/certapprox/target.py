@@ -487,8 +487,10 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
         return family.element(top).panel_edges()
 
     def tent_kinks():
-        # deeper tent sums fall back to estimated sup norms; the exact
-        # rational machinery in the limit module reduces over one period
+        # deeper tent sums fall back to estimated sup norms, which only a
+        # forged limit member still reaches (certificate.measure settles an
+        # honest one as "same_series"); the exact rational machinery in the
+        # limit module reduces over one period
         return np.linspace(0.0, 1.0, 2 ** (top + 1) + 1) if top <= 16 else None
 
     return TargetFunction(family.domain, descriptor, total, partial(total, deriv=True),

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import quadrature, target
-from certapprox.basis import cubic_bspline_family, fourier_sine_family
+from certapprox.basis import (chebyshev_family, cubic_bspline_family,
+                              fourier_sine_family, monomial_family, tent_family)
 from certapprox.certificate import (Construction, assemble,
                                     bound_is_honored, canonical_dumps,
                                     certificate_from_dict, compute_digest,
-                                    deserialize, serialize, verify)
+                                    deserialize, measure, serialize, verify)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ToleranceViolated)
 
@@ -263,3 +264,93 @@ def test_report_serializes():
     d = report.to_dict()
     assert set(d) >= {"digest", "verdict", "bound_honored", "structural_ok"}
     canonical_dumps(d)
+
+
+# ----------------------------------------------------------------------------
+# two series with equal terms over one family: the same_series rule
+# ----------------------------------------------------------------------------
+
+NORM_KINDS = (quadrature.L2, quadrature.W12, quadrature.SUP)
+# coefficients and domains small enough that no family's values overflow
+coefficients = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+domains = st.tuples(st.floats(min_value=-2.0, max_value=2.0),
+                    st.floats(min_value=0.5, max_value=3.0)).map(
+                        lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@st.composite
+def families(draw):
+    """A family of each kind, with the indices its series may draw from; the
+    tent levels stay low, as each level doubles the rules' panels."""
+    kind = draw(st.sampled_from(("sine", "chebyshev", "monomial", "tent", "bspline")))
+    if kind == "sine":
+        return fourier_sine_family(), (1, 40)
+    if kind == "chebyshev":
+        return chebyshev_family(), (0, 40)
+    if kind == "monomial":
+        return monomial_family(draw(domains)), (0, 12)
+    if kind == "tent":
+        return tent_family(), (0, 8)
+    m = draw(st.integers(min_value=4, max_value=30))
+    return cubic_bspline_family(m, draw(domains)), (1, m)
+
+
+@st.composite
+def term_series(draw):
+    fam, (lo, hi) = draw(families())
+    terms = draw(st.lists(st.tuples(st.integers(lo, hi), coefficients),
+                          min_size=1, max_size=8))
+    return fam, tuple(terms)
+
+
+def scanned(f, g, norm):
+    """The measurement the same_series rule stands in for: sup_distance, or
+    the refined construction rule of f and g."""
+    if norm.kind == quadrature.SUP:
+        return quadrature.sup_distance(f, g, norm.domain)
+    rule = quadrature.construction_rule(f, [g], norm.domain).refined(4)
+    return (quadrature.norm_of_difference(f, g, norm, rule),
+            f"composite_gl{rule.points}x{rule.n_panels}")
+
+
+@given(case=term_series(), kind=st.sampled_from(NORM_KINDS))
+@settings(max_examples=60, deadline=None)
+def test_same_series_rule_is_what_the_measurement_gives(case, kind):
+    fam, terms = case
+    norm = quadrature.NormTag(kind, fam.domain)
+    f, g = target.series(fam, terms), target.series(fam, terms)
+    assert measure(f, g, norm) == (0.0, "same_series")
+    value, _ = scanned(f, g, norm)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@given(case=term_series(), kind=st.sampled_from(NORM_KINDS),
+       at=st.integers(min_value=0, max_value=7), reorder=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_differing_terms_are_measured(case, kind, at, reorder):
+    fam, terms = case
+    moved = terms[1:] + terms[:1]
+    if not reorder or moved == terms:
+        # the least change there is: one coefficient one ulp up
+        i = at % len(terms)
+        j, a = terms[i]
+        moved = terms[:i] + ((j, math.nextafter(a, math.inf)),) + terms[i + 1:]
+    norm = quadrature.NormTag(kind, fam.domain)
+    f, g = target.series(fam, terms), target.series(fam, moved)
+    assert measure(f, g, norm) == scanned(f, g, norm)
+
+
+@pytest.mark.parametrize("ours,theirs", [
+    (monomial_family((0.0, 1.0)), monomial_family((0.0, 2.0))),
+    (cubic_bspline_family(8), cubic_bspline_family(9)),
+    (cubic_bspline_family(8, (0.0, 1.0)), cubic_bspline_family(8, (0.0, 1.5))),
+    (tent_family(), fourier_sine_family()),
+], ids=["monomial-domain", "bspline-m", "bspline-domain", "tent-sine"])
+@given(terms=st.lists(st.tuples(st.integers(1, 8), coefficients),
+                      min_size=1, max_size=8).map(tuple),
+       kind=st.sampled_from(NORM_KINDS))
+@settings(max_examples=15, deadline=None)
+def test_equal_terms_over_other_families_are_measured(ours, theirs, terms, kind):
+    norm = quadrature.NormTag(kind, ours.domain)
+    f, g = target.series(ours, terms), target.series(theirs, terms)
+    assert measure(f, g, norm) == scanned(f, g, norm)

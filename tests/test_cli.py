@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 
 from certapprox import cli
-from certapprox.certificate import (FILE_SUFFIX, certificate_from_dict, compute_digest,
-                                    serialize, verify)
+from certapprox.certificate import (FILE_SUFFIX, canonical_dumps, certificate_from_dict,
+                                    compute_digest, serialize, verify)
 from certapprox.errors import CertificateParseError
 from certapprox.glue import glued_from_dict, verify_glued
 from certapprox.limit import limit_from_dict, tent_sequence, transfer, verify_limit
@@ -303,6 +303,27 @@ def test_limit_verify(limit_cert, capsys):
     out = capsys.readouterr().out
     assert "kind: limit" in out
     assert "verdict: PASS" in out
+
+
+DEEP_LIMIT_VERIFY = (
+    "kind: limit\n"
+    "digest: 933f7b1452107e05626ddab2b0c552c296cd7a5460cbef0adbd86a438c071d7b\n"
+    "reported error: 1.49012e-08\n"
+    "recomputed error: 1.49012e-08 (method: exact_dyadic_tail)\n"
+    "tolerance: 1e-07\n"
+    "bound honored: yes\n"
+    "structure: ok\n"
+    "verdict: PASS\n")
+
+
+def test_a_limit_member_verifies_as_the_same_series(workdir, capsys):
+    deep = _build("deep_limit", ["limit", "--eps", "1e-7"], workdir)
+    member = workdir / ("member5" + FILE_SUFFIX)
+    member.write_bytes(canonical_dumps(json.loads(deep.read_text())["members"][4]))
+    assert cli.main(["verify", str(member), "--target", "builtin:tent_series(5)"]) == 0
+    assert "recomputed error: 0 (method: same_series)\n" in capsys.readouterr().out
+    assert cli.main(["verify", str(deep)]) == 0
+    assert capsys.readouterr().out == DEEP_LIMIT_VERIFY
 
 
 def test_limit_tamper_fails(limit_cert, workdir):

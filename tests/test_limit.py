@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import target
+from certapprox import quadrature, target
 from certapprox.certificate import compute_digest, serialize
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                EvidenceContradictionError)
@@ -20,6 +20,12 @@ from certapprox.limit import (LADDER_RUNGS, Modulus, check_pair,
 @pytest.fixture(scope="module")
 def lim_milli():
     return transfer(tent_sequence(), 1e-3)
+
+
+@pytest.fixture(scope="module")
+def lim_deep():
+    # n* = 26: members past level 16 have no breakpoint sup scan
+    return transfer(tent_sequence(), 1e-7)
 
 
 # ----------------------------------------------------------------------------
@@ -391,3 +397,35 @@ def test_resealed_integer_fields_end_in_a_verdict(lim_milli, path, rung, value):
     rep = verify_limit(cert)
     # only the unchanged document passes
     assert rep.verdict == (cert.digest == lim_milli.digest)
+
+
+# ----------------------------------------------------------------------------
+# members: an honest one is its partial sum's terms, a forged one is scanned
+# ----------------------------------------------------------------------------
+
+def test_honest_members_are_not_scanned(lim_deep, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an honest member was scanned")
+    monkeypatch.setattr(quadrature, "sup_distance", refuse)
+    monkeypatch.setattr(quadrature, "norm_of_difference", refuse)
+    rep = verify_limit(lim_deep)
+    assert rep.verdict
+    assert rep.notes == ()
+    assert rep.recomputed_error == lim_deep.reported_error == 2.0 ** -26
+
+
+def _double_level_3(member):
+    def edit(doc):
+        cert = doc["members"][member - 1]
+        cert["terms"][3][1] *= 2.0
+        cert["digest"] = compute_digest(cert)
+    return edit
+
+
+@pytest.mark.parametrize("member", [5, 20])
+def test_a_resealed_member_with_a_doubled_coefficient_fails(lim_deep, member):
+    rep = verify_limit(resealed(lim_deep, _double_level_3(member)))
+    assert not rep.verdict
+    # the difference is 2^-3 T_3, whose sup is 1/8
+    assert (f"member {member}: recomputed error 0.125 vs reported 0 at tolerance 1e-15"
+            in rep.notes)
