@@ -115,10 +115,8 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
                                 f"after {settings.max_terms} probes")
     stopping = (f"parseval remainder {parseval:.6e} at N={len(terms)}; "
                 f"direct recheck {direct:.6e}")
-    construction = Construction("orthonormal_probe", stopping,
-                                rule=last_rule.to_dict())
     return assemble(f.descriptor, family, terms, norm, settings.epsilon,
-                    direct, construction)
+                    direct, Construction("orthonormal_probe", stopping))
 
 
 # ----------------------------------------------------------------------------
@@ -238,10 +236,10 @@ def envelope_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, first
 
 
-def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Envelope-Cholesky solution of G c = rhs, one fsum per value, and G's
-    condition estimate; an estimate over CONDITION_LIMIT or a non-positive
-    pivot is IllConditionedBasisError."""
+def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Envelope-Cholesky solution of G c = rhs, one fsum per value. A
+    condition estimate over CONDITION_LIMIT or a non-positive pivot is
+    IllConditionedBasisError; the estimate gates, and reaches no claim."""
     cond = math.inf
     try:
         cond = float(np.linalg.cond(G))
@@ -257,7 +255,7 @@ def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, 
     for i in reversed(range(k)):
         below = np.flatnonzero(first[i + 1:] <= i) + i + 1
         x[i] = _fsum_dot(y[i], L[below, i], x[below]) / L[i, i]
-    return x, cond
+    return x
 
 
 def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
@@ -273,7 +271,7 @@ def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, miss)
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
-                    Construction(method, stopping, rule=rule.to_dict()))
+                    Construction(method, stopping))
 
 
 def approximate_gram(f, elements, norm: NormTag,
@@ -281,10 +279,9 @@ def approximate_gram(f, elements, norm: NormTag,
     """Least-squares coefficients from the normal equations in the given norm."""
     elements = tuple(elements)
     _common_family(elements)
-    coeffs, cond = solve_normal_equations(*_normal_system(f, elements, norm))
+    coeffs = solve_normal_equations(*_normal_system(f, elements, norm))
     return _certify(f, elements, coeffs, norm, settings, "gram_solve",
-                    f"cholesky solve over {len(elements)} elements; "
-                    f"condition estimate {cond:.6e}", "gram solve best fit")
+                    f"cholesky solve over {len(elements)} elements", "gram solve best fit")
 
 
 def approximate_raw_probe(f, elements, norm: NormTag,
@@ -346,12 +343,8 @@ def approximate_chebyshev(f, degree: int,
     err = grid_max + tail
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, "degree too low")
-    # the rule chebyshev_coefficients integrates on
-    rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     construction = Construction(
-        "chebyshev_pipeline",
-        f"grid max {grid_max:.6e} + tail estimate {tail:.6e}",
-        rule=rule.to_dict(), supnorm_method=f"cheb_grid_{CHEB_ERROR_GRID}+tail_{CHEB_TAIL_TERMS}")
+        "chebyshev_pipeline", f"grid max {grid_max:.6e} + tail estimate {tail:.6e}")
     norm = NormTag(quadrature.SUP, fam.domain)
     return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
                     construction)
@@ -407,8 +400,5 @@ def approximate_greedy(f, elements, norm: NormTag,
     else:
         raise ToleranceViolated(err, settings.epsilon,
                                 f"after {settings.max_terms} picks")
-    construction = Construction(
-        "greedy", f"matching pursuit, {len(picks)} picks",
-        rule=err_rule.to_dict())
     return assemble(f.descriptor, fam, picks, norm, settings.epsilon, err,
-                    construction)
+                    Construction("greedy", f"matching pursuit, {len(picks)} picks"))

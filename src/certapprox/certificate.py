@@ -43,7 +43,7 @@ from .basis import BasisFamily
 from .errors import CertificateParseError, ConfigurationError, ToleranceViolated
 from .quadrature import NormTag
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 FILE_SUFFIX = ".uelat.json"
 
 RELATIVE_SLACK = 1e-6
@@ -183,7 +183,7 @@ def _read_exact(tp, what: str):
 
 
 _SCALARS = {int: _read_int, float: _read_float, str: _read_exact(str, "a string"),
-            bool: _read_exact(bool, "true or false"), dict: _read_exact(dict, "an object")}
+            bool: _read_exact(bool, "true or false")}
 
 
 def _read_tuple(item):
@@ -222,7 +222,7 @@ def _read_pair(first, second):
 def _codec(tp):
     """(read, write) for one field annotation. read takes the JSON value to
     the field's; write takes it back, and is None where the field's value is
-    its own JSON: scalars, and the opaque dict."""
+    its own JSON: scalars."""
     if dataclasses.is_dataclass(tp):
         return _record_codec(tp)
     if tp in _SCALARS:
@@ -313,12 +313,11 @@ def from_dict(cls, doc, path: str = "$"):
 
 @dataclass(frozen=True)
 class Construction:
-    """How a certificate was built: method, rule provenance, stopping reason."""
+    """How a certificate was built: the route, which claim_findings reads,
+    and why it stopped."""
 
     method: str
     stopping: str
-    rule: dict | None = None
-    supnorm_method: str | None = None
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,6 @@ def _limit_summary(cert) -> None:
     for rec in cert.ladder:
         print(f"  pair {rec.pair}: gap {rec.measured} < {rec.bound}")
     print(f"tail bound: {cert.tail_bound} (budget {cert.tail_budget})")
-    print(f"proxy depth: {cert.proxy_depth}")
     print(f"reported error: {_fmt(cert.reported_error)}")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"genealogy: {len(cert.genealogy)} entries")

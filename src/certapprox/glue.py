@@ -248,7 +248,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
             lambda x: sa.evaluate_deriv(x) - rest.evaluate_deriv(x))
     rhs = np.array([quadrature.inner_product(resid, e, norm, rule) for e in els])
     try:
-        sol, _ = solve_normal_equations(G, rhs)
+        sol = solve_normal_equations(G, rhs)
     except IllConditionedBasisError as e:
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): overlap system unsolvable ({e})"
@@ -282,8 +282,7 @@ def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCerti
         raise ReconciliationFailureError(
             f"adjusted patch error {err:.6g} breaks local budget {cert.tolerance:.6g}")
     construction = Construction(cert.construction.method,
-                                cert.construction.stopping + "; reconciled",
-                                rule=cert.construction.rule)
+                                cert.construction.stopping + "; reconciled")
     return assemble(cert.target_descriptor, cert.basis, new_terms, cert.norm,
                     cert.tolerance, err, construction,
                     genealogy=cert.genealogy + (cert.digest,))

@@ -4,18 +4,17 @@ The model sequence is the dyadic tent series: partial sums
 S_n(x) = sum_{k=0..n} 2^-k T_k(x) where T_k is the unit tent at scale k.
 Every question the transfer asks about this sequence has an exact rational
 answer. The sup distance between S_n and S_m is the closed form
-floor(2^(L+1)/3) / 2^m with L = m - n; tails telescope to 2^-n. Members,
-proxy and verifier take the tent law from target.tent_partial_sum.
+floor(2^(L+1)/3) / 2^m with L = m - n; tails telescope to 2^-n. Members
+and verifier take the tent law from target.tent_partial_sum.
 
 transfer(seq, eps) evaluates the modulus at eps/2 to pick the anchor depth
 n_star, measures a ladder of Cauchy gaps (n_star against the next K deeper
 members) exactly, and refuses with a contradiction naming the pair if any
 measured gap reaches eps/2. The resulting limit certificate carries the
-member certificates up to the anchor, the evidence records, the modulus
-evaluation, and a deeper proxy expansion (tent series terms a reader may
-sum; verify_limit checks them against the tent law), each with its own
-digest, so the claim re-checks from the file alone. verify_limit ties the
-anchor to its modulus record, and the ladder to its anchor, first.
+member certificates up to the anchor, the evidence records and the modulus
+evaluation, each with its own digest, so the claim re-checks from the file
+alone. verify_limit ties the anchor to its modulus record, and the ladder
+to its anchor, first.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .quadrature import NormTag, SUP
 SEQUENCE_TENT = "tent"
 DYADIC_RULE = "ceil(log2(2/epsilon))"
 LADDER_RUNGS = 8
-PROXY_EXTRA = 12
 MEMBER_TOLERANCE = 1e-15
 
 
@@ -91,10 +89,7 @@ def tent_certificate(n: int) -> ApproximationCertificate:
     if n < 0:
         raise ConfigurationError("partial sum depth must be nonnegative")
     f = target_mod.tent_partial_sum(n)
-    construction = Construction("exact_representation",
-                                f"terms copied through depth {n}; distance zero "
-                                "by shared breakpoints",
-                                supnorm_method="breakpoint_sup")
+    construction = Construction("exact_representation", f"terms copied through depth {n}")
     return assemble(f.descriptor, f.family, f.terms, NormTag(SUP, (0.0, 1.0)),
                     MEMBER_TOLERANCE, 0.0, construction)
 
@@ -181,9 +176,6 @@ class LimitCertificate(Document):
     modulus_record: ModulusRecord = field(metadata={"key": "modulus"})
     tail_bound: str
     tail_budget: str
-    proxy_depth: int
-    proxy_terms: tuple[tuple[int, float], ...]
-    proxy_tail: str
     reported_error: float
     genealogy: tuple[str, ...]
     digest: str = ""
@@ -214,15 +206,12 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
                                          frac_str(tail))
     base = members[-1]
     reported = base.reported_error + float(tail)
-    depth = n_star + PROXY_EXTRA
-    proxy_terms = target_mod.tent_partial_sum(depth).terms
-    proxy_tail = Fraction(1, 2 ** depth)
     genealogy = tuple(c.digest for c in members) \
         + tuple(r.digest for r in evidence) + (mod_rec.digest,)
     cert = LimitCertificate(
         seq.name, f"limit:{seq.name}", float(epsilon), frac_str(eps), n_star,
         members, evidence, mod_rec, frac_str(tail), frac_str(half),
-        depth, proxy_terms, frac_str(proxy_tail), reported, genealogy)
+        reported, genealogy)
     return seal(cert)
 
 
@@ -232,12 +221,12 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
 
 def limit_from_dict(doc: dict) -> LimitCertificate:
     cert = from_dict(LimitCertificate, doc)
-    if cert.n_star < 1 or cert.proxy_depth < 0:
-        raise CertificateParseError("$: n_star must be at least 1, proxy_depth at least 0")
+    if cert.n_star < 1:
+        raise CertificateParseError("$: n_star must be at least 1")
     # every exact rational of an honest transfer is positive
     mod = cert.modulus_record
     for q in (cert.epsilon_exact, cert.tail_bound, cert.tail_budget,
-              cert.proxy_tail, mod.epsilon, mod.argument,
+              mod.epsilon, mod.argument,
               *(r.measured for r in cert.ladder), *(r.bound for r in cert.ladder)):
         try:
             positive = parse_frac(q) > 0
@@ -317,10 +306,6 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
                 notes.append(
                     f"evidence {rec.pair}: measured gap {frac_str(remeasured)} "
                     f"reaches bound {frac_str(half)}")
-        # the length first: a hostile depth must not build a huge series
-        if (len(cert.proxy_terms) != cert.proxy_depth + 1 or cert.proxy_terms
-                != target_mod.tent_partial_sum(cert.proxy_depth).terms):
-            notes.append("proxy terms do not follow the sequence law")
     if anchored:
         tail = Fraction(1, 2 ** cert.n_star)
         if parse_frac(cert.tail_bound) != tail:

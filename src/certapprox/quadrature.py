@@ -151,12 +151,6 @@ class QuadratureRule:
         return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, self.points,
                               (float(e[0]), *fine.reshape(-1).tolist()))
 
-    def to_dict(self) -> dict:
-        """Provenance record; the policy is "structural" or "pipeline" by kind."""
-        policy = "structural" if self.kind == COMPOSITE_GAUSS_LEGENDRE else "pipeline"
-        return {"kind": self.kind, "points": int(self.points),
-                "panels": int(self.n_panels), "policy": policy}
-
 
 def gauss_chebyshev_rule(points: int) -> QuadratureRule:
     return QuadratureRule(GAUSS_CHEBYSHEV, points, (-1.0, 1.0))

@@ -259,8 +259,8 @@ class TargetFunction:
     domain check and the scalar-in, scalar-out rule. On demand, edges gives
     the panel edges a rule should honor (the endpoints when None) and
     breakpoints the kinks of a piecewise-linear function (None if it is not
-    one). Both stay lazy: a limit certificate's proxy, a tent series of
-    depth n*+12, has a top grid of 2^(depth+1) floats nothing asks for.
+    one). Both stay lazy: a tent series of depth n has a top grid of
+    2^(n+1) floats, which a limit's deepest members never need.
     family and terms are set for term series only.
 
     descriptor is the stable identity recorded in certificates: expression

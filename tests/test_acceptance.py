@@ -129,7 +129,7 @@ def test_c4_minimal_rank_for_the_identity(capsys):
         assert remainder(2025) >= 1e-2
         # the probe rules outgrow FSUM_CHUNK nodes: pins integrate's bytes
         assert hashlib.sha256(serialize(cert)).hexdigest() == (
-            "774c5441aa07ae55b7ddaef2026cc63117bb0ab3aa4a042214726b23cbfa47bc")
+            "e3a3d20dae21c83bc5d343ef2e955bb4e40eefeca04b8c29c4c4060f82c949b4")
         assert verify(cert, f).verdict
 
 
@@ -240,7 +240,7 @@ def test_c7_durability_and_determinism(capsys):
         assert blobs == second
         # every route's bytes, pinned across refactors
         assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
-            "d3396499e8cb194842b3abaea6650b4115a6fbde982801951650b5d13c445af0")
+            "0aa5184899ac496611800a25d265f6cc17198b656671a7c8bf21674186a6e4e0")
         # forged copies must fail the recheck
         for victim, fn in ((first[70], target.from_builtin("sinpi")),
                            (first[30], target.from_builtin("exp"))):

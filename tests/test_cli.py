@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from certapprox import cli
+from certapprox.approximate import CONDITION_LIMIT
 from certapprox.certificate import (FILE_SUFFIX, canonical_dumps, certificate_from_dict,
                                     compute_digest, serialize, verify)
 from certapprox.errors import CertificateParseError
@@ -37,11 +39,13 @@ def _build(name, argv, workdir):
     return out
 
 
+SPLINE_BUILD = ["approximate", "--target", "builtin:sinpi", "--basis", "cubic_bspline",
+                "--knots", "10", "--eps", "1e-3"]
+
+
 @pytest.fixture(scope="module")
 def spline_cert(workdir):
-    return _build("spline", ["approximate", "--target", "builtin:sinpi",
-                             "--basis", "cubic_bspline", "--knots", "10",
-                             "--eps", "1e-3"], workdir)
+    return _build("spline", SPLINE_BUILD, workdir)
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +311,7 @@ def test_limit_verify(limit_cert, capsys):
 
 DEEP_LIMIT_VERIFY = (
     "kind: limit\n"
-    "digest: 933f7b1452107e05626ddab2b0c552c296cd7a5460cbef0adbd86a438c071d7b\n"
+    "digest: 7561cc2086327a0d9ea6f5383f629e0395ed37f166816eb6e829d66945dcf4ea\n"
     "reported error: 1.49012e-08\n"
     "recomputed error: 1.49012e-08 (method: exact_dyadic_tail)\n"
     "tolerance: 1e-07\n"
@@ -351,11 +355,11 @@ def test_limit_tolerance_gate(workdir, eps):
 
 GOLDEN = {
     "spline": {
-        "digest": "6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260",
-        "sha256": "38309ed784bf8f660201b03ab8cc415735ec73b2d416f6ea8587a3124242cd34",
+        "digest": "6d850dd99df62e099e2611a49e3047164e2c9cee2ac71964566cbd384bb8ea24",
+        "sha256": "445127e531d03eaf8eeaae19fc1e006fd3e870cdbc88c6b1115c135cccc5c79c",
         "verify": (
             "kind: approximation\n"
-            "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"
+            "digest: 6d850dd99df62e099e2611a49e3047164e2c9cee2ac71964566cbd384bb8ea24\n"
             "reported error: 0.000559534\n"
             "recomputed error: 0.000559534 (method: composite_gl16x36)\n"
             "tolerance: 0.001\n"
@@ -369,18 +373,18 @@ GOLDEN = {
             "norm: w12\n"
             "terms: 10\n"
             "method: gram_solve\n"
-            "stopping: cholesky solve over 10 elements; condition estimate 1.232093e+01\n"
+            "stopping: cholesky solve over 10 elements\n"
             "reported error: 0.000559534\n"
             "tolerance: 0.001\n"
             "genealogy: 0 entries\n"
-            "digest: 6c9fd441927111574c66bd5ed076d44922188a1301292f54c6051fc8a92e9260\n"),
+            "digest: 6d850dd99df62e099e2611a49e3047164e2c9cee2ac71964566cbd384bb8ea24\n"),
     },
     "glued": {
-        "digest": "935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe",
-        "sha256": "575d76c1648d2870c756e12e5b870464df9fb95ae07d092cddd7fc0869c91f79",
+        "digest": "d0329b63ae046f2b0854cd321752e1bd86f6fbeb5da4fe64ea9511335a92ec9a",
+        "sha256": "41cfea4f3e9e2c1883ea37343e8791ee3c3c92287a3458371df77589ed6e016d",
         "verify": (
             "kind: glued\n"
-            "digest: 935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe\n"
+            "digest: d0329b63ae046f2b0854cd321752e1bd86f6fbeb5da4fe64ea9511335a92ec9a\n"
             "reported error: 0.000447257\n"
             "recomputed error: 0.000447257 (method: compositional_w12)\n"
             "tolerance: 0.01\n"
@@ -397,14 +401,14 @@ GOLDEN = {
             "reconciled pairs: none\n"
             "reported error: 0.000447257\n"
             "tolerance: 0.01\n"
-            "digest: 935ac1d009878f9f0a8c9af7251eaa61b2a7bd2a78cf53c13fc636a3f336defe\n"),
+            "digest: d0329b63ae046f2b0854cd321752e1bd86f6fbeb5da4fe64ea9511335a92ec9a\n"),
     },
     "limit": {
-        "digest": "45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475",
-        "sha256": "00f21a2c4840aba23aff5a72c71e94d8c18fc40cad7ab3bb346139afe2fc7e44",
+        "digest": "9e9f7fa2151e941623de309bb5fbcbea39a0beff0adab20fe128199108df2d6a",
+        "sha256": "c9107baa40f40263e0a76277d346f16daa5a51b3b5b4be13d6fc6c8ac7435904",
         "verify": (
             "kind: limit\n"
-            "digest: 45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475\n"
+            "digest: 9e9f7fa2151e941623de309bb5fbcbea39a0beff0adab20fe128199108df2d6a\n"
             "reported error: 0.03125\n"
             "recomputed error: 0.03125 (method: exact_dyadic_tail)\n"
             "tolerance: 0.125\n"
@@ -426,18 +430,17 @@ GOLDEN = {
             "  pair (5, 12): gap 85/4096 < 1/16\n"
             "  pair (5, 13): gap 85/4096 < 1/16\n"
             "tail bound: 1/32 (budget 1/16)\n"
-            "proxy depth: 17\n"
             "reported error: 0.03125\n"
             "tolerance: 0.125\n"
             "genealogy: 14 entries\n"
-            "digest: 45523f9c90ee27273895ac5180faab8e08c6bc079ab53e7bea7510d9897b7475\n"),
+            "digest: 9e9f7fa2151e941623de309bb5fbcbea39a0beff0adab20fe128199108df2d6a\n"),
     },
     "ramp": {
-        "digest": "0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc",
-        "sha256": "15cef3160b0217d18716856fe9ddb40af99816850c29fc4f14e729722c61c89a",
+        "digest": "7c960223352e07a3fb4f1f550c309ba96875c318eeb92ef72d0a104946843177",
+        "sha256": "d1f14c8861997551e314923f5c18db4a81f9f5fc4b597a581861e5d697679a49",
         "verify": (
             "kind: approximation\n"
-            "digest: 0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc\n"
+            "digest: 7c960223352e07a3fb4f1f550c309ba96875c318eeb92ef72d0a104946843177\n"
             "reported error: 0.191686\n"
             "recomputed error: 0.191686 (method: composite_gl16x24)\n"
             "tolerance: 0.2\n"
@@ -455,7 +458,7 @@ GOLDEN = {
             "reported error: 0.191686\n"
             "tolerance: 0.2\n"
             "genealogy: 0 entries\n"
-            "digest: 0f30dee836de6907f018c89166900ef73ef7c259b5b84ed30eea6c284880c9cc\n"),
+            "digest: 7c960223352e07a3fb4f1f550c309ba96875c318eeb92ef72d0a104946843177\n"),
     },
 }
 
@@ -477,6 +480,42 @@ def test_golden_corpus(spline_cert, glued_cert, limit_cert, sample_cert, capsys)
         assert capsys.readouterr().out == want["verify"], name
         assert cli.main(["inspect", str(path)]) == 0
         assert capsys.readouterr().out == want["inspect"], name
+
+
+# what each kind seals: the claim, and nothing a verifier does not read
+APPROXIMATION_KEYS = {"schema_version", "kind", "target", "basis", "terms", "norm",
+                      "tolerance", "reported_error", "construction", "genealogy", "digest"}
+GLUED_KEYS = {"schema_version", "kind", "target", "cover", "locals", "parents",
+              "reconciliation", "tolerance", "reported_error", "genealogy", "digest"}
+LIMIT_KEYS = {"schema_version", "kind", "sequence", "target", "tolerance", "epsilon_exact",
+              "n_star", "members", "ladder", "modulus", "tail_bound", "tail_budget",
+              "reported_error", "genealogy", "digest"}
+
+
+def test_golden_documents_seal_only_the_claim(spline_cert, glued_cert, limit_cert):
+    spline, glued, lim = (json.loads(p.read_text())
+                          for p in (spline_cert, glued_cert, limit_cert))
+    assert set(glued) == GLUED_KEYS
+    assert set(lim) == LIMIT_KEYS
+    for doc in (spline, *(lc["certificate"] for lc in glued["locals"]), *lim["members"]):
+        assert set(doc) == APPROXIMATION_KEYS
+        assert set(doc["construction"]) == {"method", "stopping"}
+
+
+def test_no_lapack_value_reaches_a_digest(spline_cert, workdir, monkeypatch):
+    # np.linalg.cond gates IllConditionedBasisError; any estimate under the
+    # limit must build the same bytes
+    calls = []
+
+    def cond(G, *args, **kwargs):
+        calls.append(len(G))
+        return 0.5 * CONDITION_LIMIT
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    again = workdir / ("cond" + FILE_SUFFIX)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(SPLINE_BUILD + ["--out", str(again)]) == 0
+    assert calls == [10]
+    assert again.read_bytes() == spline_cert.read_bytes()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -743,15 +782,15 @@ def test_nesting_past_the_recursion_limit_is_a_usage_error(spline_cert, tmp_path
     top.write_text("[" * 200000)
     for command in ("verify", "inspect"):
         assert "nests too deeply" in _usage_error([command, str(top)], tmp_path)
-    # inside the opaque rule, shallow enough to load but, under the module
-    # entry point's frames, too deep for the canonical comparison
+    # under a key no certificate reads, at depths around the deepest the
+    # module entry point can load: the load, the canonical comparison or the
+    # unsealed key refuses each, in one line
     raw = spline_cert.read_text()
-    nested = raw.replace('"rule":{', '"rule":{"nested":' + "[" * 985 + "]" * 985 + ",", 1)
-    assert nested != raw
     deep = tmp_path / ("deep" + FILE_SUFFIX)
-    deep.write_text(nested)
-    assert "nests too deeply to encode" in _usage_error(
-        ["verify", str(deep)], tmp_path, launch=["-m", "certapprox.cli"])
+    for depth in range(984, 990):
+        deep.write_text(raw.replace("{", '{"nested":' + "[" * depth + "]" * depth + ",", 1))
+        err = _usage_error(["verify", str(deep)], tmp_path, launch=["-m", "certapprox.cli"])
+        assert "nests too deeply" in err or "does not seal" in err, err
 
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
@@ -828,14 +867,13 @@ JSON_TYPES = {str: "string", bool: "bool", type(None): "null", list: "list",
 
 
 def _leaves(value, path="$"):
-    """(path, holder, key) of every scalar and empty container in value,
-    except under the opaque construction.rule."""
+    """(path, holder, key) of every scalar and empty container in value."""
     items = value.items() if type(value) is dict else enumerate(value)
     for k, v in items:
         at = f"{path}.{k}" if type(value) is dict else f"{path}[{k}]"
         if type(v) not in (dict, list) or not v:
             yield at, value, k
-        elif not at.endswith(".construction.rule"):
+        else:
             yield from _leaves(v, at)
 
 
@@ -857,6 +895,19 @@ def test_a_leaf_of_the_wrong_type_is_a_parse_error_naming_it(kind, replacement, 
         assert str(e.value).startswith(path + ": "), (path, str(e.value))
         replaced += 1
     assert replaced > 20
+
+
+@pytest.mark.parametrize("kind", VERIFIERS)
+def test_a_version_1_document_is_a_parse_error_naming_the_version(kind, request, workdir,
+                                                                  capsys):
+    fixture, parse, _ = VERIFIERS[kind]
+    old = _resealed(request.getfixturevalue(fixture), _set("schema_version", "1"),
+                    workdir / ("version1" + FILE_SUFFIX))
+    with pytest.raises(CertificateParseError, match=r"^\$\.schema_version: expected '2'$"):
+        parse(json.loads(old.read_text()))
+    capsys.readouterr()
+    assert cli.main(["verify", str(old)]) == 4
+    assert capsys.readouterr().err == "error: $.schema_version: expected '2'\n"
 
 
 @pytest.mark.parametrize("fixture,parse,check", VERIFIERS.values(), ids=VERIFIERS.keys())

@@ -158,7 +158,7 @@ def test_member_certificates_copy_the_terms_exactly():
     assert c.terms == ((0, 1.0), (1, 0.5), (2, 0.25), (3, 0.125))
     assert c.reported_error == 0.0
     assert c.construction.method == "exact_representation"
-    assert c.construction.supnorm_method == "breakpoint_sup"
+    assert c.construction.stopping == "terms copied through depth 3"
     assert c.target_descriptor == "series:tent:n=3"
 
 
@@ -218,8 +218,6 @@ def test_transfer_milli_shape(lim_milli):
     assert lim.tail_budget == frac_str(Fraction(1e-3) / 2)
     assert lim.reported_error == 0.000244140625
     assert lim.reported_error == 2.0 ** -12
-    assert lim.proxy_depth == 24
-    assert lim.proxy_tail == "1/16777216"
     assert lim.ladder[0].pair == (12, 13)
     assert lim.ladder[0].measured == "1/8192"
 
@@ -247,11 +245,6 @@ def test_understated_modulus_is_contradicted_by_the_ladder():
         transfer(bad, 1e-3)
     assert e.value.pair == (1, 2)
     assert e.value.measured == "1/4"
-
-
-def test_proxy_terms_follow_the_dyadic_law(lim_milli):
-    for k, a in lim_milli.proxy_terms:
-        assert a == 2.0 ** -k
 
 
 # ----------------------------------------------------------------------------
@@ -374,8 +367,7 @@ def test_a_rung_bound_must_be_the_tail_budget(lim_milli):
 
 
 INTEGER_FIELDS = [("n_star",), ("ladder", "rung", "pair", 0),
-                  ("ladder", "rung", "pair", 1), ("modulus", "value"),
-                  ("proxy_depth",)]
+                  ("ladder", "rung", "pair", 1), ("modulus", "value")]
 
 
 @given(path=st.sampled_from(INTEGER_FIELDS),

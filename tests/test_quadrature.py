@@ -106,16 +106,6 @@ def test_refined_edges_match_per_panel_linspace(case, factor):
     assert fine.tobytes() == _refined_edges_by_loop(rule.edges, factor).tobytes()
 
 
-def test_to_dict_policy_follows_the_rule_kind():
-    # composite Gauss-Legendre edges follow structure, Gauss-Chebyshev nodes
-    # the pipeline; neither record lists edges
-    structural = q.construction_rule(target.from_builtin("sinpi"), [], (0.0, 1.0))
-    assert structural.to_dict() == {"kind": q.COMPOSITE_GAUSS_LEGENDRE, "points": 16,
-                                    "panels": structural.n_panels, "policy": "structural"}
-    assert q.gauss_chebyshev_rule(12).to_dict() == {
-        "kind": q.GAUSS_CHEBYSHEV, "points": 12, "panels": 1, "policy": "pipeline"}
-
-
 # ----------------------------------------------------------------------------
 # construction rules honor structure
 # ----------------------------------------------------------------------------
