@@ -22,8 +22,8 @@ Adverse findings land in the report's notes; verification itself does not
 raise on a failed claim. Every verifier ends in verdict(): structure from
 the structural notes alone, then the measurement, then the bound, so a
 numeric lie fails the bound, never the structure. Genealogy resolves in a
-store, a plain dict from digest to certificate or record, which every
-verifier takes as `store`.
+store, a plain dict from the digest each certificate or record hashes to,
+which every verifier takes as `store`.
 """
 
 from __future__ import annotations
@@ -121,7 +121,10 @@ def canonical_dumps(value) -> bytes:
         raise ConfigurationError(f"{e.what} at ${e.path}") from None
     except RecursionError:
         raise ConfigurationError("value nests too deeply to encode") from None
-    return "".join(out).encode("utf-8")
+    try:
+        return "".join(out).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can spell
+        raise ConfigurationError("a string or key is not UTF-8 text") from None
 
 
 def compute_digest(doc: dict) -> str:
@@ -174,16 +177,23 @@ def _read_float(v):
     raise _Refused("non-finite number")
 
 
-def _read_exact(tp, what: str):
-    def read(v):
-        if type(v) is not tp:
-            raise _Refused(f"not {what}")
-        return v
-    return read
+def _read_bool(v):
+    if type(v) is not bool:
+        raise _Refused("not true or false")
+    return v
 
 
-_SCALARS = {int: _read_int, float: _read_float, str: _read_exact(str, "a string"),
-            bool: _read_exact(bool, "true or false")}
+def _read_str(v):
+    if type(v) is not str:
+        raise _Refused("not a string")
+    try:
+        v.encode("utf-8")  # a lone surrogate escape reads as unencodable text
+    except UnicodeEncodeError:
+        raise _Refused("not UTF-8 text") from None
+    return v
+
+
+_SCALARS = {int: _read_int, float: _read_float, str: _read_str, bool: _read_bool}
 
 
 def _read_tuple(item):
@@ -403,11 +413,6 @@ def seal(record):
     return dataclasses.replace(record, digest=compute_digest(to_dict(record)))
 
 
-def digest_ok(record) -> bool:
-    """The record's digest seals its canonical content."""
-    return record.digest == compute_digest(to_dict(record))
-
-
 def _non_finite(text: str):
     raise CertificateParseError(f"non-finite number {text} in JSON")
 
@@ -494,27 +499,29 @@ def measure(f, g, norm: NormTag) -> tuple[float, str]:
         f"composite_gl{rule.points}x{rule.n_panels}"
 
 
-def envelope_findings(cert, parse, store: dict | None = None, embedded=None):
-    """Structural checks that every document kind shares.
+def envelope_findings(cert, store: dict | None = None, embedded=None):
+    """Structural checks that every document kind shares, on the parsed
+    record: from_dict reads each value back as written, and the CLI holds
+    the one layout check, input bytes against the record's canonical bytes.
 
-    The digest must seal the canonical content, the canonical bytes must
-    round-trip through parse (the kind's own from_dict), and every genealogy
-    entry must be a well-formed digest. Given embedded certificates or
-    records, they join the caller's store, whose entries win on a shared
-    digest; when there is a store, every genealogy entry must resolve in it.
+    The digest must seal the canonical content and every genealogy entry
+    must be a well-formed digest. Each embedded certificate or record is
+    hashed once, filed under the digest it hashes to, and noted if it claims
+    another; the caller's store, which the CLI keys the same way, wins on a
+    shared digest. Given a store, every genealogy entry must resolve in it.
     Returns the notes and that store.
     """
     notes = []
-    if not digest_ok(cert):
+    if cert.digest != compute_digest(to_dict(cert)):
         notes.append("digest does not match canonical content")
-    data = serialize(cert)
-    try:
-        if serialize(parse(json.loads(data))) != data:
-            notes.append("serialization does not round-trip to identical bytes")
-    except CertificateParseError as e:
-        notes.append(f"serialization round-trip failed: {e}")
     if embedded is not None:
-        store = {**{item.digest: item for item in embedded}, **(store or {})}
+        hashed = {}
+        for item in embedded:
+            hashed[digest := compute_digest(to_dict(item))] = item
+            if digest != item.digest:
+                notes.append(f"embedded record {item.digest[:16]}... does not hash to"
+                             " its digest")
+        store = {**hashed, **(store or {})}
     for g in cert.genealogy:
         if len(g) != 64 or any(c not in "0123456789abcdef" for c in g):
             notes.append(f"malformed genealogy digest {g[:16]}...")
@@ -554,6 +561,6 @@ def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> Veri
 
     Never raises on adverse findings; the report carries them.
     """
-    notes, _ = envelope_findings(cert, certificate_from_dict, store)
+    notes, _ = envelope_findings(cert, store)
     notes += claim_findings(cert)
     return verdict(cert, notes, lambda: measure(f, cert.approximant(), cert.norm), "error")

@@ -164,7 +164,8 @@ def _load_store(paths) -> dict | None:
             raise CertificateParseError(
                 f"{p}: only approximation certificates can seed the store")
         cert = certificate.certificate_from_dict(doc)
-        store[cert.digest] = cert
+        # filed under the digest it hashes to, so a stale file resolves nothing
+        store[certificate.compute_digest(cert.to_dict())] = cert
     return store
 
 

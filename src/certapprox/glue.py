@@ -398,7 +398,7 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
     record and the gate tolerance/(2M). The recomputed error is the bound over
     the locals' reported errors and the recomputed mismatches."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
-    notes, store = envelope_findings(cert, glued_from_dict, store, embedded)
+    notes, store = envelope_findings(cert, store, embedded)
     cover = cert.cover
     faults = premise_faults(cover, cert.locals, cert.tolerance)
     notes += faults

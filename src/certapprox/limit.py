@@ -25,8 +25,8 @@ from typing import Callable
 
 from . import target as target_mod
 from .certificate import (ApproximationCertificate, Construction, Document,
-                          VerificationReport, assemble, digest_ok,
-                          envelope_findings, from_dict, seal, verdict)
+                          VerificationReport, assemble, envelope_findings,
+                          from_dict, seal, verdict)
 from .certificate import verify as verify_approximation
 from .errors import (CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, IncompleteSequenceError)
@@ -253,7 +253,7 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
     """
     mod = cert.modulus_record
     embedded = cert.members + cert.ladder + (mod,)
-    notes, store = envelope_findings(cert, limit_from_dict, store, embedded)
+    notes, store = envelope_findings(cert, store, embedded)
     if cert.sequence != SEQUENCE_TENT:
         notes.append(f"unknown sequence {cert.sequence!r}; nothing can be re-measured")
     eps = parse_frac(cert.epsilon_exact)
@@ -262,8 +262,6 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
         notes.append("tail budget is not half of epsilon")
     if cert.genealogy != tuple(item.digest for item in embedded):
         notes.append("genealogy does not list members, ladder, modulus in order")
-    if not digest_ok(mod):
-        notes.append("modulus record digest mismatch")
     if mod.rule == DYADIC_RULE:
         if exact_ceil_log2(2 / parse_frac(mod.argument)) != mod.value:
             notes.append("modulus value does not match its rule")
@@ -291,8 +289,6 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
             report = verify_approximation(member, f_n, store)
             notes.extend(f"member {i}: {n}" for n in report.notes)
         for rec in cert.ladder:
-            if not digest_ok(rec):
-                notes.append(f"evidence {rec.pair} digest mismatch")
             if parse_frac(rec.bound) != half:
                 notes.append(f"evidence {rec.pair}: bound {rec.bound} is not the tail budget")
             if not (anchored and climbs):

@@ -57,6 +57,18 @@ def test_nesting_past_the_recursion_limit_is_refused():
         deserialize("[" * 5000 + "]" * 5000)
 
 
+def test_a_lone_surrogate_is_refused_as_a_string_or_key():
+    # json.loads reads the escape \ud800 as a str no UTF-8 text holds
+    with pytest.raises(ConfigurationError, match="not UTF-8 text"):
+        canonical_dumps({"target": "sin\ud800"})
+    with pytest.raises(ConfigurationError, match="not UTF-8 text"):
+        canonical_dumps({"\ud800": 1})
+    doc = json.loads(serialize(_simple_cert()).replace(b'"builtin:sinpi"',
+                                                       b'"builtin:sinpi\\ud800"'))
+    with pytest.raises(CertificateParseError, match=r"^\$\.target: not UTF-8 text$"):
+        certificate_from_dict(doc)
+
+
 def test_bools_are_not_confused_with_ints():
     assert canonical_dumps({"t": True, "n": 1}).decode() == '{"n":1,"t":true}'
 

@@ -793,6 +793,22 @@ def test_nesting_past_the_recursion_limit_is_a_usage_error(spline_cert, tmp_path
         assert "nests too deeply" in err or "does not seal" in err, err
 
 
+def test_a_lone_surrogate_is_a_usage_error(spline_cert, tmp_path, capsys):
+    # the JSON escape \ud800 reads back as a str no UTF-8 text holds
+    raw = spline_cert.read_text()
+    in_target = tmp_path / ("surrogate-target" + FILE_SUFFIX)
+    in_target.write_text(raw.replace('"builtin:sinpi"', '"builtin:sinpi\\ud800"'))
+    in_key = tmp_path / ("surrogate-key" + FILE_SUFFIX)
+    in_key.write_text(raw.replace("{", '{"\\ud800":1,', 1))
+    for command in ("verify", "inspect"):
+        err = _usage_error([command, str(in_target)], tmp_path)
+        assert err == "error: $.target: not UTF-8 text\n"
+    assert "not UTF-8 text" in _usage_error(["verify", str(in_key)], tmp_path)
+    # inspect only parses, and no certificate reads that key
+    assert cli.main(["inspect", str(in_key)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     out = tmp_path / "missing" / "x.json"
     err = _usage_error(["limit", "--eps", "0.125", "--out", str(out)], tmp_path)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import glue as glue_mod, quadrature, target
+from certapprox import cli, glue as glue_mod, quadrature, target
 from certapprox.approximate import ExtractionSettings
-from certapprox.certificate import (Construction, assemble, from_dict, measure, seal,
+from certapprox.certificate import (Construction, assemble, canonical_dumps,
+                                    compute_digest, from_dict, measure, seal,
                                     serialize, to_dict)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ReconciliationFailureError, TopologyError)
@@ -432,3 +433,60 @@ def test_verify_glued_checks_each_member(glued3, sinpi):
     doc["locals"][1]["certificate"]["reported_error"] = 1e-12
     forged = glued_from_dict(doc)
     assert not verify_glued(forged, sinpi).verdict
+
+
+# ----------------------------------------------------------------------------
+# embedded records and store files count under the digest they hash to
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def reconciled3(sinpi, locals3, cover3):
+    shifted = _perturbed_local(sinpi, locals3[1])
+    return glue(sinpi, [locals3[0], shifted, locals3[2]], build_pou(cover3), EPS)
+
+
+def test_a_rewritten_parent_under_a_resealed_top_fails(reconciled3, sinpi, tmp_path, capsys):
+    doc = json.loads(serialize(reconciled3))
+    parent = doc["parents"][0]
+    parent["terms"] = [[j, 2.0 * a] for j, a in parent["terms"]]
+    doc["digest"] = compute_digest(doc)
+    rep = verify_glued(glued_from_dict(doc), sinpi)
+    assert not rep.verdict and not rep.structural_ok
+    assert (f"embedded record {parent['digest'][:16]}... does not hash to its digest"
+            in rep.notes)
+    path = tmp_path / "parent-rewritten.json"
+    path.write_bytes(canonical_dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 3
+    assert "does not hash to its digest" in capsys.readouterr().out
+
+
+def test_a_store_file_that_does_not_hash_to_its_digest_resolves_nothing(
+        reconciled3, tmp_path, capsys):
+    child, parent = reconciled3.locals[1].cert, reconciled3.parents[0]
+    assert child.genealogy == (parent.digest,)
+    child_path, parent_path = tmp_path / "child.json", tmp_path / "parent.json"
+    child_path.write_bytes(serialize(child))
+    parent_path.write_bytes(serialize(parent))
+    verify = ["verify", str(child_path), "--store", str(parent_path)]
+    assert cli.main(verify) == 0
+    # the claimed digest kept, the content changed
+    doc = to_dict(parent)
+    doc["terms"][0][1] += 1.0
+    parent_path.write_bytes(canonical_dumps(doc))
+    capsys.readouterr()
+    assert cli.main(verify) == 3
+    assert (f"genealogy digest {parent.digest[:16]}... does not resolve"
+            in capsys.readouterr().out)
+
+
+def test_verifying_a_parsed_glue_parses_nothing_and_hashes_each_record_at_most_twice(
+        reconciled3, sinpi, work):
+    g = glued_from_dict(json.loads(serialize(reconciled3)))
+    embedded = len(g.locals) + len(g.parents)
+    assert embedded == 4
+    work.clear()
+    assert verify_glued(g, sinpi).verdict
+    # the top digest, each embedded record's, and each local's own
+    assert work["from_dict"] == 0
+    assert work["canonical_dumps"] <= 1 + 2 * embedded

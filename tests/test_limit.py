@@ -265,6 +265,17 @@ def test_limit_round_trips_byte_identically(lim_milli):
     assert verify_limit(again).verdict
 
 
+def test_verifying_a_parsed_limit_parses_nothing_and_hashes_each_record_at_most_twice(
+        lim_milli, work):
+    lim = limit_from_dict(json.loads(serialize(lim_milli)))
+    embedded = len(lim.members) + len(lim.ladder) + 1
+    work.clear()
+    assert verify_limit(lim).verdict
+    # the top digest, each embedded record's, and each member's own
+    assert work["from_dict"] == 0
+    assert work["canonical_dumps"] <= 1 + 2 * embedded
+
+
 def test_doctored_ladder_rung_fails_verification(lim_milli):
     doc = json.loads(serialize(lim_milli))
     doc["ladder"][3]["measured"] = "1/1000000"

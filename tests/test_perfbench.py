@@ -1,15 +1,21 @@
-"""The traced benchmark wraps certapprox functions by name; a rename in
-src/ must fail here rather than break the benchmark's traced runs."""
+"""The benchmark calls certapprox directly and wraps its functions by name
+when traced; a change in src/ that breaks either must fail here rather than
+in the benchmark's runs."""
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+import certapprox
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,13 +32,13 @@ def _bindings():
 
 def test_every_traced_name_still_exists():
     missing = [(getattr(owner, "__name__", owner), attr)
-               for owner, attr, _, _ in _spans()._targets()
+               for owner, attr, _, _ in _load("spans")._targets()
                if not hasattr(owner, attr)]
     assert missing == []
 
 
 def test_tracer_install_and_uninstall_round_trip():
-    spans = _spans()
+    spans = _load("spans")
     targets = [(owner, attr, getattr(owner, attr))
                for owner, attr, _, _ in spans._targets()]
     before = _bindings()
@@ -47,3 +53,18 @@ def test_tracer_install_and_uninstall_round_trip():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("workload", ["gram_workload", "compose_workload"])
+def test_in_process_workloads_build_verify_and_refuse_their_forgeries(
+        workload, monkeypatch, tmp_path):
+    # the worker imports spans from its own directory
+    monkeypatch.setitem(sys.modules, "spans", _load("spans"))
+    worker = _load("worker")
+    bench, _ = getattr(worker, workload)(certapprox, random.Random(1), str(tmp_path))
+    for doc in bench.docs:
+        cert = doc.build()
+        assert doc.pinned(cert) is None, doc.name
+        data = certapprox.canonical_dumps(cert.to_dict())
+        assert doc.verify(data).verdict, doc.name
+        assert not doc.verify(worker.forge(certapprox, data)).verdict, doc.name
