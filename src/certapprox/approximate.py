@@ -138,52 +138,54 @@ def gram_matrix(elements, norm: NormTag,
     B-splines share one span rule, the construction rule of all the
     elements over the norm's domain, and a pair of any other family, whose
     elements span the domain, gets construction_rule(a, [b], norm.domain).
-    An element is evaluated once per rule, on the nodes in its closed
-    support, and a pair sums w a b (and w a' b' under W12) over the nodes
-    in both supports, a contiguous range as the nodes ascend. That is bit
-    for bit the integral over the pair's own rule: on the intersection the
-    span rule's panels are the knot spans, as are the pair rule's, every
-    other node carries an exact zero product, and integrate is an exactly
-    rounded sum.
+    _on_rule reads each rule's elements once, and a pair sums w a b (and
+    w a' b' under W12) over the nodes in both supports, a contiguous range.
+    That is bit for bit the integral over the pair's own rule: on the
+    intersection the span rule's panels are the knot spans, as are the pair
+    rule's, every other node carries an exact zero product, and integrate
+    is an exactly rounded sum.
     """
     k = len(elements)
     G = np.zeros((k, k))
     lo, hi = np.array([e.support() for e in elements], dtype=float).reshape(k, 2).T
     if rule is None and k and elements[0].family.kind == basis.CUBIC_BSPLINE:
         rule = quadrature.construction_rule(elements[0], elements, norm.domain)
-    shared = None if rule is None else [_on_support(e, norm, rule) for e in elements]
+    shared = None if rule is None else _on_rule(elements, norm, rule)
     for i in range(k):
         meets = np.minimum(hi[i], hi[i:]) > np.maximum(lo[i], lo[i:])
         for j in (np.flatnonzero(meets) + i).tolist():
-            if shared is not None:
-                u, v = shared[i], shared[j]
-            else:
-                a, b = elements[i], elements[j]
-                pair = quadrature.construction_rule(a, [b], norm.domain)
-                u, v = _on_support(a, norm, pair), _on_support(b, norm, pair)
+            a, b = elements[i], elements[j]
+            u, v = (shared[i], shared[j]) if shared else _on_rule(
+                [a, b], norm, quadrature.construction_rule(a, [b], norm.domain))
             G[i, j] = G[j, i] = _pair_inner(u, v)
     return G
 
 
 @dataclass(frozen=True)
 class _OnSupport:
-    """An element on the nodes start..stop - 1 of a rule, those in its
-    closed support: its values there for each deriv flag the norm pairs."""
+    """An element or a target on the nodes start..stop - 1 of a rule, those
+    in its support: its values there for each deriv flag the norm pairs."""
 
-    element: basis.BasisElement
+    element: basis.BasisElement | target_mod.TargetFunction
     rule: quadrature.QuadratureRule
     start: int
     stop: int
     values: tuple[np.ndarray, ...]
 
 
-def _on_support(e, norm: NormTag, rule: quadrature.QuadratureRule) -> _OnSupport:
-    lo, hi = e.support()
-    start = int(np.searchsorted(rule.nodes, lo, side="left"))
-    stop = int(np.searchsorted(rule.nodes, hi, side="right"))
-    x = rule.nodes[start:stop]
-    values = tuple(e.evaluate_deriv(x) if d else e.evaluate(x) for d in quadrature.paired(norm))
-    return _OnSupport(e, rule, start, stop, values)
+def _on_rule(elements, norm: NormTag, rule: quadrature.QuadratureRule) -> list[_OnSupport]:
+    """Each element of one family on the nodes of `rule` in its closed
+    support; B-splines read one basis.SpanTable, bit for bit e.evaluate."""
+    x, flags = rule.nodes, quadrature.paired(norm)
+    ends = np.array([e.support() for e in elements], dtype=float).reshape(-1, 2)
+    starts = np.searchsorted(x, ends[:, 0], side="left").tolist()
+    stops = np.searchsorted(x, ends[:, 1], side="right").tolist()
+    fam = elements[0].family
+    table = basis.SpanTable(fam, x) if fam.kind == basis.CUBIC_BSPLINE else None
+    return [_OnSupport(e, rule, i, j, tuple(
+        table.column(e.index, d, i, j) if table else
+        (e.evaluate_deriv(x[i:j]) if d else e.evaluate(x[i:j])) for d in flags))
+        for e, i, j in zip(elements, starts, stops)]
 
 
 def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
@@ -197,12 +199,19 @@ def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
     return val + der[0] if der else val
 
 
-def _probes(f, elements, norm: NormTag) -> np.ndarray:
-    """<f, e> for every element, each on its own construction rule, which
-    for a B-spline spans only its support; f is evaluated anew on each.
-    approximate_orthonormal's probes share one rule per block instead."""
-    return np.array([quadrature.inner_product(
-        f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
+def _probes(f, elements, norm: NormTag, rule=None) -> np.ndarray:
+    """<f, e> for every element. B-splines share `rule` (by default that of
+    f and them), f evaluated on it once; each probe sums its element's
+    support nodes, bit for bit inner_product on any rule with `rule`'s
+    panels there. Others probe on construction_rule(f, [e], norm.domain)."""
+    if elements[0].family.kind != basis.CUBIC_BSPLINE:
+        return np.array([quadrature.inner_product(
+            f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
+    rule = rule or quadrature.construction_rule(f, elements, norm.domain)
+    x = rule.nodes
+    on_f = _OnSupport(f, rule, 0, x.size, tuple(
+        f.evaluate_deriv(x) if d else f.evaluate(x) for d in quadrature.paired(norm)))
+    return np.array([_pair_inner(on_f, u) for u in _on_rule(elements, norm, rule)])
 
 
 def _normal_system(f, elements, norm: NormTag) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +267,18 @@ def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _certify(f, elements, coeffs, norm: NormTag, settings: ExtractionSettings,
+def _certify(f, elements, norm: NormTag, settings: ExtractionSettings, solve,
              method: str, stopping: str, miss: str) -> ApproximationCertificate:
-    """Measure the series of coefficients (in element order) against f, gate
-    it, and assemble the claim with its terms in index order."""
-    fam = elements[0].family
+    """Fit solve(probes) over the elements (in their order), measure the fit
+    against f on the probes' rule, that of f, the elements and their series
+    (whose edges follow its indices alone), gate it and assemble the claim."""
+    fam = _common_family(elements)
+    zero = target_mod.series(fam, [(e.index, 0.0) for e in elements])
+    rule = quadrature.construction_rule(f, [*elements, zero], norm.domain)
+    coeffs = solve(_probes(f, elements, norm, rule))
     order = sorted(range(len(elements)), key=lambda i: elements[i].index)
     terms = [(elements[i].index, float(coeffs[i])) for i in order]
     g = target_mod.series(fam, terms)
-    rule = quadrature.construction_rule(f, list(elements) + [g], norm.domain)
     err = quadrature.norm_of_difference(f, g, norm, rule)
     if err >= settings.epsilon:
         raise ToleranceViolated(err, settings.epsilon, miss)
@@ -278,10 +290,10 @@ def approximate_gram(f, elements, norm: NormTag,
                      settings: ExtractionSettings) -> ApproximationCertificate:
     """Least-squares coefficients from the normal equations in the given norm."""
     elements = tuple(elements)
-    _common_family(elements)
-    coeffs = solve_normal_equations(*_normal_system(f, elements, norm))
-    return _certify(f, elements, coeffs, norm, settings, "gram_solve",
-                    f"cholesky solve over {len(elements)} elements", "gram solve best fit")
+    return _certify(f, elements, norm, settings,
+                    lambda probes: solve_normal_equations(gram_matrix(elements, norm), probes),
+                    "gram_solve", f"cholesky solve over {len(elements)} elements",
+                    "gram solve best fit")
 
 
 def approximate_raw_probe(f, elements, norm: NormTag,
@@ -293,9 +305,8 @@ def approximate_raw_probe(f, elements, norm: NormTag,
     the violation carries the achieved error.
     """
     elements = tuple(elements)
-    _common_family(elements)
-    return _certify(f, elements, _probes(f, elements, norm), norm,
-                    settings, "raw_probe", f"independent probes over {len(elements)} elements",
+    return _certify(f, elements, norm, settings, lambda probes: probes, "raw_probe",
+                    f"independent probes over {len(elements)} elements",
                     "raw probes, no correction")
 
 

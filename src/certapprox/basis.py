@@ -313,3 +313,25 @@ def spline_sum(t: np.ndarray, terms, x: np.ndarray, deriv: bool = False) -> np.n
                 hit = np.flatnonzero((r >= 0) & (r <= 3))
                 into[at[hit]] += a * rows[hit, r[hit]]
     return v
+
+
+class SpanTable:
+    """Every element of a B-spline family at ascending nodes x, refused as
+    e.evaluate refuses them: per node its span s and its span_table rows."""
+
+    def __init__(self, family: BasisFamily, x: np.ndarray):
+        t = family.knots()
+        last = int(np.searchsorted(t, t[-1])) - 1  # as spline_sum finds spans
+        self.s = pointwise(family.domain, lambda xs: np.minimum(
+            np.searchsorted(t, xs, side="right") - 1, last), x)
+        chunks = [span_table(t, x[c:c + SPAN_CHUNK], self.s[c:c + SPAN_CHUNK])
+                  for c in range(0, x.size, SPAN_CHUNK)]
+        self.rows = [np.concatenate(r) for r in zip(*chunks)]
+
+    def column(self, index: int, deriv: bool, start: int, stop: int) -> np.ndarray:
+        """Element `index` or its slope at nodes start..stop - 1, as spline_sum sums it."""
+        r = index + 2 - self.s[start:stop]
+        hit = np.flatnonzero((r >= 0) & (r <= 3))
+        v = np.zeros(stop - start)
+        v[hit] += self.rows[deriv][start + hit, r[hit]]
+        return v

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature, target as target_mod
-from .approximate import (ExtractionSettings, approximate_gram, gram_matrix,
+from .approximate import (ExtractionSettings, _probes, approximate_gram, gram_matrix,
                           solve_normal_equations)
 from .basis import BasisFamily, cubic_bspline_family
 from .certificate import (ApproximationCertificate, Construction, Document,
@@ -217,9 +217,9 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
 
     Elements of b with no support on the overlap keep their coefficients;
     the rest are re-fit by least squares in W12(overlap) against a's
-    approximant. Three gates, each a reconciliation failure when missed:
-    every coefficient delta stays below `delta`, the post-adjustment
-    mismatch falls below `delta`, and b still meets its own patch budget.
+    approximant, the residual evaluated once on the overlap rule. Three
+    gates fail reconciliation when missed: every coefficient delta and the
+    post-adjustment mismatch stay below `delta`, and b keeps its patch budget.
     """
     pre = check_overlap(a, b)
     if pre < delta:
@@ -246,9 +246,8 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
             (lo, hi), "reconcile residual",
             lambda x: sa.evaluate(x) - rest.evaluate(x),
             lambda x: sa.evaluate_deriv(x) - rest.evaluate_deriv(x))
-    rhs = np.array([quadrature.inner_product(resid, e, norm, rule) for e in els])
     try:
-        sol = solve_normal_equations(G, rhs)
+        sol = solve_normal_equations(G, _probes(resid, els, norm, rule))
     except IllConditionedBasisError as e:
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): overlap system unsolvable ({e})"
@@ -394,9 +393,9 @@ def glued_from_dict(doc: dict) -> GluedCertificate:
 
 def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
     """Re-check a glued claim from its parts, never evaluating the blend: the
-    premises, every local, the records, and each overlap mismatch against its
-    record and the gate tolerance/(2M). The recomputed error is the bound over
-    the locals' reported errors and the recomputed mismatches."""
+    premises, every local, the records and their deltas, and each overlap
+    mismatch against its record and the gate tolerance/(2M). The recomputed
+    error is the bound over the locals' errors and recomputed mismatches."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
     notes, store = envelope_findings(cert, store, embedded)
     cover = cert.cover
@@ -413,6 +412,14 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
             notes.append(f"unadjusted pair {r.pair} records an adjustment")
     if sum(r.adjusted for r in cert.records) != len(cert.parents):
         notes.append("adjusted pairs and parents differ in number")
+    for r, parent in zip([r for r in cert.records if r.adjusted], cert.parents):
+        # the adjusted local is its parent but at the deltas, bit for bit
+        old, moved = dict(parent.terms), dict(r.deltas)
+        new = dict(cert.locals[r.pair[1]].cert.terms) if r.pair in chain else {}
+        if not (list(new) == list(old)
+                and all(j in new and (new[j] - old[j]).hex() == d.hex() for j, d in r.deltas)
+                and all(new[j].hex() == old[j].hex() for j in new if j not in moved)):
+            notes.append(f"adjusted pair {r.pair}: deltas are not its local less its parent")
     recorded = {r.pair: r.post_mismatch for r in cert.records}
     delta = cert.tolerance / (2.0 * cover.m)
     mismatches = []

@@ -222,8 +222,8 @@ def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
     out products that are exact zeros does not change it either. A product
     that is not finite raises EvaluationError naming its node, and so does
     a sum that leaves the float range on the way. Under FSUM_CHUNK
-    products go to math.fsum as floats alone, and the temporaries stay one
-    slice in size.
+    products go to math.fsum as floats alone, with no slice buffer, and the
+    temporaries stay one slice in size.
     """
     with np.errstate(over="ignore"):
         wv = w * v
@@ -232,7 +232,7 @@ def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
         raise EvaluationError(f"non-finite weighted integrand at node x = {at}", at)
     full = wv.size - wv.size % FSUM_CHUNK
     parts = wv[full:].tolist()
-    ints = np.empty(FSUM_CHUNK)
+    ints = np.empty(FSUM_CHUNK) if full else None
     try:
         for i in range(0, full, FSUM_CHUNK):
             r = wv[i:i + FSUM_CHUNK]  # a view: wv is spent slice by slice

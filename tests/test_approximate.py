@@ -17,7 +17,7 @@ from certapprox.approximate import (ExtractionSettings, _normal_system,
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family)
 from certapprox.certificate import verify
-from certapprox.errors import (ConfigurationError, IllConditionedBasisError,
+from certapprox.errors import (ConfigurationError, DomainError, IllConditionedBasisError,
                                NoProgressError, ToleranceViolated)
 
 
@@ -261,10 +261,11 @@ def test_banded_gram_integrates_only_the_band(monkeypatch):
 
 def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):
     # a work count, not a timer: the span tables one W12 Gram fit builds.
-    # 98 elements, each probed on its own rule (value and slope: 196), then
-    # evaluated once on the Gram's shared span rule (196); the series is
-    # measured on its 1,552-node rule in two chunks, twice (4). Evaluating
-    # per pair would build four tables for each of the 386 pairs instead.
+    # The Gram's span rule and the fit rule, which the probes and the
+    # series' measurement share, both have 1,552 nodes: two chunks each
+    # for the Gram's table (2) and the probes' (2), each holding values and
+    # slopes, and for the series' values and its slopes (4). A table per
+    # element and flag would build 392 for the first two.
     calls = []
     table = basis.span_table
 
@@ -276,7 +277,63 @@ def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):
     els = cubic_bspline_family(100).interior_elements()
     approximate_gram(target.from_builtin("sinpi"), els, quadrature.w12_norm(),
                      ExtractionSettings(1e-3))
-    assert len(calls) == 2 * 98 + 2 * 98 + 4 == 396
+    assert calls == [1024, 528] * 4
+
+
+def _own_rule_probes(f, elements, norm):
+    # the reference: each element probed on its own construction rule over
+    # the whole domain, f evaluated anew on each
+    return np.array([quadrature.inner_product(
+        f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
+
+
+def _probe_target(shape, fam):
+    lo, hi = fam.domain
+    width = hi - lo
+    if shape == "expression":  # negative on part of the domain
+        return target.from_expression(f"sin(5*(x - {lo!r})/{width!r}) - 0.3", fam.domain)
+    t = np.unique(fam.knots())
+    kinks = {"on_knots": t, "near_knots": t + 3e-14 * width * (-1.0) ** np.arange(t.size),
+             "between_knots": 0.5 * (t[:-1] + t[1:])}[shape]
+    xs = np.unique(np.concatenate([[lo], kinks[(kinks > lo) & (kinks < hi)], [hi]]))
+    return target.piecewise_linear(xs, np.cos(3.0 * np.arange(xs.size)) - 0.2)
+
+
+@pytest.mark.parametrize("kind", [quadrature.W12, quadrature.L2], ids=["w12", "l2"])
+@pytest.mark.parametrize("shape", ["expression", "on_knots", "near_knots", "between_knots"])
+@given(m=st.integers(min_value=4, max_value=60),
+       lo=st.floats(min_value=-1e6, max_value=1e6),
+       width=st.floats(min_value=1e-6, max_value=1e6))
+@settings(max_examples=10, deadline=None)
+def test_span_table_probes_are_byte_identical_to_own_rule_probes(kind, shape, m, lo, width):
+    # one shared rule drops only exact-zero products off each support, so
+    # every probe keeps the bits of its own rule's; the data targets (what
+    # a data: file loads) put kinks on knots, within 3e-14 of the width
+    # from them, where construction_rule coalesces slivers, and between
+    fam = cubic_bspline_family(m, (lo, lo + width))
+    els = fam.elements()
+    norm = quadrature.NormTag(kind, fam.domain)
+    f = _probe_target(shape, fam)
+    want = _own_rule_probes(f, els, norm).tobytes()
+    assert approximate._probes(f, els, norm).tobytes() == want
+    # and on the rule approximate_gram's measurement shares
+    zero = target.series(fam, [(e.index, 0.0) for e in els])
+    fit = quadrature.construction_rule(f, [*els, zero], norm.domain)
+    assert approximate._probes(f, els, norm, fit).tobytes() == want
+
+
+@pytest.mark.parametrize("route", [approximate_gram, approximate_raw_probe])
+@pytest.mark.parametrize("kind", [quadrature.W12, quadrature.L2], ids=["w12", "l2"])
+def test_elements_probed_off_their_domain_are_refused(route, kind):
+    # a norm domain wider than the family's: e.evaluate's DomainError, which
+    # the shared span table raises before it finds any span
+    f = target.from_builtin("sinpi")
+    els = cubic_bspline_family(8, (0.0, 0.5)).elements()
+    norm = quadrature.NormTag(kind, (0.0, 1.0))
+    with pytest.raises(DomainError, match=r"outside \[0.0, 0.5\]"):
+        approximate._probes(f, els, norm)
+    with pytest.raises(DomainError, match=r"outside \[0.0, 0.5\]"):
+        route(f, els, norm, ExtractionSettings(1e-3))
 
 
 def test_mixed_families_are_rejected():

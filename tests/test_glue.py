@@ -255,6 +255,53 @@ def test_reconcile_fails_on_an_unreachable_gate(sinpi, locals3):
         reconcile(sinpi, locals3[0], shifted, 1e-9)
 
 
+@pytest.fixture(scope="module")
+def compose_pair(sinpi):
+    # the benchmark's compose shape: 20 patches, the odd local bumped
+    cover = make_cover((0.0, 1.0), 20)
+    a, b = (extract_local(sinpi, i, p, local_bspline_family(p, 8), LOCAL_SETTINGS)
+            for i, p in enumerate(cover.patches[:2]))
+    return a, _perturbed_local(sinpi, b, bump=1e-4, at=2), EPS / (2 * cover.m)
+
+
+def test_reconcile_right_hand_side_and_solution_match_per_element_probes(
+        sinpi, compose_pair, monkeypatch):
+    # the table-read right-hand side against one inner_product per movable
+    # element on the same overlap rule: the same bytes, so the same solution
+    a, b, delta = compose_pair
+    tabled, seen, results = glue_mod._probes, [], []
+
+    def per_element(f, els, norm, rule):
+        return np.array([quadrature.inner_product(f, e, norm, rule) for e in els])
+
+    for probes in (tabled, per_element):
+        monkeypatch.setattr(glue_mod, "_probes",
+                            lambda *args, probes=probes: seen.append(probes(*args)) or seen[-1])
+        results.append(reconcile(sinpi, a, b, delta))
+    (child, record), (child_want, record_want) = results
+    assert record.adjusted and len(record.deltas) == len(seen[0]) == 5
+    assert seen[0].tobytes() == seen[1].tobytes()
+    assert record == record_want and child.cert.digest == child_want.cert.digest
+
+
+def test_reconcile_evaluates_the_residual_once_per_flag(sinpi, compose_pair, monkeypatch):
+    # a work count: the residual's values and slopes, once each on the
+    # overlap rule, however many elements reach the overlap
+    a, b, delta = compose_pair
+    calls = []
+    for name in ("evaluate", "evaluate_deriv"):
+        method = getattr(target.TargetFunction, name)
+
+        def counting(self, x, name=name, method=method):
+            if self.descriptor == "reconcile residual":
+                calls.append(name)
+            return method(self, x)
+        monkeypatch.setattr(target.TargetFunction, name, counting)
+    _, record = reconcile(sinpi, a, b, delta)
+    assert record.adjusted and len(record.deltas) == 5
+    assert calls == ["evaluate", "evaluate_deriv"]
+
+
 # ----------------------------------------------------------------------------
 # gluing
 # ----------------------------------------------------------------------------
@@ -459,6 +506,28 @@ def test_a_rewritten_parent_under_a_resealed_top_fails(reconciled3, sinpi, tmp_p
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 3
     assert "does not hash to its digest" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", ["replaced", "dropped", "untracked"])
+def test_resealed_reconciliation_deltas_must_be_the_local_less_its_parent(
+        reconciled3, sinpi, edit):
+    doc = json.loads(serialize(reconciled3))
+    record = doc["reconciliation"][0]
+    assert record["adjusted"] and len(record["deltas"]) > 1
+    if edit == "replaced":
+        record["deltas"] = [[2, 0.5]]
+    elif edit == "dropped":
+        record["deltas"] = record["deltas"][:-1]
+    else:  # a coefficient outside the deltas moves, its local resealed
+        local = doc["locals"][1]["certificate"]
+        moved = {j for j, _ in record["deltas"]}
+        k = next(k for k, (j, _) in enumerate(local["terms"]) if j not in moved)
+        local["terms"][k][1] += 1e-9
+        local["digest"] = compute_digest(local)
+    doc["digest"] = compute_digest(doc)
+    rep = verify_glued(glued_from_dict(doc), sinpi)
+    assert not rep.verdict
+    assert "adjusted pair (0, 1): deltas are not its local less its parent" in rep.notes
 
 
 def test_a_store_file_that_does_not_hash_to_its_digest_resolves_nothing(
