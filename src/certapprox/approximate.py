@@ -318,17 +318,21 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
 
     Integrates f * T_j on the 2(degree+1) point Gauss-Chebyshev rule, whose
-    weights carry 1/sqrt(1-x^2), with f evaluated once; a_0 carries the
+    weights carry 1/sqrt(1-x^2), with f evaluated once and the T_j read
+    from term tables of about basis.TABLE_ENTRIES entries; a_0 carries the
     1/pi normalization, the rest 2/pi.
     """
     rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     fam = basis.chebyshev_family()
-    fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
+    x = rule.nodes
+    fx = np.asarray(f.evaluate(x), dtype=float)
     out = np.empty(degree + 1)
-    for j in range(degree + 1):
-        e = fam.element(j)
-        ip = quadrature.integrate(lambda x: fx * e.value(x), rule)
-        out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
+    block = max(1, basis.TABLE_ENTRIES // x.size)
+    for j0 in range(0, degree + 1, block):
+        rows = basis.term_table(fam, range(j0, min(j0 + block, degree + 1)), x)
+        for j, row in enumerate(rows, j0):
+            ip = quadrature.weighted_sum(rule.weights, fx * row, x)
+            out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
     return out
 
 

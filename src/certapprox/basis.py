@@ -8,7 +8,9 @@ differentiates (one-sided, right-hand convention at kinks), and reports a
 support interval that is sound: the element vanishes identically outside it.
 Every B-spline value and slope, of one element or of a series, is read from
 one span table: per node, its knot span s and the four B-splines non-zero
-there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle.
+there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle. Every other
+value and slope, of one element or of many, is a row of one term table
+(term_table): terms by nodes, each kind's formula written once.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -150,33 +152,17 @@ class BasisElement:
         return pointwise(self.family.domain, self.deriv, x)
 
     def value(self, xs: np.ndarray) -> np.ndarray:
-        kind, j = self.family.kind, self.index
-        if kind == CHEBYSHEV:
-            return np.cos(j * np.arccos(np.clip(xs, -1.0, 1.0)))
-        if kind == FOURIER_SINE:
-            return math.sqrt(2.0) * np.sin(j * np.pi * xs)
-        if kind == MONOMIAL:
-            return xs ** j
-        if kind == TENT:
-            frac = np.ldexp(xs, j)  # 2^j * x, exact scaling
-            frac -= np.floor(frac)  # exact, and in place: no third array
-            return 2.0 * np.minimum(frac, 1.0 - frac)
-        return spline_sum(self.family.knots(), ((j - 1, 1.0),), xs)
+        return self._rows(xs, False)
 
     def deriv(self, xs: np.ndarray) -> np.ndarray:
-        kind, j = self.family.kind, self.index
-        if kind == CHEBYSHEV:
-            return _chebyshev_deriv(j, xs)
-        if kind == FOURIER_SINE:
-            return math.sqrt(2.0) * j * np.pi * np.cos(j * np.pi * xs)
-        if kind == MONOMIAL:
-            return j * xs ** (j - 1) if j > 0 else np.zeros_like(xs)
-        if kind == TENT:
-            frac = np.ldexp(xs, j)
-            frac -= np.floor(frac)
-            # right-hand derivative: rising on [0, 1/2), falling on [1/2, 1)
-            return np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
-        return spline_sum(self.family.knots(), ((j - 1, 1.0),), xs, deriv=True)
+        return self._rows(xs, True)
+
+    def _rows(self, xs: np.ndarray, deriv: bool) -> np.ndarray:
+        # the one-term case of the family's evaluator, in the shape of xs
+        if self.family.kind == CUBIC_BSPLINE:
+            return spline_sum(self.family.knots(), ((self.index - 1, 1.0),), xs, deriv)
+        xs = np.asarray(xs, dtype=float)
+        return term_table(self.family, (self.index,), xs.reshape(-1), deriv).reshape(xs.shape)
 
     def support(self) -> tuple[float, float]:
         fam = self.family
@@ -202,10 +188,7 @@ class BasisElement:
             return np.linspace(lo, hi, j + 1)
         if kind == TENT:
             return np.linspace(0.0, 1.0, 2 ** (j + 1) + 1)
-        a, b = self.support()
-        t = self.family.knots()
-        inside = t[(t >= a) & (t <= b)]
-        return np.unique(inside)
+        return np.unique(support_knots(self.family, (j,)))
 
 
 def pointwise(domain: tuple[float, float], fn, x):
@@ -224,17 +207,87 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _chebyshev_deriv(j: int, x: np.ndarray) -> np.ndarray:
-    if j == 0:
-        return np.zeros_like(x)
-    out = np.empty_like(x)
+def support_knots(family: BasisFamily, indices) -> np.ndarray:
+    """The knots t[j-1..j+3] of the supports of B-spline elements j in
+    indices, ascending, from one mask over the family's knot vector; an
+    index range no support covers adds none, and the clamped ends repeat."""
+    t = family.knots()
+    cover = np.zeros(t.size + 1, dtype=int)
+    j = np.asarray(indices, dtype=int)
+    np.add.at(cover, j - 1, 1)
+    np.add.at(cover, j + 4, -1)
+    return t[np.cumsum(cover[:-1]) > 0]
+
+
+# ----------------------------------------------------------------------------
+# the term table: every element of a series at a chunk of nodes
+# ----------------------------------------------------------------------------
+
+# term-node entries per table, so that a table and its temporaries stay a
+# few hundred KB however many terms and nodes a caller has
+TABLE_ENTRIES = 16384
+
+
+def term_table(family: BasisFamily, indices, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """Values, or with deriv right-hand slopes, of the elements `indices`
+    of a chebyshev, fourier_sine, monomial or tent family at the nodes x,
+    1-D and inside the domain, as a (len(indices), x.size) array whose row
+    k is element indices[k]; B-splines read their span table instead.
+
+    Every entry gets the floating-point operations of its element alone,
+    in the same order: T_j is cos(j arccos(x)) from one arccos per node,
+    sqrt(2) sin(j pi x) scales its angle by the float j pi, a tent takes
+    2^j x by ldexp, and x^j is x ** j row by row, because numpy picks its
+    power loop by the exponent's type and layout (a scalar 2 squares), and
+    np.power over an array of exponents can round x^2 otherwise. numpy's
+    elementwise functions depend on the value alone, not on its neighbours
+    or the array's length, so a row is bit for bit its element at any node
+    count (tests/test_target.py checks that).
+    """
+    kind, js = family.kind, list(indices)
+    if kind == CHEBYSHEV:
+        if deriv:
+            return _chebyshev_slopes(js, x)
+        t = np.multiply.outer(np.asarray(js, dtype=float), np.arccos(np.clip(x, -1.0, 1.0)))
+        return np.cos(t, out=t)
+    if kind == FOURIER_SINE:
+        t = np.multiply.outer(np.asarray([j * np.pi for j in js]), x)
+        if deriv:
+            scale = np.asarray([math.sqrt(2.0) * j * np.pi for j in js])[:, None]
+            return np.multiply(scale, np.cos(t, out=t), out=t)
+        return np.multiply(math.sqrt(2.0), np.sin(t, out=t), out=t)
+    if kind == MONOMIAL:
+        rows = np.zeros((len(js), x.size))
+        for row, j in zip(rows, js):
+            if not deriv:
+                row[:] = x ** j
+            elif j > 0:
+                row[:] = j * x ** (j - 1)
+        return rows
+    if kind == TENT:
+        frac = np.ldexp(x, np.asarray(js, dtype=int)[:, None])  # 2^j * x, exact
+        frac -= np.floor(frac)  # exact, and in place
+        if deriv:
+            # right-hand derivative: rising on [0, 1/2), falling on [1/2, 1)
+            up = np.asarray([2.0 ** (j + 1) for j in js])[:, None]
+            return np.where(frac < 0.5, up, -up)
+        return np.multiply(2.0, np.minimum(frac, 1.0 - frac, out=frac), out=frac)
+    raise ConfigurationError(f"{kind} reads its span table, not a term table")
+
+
+def _chebyshev_slopes(js: list, x: np.ndarray) -> np.ndarray:
+    # j sin(j theta) / sin(theta) inside, and the limits j^2 and
+    # (-1)^(j+1) j^2 within 1e-12 of the ends; T_0 is flat
+    out = np.empty((len(js), x.size))
     near_hi = x > 1.0 - 1e-12
     near_lo = x < -1.0 + 1e-12
     mid = ~(near_hi | near_lo)
     theta = np.arccos(np.clip(x[mid], -1.0, 1.0))
-    out[mid] = j * np.sin(j * theta) / np.sin(theta)
-    out[near_hi] = float(j * j)
-    out[near_lo] = float((-1) ** (j + 1) * j * j)
+    jf = np.asarray(js, dtype=float)[:, None]
+    out[:, mid] = jf * np.sin(jf * theta) / np.sin(theta)
+    out[:, near_hi] = np.asarray([float(j * j) for j in js])[:, None]
+    out[:, near_lo] = np.asarray([float((-1) ** (j + 1) * j * j) for j in js])[:, None]
+    out[np.asarray([j == 0 for j in js], dtype=bool)] = 0.0
     return out
 
 

@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import basis
 from .errors import ConfigurationError, EvaluationError, UnsupportedNormError
 
 
@@ -158,10 +159,17 @@ def gauss_chebyshev_rule(points: int) -> QuadratureRule:
 
 def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureRule:
     """Composite 16-point GL rule on interval (a norm's domain, a patch, an
-    overlap) whose edges honor f's and every element's structure."""
+    overlap) whose edges honor f's and every element's structure. The
+    B-spline elements of one family add their supports' knots in one piece
+    (basis.support_knots), the edges their panel_edges would add."""
     pieces = [np.asarray(f.panel_edges(), dtype=float)]
+    splines: dict[basis.BasisFamily, list[int]] = {}
     for e in elements:
-        pieces.append(np.asarray(e.panel_edges(), dtype=float))
+        if isinstance(e, basis.BasisElement) and e.family.kind == basis.CUBIC_BSPLINE:
+            splines.setdefault(e.family, []).append(e.index)
+        else:
+            pieces.append(np.asarray(e.panel_edges(), dtype=float))
+    pieces += [basis.support_knots(fam, idx) for fam, idx in splines.items()]
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigurationError(f"empty integration interval [{lo}, {hi}]")

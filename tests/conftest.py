@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from certapprox import certificate, glue, limit
+from certapprox import basis, certificate, glue, limit, target
 
 
 @pytest.fixture
@@ -25,3 +25,27 @@ def work(monkeypatch):
     for module in (certificate, glue, limit):
         count(module, "from_dict")
     return calls
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Calls of BasisElement.value and deriv, and node counts: of each series
+    summed over term tables under "sums", of each term table under "tables"."""
+    seen = {"value": 0, "deriv": 0, "sums": [], "tables": []}
+
+    def count(owner, name, key, nodes_at=None):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if nodes_at is None:
+                seen[key] += 1
+            else:
+                seen[key].append(args[nodes_at].size)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(basis.BasisElement, "value", "value")
+    count(basis.BasisElement, "deriv", "deriv")
+    count(target, "_table_sum", "sums", nodes_at=3)
+    count(basis, "term_table", "tables", nodes_at=2)
+    return seen

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import quadrature, target
+from certapprox import basis, quadrature, target
+from certapprox.approximate import ExtractionSettings, approximate_chebyshev
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family, tent_family)
 from certapprox.certificate import (Construction, assemble,
@@ -366,3 +367,18 @@ def test_equal_terms_over_other_families_are_measured(ours, theirs, terms, kind)
     norm = quadrature.NormTag(kind, ours.domain)
     f, g = target.series(ours, terms), target.series(theirs, terms)
     assert measure(f, g, norm) == scanned(f, g, norm)
+
+
+def test_verifying_a_chebyshev_certificate_reads_one_term_table_per_node_chunk(tables):
+    # a work count, not a timer: the degree-100 sup verify sums the series
+    # on the 4097-point grid, then at one point per golden-section step
+    f = target.from_builtin("runge")
+    cert = approximate_chebyshev(f, 100, ExtractionSettings(1e-1))
+    tables["sums"].clear()
+    tables["tables"].clear()
+    assert verify(cert, f).verdict
+    assert tables["value"] == tables["deriv"] == 0
+    step = basis.TABLE_ENTRIES // 101
+    sums = tables["sums"]
+    assert sums[0] == 4097 and len(sums) > 2 and set(sums[1:]) == {1}
+    assert tables["tables"] == [step] * (4097 // step) + [4097 % step] + [1] * (len(sums) - 1)

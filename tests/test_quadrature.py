@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import quadrature as q
-from certapprox import target
+from certapprox import glue, target
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, tent_family)
 from certapprox.errors import (ConfigurationError, EvaluationError,
@@ -126,6 +126,61 @@ def test_construction_rule_coalesces_near_duplicate_edges():
     widths = np.diff(rule.edges)
     assert np.all(widths > 1e-13)
     rule.refined(4)  # refinement must stay legal
+
+
+class _OwnEdges:
+    """A B-spline element's panel edges as each element found them alone:
+    the knots inside its support interval, by value."""
+
+    def __init__(self, e):
+        self.e = e
+
+    def panel_edges(self):
+        a, b = self.e.support()
+        t = self.e.family.knots()
+        return np.unique(t[(t >= a) & (t <= b)])
+
+
+def _patch_families(count, knots):
+    cover = glue.make_cover((0.0, 1.0), count)
+    return [(glue.local_bspline_family(p, knots), p) for p in cover.patches]
+
+
+_SPLINE_SUBSETS = {
+    "interior": lambda: [(cubic_bspline_family(100).interior_elements(), (0.0, 1.0))],
+    "all": lambda: [(cubic_bspline_family(12, (-0.5, 2.0)).elements(), (-0.5, 2.0))],
+    "contiguous": lambda: [(cubic_bspline_family(40).elements()[5:17], (0.0, 1.0))],
+    "greedy_picks": lambda: [(tuple(cubic_bspline_family(40).element(j)
+                                    for j in (31, 3, 9, 10, 9, 40, 1)), (0.0, 1.0))],
+    "patches": lambda: [(fam.elements(), patch) for fam, patch in _patch_families(5, 9)],
+}
+
+
+@pytest.mark.parametrize("subset", sorted(_SPLINE_SUBSETS))
+def test_construction_rule_takes_spline_edges_from_one_knot_mask(subset):
+    # the per-family knot mask gives the edges of each element's own merge
+    for elements, interval in _SPLINE_SUBSETS[subset]():
+        for f in (target.from_builtin("sinpi"),
+                  target.series(elements[0].family, [(elements[-1].index, 1.0)])):
+            rule = q.construction_rule(f, elements, interval)
+            own = q.construction_rule(f, [_OwnEdges(e) for e in elements], interval)
+            assert rule.edges == own.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(range(3)), st.integers(1, 29)), min_size=1,
+                max_size=12), st.sampled_from(range(3)))
+def test_construction_rule_spline_edges_of_mixed_patches(picks, on):
+    # elements of overlapping patch families in any order, some picked
+    # again, with a series among them, as an overlap's rule gets them
+    fams = _patch_families(3, 27)
+    elements = [fams[i][0].element(j) for i, j in picks]
+    series = target.series(fams[2][0], [(4, 0.5)])
+    lo, hi = fams[on][1]
+    f = target.from_builtin("sinpi")
+    rule = q.construction_rule(f, [*elements, series], (lo, hi))
+    own = q.construction_rule(f, [*(_OwnEdges(e) for e in elements), series], (lo, hi))
+    assert rule.edges == own.edges
 
 
 def test_construction_rule_interval_restriction():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import quadrature, target
+from certapprox import approximate, basis, quadrature, target
 from certapprox.basis import cubic_bspline_family, fourier_sine_family
 from certapprox.errors import (ConfigurationError, DomainError,
                                EvaluationError, ExpressionSyntaxError,
@@ -394,6 +395,14 @@ def test_sine_series_recurrence_against_oracle_and_direct_sum(terms, extra):
             assert fn(x).tobytes() == got.tobytes()
 
 
+def test_sine_recurrence_arrays_start_on_cache_lines():
+    for n in (1, 7, 8, 8191, target.SINE_CHUNK):
+        rows = target._cache_aligned(4, n)
+        assert [r.size for r in rows] == [n] * 4
+        assert all(r.ctypes.data % 64 == 0 for r in rows)
+        assert all(a.ctypes.data + 8 * n <= b.ctypes.data for a, b in zip(rows, rows[1:]))
+
+
 def test_sparse_sine_series_costs_its_terms_not_its_top_index():
     terms = [(1, 0.75), (10 ** 6, -0.25)]
     s = target.series(fourier_sine_family(), terms)
@@ -413,6 +422,175 @@ def test_deep_tent_series_declines_breakpoint_listing():
     assert f.linear_breakpoints() is None
     shallow = target.tent_partial_sum(3)
     assert len(shallow.linear_breakpoints()) == 17
+
+
+def _element_oracle(family, j, x, deriv):
+    """An element on a float array, by the per-element formulas the term
+    table replaced: the reference its rows are held to bit for bit."""
+    kind = family.kind
+    if kind == basis.CHEBYSHEV and not deriv:
+        return np.cos(j * np.arccos(np.clip(x, -1.0, 1.0)))
+    if kind == basis.CHEBYSHEV:
+        if j == 0:
+            return np.zeros_like(x)
+        out = np.empty_like(x)
+        near_hi = x > 1.0 - 1e-12
+        near_lo = x < -1.0 + 1e-12
+        mid = ~(near_hi | near_lo)
+        theta = np.arccos(np.clip(x[mid], -1.0, 1.0))
+        out[mid] = j * np.sin(j * theta) / np.sin(theta)
+        out[near_hi] = float(j * j)
+        out[near_lo] = float((-1) ** (j + 1) * j * j)
+        return out
+    if kind == basis.FOURIER_SINE:
+        if deriv:
+            return math.sqrt(2.0) * j * np.pi * np.cos(j * np.pi * x)
+        return math.sqrt(2.0) * np.sin(j * np.pi * x)
+    if kind == basis.MONOMIAL:
+        if deriv:
+            return j * x ** (j - 1) if j > 0 else np.zeros_like(x)
+        return x ** j
+    frac = np.ldexp(x, j)
+    frac -= np.floor(frac)
+    if deriv:
+        return np.where(frac < 0.5, 2.0 ** (j + 1), -(2.0 ** (j + 1)))
+    return 2.0 * np.minimum(frac, 1.0 - frac)
+
+
+def _loop_sum(family, terms, x, deriv):
+    """The per-term loop the term table replaced: +0.0, then each term in
+    term order."""
+    v = np.zeros_like(x)
+    for j, a in terms:
+        v = v + a * _element_oracle(family, j, x, deriv)
+    return v
+
+
+# family, top index drawn, points the table must get right
+_TABLE_FAMILIES = {
+    "chebyshev": (basis.chebyshev_family(), 300,
+                  [-1.0, -1.0 + 1e-12, -1.0 + 5e-13, 0.0, 0.5, 1.0 - 5e-13, 1.0 - 1e-12, 1.0]),
+    "fourier_sine": (basis.fourier_sine_family(), 300,
+                     [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]),
+    "monomial": (basis.monomial_family((-1.0, 1.0)), 60,
+                 [-1.0, -1.0 + 1e-12, 0.0, 0.5, 1.0 - 1e-12, 1.0]),
+    "tent": (basis.tent_family(), 40, [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]),
+}
+
+
+@st.composite
+def _table_case(draw):
+    """A family, terms with unsorted and repeated indices, and nodes from
+    one to three chunks of the series' term table, the points above among
+    them."""
+    fam, top, points = _TABLE_FAMILIES[draw(st.sampled_from(sorted(_TABLE_FAMILIES)))]
+    idx = draw(st.lists(st.integers(fam.min_index, top), min_size=1, max_size=60))
+    idx += draw(st.lists(st.sampled_from(idx), max_size=5))
+    coeff = st.floats(-1e3, 1e3, allow_subnormal=False)
+    terms = list(zip(draw(st.permutations(idx)),
+                     draw(st.lists(coeff, min_size=len(idx), max_size=len(idx)))))
+    step = basis.TABLE_ENTRIES // len(terms)
+    n = draw(st.integers(1, 3 * step))
+    lo, hi = fam.domain
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    x = np.random.default_rng(seed).uniform(lo, hi, n)
+    picked = draw(st.lists(st.sampled_from(points), max_size=len(points)))
+    x[:len(picked)] = picked[:n]
+    return fam, terms, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_case())
+def test_term_table_rows_and_series_match_the_per_term_loop_bit_for_bit(case):
+    fam, terms, x = case
+    js = [j for j, _ in terms]
+    s = target.series(fam, terms)
+    for deriv, fn in ((False, s.evaluate), (True, s.evaluate_deriv)):
+        rows = basis.term_table(fam, js, x, deriv)
+        for j, row in zip(js, rows):
+            assert row.tobytes() == _element_oracle(fam, j, x, deriv).tobytes(), (j, deriv)
+            e = fam.element(j)
+            one = e.evaluate_deriv(float(x[0])) if deriv else e.evaluate(float(x[0]))
+            assert np.float64(one).tobytes() == row[0].tobytes()
+        if fam.kind == basis.FOURIER_SINE:
+            continue  # a sine series sums by Reinsch's recurrence instead
+        got = fn(x)
+        assert got.tobytes() == _loop_sum(fam, terms, x, deriv).tobytes(), deriv
+        assert np.asarray(fn(x[::-1].copy())[::-1]).tobytes() == got.tobytes()
+        assert np.float64(fn(float(x[-1]))).tobytes() == got[-1].tobytes()
+        square = x[:x.size - x.size % 2].reshape(2, -1)
+        assert fn(square).tobytes() == _loop_sum(fam, terms, square, deriv).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_FAMILIES))
+def test_an_empty_series_is_positive_zero_everywhere(name):
+    fam, _, points = _TABLE_FAMILIES[name]
+    s = target.series(fam, [])
+    for fn in (s.evaluate, s.evaluate_deriv):
+        got = fn(np.asarray(points))
+        assert got.tobytes() == np.zeros(len(points)).tobytes()
+        assert math.copysign(1.0, fn(points[0])) == 1.0 and fn(points[0]) == 0.0
+
+
+def test_negative_zero_products_start_the_sum_at_positive_zero():
+    # ((+0.0 + -0.0) + -0.0) is +0.0, though -0.0 + -0.0 is -0.0
+    fam = basis.monomial_family((-1.0, 1.0))
+    s = target.series(fam, [(1, 1.0), (3, 1.0)])
+    assert math.copysign(1.0, s.evaluate(-0.0)) == 1.0
+    assert math.copysign(1.0, _loop_sum(fam, [(1, 1.0), (3, 1.0)],
+                                        np.asarray([-0.0]), False)[0]) == 1.0
+
+
+@pytest.mark.parametrize("fn", [np.cos, np.sin, np.exp, np.arccos],
+                         ids=["cos", "sin", "exp", "arccos"])
+def test_elementwise_functions_round_each_value_alone(fn):
+    # the term table and the byte-identical digests rest on this: numpy's
+    # elementwise loop gives a value the same bits whether it comes alone,
+    # in a long array, in a 2-D table or in a strided view
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, 20000) * (1.0 if fn is np.arccos else 300.0)
+    whole = fn(x)
+    alone = np.asarray([fn(x[i:i + 1])[0] for i in range(x.size)])
+    assert alone.tobytes() == whole.tobytes()
+    assert fn(x.reshape(100, 200)).tobytes() == whole.tobytes()
+    assert fn(x[::3]).tobytes() == whole[::3].tobytes()
+
+
+def test_a_series_builds_one_term_table_per_node_chunk(tables):
+    s = target.series(basis.chebyshev_family(), [(j, 1.0 / (j + 1)) for j in range(101)])
+    step = basis.TABLE_ENTRIES // 101
+    s.evaluate(np.linspace(-1.0, 1.0, 4097))
+    assert step == 162 and tables["tables"] == [step] * 25 + [4097 - 25 * step]
+    tables["tables"].clear()
+    s.evaluate_deriv(0.25)
+    assert tables["tables"] == [1] and tables["value"] == tables["deriv"] == 0
+
+
+def test_degree_2000_tables_stay_a_few_megabytes(monkeypatch):
+    # an unchunked table of 2001 terms by 4002 Gauss-Chebyshev nodes would
+    # take 64 MB, and by the 4097 grid nodes 66 MB
+    f = target.from_builtin("runge")
+    exact = approximate.chebyshev_coefficients(f, 2000)
+    # the exactly rounded sum turns 2001 x 4002 products into Python floats,
+    # which take tracemalloc 13 s to trace; a plain sum of the same products
+    # keeps the tables' footprint and gives the same coefficients to 1e-15
+    monkeypatch.setattr(quadrature, "weighted_sum", lambda w, v, x: float(np.sum(w * v)))
+    tracemalloc.start()
+    try:
+        coeffs = approximate.chebyshev_coefficients(f, 2000)
+        _, coeff_peak = tracemalloc.get_traced_memory()
+        s = target.series(basis.chebyshev_family(), list(enumerate(exact.tolist())))
+        x = np.linspace(-1.0, 1.0, 4097)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        v = s.evaluate(x)
+        _, series_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(coeffs - exact)) < 1e-15
+    assert coeff_peak < 2_000_000
+    assert series_peak - before < 2_000_000
+    assert np.max(np.abs(v - f.evaluate(x))) < 1e-10
 
 
 # ----------------------------------------------------------------------------
