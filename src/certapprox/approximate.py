@@ -69,18 +69,16 @@ def _common_family(elements) -> basis.BasisFamily:
 
 def approximate_orthonormal(f, family: basis.BasisFamily,
                             settings: ExtractionSettings) -> ApproximationCertificate:
-    """Probe coefficients one at a time; stop when the Parseval remainder
-    falls below the tolerance, then confirm by direct measurement.
+    """Probe coefficients in order; stop when the Parseval remainder falls
+    below the tolerance, then confirm by direct measurement.
 
     Only the sine family is orthonormal in L2 here; the remainder ledger
     err_N^2 = ||f||^2 - sum a_n^2 is exact for it, and the direct re-check
     before assembly defends against quadrature drift in the ledger.
 
-    The probes share one rule per block: coefficients n in (M/2, M], with
-    M = 1, 2, 4, ... capped at max_terms, are measured on
-    construction_rule(f, [e_M]), which resolves every e_n with n <= M, and
-    f is evaluated on it once. Each coefficient is still computed in turn,
-    so the ledger stops at the same N as with a rule per probe.
+    The coefficients come from _sine_probes, in batches; the ledger walks
+    each batch in order and stops at the same N as with one probe at a
+    time, dropping the rows computed past the stop.
     """
     if family.kind != basis.FOURIER_SINE:
         raise ConfigurationError(
@@ -92,15 +90,7 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
     terms: list[tuple[int, float]] = []
     direct = math.inf
     parseval = math.inf
-    block_end = 0
-    for n in range(1, settings.max_terms + 1):
-        if n > block_end:
-            block_end = min(max(2 * block_end, 1), settings.max_terms)
-            rule = quadrature.construction_rule(f, [family.element(block_end)],
-                                                interval=family.domain)
-            fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
-        e = family.element(n)
-        a = quadrature.integrate(lambda x: fx * e.value(x), rule)
+    for n, a in _sine_probes(f, family, settings.max_terms):
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
@@ -117,6 +107,39 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
                 f"direct recheck {direct:.6e}")
     return assemble(f.descriptor, family, terms, norm, settings.epsilon,
                     direct, Construction("orthonormal_probe", stopping))
+
+
+def _sine_probes(f, family: basis.BasisFamily, max_terms: int):
+    """(n, <f, e_n>) for n = 1..max_terms in turn, each bit for bit
+    integrate(lambda x: f(x) * e_n(x), rule) on its block's rule.
+
+    The probes share one rule per block: coefficients n in (M/2, M], with
+    M = 1, 2, 4, ... capped at max_terms, are measured on
+    construction_rule(f, [e_M]), which resolves every e_n with n <= M, and
+    f is evaluated on it once. A block is probed in batches of
+    basis.TABLE_ENTRIES // quadrature.FSUM_CHUNK indices: per node slice,
+    one term table of the batch, times f, then times the weights, as
+    w * (f * e_n) per node, and one quadrature.row_sums over the rows.
+    """
+    batch = basis.TABLE_ENTRIES // quadrature.FSUM_CHUNK
+    end = 0
+    while end < max_terms:
+        start, end = end + 1, min(max(2 * end, 1), max_terms)
+        rule = quadrature.construction_rule(f, [family.element(end)],
+                                            interval=family.domain)
+        x, w = rule.nodes, rule.weights
+        fx = np.asarray(f.evaluate(x), dtype=float)
+        for lo in range(start, end + 1, batch):
+            js = range(lo, min(lo + batch, end + 1))
+
+            def products(at):
+                t = basis.term_table(family, js, x[at])
+                t *= fx[at]
+                t *= w[at]
+                return t
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = quadrature.row_sums(len(js), x, products)
+            yield from zip(js, sums)
 
 
 # ----------------------------------------------------------------------------
@@ -194,7 +217,7 @@ def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
     start, stop = max(u.start, v.start), min(u.stop, v.stop)
     w, x = u.rule.weights[start:stop], u.rule.nodes[start:stop]
     a, b = slice(start - u.start, stop - u.start), slice(start - v.start, stop - v.start)
-    val, *der = [quadrature.weighted_sum(w, fu[a] * fv[b], x)
+    val, *der = [quadrature.weighted_fsum(w, fu[a] * fv[b], x)
                  for fu, fv in zip(u.values, v.values)]
     return val + der[0] if der else val
 
@@ -319,8 +342,9 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
 
     Integrates f * T_j on the 2(degree+1) point Gauss-Chebyshev rule, whose
     weights carry 1/sqrt(1-x^2), with f evaluated once and the T_j read
-    from term tables of about basis.TABLE_ENTRIES entries; a_0 carries the
-    1/pi normalization, the rest 2/pi.
+    from term tables of about basis.TABLE_ENTRIES entries, each times f,
+    then times the weights, and summed by one quadrature.row_sums; a_0
+    carries the 1/pi normalization, the rest 2/pi.
     """
     rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
     fam = basis.chebyshev_family()
@@ -330,8 +354,11 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     block = max(1, basis.TABLE_ENTRIES // x.size)
     for j0 in range(0, degree + 1, block):
         rows = basis.term_table(fam, range(j0, min(j0 + block, degree + 1)), x)
-        for j, row in enumerate(rows, j0):
-            ip = quadrature.weighted_sum(rule.weights, fx * row, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows *= fx
+            rows *= rule.weights
+        sums = quadrature.row_sums(len(rows), x, lambda at: rows[:, at])
+        for j, ip in enumerate(sums, j0):
             out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
     return out
 

@@ -12,11 +12,12 @@ L2 and W12 norms are integrated; the sup norm is sup_distance's.
 
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
-reproducible across machines. integrate gets there by error-free
-extraction: each full slice of FSUM_CHUNK products is split, by exact
+reproducible across machines. row_sums gets there by error-free
+extraction, for one row of products (weighted_sum, integrate) or many at
+once: each slice of FSUM_CHUNK products of a row is split, by exact
 power-of-two scalings and truncations, into a few partials whose float sums
-are exact, and one math.fsum rounds those partials together with the short
-leftover slice. Its result is bit for bit math.fsum of every product.
+are exact, and one math.fsum per row rounds its partials. Each result is
+bit for bit math.fsum of every product of its row.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureR
 FSUM_CHUNK = 4096
 # 2^_HEADROOM >= 2 * FSUM_CHUNK, so a slice's integer sum stays below 2^52
 _HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
+_OVERFLOW = "weighted node sum overflows the float range"
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
@@ -206,54 +208,98 @@ def integrate(fn, rule: QuadratureRule) -> float:
 
 
 def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
-    """math.fsum of the products w_i * v_i at the nodes x_i, exactly rounded.
+    """math.fsum of the products w_i * v_i at the nodes x_i, exactly
+    rounded: the one-row case of row_sums."""
+    with np.errstate(over="ignore"):
+        wv = w * v
+    return row_sums(1, x, lambda at: wv[None, at])[0]
 
-    The products must be finite. Each full slice r of FSUM_CHUNK of them
-    is reduced by error-free extraction (ExtractVector of Rump, Ogita and
-    Oishi, SIAM J. Sci. Comput. 31, 2008): while r has a nonzero entry,
-    with max|r| < 2^e take s = e + _HEADROOM - 53 and
+
+def weighted_fsum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
+    """weighted_sum, by math.fsum over the products as Python floats. For
+    the few dozen products of a B-spline pair that beats the numpy passes
+    of row_sums, which pay off from about a thousand; the value, and the
+    error on a non-finite product, are the same."""
+    with np.errstate(over="ignore"):
+        wv = w * v
+    try:
+        total = math.fsum(wv.tolist())
+    except (OverflowError, ValueError):  # the sum leaves the range, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        _refuse(wv, x)
+    return total
+
+
+def _refuse(products: np.ndarray, x: np.ndarray):
+    """EvaluationError naming the first node whose product is not finite,
+    or, with every product finite, saying that their sum overflows."""
+    bad = ~np.isfinite(products)
+    if bad.any():
+        node = float(x[bad][0])
+        raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
+    raise EvaluationError(_OVERFLOW)
+
+
+def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
+    """math.fsum of each of `rows` rows of products, exactly rounded.
+
+    products(at) gives the (rows, n) block of products at the nodes x[at],
+    for the slices at of FSUM_CHUNK nodes in turn, and may be overwritten.
+    Each block is reduced by error-free extraction (ExtractVector of Rump,
+    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), row by row: while a
+    row r has a nonzero entry, with max|r| < 2^e take s = e + _HEADROOM - 53
+    and
 
         h = trunc(r * 2^-s) * 2^s,   partial = sum(h * 2^-s) * 2^s,   r -= h.
 
     Every step is exact. Truncation keeps the bits of each entry at or
     above 2^s, so h and r - h keep bit subsets of r; r * 2^-s is exact but
     where it underflows, and there it is below 1 and truncates to 0 anyway.
-    Each |h * 2^-s| is an integer below 2^(53 - _HEADROOM), so the sum
-    of FSUM_CHUNK of them is an integer below 2^52 in whatever order numpy
-    adds them, and the partial is exact too. The remainder of each entry
-    is below 2^s, so each pass lowers e by at least 53 - _HEADROOM bits,
-    and a pass with 2^s at or below the smallest subnormal empties r. The
-    partials and the leftover slice (shorter than FSUM_CHUNK) therefore
-    sum exactly to the sum of the products, and one math.fsum rounds that
-    sum correctly: the value is bit for bit that of math.fsum over every
-    product, and no order-dependent reduction reaches a digest. So leaving
-    out products that are exact zeros does not change it either. A product
-    that is not finite raises EvaluationError naming its node, and so does
-    a sum that leaves the float range on the way. Under FSUM_CHUNK
-    products go to math.fsum as floats alone, with no slice buffer, and the
-    temporaries stay one slice in size.
+    Each |h * 2^-s| is an integer below 2^(53 - _HEADROOM), so the sum of
+    at most FSUM_CHUNK of them is an integer below 2^52 in whatever order
+    numpy adds them, and the partial is exact too. The remainder of each
+    entry is below 2^s, so each pass lowers e by at least 53 - _HEADROOM
+    bits, and a pass with 2^s at or below the smallest subnormal empties
+    r. Each row has its own s and leaves the loop once it is empty. Its
+    partials therefore sum exactly to the sum of its products, and one
+    math.fsum over them rounds that sum correctly: the value is bit for
+    bit that of math.fsum over every product of the row, and no
+    order-dependent reduction reaches a digest. So leaving out products
+    that are exact zeros does not change it either; a row of zeros has no
+    partials, and math.fsum([]) is +0.0, as math.fsum of zeros of either
+    sign is. A product that is not finite raises EvaluationError naming
+    the first such node of its row, found when the row's first max|r| is
+    not finite, and so does a sum that leaves the float range on the way.
+    The temporaries stay one block in size.
     """
-    with np.errstate(over="ignore"):
-        wv = w * v
-    if not np.isfinite(wv).all():
-        at = float(x[~np.isfinite(wv)][0])
-        raise EvaluationError(f"non-finite weighted integrand at node x = {at}", at)
-    full = wv.size - wv.size % FSUM_CHUNK
-    parts = wv[full:].tolist()
-    ints = np.empty(FSUM_CHUNK) if full else None
+    parts: list[list[float]] = [[] for _ in range(rows)]
     try:
-        for i in range(0, full, FSUM_CHUNK):
-            r = wv[i:i + FSUM_CHUNK]  # a view: wv is spent slice by slice
-            top = max(r.max(), -r.min())
-            while top:
-                s = math.frexp(top)[1] + _HEADROOM - 53
+        for i in range(0, x.size, FSUM_CHUNK):
+            at = slice(i, i + FSUM_CHUNK)
+            r = products(at)
+            ints = np.empty(r.shape)
+            top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+            if not np.isfinite(top).all():
+                _refuse(r[np.argmax(~np.isfinite(top))], x[at])
+            live = np.arange(rows)
+            while True:
+                if not top.all():  # drop the rows that are empty
+                    keep = top != 0.0
+                    live, r, top = live[keep], r[keep], top[keep]
+                    if not live.size:
+                        break
+                    ints = ints[:live.size]
+                s = np.frexp(top)[1][:, None] + (_HEADROOM - 53)
                 np.trunc(np.ldexp(r, -s, out=ints), out=ints)
-                parts.append(math.ldexp(float(ints.sum()), s))
+                for k, total, e in zip(live.tolist(), np.add.reduce(ints, axis=1).tolist(),
+                                       s.ravel().tolist()):
+                    parts[k].append(math.ldexp(total, e))
                 r -= np.ldexp(ints, s, out=ints)
-                top = max(r.max(), -r.min())
-        return math.fsum(parts)
+                top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+        return [math.fsum(p) for p in parts]
     except OverflowError:
-        raise EvaluationError("weighted node sum overflows the float range") from None
+        raise EvaluationError(_OVERFLOW) from None
 
 
 def paired(norm: NormTag) -> tuple[bool, ...]:

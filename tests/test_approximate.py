@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,11 +58,16 @@ def _identity_remainder(n):
     return math.sqrt(2.0 / math.pi ** 2 * float(scipy.special.polygamma(1, n + 1)))
 
 
+def _between(n):
+    """A tolerance the identity's ledger first meets at N = n."""
+    return 0.5 * (_identity_remainder(n - 1) + _identity_remainder(n))
+
+
 @pytest.mark.parametrize("n", [64, 65, 128, 129])
 def test_probe_rank_is_minimal_at_block_boundaries(n):
     # probes n in (M/2, M] share the rule of e_M; a block capped at
     # max_terms = n must stop at the same rank as an uncapped one
-    eps = 0.5 * (_identity_remainder(n - 1) + _identity_remainder(n))
+    eps = _between(n)
     assert _identity_remainder(n - 1) >= eps > _identity_remainder(n)
     f = target.from_builtin("linear")
     for max_terms in (n, 512):
@@ -70,6 +76,102 @@ def test_probe_rank_is_minimal_at_block_boundaries(n):
         assert len(cert.terms) == n, max_terms
         assert cert.reported_error == pytest.approx(_identity_remainder(n), rel=1e-9)
         assert verify(cert, f).verdict
+
+
+def _probes_one_at_a_time(f, family, settings):
+    """The probe loop as it was before batching, kept as an oracle: each
+    coefficient is math.fsum of w * (f * e_n) on its block's rule, in turn.
+    Returns the terms and the stopping text, or the terms and the achieved
+    error when the budget runs out."""
+    norm = quadrature.l2_norm(family.domain)
+    f2_rule = quadrature.construction_rule(f, [], interval=family.domain).refined(4)
+    f2 = quadrature.integrate(lambda x: np.asarray(f.evaluate(x)) ** 2, f2_rule)
+    acc, terms, direct, parseval, block_end = 0.0, [], math.inf, math.inf, 0
+    for n in range(1, settings.max_terms + 1):
+        if n > block_end:
+            block_end = min(max(2 * block_end, 1), settings.max_terms)
+            rule = quadrature.construction_rule(f, [family.element(block_end)],
+                                                interval=family.domain)
+            fx = np.asarray(f.evaluate(rule.nodes), dtype=float)
+        a = math.fsum((rule.weights * (fx * family.element(n).value(rule.nodes))).tolist())
+        terms.append((n, a))
+        acc += a * a
+        parseval = math.sqrt(max(f2 - acc, 0.0))
+        if parseval < settings.epsilon:
+            g = target.series(family, terms)
+            last_rule = quadrature.construction_rule(f, [g], interval=family.domain)
+            direct = quadrature.norm_of_difference(f, g, norm, last_rule)
+            if direct < settings.epsilon:
+                return terms, (f"parseval remainder {parseval:.6e} at N={len(terms)}; "
+                               f"direct recheck {direct:.6e}")
+    return terms, min(parseval, direct)
+
+
+@pytest.mark.parametrize("eps,max_terms", [
+    (0.05, 200),                       # N = 81, the first row of its batch
+    (_between(67), 512),               # N = 67, the third
+    (_between(64), 64), (_between(65), 65),    # blocks capped at max_terms
+    (_between(128), 128), (_between(129), 129),
+    (0.05, 40),                        # the budget runs out
+])
+def test_batched_probes_match_one_probe_at_a_time(eps, max_terms):
+    f = target.from_builtin("linear")
+    fam = fourier_sine_family()
+    settings = ExtractionSettings(eps, max_terms=max_terms)
+    terms, end = _probes_one_at_a_time(f, fam, settings)
+    want = [(j, a.hex()) for j, a in terms]
+    if isinstance(end, str):
+        cert = approximate_orthonormal(f, fam, settings)
+        assert [(j, a.hex()) for j, a in cert.terms] == want
+        assert cert.construction.stopping == end
+        return
+    assert [(j, a.hex()) for j, a in approximate._sine_probes(f, fam, max_terms)] == want
+    with pytest.raises(ToleranceViolated) as e:
+        approximate_orthonormal(f, fam, settings)
+    assert e.value.achieved == end
+
+
+def test_probes_read_one_term_table_per_batch_and_node_slice(tables):
+    # blocks up to (256, 512], whose rule has two node slices
+    f = target.from_builtin("linear")
+    fam = fourier_sine_family()
+    cert = approximate_orthonormal(f, fam, ExtractionSettings(0.025, max_terms=1024))
+    n, batch, chunk = len(cert.terms), 4, quadrature.FSUM_CHUNK
+    assert 256 < n < 512
+    assert batch == basis.TABLE_ENTRIES // chunk
+    want, start, end = [], 1, 1
+    while start <= n:
+        nodes = quadrature.construction_rule(f, [fam.element(end)], fam.domain).nodes.size
+        slices = [min(chunk, nodes - i) for i in range(0, nodes, chunk)]
+        want += slices * len(range(start, min(end, n) + 1, batch))
+        start, end = end + 1, 2 * end
+    assert want[-2:] == [chunk, chunk]  # the last block's rule has two slices
+    assert tables["tables"] == want
+    assert tables["value"] == tables["deriv"] == 0
+
+
+def test_probe_temporaries_stay_one_table_in_size():
+    # the 2026 probes of the identity at 1e-2 end on the rule of e_2048, of
+    # 32,768 nodes, built by n = 1025. Over that block a batch's term table,
+    # its extraction buffer and the rows left after a pass take 0.4 MB;
+    # one probe at a time took 0.6 MB, and a table over every node 1.3 MB,
+    # which lifts the whole probe to 2.4 MB
+    f = target.from_builtin("linear")
+    fam = fourier_sine_family()
+    list(approximate._sine_probes(f, fam, 2))  # first-use imports
+    tracemalloc.start()
+    try:
+        for n, _ in approximate._sine_probes(f, fam, 4096):
+            if n == 1025:
+                base, first = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+            if n == 2026:
+                break
+        _, last = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(first, last) < 2_000_000
+    assert last - base < 500_000
 
 
 def test_probe_rejects_non_orthonormal_families():

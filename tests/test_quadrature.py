@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certapprox import quadrature as q
@@ -298,6 +298,83 @@ def test_integrate_is_fsum_of_every_product_bit_for_bit(points, seed, low, span,
     products = rule.weights * v
     want = math.fsum(products.tolist())
     assert q.integrate(lambda x: v, rule).hex() == want.hex()
+
+
+# each row draws its own exponent range (lowest exponent, span, share of
+# zeros), so one block holds rows that take one extraction pass, some fifty
+# (subnormals up to 2^1000) or none (a share of 1.0 zeros the row)
+ROW_SPEC = st.tuples(st.integers(min_value=-1074, max_value=1000),
+                     st.integers(min_value=0, max_value=2074),
+                     st.floats(min_value=0.0, max_value=1.0))
+
+
+def _row(rng, cols, low, span, zeros):
+    exps = rng.integers(low, min(low + span, 1000) + 1, cols)
+    r = rng.choice([-1.0, 1.0], cols) * np.ldexp(rng.uniform(1.0, 2.0, cols), exps)
+    r[rng.random(cols) < zeros] = 0.0
+    r[rng.random(cols) < zeros / 2] = -0.0
+    return r
+
+
+@given(spec=st.lists(ROW_SPEC, min_size=1, max_size=4),
+       cols=st.sampled_from([1, q.FSUM_CHUNK - 1, q.FSUM_CHUNK, 2 * q.FSUM_CHUNK + 1]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(spec=[(0, 0, 0.0), (-1074, 2074, 0.0), (-1074, 2074, 1.0), (-1074, 30, 0.5)],
+         cols=q.FSUM_CHUNK, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed):
+    rng = np.random.default_rng(seed)
+    p = np.array([_row(rng, cols, *r) for r in spec])
+    want = [math.fsum(row.tolist()).hex() for row in p]
+    got = q.row_sums(len(p), np.linspace(0.0, 1.0, cols), lambda at: p[:, at])
+    assert [v.hex() for v in got] == want
+
+
+def test_fsum_of_zeros_of_either_sign_is_positive_zero():
+    # row_sums drops a row once it is empty, so a row of zeros has no
+    # partials; that math.fsum([]) is math.fsum over zeros of either sign
+    # is what makes the dropped rows and zero padding exact
+    for zeros in ([], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]):
+        assert math.fsum(zeros).hex() == "0x0.0p+0"
+    p = np.array([[-0.0] * 5, [0.0, -0.0, 0.0, 0.0, -0.0], [1.0, -0.0, -1.0, 0.0, 0.0]])
+    got = q.row_sums(3, np.linspace(0.0, 1.0, 5), lambda at: p[:, at])
+    assert [v.hex() for v in got] == ["0x0.0p+0"] * 3
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("row,col", [(1, 0), (2, 17), (3, q.FSUM_CHUNK + 5),
+                                     (1, 2 * q.FSUM_CHUNK)])
+def test_row_sums_name_the_first_non_finite_node_of_a_row(row, col, bad):
+    cols = 2 * q.FSUM_CHUNK + 3
+    x = np.linspace(0.0, 1.0, cols)
+    p = np.ones((4, cols))
+    p[row, col], p[row, col + 1] = bad, math.nan
+    with pytest.raises(EvaluationError, match="non-finite weighted integrand") as e:
+        q.row_sums(4, x, lambda at: p[:, at])
+    assert e.value.x == x[col]
+
+
+@given(v=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=80),
+       planted=st.lists(st.tuples(st.integers(min_value=0),
+                                  st.sampled_from([math.inf, -math.inf, math.nan])),
+                        max_size=2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_weighted_fsum_is_weighted_sum(v, planted, seed):
+    # the B-spline pairs' math.fsum path: the same value, and the same
+    # error naming the same node when a product is not finite
+    v = np.array(v)
+    for i, bad in planted:
+        v[i % v.size] = bad
+    w = np.random.default_rng(seed).uniform(0.0, 2.0, v.size)
+    x = np.linspace(0.0, 1.0, v.size)
+
+    def outcome(fn):
+        try:
+            return fn(w, v, x).hex()
+        except EvaluationError as e:
+            return str(e), e.x
+    assert outcome(q.weighted_fsum) == outcome(q.weighted_sum)
 
 
 # ----------------------------------------------------------------------------
