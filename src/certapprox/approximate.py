@@ -16,12 +16,17 @@ greedy              matching pursuit over a dictionary with tie-breaks,
 Every route measures its reported error with the construction-grade rule;
 verification later re-measures with refined panels. All stopping strings
 are deterministic so that repeated runs assemble byte-identical claims.
+The sine probes and the Chebyshev coefficients come from one term-table
+loop (_term_sums). A B-spline Gram pair or probe, like every inner product
+and norm of a difference, ends in quadrature's one sum of values, then
+slopes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -116,30 +121,38 @@ def _sine_probes(f, family: basis.BasisFamily, max_terms: int):
     The probes share one rule per block: coefficients n in (M/2, M], with
     M = 1, 2, 4, ... capped at max_terms, are measured on
     construction_rule(f, [e_M]), which resolves every e_n with n <= M, and
-    f is evaluated on it once. A block is probed in batches of
-    basis.TABLE_ENTRIES // quadrature.FSUM_CHUNK indices: per node slice,
-    one term table of the batch, times f, then times the weights, as
-    w * (f * e_n) per node, and one quadrature.row_sums over the rows.
+    _term_sums gives them from f evaluated on it once.
     """
-    batch = basis.TABLE_ENTRIES // quadrature.FSUM_CHUNK
     end = 0
     while end < max_terms:
         start, end = end + 1, min(max(2 * end, 1), max_terms)
         rule = quadrature.construction_rule(f, [family.element(end)],
                                             interval=family.domain)
-        x, w = rule.nodes, rule.weights
-        fx = np.asarray(f.evaluate(x), dtype=float)
-        for lo in range(start, end + 1, batch):
-            js = range(lo, min(lo + batch, end + 1))
+        yield from _term_sums(f, family, range(start, end + 1), rule)
 
-            def products(at):
-                t = basis.term_table(family, js, x[at])
-                t *= fx[at]
-                t *= w[at]
-                return t
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = quadrature.row_sums(len(js), x, products)
-            yield from zip(js, sums)
+
+def _term_sums(f, family: basis.BasisFamily, js: range, rule: quadrature.QuadratureRule):
+    """(j, the rule's weighted sum of f e_j) for j in js in turn, with f
+    evaluated once. The indices go in batches of basis.TABLE_ENTRIES //
+    min(nodes, quadrature.FSUM_CHUNK): per node slice of a batch, one term
+    table, times f, then times the weights, as w * (f * e_j) per node, and
+    one quadrature.row_sums over its rows. A batch is summed only once the
+    sums before it are taken, so a caller that stops early skips the rest.
+    """
+    x, w = rule.nodes, rule.weights
+    fx = np.asarray(f.evaluate(x), dtype=float)
+    batch = basis.TABLE_ENTRIES // min(x.size, quadrature.FSUM_CHUNK)
+    for lo in range(0, len(js), batch):
+        rows = js[lo:lo + batch]
+
+        def products(at):
+            t = basis.term_table(family, rows, x[at])
+            t *= fx[at]
+            t *= w[at]
+            return t
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = quadrature.row_sums(len(rows), x, products)
+        yield from zip(rows, sums)
 
 
 # ----------------------------------------------------------------------------
@@ -204,22 +217,22 @@ def _on_rule(elements, norm: NormTag, rule: quadrature.QuadratureRule) -> list[_
     starts = np.searchsorted(x, ends[:, 0], side="left").tolist()
     stops = np.searchsorted(x, ends[:, 1], side="right").tolist()
     fam = elements[0].family
-    table = basis.SpanTable(fam, x) if fam.kind == basis.CUBIC_BSPLINE else None
+    table = None
+    if fam.kind == basis.CUBIC_BSPLINE:  # refused as e.evaluate refuses x
+        table = basis.pointwise(fam.domain, partial(basis.SpanTable, fam), x)
     return [_OnSupport(e, rule, i, j, tuple(
-        table.column(e.index, d, i, j) if table else
-        (e.evaluate_deriv(x[i:j]) if d else e.evaluate(x[i:j])) for d in flags))
-        for e, i, j in zip(elements, starts, stops)]
+        table.column(e.index, d, i, j) if table else quadrature._at(e, x[i:j], d)
+        for d in flags)) for e, i, j in zip(elements, starts, stops)]
 
 
 def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
     """<u, v> on their common rule, summed over the nodes in both supports:
     the integral of u v, plus under W12 that of u' v'."""
     start, stop = max(u.start, v.start), min(u.stop, v.stop)
-    w, x = u.rule.weights[start:stop], u.rule.nodes[start:stop]
     a, b = slice(start - u.start, stop - u.start), slice(start - v.start, stop - v.start)
-    val, *der = [quadrature.weighted_fsum(w, fu[a] * fv[b], x)
-                 for fu, fv in zip(u.values, v.values)]
-    return val + der[0] if der else val
+    return quadrature._values_then_slopes(
+        u.rule.weights[start:stop], u.rule.nodes[start:stop],
+        [fu[a] * fv[b] for fu, fv in zip(u.values, v.values)])
 
 
 def _probes(f, elements, norm: NormTag, rule=None) -> np.ndarray:
@@ -233,7 +246,7 @@ def _probes(f, elements, norm: NormTag, rule=None) -> np.ndarray:
     rule = rule or quadrature.construction_rule(f, elements, norm.domain)
     x = rule.nodes
     on_f = _OnSupport(f, rule, 0, x.size, tuple(
-        f.evaluate_deriv(x) if d else f.evaluate(x) for d in quadrature.paired(norm)))
+        quadrature._at(f, x, d) for d in quadrature.paired(norm)))
     return np.array([_pair_inner(on_f, u) for u in _on_rule(elements, norm, rule)])
 
 
@@ -341,26 +354,12 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
 
     Integrates f * T_j on the 2(degree+1) point Gauss-Chebyshev rule, whose
-    weights carry 1/sqrt(1-x^2), with f evaluated once and the T_j read
-    from term tables of about basis.TABLE_ENTRIES entries, each times f,
-    then times the weights, and summed by one quadrature.row_sums; a_0
-    carries the 1/pi normalization, the rest 2/pi.
+    weights carry 1/sqrt(1-x^2), by _term_sums; a_0 carries the 1/pi
+    normalization, the rest 2/pi.
     """
     rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
-    fam = basis.chebyshev_family()
-    x = rule.nodes
-    fx = np.asarray(f.evaluate(x), dtype=float)
-    out = np.empty(degree + 1)
-    block = max(1, basis.TABLE_ENTRIES // x.size)
-    for j0 in range(0, degree + 1, block):
-        rows = basis.term_table(fam, range(j0, min(j0 + block, degree + 1)), x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows *= fx
-            rows *= rule.weights
-        sums = quadrature.row_sums(len(rows), x, lambda at: rows[:, at])
-        for j, ip in enumerate(sums, j0):
-            out[j] = ip / math.pi if j == 0 else 2.0 * ip / math.pi
-    return out
+    sums = _term_sums(f, basis.chebyshev_family(), range(degree + 1), rule)
+    return np.array([ip / math.pi if j == 0 else 2.0 * ip / math.pi for j, ip in sums])
 
 
 def approximate_chebyshev(f, degree: int,

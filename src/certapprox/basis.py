@@ -6,11 +6,13 @@ hierarchy phi_{2^k} on [0, 1], and clamped uniform cubic B-splines on an
 arbitrary interval. An element evaluates pointwise or on numpy arrays,
 differentiates (one-sided, right-hand convention at kinks), and reports a
 support interval that is sound: the element vanishes identically outside it.
-Every B-spline value and slope, of one element or of a series, is read from
-one span table: per node, its knot span s and the four B-splines non-zero
-there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle. Every other
-value and slope, of one element or of many, is a row of one term table
-(term_table): terms by nodes, each kind's formula written once.
+Every B-spline value and slope, of one element, of a series or of every
+element on a rule, is read by one SpanTable: per node, its knot span s and
+the four B-splines non-zero there, N_{s-3..s,3}, from one pass up the
+Cox-de Boor triangle (span_table), and one gather that adds the terms in
+term order. Every other value and slope, of one element or of many, is a
+row of one term table (term_table): terms by nodes, each kind's formula
+written once.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -160,7 +162,7 @@ class BasisElement:
     def _rows(self, xs: np.ndarray, deriv: bool) -> np.ndarray:
         # the one-term case of the family's evaluator, in the shape of xs
         if self.family.kind == CUBIC_BSPLINE:
-            return spline_sum(self.family.knots(), ((self.index - 1, 1.0),), xs, deriv)
+            return SpanTable.sum_at(self.family, ((self.index, 1.0),), xs, deriv)
         xs = np.asarray(xs, dtype=float)
         return term_table(self.family, (self.index,), xs.reshape(-1), deriv).reshape(xs.shape)
 
@@ -333,58 +335,60 @@ def span_table(t: np.ndarray, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
     return row, slopes
 
 
-def spline_sum(t: np.ndarray, terms, x: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """sum a N_{i,3}(x), or of the slopes, over the (i, a) terms, read from
-    span tables of SPAN_CHUNK nodes at a time, with x inside the domain.
-
-    A node's span s is the last with t[s] <= x, so t[s] < t[s+1]; x == hi
-    is closed into the last non-empty span. The terms are added in term
-    order, a repeated index again, each on the nodes of spans i..i+3: its
-    closed support but for x = t_{i+4}, where it adds +0.0. Leaving out a
-    +0.0 changes nothing, because v starts at +0.0 and a sum never turns
-    it into -0.0. Only the nodes between the first support's start and
-    the last one's end get a span, and a chunk that no term reaches builds
-    no table.
-    """
-    v = np.zeros(x.shape)
-    if not terms:
-        return v
-    into, flat = v.reshape(-1), x.reshape(-1)
-    lo, hi = t[min(i for i, _ in terms)], t[max(i for i, _ in terms) + 4]
-    inside = np.flatnonzero((flat >= lo) & (flat <= hi))
-    last = int(np.searchsorted(t, t[-1])) - 1
-    for c in range(0, inside.size, SPAN_CHUNK):
-        at = inside[c:c + SPAN_CHUNK]
-        xs = flat[at]
-        s = np.minimum(np.searchsorted(t, xs, side="right") - 1, last)
-        first, final = int(s.min()), int(s.max())
-        near = [(i, a) for i, a in terms if first - 3 <= i <= final]
-        if near:
-            rows = span_table(t, xs, s)[1 if deriv else 0]
-            for i, a in near:
-                r = i + 3 - s
-                hit = np.flatnonzero((r >= 0) & (r <= 3))
-                into[at[hit]] += a * rows[hit, r[hit]]
-    return v
-
-
 class SpanTable:
-    """Every element of a B-spline family at ascending nodes x, refused as
-    e.evaluate refuses them: per node its span s and its span_table rows."""
+    """Elements of a B-spline family at nodes x inside its domain, unchecked:
+    per node its span s, and per chunk of SPAN_CHUNK nodes its span_table
+    rows and the elements first..final that are non-zero somewhere in it. A
+    node's span is the last s with t[s] <= x, so t[s] < t[s+1]; x == hi is
+    closed into the last non-empty span."""
 
     def __init__(self, family: BasisFamily, x: np.ndarray):
         t = family.knots()
-        last = int(np.searchsorted(t, t[-1])) - 1  # as spline_sum finds spans
-        self.s = pointwise(family.domain, lambda xs: np.minimum(
-            np.searchsorted(t, xs, side="right") - 1, last), x)
-        chunks = [span_table(t, x[c:c + SPAN_CHUNK], self.s[c:c + SPAN_CHUNK])
-                  for c in range(0, x.size, SPAN_CHUNK)]
-        self.rows = [np.concatenate(r) for r in zip(*chunks)]
+        last = int(np.searchsorted(t, t[-1])) - 1
+        self.s = np.minimum(np.searchsorted(t, x, side="right") - 1, last)
+        self.chunks = []
+        for c in range(0, x.size, SPAN_CHUNK):
+            s = self.s[c:c + SPAN_CHUNK]
+            # element j (N_{j-1,3}) is non-zero in the spans j - 1..j + 2
+            self.chunks.append((int(s.min()) - 2, int(s.max()) + 1,
+                                span_table(t, x[c:c + SPAN_CHUNK], s)))
+
+    @classmethod
+    def sum_at(cls, family: BasisFamily, terms, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+        """sum a N_{j-1,3}(x), or of the slopes, over the (j, a) terms, at x
+        of any shape inside the domain: one table over the nodes between the
+        first support's start and the last one's end, +0.0 elsewhere."""
+        v = np.zeros(x.shape)
+        if terms:
+            t, flat = family.knots(), x.reshape(-1)
+            lo, hi = t[min(j for j, _ in terms) - 1], t[max(j for j, _ in terms) + 3]
+            inside = np.flatnonzero((flat >= lo) & (flat <= hi))
+            v.reshape(-1)[inside] = cls(family, flat[inside]).sum(terms, deriv, 0, inside.size)
+        return v
+
+    def sum(self, terms, deriv: bool, start: int, stop: int) -> np.ndarray:
+        """sum a N_{j-1,3}, or of the slopes, over the (j, a) terms at nodes
+        start..stop - 1.
+
+        The terms are added in term order, a repeated index again, each on
+        the nodes of spans j - 1..j + 2: its closed support but for x =
+        t_{j+3}, where it adds +0.0. Leaving out a +0.0 changes nothing,
+        because the sum starts at +0.0 and a sum never turns it into -0.0.
+        A chunk reads only the terms non-zero in it.
+        """
+        v = np.zeros(stop - start)
+        for c in range(start - start % SPAN_CHUNK, stop, SPAN_CHUNK):
+            first, final, rows = self.chunks[c // SPAN_CHUNK]
+            lo, hi = max(start, c), min(stop, c + SPAN_CHUNK)
+            s, out, table = self.s[lo:hi], v[lo - start:hi - start], rows[deriv][lo - c:hi - c]
+            for j, a in terms:
+                if first <= j <= final:
+                    r = j + 2 - s
+                    hit = ((r >= 0) & (r <= 3)).nonzero()[0]
+                    out[hit] += a * table[hit, r[hit]]
+        return v
 
     def column(self, index: int, deriv: bool, start: int, stop: int) -> np.ndarray:
-        """Element `index` or its slope at nodes start..stop - 1, as spline_sum sums it."""
-        r = index + 2 - self.s[start:stop]
-        hit = np.flatnonzero((r >= 0) & (r <= 3))
-        v = np.zeros(stop - start)
-        v[hit] += self.rows[deriv][start + hit, r[hit]]
-        return v
+        """Element `index` or its slope at nodes start..stop - 1: the
+        one-term sum."""
+        return self.sum(((index, 1.0),), deriv, start, stop)

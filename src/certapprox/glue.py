@@ -303,7 +303,7 @@ def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
             mask = (xs >= lo) & (xs <= hi)
             if np.any(mask):
                 xm = xs[mask]
-                term = pou.weight(i, xm) * (s.evaluate_deriv(xm) if deriv else s.evaluate(xm))
+                term = pou.weight(i, xm) * quadrature._at(s, xm, deriv)
                 if deriv:  # the product rule, psi_i' s_i first
                     term = pou.weight_deriv(i, xm) * s.evaluate(xm) + term
                 out[mask] += term

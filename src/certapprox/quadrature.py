@@ -12,12 +12,15 @@ L2 and W12 norms are integrated; the sup norm is sup_distance's.
 
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
-reproducible across machines. row_sums gets there by error-free
-extraction, for one row of products (weighted_sum, integrate) or many at
-once: each slice of FSUM_CHUNK products of a row is split, by exact
-power-of-two scalings and truncations, into a few partials whose float sums
-are exact, and one math.fsum per row rounds its partials. Each result is
-bit for bit math.fsum of every product of its row.
+reproducible across machines. Each is bit for bit math.fsum of every
+product. weighted_sum is the one-row sum (integrate's, and that of every
+pair and probe): up to FSUM_CHUNK // 4 products it is math.fsum itself,
+past that the one-row row_sums. row_sums sums many rows at once by
+error-free extraction: each slice of FSUM_CHUNK products of a row is
+split, by exact power-of-two scalings and truncations, into a few partials
+whose float sums are exact, and one math.fsum per row rounds its partials.
+_values_then_slopes adds a norm's value sum and slope sum: every inner
+product and norm of a difference ends there.
 """
 
 from __future__ import annotations
@@ -195,50 +198,30 @@ def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureR
 FSUM_CHUNK = 4096
 # 2^_HEADROOM >= 2 * FSUM_CHUNK, so a slice's integer sum stays below 2^52
 _HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
-_OVERFLOW = "weighted node sum overflows the float range"
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
     """Weighted node sum of fn on the rule, exactly rounded: weighted_sum."""
     x = rule.nodes
-    v = np.asarray(fn(x), dtype=float)
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape)
-    return weighted_sum(rule.weights, v, x)
+    return weighted_sum(rule.weights, np.asarray(fn(x), dtype=float), x)
 
 
 def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
     """math.fsum of the products w_i * v_i at the nodes x_i, exactly
-    rounded: the one-row case of row_sums."""
+    rounded. Up to FSUM_CHUNK // 4 products, math.fsum over them as Python
+    floats beats the numpy passes of row_sums; past that, or when math.fsum
+    ends in a non-finite value or an overflow, the one-row row_sums sums
+    them, so the value and the error are row_sums' either way."""
     with np.errstate(over="ignore"):
         wv = w * v
+    if wv.size <= FSUM_CHUNK // 4:
+        try:
+            total = math.fsum(wv.tolist())
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            total = math.nan
+        if math.isfinite(total):
+            return total
     return row_sums(1, x, lambda at: wv[None, at])[0]
-
-
-def weighted_fsum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
-    """weighted_sum, by math.fsum over the products as Python floats. For
-    the few dozen products of a B-spline pair that beats the numpy passes
-    of row_sums, which pay off from about a thousand; the value, and the
-    error on a non-finite product, are the same."""
-    with np.errstate(over="ignore"):
-        wv = w * v
-    try:
-        total = math.fsum(wv.tolist())
-    except (OverflowError, ValueError):  # the sum leaves the range, or inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        _refuse(wv, x)
-    return total
-
-
-def _refuse(products: np.ndarray, x: np.ndarray):
-    """EvaluationError naming the first node whose product is not finite,
-    or, with every product finite, saying that their sum overflows."""
-    bad = ~np.isfinite(products)
-    if bad.any():
-        node = float(x[bad][0])
-        raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
-    raise EvaluationError(_OVERFLOW)
 
 
 def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
@@ -281,7 +264,9 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
             ints = np.empty(r.shape)
             top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
             if not np.isfinite(top).all():
-                _refuse(r[np.argmax(~np.isfinite(top))], x[at])
+                row = r[np.argmax(~np.isfinite(top))]
+                node = float(x[at][~np.isfinite(row)][0])
+                raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
             live = np.arange(rows)
             while True:
                 if not top.all():  # drop the rows that are empty
@@ -299,7 +284,7 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
                 top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
         return [math.fsum(p) for p in parts]
     except OverflowError:
-        raise EvaluationError(_OVERFLOW) from None
+        raise EvaluationError("weighted node sum overflows the float range") from None
 
 
 def paired(norm: NormTag) -> tuple[bool, ...]:
@@ -311,32 +296,36 @@ def paired(norm: NormTag) -> tuple[bool, ...]:
     return (False, True) if norm.kind == W12 else (False,)
 
 
-def _values_and_derivatives(integrand, norm: NormTag, rule: QuadratureRule) -> float:
-    """The integral of integrand(x, deriv) for each flag paired(norm) gives,
-    added in that order."""
-    val, *der = [integrate(lambda x, d=d: integrand(x, d), rule) for d in paired(norm)]
+def _values_then_slopes(w: np.ndarray, x: np.ndarray, products) -> float:
+    """The weighted_sum of each products array in turn, added in that
+    order: the values', then under W12 the slopes', as paired flags them.
+    Each array is summed before the next is drawn, so a generator of them
+    evaluates the slopes only once the values' sum has passed."""
+    val, *der = [weighted_sum(w, p, x) for p in products]
     return val + der[0] if der else val
 
 
 def _at(fn, x, deriv: bool) -> np.ndarray:
+    """fn's values, or with deriv its slopes, at x as a float array: the
+    one place a value-or-slope flag picks evaluate or evaluate_deriv."""
     return np.asarray(fn.evaluate_deriv(x) if deriv else fn.evaluate(x), dtype=float)
 
 
 def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """<f, e> in the given norm's inner product, by the given rule; sup
     admits no inner product."""
-    return _values_and_derivatives(lambda x, d: _at(f, x, d) * _at(e, x, d), norm, rule)
+    x = rule.nodes
+    products = (_at(f, x, d) * _at(e, x, d) for d in paired(norm))
+    return _values_then_slopes(rule.weights, x, products)
 
 
 def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule) -> float:
     """||f - g|| in the given L2 or W12 norm, by the given rule; the sup
     norm is sup_distance's."""
-
-    def squared(x, deriv):
-        d = _at(f, x, deriv) - _at(g, x, deriv)
-        return d * d
-
-    return math.sqrt(max(_values_and_derivatives(squared, norm, rule), 0.0))
+    x = rule.nodes
+    diffs = (_at(f, x, d) - _at(g, x, d) for d in paired(norm))
+    squares = _values_then_slopes(rule.weights, x, (d * d for d in diffs))
+    return math.sqrt(max(squares, 0.0))
 
 
 GRID_POINTS = 4097
@@ -353,8 +342,7 @@ def sup_distance(f, g, domain: tuple[float, float]):
     lo, hi = domain
 
     def h(x):
-        return np.abs(np.asarray(f.evaluate(x), dtype=float)
-                      - np.asarray(g.evaluate(x), dtype=float))
+        return np.abs(_at(f, x, False) - _at(g, x, False))
 
     bf = f.linear_breakpoints()
     bg = g.linear_breakpoints()

@@ -489,9 +489,9 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
     The domain is checked once per evaluation, not once per term. A sine
     series is summed by Reinsch's recurrence (see _sine_sum): one sine and
     one square root per node, then a multiply and three adds per node and
-    index. A B-spline series reads every term from one span table per
-    chunk of nodes (see basis.spline_sum), and every other family from one
-    term table per chunk of nodes (see _table_sum).
+    index. A B-spline series reads every term from one span table over the
+    nodes its terms reach (see basis.SpanTable), and every other family
+    from one term table per chunk of nodes (see _table_sum).
     """
     tt = tuple((int(j), float(a)) for j, a in terms)
     for j, _ in tt:
@@ -503,7 +503,7 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
     if family.kind == basis.FOURIER_SINE:
         total = partial(_sine_sum, _sine_runs(tt))
     elif family.kind == basis.CUBIC_BSPLINE:
-        total = partial(basis.spline_sum, family.knots(), tuple((j - 1, a) for j, a in tt))
+        total = partial(basis.SpanTable.sum_at, family, tt)
     else:
         total = partial(_table_sum, family, tuple(j for j, _ in tt),
                         np.asarray([a for _, a in tt]).reshape(-1, 1))

@@ -132,20 +132,23 @@ def test_batched_probes_match_one_probe_at_a_time(eps, max_terms):
 
 
 def test_probes_read_one_term_table_per_batch_and_node_slice(tables):
-    # blocks up to (256, 512], whose rule has two node slices
+    # blocks up to (256, 512], whose rule has two node slices; a block's
+    # batches take TABLE_ENTRIES // min(nodes, FSUM_CHUNK) indices, so the
+    # blocks up to e_32's rule of 512 nodes take one batch each
     f = target.from_builtin("linear")
     fam = fourier_sine_family()
     cert = approximate_orthonormal(f, fam, ExtractionSettings(0.025, max_terms=1024))
-    n, batch, chunk = len(cert.terms), 4, quadrature.FSUM_CHUNK
+    n, chunk = len(cert.terms), quadrature.FSUM_CHUNK
     assert 256 < n < 512
-    assert batch == basis.TABLE_ENTRIES // chunk
     want, start, end = [], 1, 1
     while start <= n:
         nodes = quadrature.construction_rule(f, [fam.element(end)], fam.domain).nodes.size
+        batch = basis.TABLE_ENTRIES // min(nodes, chunk)
         slices = [min(chunk, nodes - i) for i in range(0, nodes, chunk)]
         want += slices * len(range(start, min(end, n) + 1, batch))
         start, end = end + 1, 2 * end
-    assert want[-2:] == [chunk, chunk]  # the last block's rule has two slices
+    assert want[:10] == [16, 32, 64, 128, 256, 512, 1024, 1024, 2048, 2048]
+    assert want.count(2048) == 8 and want.count(chunk) == 32 + 2 * -(-(n - 256) // 4)
     assert tables["tables"] == want
     assert tables["value"] == tables["deriv"] == 0
 
@@ -380,6 +383,36 @@ def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):
     approximate_gram(target.from_builtin("sinpi"), els, quadrature.w12_norm(),
                      ExtractionSettings(1e-3))
     assert calls == [1024, 528] * 4
+
+
+def test_each_bspline_reader_builds_one_span_table(monkeypatch):
+    # a work count: the SpanTable builds, by node count, behind a series'
+    # values and slopes, a single element, the Gram and the probes. The
+    # series and the element read only the nodes their terms reach
+    builds = []
+    init = basis.SpanTable.__init__
+
+    def counting(self, family, x):
+        builds.append(x.size)
+        init(self, family, x)
+
+    monkeypatch.setattr(basis.SpanTable, "__init__", counting)
+    fam = cubic_bspline_family(20)
+    t, x = fam.knots(), np.linspace(0.0, 1.0, 3001)
+    s = target.series(fam, [(5, 1.0), (3, -2.0), (5, 0.5), (8, 0.25)])
+    s.evaluate(x), s.evaluate_deriv(x)
+    reach = np.count_nonzero((x >= t[2]) & (x <= t[11]))  # supports of 3 to 8
+    assert builds == [reach, reach] and 0 < reach < x.size
+    builds.clear()
+    fam.element(7).evaluate(x)
+    assert builds == [np.count_nonzero((x >= t[6]) & (x <= t[10]))]
+    els, norm = fam.interior_elements(), quadrature.w12_norm()
+    rule = quadrature.construction_rule(els[0], els, norm.domain)
+    for build in (lambda: gram_matrix(els, norm),
+                  lambda: approximate._probes(target.from_builtin("sinpi"), els, norm, rule)):
+        builds.clear()
+        build()
+        assert builds == [rule.nodes.size]
 
 
 def _own_rule_probes(f, elements, norm):

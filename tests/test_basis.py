@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certapprox import basis
 from certapprox.basis import (BasisFamily, chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family, tent_family)
 from certapprox.errors import ConfigurationError, DomainError
@@ -325,6 +326,54 @@ def test_bspline_triangle_matches_the_recursion_bit_for_bit(m, lo, width, us):
         i = e.index - 1
         assert _same_bits(e.value(xs), _recursive_value(t, i, 3, xs, {}))
         assert _same_bits(e.deriv(xs), _recursive_deriv(t, i, xs))
+
+
+def _per_term_sum(t, terms, xs, deriv):
+    """The per-term loop over the recursion: +0.0, then each term in term
+    order at every node. The oracle SpanTable's sums are held to."""
+    v = np.zeros_like(xs)
+    for j, a in terms:
+        v = v + a * (_recursive_deriv(t, j - 1, xs) if deriv
+                     else _recursive_value(t, j - 1, 3, xs, {}))
+    return v
+
+
+@given(m=st.integers(min_value=4, max_value=40),
+       lo=st.floats(min_value=-1e6, max_value=1e6),
+       width=st.floats(min_value=1e-6, max_value=1e6),
+       picks=st.lists(st.integers(min_value=0, max_value=39), max_size=12),
+       nodes=st.integers(min_value=0, max_value=2 * basis.SPAN_CHUNK + 40),
+       shuffled=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks, nodes,
+                                                             shuffled, seed):
+    # a partial series, its indices unsorted and repeated as greedy picks
+    # them, at every knot, both ends and random nodes over up to three
+    # chunks, ascending (so a chunk skips the terms out of its reach) or
+    # shuffled; summed over the nodes its terms reach, over a table of
+    # every node and a range of it, and as one-term columns
+    hi = lo + width
+    fam = cubic_bspline_family(m, (lo, hi))
+    t = fam.knots()
+    rng = np.random.default_rng(seed)
+    xs = np.clip(np.concatenate([t, [lo, hi], lo + rng.uniform(0.0, 1.0, nodes) * width]),
+                 lo, hi)
+    if shuffled:
+        rng.shuffle(xs)
+    else:
+        xs.sort()
+    terms = [(1 + p % m, float(rng.normal())) for p in picks]
+    start, stop = np.sort(rng.integers(0, xs.size + 1, 2))
+    table = basis.SpanTable(fam, xs)
+    for deriv in (False, True):
+        want = _per_term_sum(t, terms, xs, deriv)
+        assert _same_bits(basis.SpanTable.sum_at(fam, terms, xs, deriv), want)
+        assert _same_bits(table.sum(terms, deriv, 0, xs.size), want)
+        assert _same_bits(table.sum(terms, deriv, start, stop), want[start:stop])
+        for j, _ in terms[:3]:
+            column = _per_term_sum(t, [(j, 1.0)], xs, deriv)[start:stop]
+            assert _same_bits(table.column(j, deriv, start, stop), column)
 
 
 def test_tent_value_matches_the_distance_to_the_nearest_integer():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from certapprox import cli
 from certapprox.approximate import CONDITION_LIMIT
 from certapprox.certificate import (FILE_SUFFIX, canonical_dumps, certificate_from_dict,
-                                    compute_digest, serialize, verify)
+                                    compute_digest, deserialize, serialize, verify)
 from certapprox.errors import CertificateParseError
 from certapprox.glue import glued_from_dict, verify_glued
 from certapprox.limit import limit_from_dict, tent_sequence, transfer, verify_limit
@@ -347,6 +348,69 @@ def test_limit_unknown_sequence(workdir):
 def test_limit_tolerance_gate(workdir, eps):
     assert cli.main(["limit", f"--eps={eps}",
                      "--out", str(workdir / "never.json")]) == 4
+
+
+# ----------------------------------------------------------------------------
+# false PASSes: understated certificates that verify, each against a
+# closed-form lower bound on its true error
+# ----------------------------------------------------------------------------
+
+def _spike(center, sharpness):
+    return f"expr:exp(-((x-{center!r})^2)*{sharpness!r})"
+
+
+def _l2_of_spike(sharpness):
+    # ||exp(-s (x - c)^2)||_2 over the real line; the tails beyond the
+    # domain weigh below erfc(400), far under one rounding
+    return (math.pi / (2.0 * sharpness)) ** 0.25
+
+
+# name: (approximate's arguments, the lower bound from the certificate)
+FALSE_PASSES = {
+    # every coefficient 0.0, so the error is ||f||_2
+    "bspline_l2": (["--target", _spike(0.123456789, 1e9), "--basis", "cubic_bspline",
+                    "--knots", "10", "--norm", "l2", "--eps", "1e-3"],
+                   lambda cert: _l2_of_spike(1e9)),
+    # f(c) = 1, so the sup error is at least |1 - S(c)|
+    "chebyshev_sup": (["--target", _spike(0.123456789, 1e12), "--domain", "-1", "1",
+                       "--basis", "chebyshev", "--degree", "20", "--norm", "sup",
+                       "--eps", "1e-3"],
+                      lambda cert: abs(1.0 - cert.approximant().evaluate(0.123456789))),
+    # ||f - S||_2 >= ||f||_2 - ||S||_2, and ||S||_2 = |a_1| for the one term
+    "sine_l2": (["--target", _spike(0.5820380915011735, 1350966.2), "--basis",
+                 "fourier_sine", "--eps", "1e-2"],
+                lambda cert: _l2_of_spike(1350966.2) - math.hypot(*(a for _, a in cert.terms))),
+}
+
+
+@pytest.fixture(scope="module")
+def false_passes(workdir):
+    """name: (the certificate's path, it parsed, its lower bound)."""
+    out = {}
+    for name, (argv, bound) in FALSE_PASSES.items():
+        path = workdir / (name + FILE_SUFFIX)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["approximate", *argv, "--out", str(path)]) == 0
+        cert = deserialize(path.read_bytes())
+        out[name] = path, cert, bound(cert)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_PASSES))
+def test_false_pass_bounds_exceed_the_reported_error(false_passes, name):
+    _, cert, bound = false_passes[name]
+    assert bound > cert.reported_error * (1 + 1e-6) + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the verifier shares the construction's blind "
+                   "spots (ROADMAP items 1 and 14)")
+@pytest.mark.parametrize("name", sorted(FALSE_PASSES))
+def test_false_passes_fail_verification(false_passes, name, capsys):
+    path, cert, bound = false_passes[name]
+    assert bound > cert.reported_error * (1 + 1e-6) + 1e-12
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFICATION
+    assert "verdict: FAIL" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------------

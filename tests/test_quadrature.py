@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ def test_non_finite_integrand_is_reported():
                     q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 8, (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("measure", [q.inner_product, q.norm_of_difference],
+                         ids=["inner_product", "norm_of_difference"])
+def test_the_values_are_summed_before_the_slopes_are_evaluated(measure):
+    # under W12 a non-finite value product raises its own error before
+    # the slopes, which would raise another, are evaluated
+    def slopes(x):
+        raise EvaluationError("slopes evaluated", 0.5)
+    f = _Fn(lambda x: np.full_like(x, np.inf), slopes)
+    one = _Fn(np.ones_like, np.zeros_like)
+    rule = q.QuadratureRule(q.COMPOSITE_GAUSS_LEGENDRE, 8, (0.0, 1.0))
+    with pytest.raises(EvaluationError, match="non-finite weighted integrand"):
+        measure(f, one, q.w12_norm(), rule)
+
+
 @pytest.mark.parametrize("alternate", [False, True], ids=["constant", "alternating"])
 def test_overflowing_weighted_products_are_reported(alternate):
     # finite values, but a weight of 94.7 lifts 1e308 past the float range
@@ -354,27 +369,52 @@ def test_row_sums_name_the_first_non_finite_node_of_a_row(row, col, bad):
     assert e.value.x == x[col]
 
 
+# the most products weighted_sum hands to math.fsum; past it the one-row row_sums
+CUT_OFF = q.FSUM_CHUNK // 4
+# products planted at k, k + 1, ... (mod the count), each of weight 1: a
+# non-finite one, two of 1.5e308 whose sum leaves the float range, or those
+# two and then two of -1.5e308, which overflow math.fsum on the way to 0.0
+PLANTS = {"inf": [math.inf], "-inf": [-math.inf], "nan": [math.nan],
+          "overflow": [1.5e308] * 2, "cancel": [1.5e308] * 2 + [-1.5e308] * 2}
+
+
 @given(v=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=80),
-       planted=st.lists(st.tuples(st.integers(min_value=0),
-                                  st.sampled_from([math.inf, -math.inf, math.nan])),
+       size=st.sampled_from([None, CUT_OFF - 1, CUT_OFF, CUT_OFF + 1, q.FSUM_CHUNK + 1]),
+       planted=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(sorted(PLANTS))),
                         max_size=2),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(v=[1.0] * 4, size=None, planted=[(0, "cancel")], seed=0)
+@example(v=[1.0], size=CUT_OFF, planted=[(CUT_OFF - 1, "overflow")], seed=0)
 @settings(max_examples=100, deadline=None)
-def test_weighted_fsum_is_weighted_sum(v, planted, seed):
-    # the B-spline pairs' math.fsum path: the same value, and the same
-    # error naming the same node when a product is not finite
-    v = np.array(v)
-    for i, bad in planted:
-        v[i % v.size] = bad
+def test_weighted_sum_is_fsum_on_both_sides_of_the_cut_off(v, size, planted, seed):
+    # as drawn (1 to 80 products) or repeated to a count around the cut-off:
+    # the value is math.fsum's, by math.fsum itself up to CUT_OFF products,
+    # and a non-finite product or an overflowing sum raises the one-row
+    # row_sums' error, naming the same node
+    v = np.resize(np.array(v), size or len(v))
     w = np.random.default_rng(seed).uniform(0.0, 2.0, v.size)
+    for k, kind in planted:
+        at = (k % v.size + np.arange(len(PLANTS[kind]))) % v.size
+        v[at], w[at] = PLANTS[kind], 1.0
     x = np.linspace(0.0, 1.0, v.size)
+    with np.errstate(over="ignore"):
+        wv = w * v
+    try:
+        fsum = math.fsum(wv.tolist())
+    except (OverflowError, ValueError):
+        fsum = math.nan
 
     def outcome(fn):
         try:
-            return fn(w, v, x).hex()
+            return fn().hex()
         except EvaluationError as e:
             return str(e), e.x
-    assert outcome(q.weighted_fsum) == outcome(q.weighted_sum)
+    with mock.patch.object(q, "row_sums", wraps=q.row_sums) as extraction:
+        got = outcome(lambda: q.weighted_sum(w, v, x))
+    assert extraction.called == (v.size > CUT_OFF or not math.isfinite(fsum))
+    assert got == outcome(lambda: q.row_sums(1, x, lambda at: wv[None, at])[0])
+    if math.isfinite(fsum):
+        assert got == fsum.hex()
 
 
 # ----------------------------------------------------------------------------
