@@ -283,16 +283,16 @@ def envelope_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Envelope-Cholesky solution of G c = rhs, one fsum per value. A
-    condition estimate over CONDITION_LIMIT or a non-positive pivot is
-    IllConditionedBasisError; the estimate gates, and reaches no claim."""
+    condition estimate over CONDITION_LIMIT, or under it a non-positive
+    pivot, is IllConditionedBasisError; the estimate gates, reaching no claim."""
     cond = math.inf
     try:
         cond = float(np.linalg.cond(G))
         if not math.isfinite(cond) or cond > CONDITION_LIMIT:
             raise IllConditionedBasisError(cond, CONDITION_LIMIT)
         L, first = envelope_cholesky(G)
-    except np.linalg.LinAlgError:
-        raise IllConditionedBasisError(cond, CONDITION_LIMIT) from None
+    except np.linalg.LinAlgError as e:  # the estimate's, cond left at inf, or a pivot's
+        raise IllConditionedBasisError(cond, CONDITION_LIMIT, str(e)) from None
     k = len(G)
     y, x = np.zeros(k), np.zeros(k)
     for i in range(k):

@@ -1,18 +1,21 @@
-r"""Basis families on an interval, with one shared element interface.
+r"""Basis families on an interval: the one module that knows how each
+family evaluates and where its structure lies.
 
 Five families: Chebyshev polynomials T_j on [-1, 1], the orthonormal sine
 system sqrt(2) sin(j pi x) on [0, 1], raw monomials x^j, the dyadic tent
-hierarchy phi_{2^k} on [0, 1], and clamped uniform cubic B-splines on an
-arbitrary interval. An element evaluates pointwise or on numpy arrays,
-differentiates (one-sided, right-hand convention at kinks), and reports a
-support interval that is sound: the element vanishes identically outside it.
-Every B-spline value and slope, of one element, of a series or of every
-element on a rule, is read by one SpanTable: per node, its knot span s and
-the four B-splines non-zero there, N_{s-3..s,3}, from one pass up the
-Cox-de Boor triangle (span_table), and one gather that adds the terms in
-term order. Every other value and slope, of one element or of many, is a
-row of one term table (term_table): terms by nodes, each kind's formula
-written once.
+hierarchy phi_{2^k} on [0, 1] (FIXED_DOMAINS), and clamped uniform cubic
+B-splines on an arbitrary interval. An element evaluates pointwise or on
+numpy arrays, differentiates (one-sided, right-hand convention at kinks),
+and reports a support interval that is sound: the element vanishes
+identically outside it. Every B-spline value and slope, of one element, of
+a series or of every element on a rule, is read by one SpanTable: per
+node, its knot span s and the four B-splines non-zero there, N_{s-3..s,3},
+from one pass up the Cox-de Boor triangle (span_table), and one gather
+that adds the terms in term order. A sine series is summed by Reinsch's
+recurrence (_sine_sum). Every other value and slope, of one element or of
+a series, is a row of one term table (term_table): terms by nodes, each
+kind's formula written once. series_sum picks a series' evaluator;
+series_edges, series_kinks and edge_pieces give where a rule must break.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -35,7 +38,10 @@ MONOMIAL = "monomial"
 TENT = "tent"
 CUBIC_BSPLINE = "cubic_bspline"
 
-_KINDS = (CHEBYSHEV, FOURIER_SINE, MONOMIAL, TENT, CUBIC_BSPLINE)
+KINDS = (CHEBYSHEV, FOURIER_SINE, MONOMIAL, TENT, CUBIC_BSPLINE)
+
+# the families that live on one interval only; the others take any domain
+FIXED_DOMAINS = {CHEBYSHEV: (-1.0, 1.0), FOURIER_SINE: (0.0, 1.0), TENT: (0.0, 1.0)}
 
 
 # ----------------------------------------------------------------------------
@@ -51,15 +57,14 @@ class BasisFamily:
     m: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigurationError(f"unknown basis kind {self.kind!r}")
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigurationError(f"invalid domain [{lo}, {hi}]")
-        if self.kind == CHEBYSHEV and self.domain != (-1.0, 1.0):
-            raise ConfigurationError("chebyshev family lives on [-1, 1]")
-        if self.kind in (FOURIER_SINE, TENT) and self.domain != (0.0, 1.0):
-            raise ConfigurationError(f"{self.kind} family lives on [0, 1]")
+        if (fixed := FIXED_DOMAINS.get(self.kind)) and self.domain != fixed:
+            raise ConfigurationError(
+                f"{self.kind} family lives on [{fixed[0]:g}, {fixed[1]:g}]")
         if self.kind == CUBIC_BSPLINE:
             if self.m is None or self.m < 4:
                 raise ConfigurationError("cubic_bspline needs m >= 4 functions")
@@ -97,11 +102,11 @@ class BasisFamily:
 
 
 def chebyshev_family() -> BasisFamily:
-    return BasisFamily(CHEBYSHEV, (-1.0, 1.0))
+    return BasisFamily(CHEBYSHEV, FIXED_DOMAINS[CHEBYSHEV])
 
 
 def fourier_sine_family() -> BasisFamily:
-    return BasisFamily(FOURIER_SINE, (0.0, 1.0))
+    return BasisFamily(FOURIER_SINE, FIXED_DOMAINS[FOURIER_SINE])
 
 
 def monomial_family(domain: tuple[float, float] = (0.0, 1.0)) -> BasisFamily:
@@ -109,7 +114,7 @@ def monomial_family(domain: tuple[float, float] = (0.0, 1.0)) -> BasisFamily:
 
 
 def tent_family() -> BasisFamily:
-    return BasisFamily(TENT, (0.0, 1.0))
+    return BasisFamily(TENT, FIXED_DOMAINS[TENT])
 
 
 def cubic_bspline_family(m: int, domain: tuple[float, float] = (0.0, 1.0)) -> BasisFamily:
@@ -169,9 +174,8 @@ class BasisElement:
     def support(self) -> tuple[float, float]:
         fam = self.family
         if fam.kind == CUBIC_BSPLINE:
-            t = fam.knots()
-            j0 = self.index - 1
-            return (float(t[j0]), float(t[j0 + 4]))
+            t, j = fam.knots(), self.index
+            return (float(t[j - 1]), float(t[j + 3]))
         return fam.domain
 
     def panel_edges(self) -> np.ndarray:
@@ -182,10 +186,10 @@ class BasisElement:
         """
         lo, hi = self.family.domain
         kind, j = self.family.kind, self.index
-        if kind == CHEBYSHEV:
-            return np.linspace(lo, hi, _ceil_div(j + 1, 8) + 1)
-        if kind == MONOMIAL:
-            return np.linspace(lo, hi, _ceil_div(j + 1, 16) + 1)
+        if kind == CHEBYSHEV:  # ceil((j + 1) / 8) panels
+            return np.linspace(lo, hi, j // 8 + 2)
+        if kind == MONOMIAL:  # ceil((j + 1) / 16) panels
+            return np.linspace(lo, hi, j // 16 + 2)
         if kind == FOURIER_SINE:
             return np.linspace(lo, hi, j + 1)
         if kind == TENT:
@@ -205,10 +209,6 @@ def pointwise(domain: tuple[float, float], fn, x):
     return v if np.ndim(x) else float(v[0])
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def support_knots(family: BasisFamily, indices) -> np.ndarray:
     """The knots t[j-1..j+3] of the supports of B-spline elements j in
     indices, ascending, from one mask over the family's knot vector; an
@@ -219,6 +219,20 @@ def support_knots(family: BasisFamily, indices) -> np.ndarray:
     np.add.at(cover, j - 1, 1)
     np.add.at(cover, j + 4, -1)
     return t[np.cumsum(cover[:-1]) > 0]
+
+
+def edge_pieces(items) -> list[np.ndarray]:
+    """The panel edges a rule should honor for each item (an element, a
+    target or a series), as arrays whose union is every item's
+    panel_edges: the B-spline elements of one family give their supports'
+    knots in one piece (support_knots), the rest their own edges."""
+    pieces, splines = [], {}
+    for e in items:
+        if isinstance(e, BasisElement) and e.family.kind == CUBIC_BSPLINE:
+            splines.setdefault(e.family, []).append(e.index)
+        else:
+            pieces.append(np.asarray(e.panel_edges(), dtype=float))
+    return pieces + [support_knots(fam, idx) for fam, idx in splines.items()]
 
 
 # ----------------------------------------------------------------------------
@@ -392,3 +406,163 @@ class SpanTable:
         """Element `index` or its slope at nodes start..stop - 1: the
         one-term sum."""
         return self.sum(((index, 1.0),), deriv, start, stop)
+
+
+# ----------------------------------------------------------------------------
+# series: each family's one evaluator, and where a series' structure lies
+# ----------------------------------------------------------------------------
+
+def series_sum(family: BasisFamily, terms):
+    """The (x, deriv=False) evaluator of sum a e_j, or of the slopes, over
+    the (j, a) terms, at x of any shape inside the domain, unchecked: a
+    sine series by Reinsch's recurrence (_sine_sum), a B-spline series by
+    one span table over the nodes its terms reach (SpanTable.sum_at), every
+    other family by one term table per chunk of nodes (_table_sum)."""
+    if family.kind == FOURIER_SINE:
+        return partial(_sine_sum, _sine_runs(terms))
+    if family.kind == CUBIC_BSPLINE:
+        return partial(SpanTable.sum_at, family, terms)
+    return partial(_table_sum, family, tuple(j for j, _ in terms),
+                   np.asarray([a for _, a in terms]).reshape(-1, 1))
+
+
+def series_edges(family: BasisFamily, terms) -> np.ndarray:
+    """The panel edges of a series over the (j, a) terms: the domain for
+    none, every knot of a B-spline family, else the top element's edges,
+    the finest term grid, which refines every coarser one."""
+    if not terms:
+        return np.asarray(family.domain)
+    if family.kind == CUBIC_BSPLINE:
+        return np.unique(family.knots())
+    return family.element(max(j for j, _ in terms)).panel_edges()
+
+
+def series_kinks(family: BasisFamily, terms) -> np.ndarray | None:
+    """The kinks of a tent series, its top element's grid, to depth 16, or
+    None. Deeper tent sums, which only a forged limit member reaches (an
+    honest one measures as "same_series"), fall back to estimated sup norms."""
+    if family.kind != TENT or (top := max((j for j, _ in terms), default=0)) > 16:
+        return None
+    return family.element(top).panel_edges()
+
+
+# Bridging a gap in the sine indices costs a multiply and three adds per
+# node and missing index; starting a new run costs a sine and a cosine per
+# node, about as much as bridging a gap of this width.
+SINE_RUN_GAP = 16
+# nodes per recurrence pass; its four working arrays stay in the L2 cache
+SINE_CHUNK = 8192
+
+
+def _sine_runs(terms) -> list[tuple[int, np.ndarray]]:
+    """The sine coefficients as runs (j0, c), c[k] that of index j0 + k,
+    for _sine_sum: repeated indices summed in term order, the sorted indices
+    split where two neighbours lie more than SINE_RUN_GAP apart, the indices
+    a run skips at zero, and the first run from index 0 when it can, so a
+    series of low indices needs no shift."""
+    coeffs: dict[int, float] = {}
+    for j, a in terms:
+        coeffs[j] = coeffs.get(j, 0.0) + a
+    runs: list[tuple[int, list[float]]] = [(0, [])]
+    prev = 0
+    for j in sorted(coeffs):
+        if j - prev > SINE_RUN_GAP:
+            runs.append((j, []))
+        j0, cs = runs[-1]
+        cs.extend([0.0] * (j - j0 - len(cs)))
+        cs.append(coeffs[j])
+        prev = j
+    return [(j0, np.asarray(cs)) for j0, cs in runs if cs]
+
+
+def _sine_sum(runs, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """sqrt(2) sum_j a_j sin(j pi x), or with deriv its derivative
+    sqrt(2) pi sum_j j a_j cos(j pi x), over _sine_runs' runs. A node
+    x > 1/2 is evaluated at y = 1 - x, which is exact there, with the
+    reflected coefficients (-1)^(j+1) a_j, or (-1)^j j a_j for the
+    derivative, so every angle pi y lies in [0, pi/2], where Reinsch's
+    recurrence is stable (see _sine_chunk)."""
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    far = flat > 0.5
+    for reflected in (False, True):
+        at = np.flatnonzero(far == reflected)
+        y = 1.0 - flat[at] if reflected else flat[at]
+        passes = []
+        for j0, c in runs:
+            j = np.arange(j0, j0 + c.size)
+            cs = j * c if deriv else c
+            if reflected:
+                cs = np.where(j % 2 == deriv, -cs, cs)
+            passes.append((j0, cs.tolist()))
+        for i in range(0, at.size, SINE_CHUNK):
+            out[at[i:i + SINE_CHUNK]] = _sine_chunk(passes, y[i:i + SINE_CHUNK], deriv)
+    scale = math.sqrt(2.0) * math.pi if deriv else math.sqrt(2.0)
+    return (scale * out).reshape(x.shape)
+
+
+def _cache_aligned(count: int, n: int) -> list[np.ndarray]:
+    """count empty float arrays of n entries, each starting on a 64-byte
+    boundary. _sine_chunk's loop runs up to 40% slower on arrays that
+    straddle cache lines, and where the heap puts an array is otherwise
+    down to every allocation made before it."""
+    stride = -(-n // 8) * 8
+    buf = np.empty(count * stride + 8)
+    k = -(buf.ctypes.data // 8) % 8
+    return [buf[k + i * stride:k + i * stride + n] for i in range(count)]
+
+
+def _sine_chunk(passes, y: np.ndarray, deriv: bool) -> np.ndarray:
+    """sum over the passes (j0, c) of sum_k c_k sin((j0 + k) theta), or with
+    deriv cos((j0 + k) theta), at theta = pi y in [0, pi/2], by Reinsch's
+    form of Clenshaw's recurrence (Stoer & Bulirsch, Introduction to
+    Numerical Analysis, 2.3): with u = -4 sin^2(theta/2),
+    d_k = c_k + u b_{k+1} + d_{k+1} and b_k = d_k + b_{k+1} give
+    sum_k c_k sin(k theta) = sin(theta) b_1 and
+    sum_k c_k cos(k theta) = c_0 + d_1 + (u/2) b_1. A pass that starts at
+    j0 > 0 shifts both by the angle j0 theta. Only elementwise + - * run
+    per term, so a node's value depends on neither its neighbours nor the
+    chunking."""
+    s = np.sin((0.5 * np.pi) * y)
+    u, b, d, t = _cache_aligned(4, y.size)
+    np.multiply(s, s, out=u)
+    u *= -4.0
+    sin_theta = 2.0 * s * np.sqrt(1.0 - s * s)
+    theta = np.pi * y
+    v = np.zeros_like(y)
+    for j0, cs in passes:
+        b.fill(0.0)
+        d.fill(0.0)
+        for c in reversed(cs[1:]):
+            np.multiply(u, b, out=t)
+            t += c
+            d += t
+            b += d
+        sines = sin_theta * b
+        cosines = cs[0] + d + 0.5 * u * b
+        if j0:
+            sj, cj = np.sin(j0 * theta), np.cos(j0 * theta)
+            v += (cj * cosines - sj * sines) if deriv else (sj * cosines + cj * sines)
+        else:
+            v += cosines if deriv else sines
+    return v
+
+
+def _table_sum(family: BasisFamily, js: tuple[int, ...], coeffs: np.ndarray,
+               x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """sum_k coeffs[k] e_{js[k]}(x), or of the slopes, from one
+    term_table per chunk of nodes of about TABLE_ENTRIES
+    entries; coeffs is a column. Each node gets ((+0.0 + a_0 e_0) + a_1 e_1)
+    + ... in term order, bit for bit the term-by-term sum: add.accumulate
+    adds each scaled row to the running sum of the rows before it."""
+    v = np.zeros(x.shape)
+    if not js:
+        return v
+    into, flat = v.reshape(-1), x.reshape(-1)
+    step = max(1, TABLE_ENTRIES // len(js))
+    for c in range(0, flat.size, step):
+        rows = term_table(family, js, flat[c:c + step], deriv)
+        rows *= coeffs
+        rows[0] += 0.0  # a product of -0.0 starts the sum at +0.0
+        into[c:c + step] = np.add.accumulate(rows, out=rows)[-1]
+    return v

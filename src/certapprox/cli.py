@@ -51,13 +51,9 @@ exit codes:
 
 _METHODS = ("orthonormal_probe", "gram_solve", "raw_probe", "greedy",
             "chebyshev_pipeline")
-_DEFAULT_METHOD = {
-    basis.FOURIER_SINE: "orthonormal_probe",
-    basis.CUBIC_BSPLINE: "gram_solve",
-    basis.CHEBYSHEV: "chebyshev_pipeline",
-    basis.MONOMIAL: "gram_solve",
-    basis.TENT: "gram_solve",
-}
+# by basis kind; every other kind defaults to gram_solve
+_DEFAULT_METHOD = {basis.FOURIER_SINE: "orthonormal_probe",
+                   basis.CHEBYSHEV: "chebyshev_pipeline"}
 _DEFAULT_NORM = {
     "orthonormal_probe": "l2",
     "gram_solve": "w12",
@@ -87,20 +83,11 @@ def _load_document(path: str) -> dict:
 # ----------------------------------------------------------------------------
 
 def _make_family(args, f) -> basis.BasisFamily:
-    domain = tuple(args.domain) if args.domain else f.domain
-    if args.basis == basis.FOURIER_SINE:
-        return basis.fourier_sine_family()
-    if args.basis == basis.TENT:
-        return basis.tent_family()
-    if args.basis == basis.CHEBYSHEV:
-        return basis.chebyshev_family()
-    if args.basis == basis.MONOMIAL:
-        return basis.monomial_family(domain)
-    if args.basis == basis.CUBIC_BSPLINE:
-        if args.knots is None:
-            raise ConfigurationError("cubic_bspline needs --knots")
-        return basis.cubic_bspline_family(args.knots + 2, domain)
-    raise ConfigurationError(f"unknown basis {args.basis!r}")
+    if args.basis == basis.CUBIC_BSPLINE and args.knots is None:
+        raise ConfigurationError("cubic_bspline needs --knots")
+    m = args.knots + 2 if args.basis == basis.CUBIC_BSPLINE else None
+    domain = basis.FIXED_DOMAINS.get(args.basis) or tuple(args.domain or f.domain)
+    return basis.BasisFamily(args.basis, domain, m)
 
 
 def _element_pool(args, family: basis.BasisFamily):
@@ -111,15 +98,14 @@ def _element_pool(args, family: basis.BasisFamily):
             raise ConfigurationError(f"{family.kind} needs --degree")
         return [family.element(j) for j in range(family.min_index, args.degree + 1)]
     count = args.max_terms if args.max_terms is not None else 8
-    lo = family.min_index
-    return [family.element(j) for j in range(lo, lo + count)]
+    return [family.element(j) for j in range(family.min_index, family.min_index + count)]
 
 
 def cmd_approximate(args) -> int:
     f = target.resolve_spec(args.target,
                             tuple(args.domain) if args.domain else None)
     family = _make_family(args, f)
-    method = args.method or _DEFAULT_METHOD[family.kind]
+    method = args.method or _DEFAULT_METHOD.get(family.kind, "gram_solve")
     settings = ExtractionSettings(
         epsilon=args.eps, max_terms=512 if args.max_terms is None else args.max_terms)
     if method == "chebyshev_pipeline":
@@ -357,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("approximate", help="extract and certify an approximant")
     pa.add_argument("--target", required=True)
     pa.add_argument("--basis", required=True,
-                    choices=(basis.CHEBYSHEV, basis.FOURIER_SINE, basis.MONOMIAL,
-                             basis.TENT, basis.CUBIC_BSPLINE))
+                    choices=basis.KINDS)
     pa.add_argument("--eps", type=float, required=True,
                     help="tolerance the certificate must beat")
     pa.add_argument("--method", choices=_METHODS)

@@ -66,12 +66,15 @@ class ToleranceViolated(CertApproxError):
 
 
 class IllConditionedBasisError(CertApproxError):
-    """Gram matrix condition estimate above the solvability threshold."""
+    """A Gram matrix the solver refuses: a condition estimate above the
+    threshold, or under it a non-positive Cholesky pivot, which pivot names."""
 
-    def __init__(self, condition: float, threshold: float = 1e12):
+    def __init__(self, condition: float, threshold: float = 1e12, pivot: str = ""):
         super().__init__(
-            f"gram condition estimate {condition:.3e} exceeds {threshold:.1e}"
-        )
+            f"gram matrix is not positive definite: {pivot}, though its condition"
+            f" estimate {condition:.3e} is under {threshold:.1e}"
+            if pivot and condition <= threshold else
+            f"gram condition estimate {condition:.3e} exceeds {threshold:.1e}")
         self.condition = condition
 
 

@@ -240,23 +240,29 @@ def limit_from_dict(doc: dict) -> LimitCertificate:
 def verify_limit(cert: LimitCertificate, store: dict | None = None) -> VerificationReport:
     """Re-derive every exact quantity in a limit claim from scratch.
 
-    Members are re-verified against their own partial sums. An honest
-    member holds its partial sum's very terms, which certificate.measure
-    settles as "same_series" in O(terms); a member whose terms differ in any
-    bit is scanned as before. The modulus value is re-evaluated when the
-    rule is the known dyadic one. n_star must be that value and the member
-    count, at epsilon and eps/2; only then are the tail 2^-n_star and the
-    ladder computed (else the recomputed error is inf), so a resealed depth
-    never sizes the work. The ladder must be the pairs (n_star, n_star + i),
-    i = 1 .. LADDER_RUNGS, each bounded by eps/2; its gaps are re-measured
-    exactly, and the tail is compared to its budget.
+    The target must name the sequence's limit, and the tolerance must be
+    epsilon_exact exactly, as transfer writes them. Members are re-verified
+    against their own partial sums. An honest member holds its partial sum's
+    very terms, which certificate.measure settles as "same_series" in
+    O(terms); a member whose terms differ in any bit is scanned as before.
+    The modulus value is re-evaluated when the rule is the known dyadic one.
+    n_star must be that value and the member count, at epsilon and eps/2;
+    only then are the tail 2^-n_star and the ladder computed (else the
+    recomputed error is inf), so a resealed depth never sizes the work. The
+    ladder must be the pairs (n_star, n_star + i), i = 1 .. LADDER_RUNGS,
+    each bounded by eps/2; its gaps are re-measured exactly, and the tail is
+    compared to its budget.
     """
     mod = cert.modulus_record
     embedded = cert.members + cert.ladder + (mod,)
     notes, store = envelope_findings(cert, store, embedded)
     if cert.sequence != SEQUENCE_TENT:
         notes.append(f"unknown sequence {cert.sequence!r}; nothing can be re-measured")
+    if cert.target_descriptor != f"limit:{cert.sequence}":
+        notes.append(f"target {cert.target_descriptor!r} is not the limit of the sequence")
     eps = parse_frac(cert.epsilon_exact)
+    if Fraction(cert.tolerance) != eps:
+        notes.append("tolerance is not epsilon_exact")
     half = eps / 2
     if parse_frac(cert.tail_budget) != half:
         notes.append("tail budget is not half of epsilon")

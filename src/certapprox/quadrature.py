@@ -3,7 +3,8 @@ r"""Deterministic quadrature, inner products, and norm measurements.
 Two grades of accuracy run through everything built on top of this module.
 Construction-grade rules are composite 16-point Gauss-Legendre rules whose
 panel edges honor every structural breakpoint of the integrand factors
-(knots, kinks, oscillation scales) on an interval the caller names.
+(knots, kinks, oscillation scales), as basis.edge_pieces lists them, on
+an interval the caller names.
 Verification-grade rules refine each construction panel fourfold in
 certificate.measure, so a verifier never evaluates at construction nodes
 and cannot alias construction error. The Gauss-Chebyshev rule, weight
@@ -163,28 +164,16 @@ def gauss_chebyshev_rule(points: int) -> QuadratureRule:
 
 def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureRule:
     """Composite 16-point GL rule on interval (a norm's domain, a patch, an
-    overlap) whose edges honor f's and every element's structure. The
-    B-spline elements of one family add their supports' knots in one piece
-    (basis.support_knots), the edges their panel_edges would add."""
-    pieces = [np.asarray(f.panel_edges(), dtype=float)]
-    splines: dict[basis.BasisFamily, list[int]] = {}
-    for e in elements:
-        if isinstance(e, basis.BasisElement) and e.family.kind == basis.CUBIC_BSPLINE:
-            splines.setdefault(e.family, []).append(e.index)
-        else:
-            pieces.append(np.asarray(e.panel_edges(), dtype=float))
-    pieces += [basis.support_knots(fam, idx) for fam, idx in splines.items()]
+    overlap) whose edges honor f's and every element's structure, as
+    basis.edge_pieces gives it."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigurationError(f"empty integration interval [{lo}, {hi}]")
-    merged = np.unique(np.concatenate(pieces))
-    merged = merged[(merged > lo) & (merged < hi)]
-    merged = np.concatenate([[lo], merged, [hi]])
+    merged = np.unique(np.concatenate(basis.edge_pieces([f, *elements])))
     # grids built from different rational spacings can land an ulp apart;
     # such slivers break panel refinement, so coalesce them
-    keep = merged[:1].tolist()
-    tol = (hi - lo) * 1e-13
-    for v in merged[1:].tolist():
+    keep, tol = [lo], (hi - lo) * 1e-13
+    for v in [*merged[(merged > lo) & (merged < hi)].tolist(), hi]:
         if v - keep[-1] > tol:
             keep.append(v)
     keep[-1] = hi

@@ -19,7 +19,8 @@ refusal names the first point where it happened.
 
 Every target, whatever its source, is one TargetFunction: a record of
 what the function can do, filled in by the factory that made it. Targets
-evaluate on scalars or numpy arrays.
+evaluate on scalars or numpy arrays. A term series is basis's: series()
+only validates its indices and names it.
 """
 
 from __future__ import annotations
@@ -354,178 +355,18 @@ def piecewise_linear(xs, ys, descriptor: str | None = None) -> TargetFunction:
                           lambda x: np.interp(x, xt, yt), deriv, kinks, kinks)
 
 
-# Bridging a gap in the sine indices costs a multiply and three adds per
-# node and missing index; starting a new run costs a sine and a cosine per
-# node, about as much as bridging a gap of this width.
-SINE_RUN_GAP = 16
-# nodes per recurrence pass; its four working arrays stay in the L2 cache
-SINE_CHUNK = 8192
-
-
-def _sine_runs(terms) -> list[tuple[int, np.ndarray]]:
-    """The sine coefficients as runs (j0, c), c[k] the coefficient of index
-    j0 + k, for _sine_sum.
-
-    Duplicate indices are summed in term order. The sorted indices split
-    where two neighbours lie more than SINE_RUN_GAP apart, and the indices a
-    run skips get zero coefficients. The first run starts at index 0 when it
-    can, so a series of low indices needs no shift.
-    """
-    coeffs: dict[int, float] = {}
-    for j, a in terms:
-        coeffs[j] = coeffs.get(j, 0.0) + a
-    runs: list[tuple[int, list[float]]] = [(0, [])]
-    prev = 0
-    for j in sorted(coeffs):
-        if j - prev > SINE_RUN_GAP:
-            runs.append((j, []))
-        j0, cs = runs[-1]
-        cs.extend([0.0] * (j - j0 - len(cs)))
-        cs.append(coeffs[j])
-        prev = j
-    return [(j0, np.asarray(cs)) for j0, cs in runs if cs]
-
-
-def _sine_sum(runs, x: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """sqrt(2) sum_j a_j sin(j pi x), or with deriv its derivative
-    sqrt(2) pi sum_j j a_j cos(j pi x), over _sine_runs' runs.
-
-    A node x > 1/2 is evaluated at y = 1 - x, which is exact there, with
-    the reflected coefficients (-1)^(j+1) a_j, or (-1)^j j a_j for the
-    derivative, so every angle pi y lies in [0, pi/2], where Reinsch's
-    recurrence is stable (see _sine_chunk).
-    """
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    far = flat > 0.5
-    for reflected in (False, True):
-        at = np.flatnonzero(far == reflected)
-        y = 1.0 - flat[at] if reflected else flat[at]
-        passes = []
-        for j0, c in runs:
-            j = np.arange(j0, j0 + c.size)
-            cs = j * c if deriv else c
-            if reflected:
-                cs = np.where(j % 2 == deriv, -cs, cs)
-            passes.append((j0, cs.tolist()))
-        for i in range(0, at.size, SINE_CHUNK):
-            out[at[i:i + SINE_CHUNK]] = _sine_chunk(passes, y[i:i + SINE_CHUNK], deriv)
-    scale = math.sqrt(2.0) * math.pi if deriv else math.sqrt(2.0)
-    return (scale * out).reshape(x.shape)
-
-
-def _cache_aligned(count: int, n: int) -> list[np.ndarray]:
-    """count empty float arrays of n entries, each starting on a 64-byte
-    boundary. _sine_chunk's loop runs up to 40% slower on arrays that
-    straddle cache lines, and where the heap puts an array is otherwise
-    down to every allocation made before it."""
-    stride = -(-n // 8) * 8
-    buf = np.empty(count * stride + 8)
-    k = -(buf.ctypes.data // 8) % 8
-    return [buf[k + i * stride:k + i * stride + n] for i in range(count)]
-
-
-def _sine_chunk(passes, y: np.ndarray, deriv: bool) -> np.ndarray:
-    """sum over the passes (j0, c) of sum_k c_k sin((j0 + k) theta), or with
-    deriv cos((j0 + k) theta), at theta = pi y in [0, pi/2].
-
-    Reinsch's form of Clenshaw's recurrence (Stoer & Bulirsch, Introduction
-    to Numerical Analysis, 2.3): with u = -4 sin^2(theta/2),
-    d_k = c_k + u b_{k+1} + d_{k+1} and b_k = d_k + b_{k+1} give
-    sum_k c_k sin(k theta) = sin(theta) b_1 and
-    sum_k c_k cos(k theta) = c_0 + d_1 + (u/2) b_1. A pass that starts at
-    j0 > 0 shifts both by the angle j0 theta. Only elementwise + - * run
-    per term, so a node's value depends on neither its neighbours nor the
-    chunking.
-    """
-    s = np.sin((0.5 * np.pi) * y)
-    u, b, d, t = _cache_aligned(4, y.size)
-    np.multiply(s, s, out=u)
-    u *= -4.0
-    sin_theta = 2.0 * s * np.sqrt(1.0 - s * s)
-    theta = np.pi * y
-    v = np.zeros_like(y)
-    for j0, cs in passes:
-        b.fill(0.0)
-        d.fill(0.0)
-        for c in reversed(cs[1:]):
-            np.multiply(u, b, out=t)
-            t += c
-            d += t
-            b += d
-        sines = sin_theta * b
-        cosines = cs[0] + d + 0.5 * u * b
-        if j0:
-            sj, cj = np.sin(j0 * theta), np.cos(j0 * theta)
-            v += (cj * cosines - sj * sines) if deriv else (sj * cosines + cj * sines)
-        else:
-            v += cosines if deriv else sines
-    return v
-
-
-def _table_sum(family: basis.BasisFamily, js: tuple[int, ...], coeffs: np.ndarray,
-               x: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """sum_k coeffs[k] e_{js[k]}(x), or of the slopes, from one
-    basis.term_table per chunk of nodes of about basis.TABLE_ENTRIES
-    entries; coeffs is a column. Each node gets ((+0.0 + a_0 e_0) + a_1 e_1)
-    + ... in term order, bit for bit the term-by-term sum: add.accumulate
-    adds each scaled row to the running sum of the rows before it."""
-    v = np.zeros(x.shape)
-    if not js:
-        return v
-    into, flat = v.reshape(-1), x.reshape(-1)
-    step = max(1, basis.TABLE_ENTRIES // len(js))
-    for c in range(0, flat.size, step):
-        rows = basis.term_table(family, js, flat[c:c + step], deriv)
-        rows *= coeffs
-        rows[0] += 0.0  # a product of -0.0 starts the sum at +0.0
-        into[c:c + step] = np.add.accumulate(rows, out=rows)[-1]
-    return v
-
-
 def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> TargetFunction:
-    """sum_j a_j e_j over the family's elements.
-
-    The domain is checked once per evaluation, not once per term. A sine
-    series is summed by Reinsch's recurrence (see _sine_sum): one sine and
-    one square root per node, then a multiply and three adds per node and
-    index. A B-spline series reads every term from one span table over the
-    nodes its terms reach (see basis.SpanTable), and every other family
-    from one term table per chunk of nodes (see _table_sum).
-    """
+    """sum_j a_j e_j over the family's elements, as basis evaluates it
+    (series_sum) and breaks it into panels (series_edges, series_kinks)."""
     tt = tuple((int(j), float(a)) for j, a in terms)
     for j, _ in tt:
         family.element(j)  # index validation
+    total = basis.series_sum(family, tt)
     if descriptor is None:
         descriptor = f"series:{family.kind}:n={len(tt)}"
-    top = max((j for j, _ in tt), default=0)
-
-    if family.kind == basis.FOURIER_SINE:
-        total = partial(_sine_sum, _sine_runs(tt))
-    elif family.kind == basis.CUBIC_BSPLINE:
-        total = partial(basis.SpanTable.sum_at, family, tt)
-    else:
-        total = partial(_table_sum, family, tuple(j for j, _ in tt),
-                        np.asarray([a for _, a in tt]).reshape(-1, 1))
-
-    def edges():
-        if not tt:
-            return np.asarray(family.domain)
-        if family.kind == basis.CUBIC_BSPLINE:
-            return np.unique(family.knots())
-        # the finest term grid refines every coarser one
-        return family.element(top).panel_edges()
-
-    def tent_kinks():
-        # deeper tent sums fall back to estimated sup norms, which only a
-        # forged limit member still reaches (certificate.measure settles an
-        # honest one as "same_series"); the exact rational machinery in the
-        # limit module reduces over one period
-        return np.linspace(0.0, 1.0, 2 ** (top + 1) + 1) if top <= 16 else None
-
     return TargetFunction(family.domain, descriptor, total, partial(total, deriv=True),
-                          edges, tent_kinks if family.kind == basis.TENT else None,
-                          family, tt)
+                          partial(basis.series_edges, family, tt),
+                          partial(basis.series_kinks, family, tt), family, tt)
 
 
 def tent_partial_sum(n: int) -> TargetFunction:

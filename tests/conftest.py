@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from certapprox import basis, certificate, glue, limit, target
+from certapprox import basis, certificate, glue, limit
 
 
 @pytest.fixture
@@ -46,6 +46,6 @@ def tables(monkeypatch):
 
     count(basis.BasisElement, "value", "value")
     count(basis.BasisElement, "deriv", "deriv")
-    count(target, "_table_sum", "sums", nodes_at=3)
+    count(basis, "_table_sum", "sums", nodes_at=3)
     count(basis, "term_table", "tables", nodes_at=2)
     return seen

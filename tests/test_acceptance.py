@@ -11,6 +11,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,9 @@ def test_c6_limit_transfer_and_contradiction(capsys):
 # 7: documents survive storage and rebuilds bit for bit
 # ----------------------------------------------------------------------------
 
+C7_PINS = Path(__file__).resolve().parent / "data" / "c7_battery.sha256"
+
+
 def _battery():
     certs = []
     for n in range(60):
@@ -238,7 +242,14 @@ def test_c7_durability_and_determinism(capsys):
             assert c.digest == compute_digest(c.to_dict())
         second = [serialize(c) for c in _battery()]
         assert blobs == second
-        # every route's bytes, pinned across refactors
+        # every route's bytes, pinned across refactors: each document's
+        # sha256 in C7_PINS ("sha256 index basis method target" per line), so
+        # a change lists the documents it moves, then the hash of them joined
+        pins = C7_PINS.read_text().splitlines()
+        assert len(pins) == len(blobs)
+        moved = [pin for pin, b in zip(pins, blobs)
+                 if pin.split()[0] != hashlib.sha256(b).hexdigest()]
+        assert not moved, "documents that moved:\n" + "\n".join(moved)
         assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
             "0aa5184899ac496611800a25d265f6cc17198b656671a7c8bf21674186a6e4e0")
         # forged copies must fail the recheck

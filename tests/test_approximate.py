@@ -224,6 +224,7 @@ def test_gram_solve_refuses_a_singular_dictionary():
         approximate_gram(f, [e, e], quadrature.w12_norm(),
                          ExtractionSettings(0.1))
     assert exc.value.condition > 1e12 or math.isinf(exc.value.condition)
+    assert str(exc.value) == f"gram condition estimate {exc.value.condition:.3e} exceeds 1.0e+12"
 
 
 def test_gram_solve_condition_gate_on_monomials():
@@ -301,8 +302,13 @@ def test_cholesky_factor_keeps_the_envelope(case):
 def test_cholesky_refuses_an_indefinite_matrix():
     G = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert np.linalg.cond(G) < 4.0
-    with pytest.raises(IllConditionedBasisError):
+    with pytest.raises(IllConditionedBasisError) as exc:
         solve_normal_equations(G, np.array([1.0, 1.0]))
+    # the pivot 1 - 2^2, in row 1, is the cause; the estimate is under the limit
+    assert exc.value.condition == np.linalg.cond(G)
+    assert str(exc.value) == (
+        "gram matrix is not positive definite: non-positive pivot -3.000e+00 in row 1,"
+        f" though its condition estimate {exc.value.condition:.3e} is under 1.0e+12")
 
 
 def _every_pair_gram(elements, norm, rule_for):

@@ -240,6 +240,23 @@ def test_panel_edges_counts():
     assert len(monomial_family().element(16).panel_edges()) == 3
 
 
+def test_series_structure_is_the_top_element_grid():
+    tents, sines = tent_family(), fourier_sine_family()
+    for top in (3, 16):
+        grid = tents.element(top).panel_edges()
+        assert len(grid) == 2 ** (top + 1) + 1
+        for kinks in (basis.series_kinks, basis.series_edges):
+            assert kinks(tents, [(top, 1.0), (1, 0.5)]).tobytes() == grid.tobytes()
+    assert basis.series_kinks(tents, [(17, 1.0)]) is None
+    assert basis.series_kinks(sines, [(3, 1.0)]) is None
+    assert basis.series_edges(sines, [(9, 1.0), (2, 1.0)]).tobytes() == \
+        sines.element(9).panel_edges().tobytes()
+    assert basis.series_edges(sines, []).tolist() == [0.0, 1.0]
+    splines = cubic_bspline_family(12)
+    assert basis.series_edges(splines, [(5, 1.0)]).tolist() == \
+        np.unique(splines.knots()).tolist()
+
+
 def test_bspline_panel_edges_stay_inside_support():
     fam = cubic_bspline_family(12)
     e = fam.element(5)

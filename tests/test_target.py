@@ -391,13 +391,13 @@ def test_sine_series_recurrence_against_oracle_and_direct_sum(terms, extra):
         direct = _direct_sine_sum(terms, x, deriv)
         assert np.max(np.abs(got - direct)) <= 2e-12 * scale
         assert np.asarray([fn(float(xi)) for xi in x]).tobytes() == got.tobytes()
-        with mock.patch.object(target, "SINE_CHUNK", 2):
+        with mock.patch.object(basis, "SINE_CHUNK", 2):
             assert fn(x).tobytes() == got.tobytes()
 
 
 def test_sine_recurrence_arrays_start_on_cache_lines():
-    for n in (1, 7, 8, 8191, target.SINE_CHUNK):
-        rows = target._cache_aligned(4, n)
+    for n in (1, 7, 8, 8191, basis.SINE_CHUNK):
+        rows = basis._cache_aligned(4, n)
         assert [r.size for r in rows] == [n] * 4
         assert all(r.ctypes.data % 64 == 0 for r in rows)
         assert all(a.ctypes.data + 8 * n <= b.ctypes.data for a, b in zip(rows, rows[1:]))
