@@ -34,7 +34,7 @@ from . import basis, quadrature, target as target_mod
 from .certificate import ApproximationCertificate, Construction, assemble
 from .errors import (ConfigurationError, IllConditionedBasisError,
                      NoProgressError, ToleranceViolated)
-from .quadrature import NormTag
+from .records import NormTag
 
 CONDITION_LIMIT = 1e12
 NO_PROGRESS_EPS = 1e-15
@@ -202,7 +202,6 @@ class _OnSupport:
     """An element or a target on the nodes start..stop - 1 of a rule, those
     in its support: its values there for each deriv flag the norm pairs."""
 
-    element: basis.BasisElement | target_mod.TargetFunction
     rule: quadrature.QuadratureRule
     start: int
     stop: int
@@ -220,7 +219,7 @@ def _on_rule(elements, norm: NormTag, rule: quadrature.QuadratureRule) -> list[_
     table = None
     if fam.kind == basis.CUBIC_BSPLINE:  # refused as e.evaluate refuses x
         table = basis.pointwise(fam.domain, partial(basis.SpanTable, fam), x)
-    return [_OnSupport(e, rule, i, j, tuple(
+    return [_OnSupport(rule, i, j, tuple(
         table.column(e.index, d, i, j) if table else quadrature._at(e, x[i:j], d)
         for d in flags)) for e, i, j in zip(elements, starts, stops)]
 
@@ -245,14 +244,9 @@ def _probes(f, elements, norm: NormTag, rule=None) -> np.ndarray:
             f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
     rule = rule or quadrature.construction_rule(f, elements, norm.domain)
     x = rule.nodes
-    on_f = _OnSupport(f, rule, 0, x.size, tuple(
+    on_f = _OnSupport(rule, 0, x.size, tuple(
         quadrature._at(f, x, d) for d in quadrature.paired(norm)))
     return np.array([_pair_inner(on_f, u) for u in _on_rule(elements, norm, rule)])
-
-
-def _normal_system(f, elements, norm: NormTag) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix and the probes <f, e>."""
-    return gram_matrix(elements, norm), _probes(f, elements, norm)
 
 
 def _fsum_dot(head: float, u: np.ndarray, v: np.ndarray) -> float:
@@ -408,7 +402,7 @@ def approximate_greedy(f, elements, norm: NormTag,
     elements = tuple(elements)
     fam = _common_family(elements)
     k = len(elements)
-    G, probes = _normal_system(f, elements, norm)
+    G, probes = gram_matrix(elements, norm), _probes(f, elements, norm)
     norms = np.sqrt(np.diag(G))
     if np.any(norms == 0.0):
         raise ConfigurationError("dictionary contains a zero element")

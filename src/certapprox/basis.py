@@ -16,6 +16,7 @@ recurrence (_sine_sum). Every other value and slope, of one element or of
 a series, is a row of one term table (term_table): terms by nodes, each
 kind's formula written once. series_sum picks a series' evaluator;
 series_edges, series_kinks and edge_pieces give where a rule must break.
+A family itself, BasisFamily, is a sealed record (records).
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -31,75 +32,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-
-CHEBYSHEV = "chebyshev"
-FOURIER_SINE = "fourier_sine"
-MONOMIAL = "monomial"
-TENT = "tent"
-CUBIC_BSPLINE = "cubic_bspline"
-
-KINDS = (CHEBYSHEV, FOURIER_SINE, MONOMIAL, TENT, CUBIC_BSPLINE)
-
-# the families that live on one interval only; the others take any domain
-FIXED_DOMAINS = {CHEBYSHEV: (-1.0, 1.0), FOURIER_SINE: (0.0, 1.0), TENT: (0.0, 1.0)}
+from .records import (CHEBYSHEV, CUBIC_BSPLINE, FIXED_DOMAINS, FOURIER_SINE, KINDS,
+                      MONOMIAL, TENT, BasisFamily)
 
 
 # ----------------------------------------------------------------------------
 # families
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """A named family with its domain; m is the size of a B-spline family."""
-
-    kind: str
-    domain: tuple[float, float]
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown basis kind {self.kind!r}")
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigurationError(f"invalid domain [{lo}, {hi}]")
-        if (fixed := FIXED_DOMAINS.get(self.kind)) and self.domain != fixed:
-            raise ConfigurationError(
-                f"{self.kind} family lives on [{fixed[0]:g}, {fixed[1]:g}]")
-        if self.kind == CUBIC_BSPLINE:
-            if self.m is None or self.m < 4:
-                raise ConfigurationError("cubic_bspline needs m >= 4 functions")
-        elif self.m is not None:
-            raise ConfigurationError(f"{self.kind} takes no size parameter")
-
-    # lowest valid element index; B-spline families are also bounded above
-    @property
-    def min_index(self) -> int:
-        return 1 if self.kind in (FOURIER_SINE, CUBIC_BSPLINE) else 0
-
-    @property
-    def max_index(self) -> int | None:
-        return self.m if self.kind == CUBIC_BSPLINE else None
-
-    def element(self, index: int) -> "BasisElement":
-        return BasisElement(self, index)
-
-    def elements(self) -> tuple["BasisElement", ...]:
-        if self.max_index is None:
-            raise ConfigurationError(f"{self.kind} family is not finite")
-        return tuple(self.element(j) for j in range(self.min_index, self.max_index + 1))
-
-    def interior_elements(self) -> tuple["BasisElement", ...]:
-        """The B-spline elements vanishing at both interval endpoints (2..M-1)."""
-        if self.kind != CUBIC_BSPLINE:
-            raise ConfigurationError("interior subset only defined for cubic_bspline")
-        return tuple(self.element(j) for j in range(2, self.m))
-
-    def knots(self) -> np.ndarray:
-        """Padded clamped knot vector, length m + 4."""
-        if self.kind != CUBIC_BSPLINE:
-            raise ConfigurationError(f"{self.kind} has no knot vector")
-        return _clamped_knots(self.domain[0], self.domain[1], self.m)
-
 
 def chebyshev_family() -> BasisFamily:
     return BasisFamily(CHEBYSHEV, FIXED_DOMAINS[CHEBYSHEV])

@@ -1,15 +1,6 @@
-r"""Certificates, canonical serialization, digests, and verification.
-
-A certificate is a claim: these terms over this basis approximate that
-target within this error in this norm. Claims are serialized canonically
-(sorted keys, no insignificant whitespace, floats as 17-significant-digit
-decimals) so that equal claims are equal bytes, and the SHA-256 digest of
-the canonical bytes minus the digest field is the certificate's identity.
-Every record is a frozen dataclass whose fields are its schema: to_dict()
-writes it and from_dict() reads it back by the field annotations, refusing
-a wrong type, an out-of-range number or a value the class refuses with a
-CertificateParseError that names the path. A Document (a whole file) opens
-with schema_version and its KIND; glue and limit define the other kinds.
+r"""A certificate is a claim: these terms over this basis approximate that
+target within this error in this norm. Its record, bytes, digest and parse
+live in records; this module mints a claim (assemble) and re-checks it.
 
 Verification re-measures the error with measure(), the one
 verification-grade distance (the finer sup scan or refined quadrature
@@ -29,327 +20,17 @@ which every verifier takes as `store`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
-import sys
-import typing
-from dataclasses import dataclass, field
-from functools import cache
-from typing import ClassVar
 
-from . import quadrature, target as target_mod
-from .basis import BasisFamily
-from .errors import CertificateParseError, ConfigurationError, ToleranceViolated
-from .quadrature import NormTag
-
-SCHEMA_VERSION = "2"
-FILE_SUFFIX = ".uelat.json"
+from .errors import ConfigurationError, ToleranceViolated
+from .records import (FILE_SUFFIX, SUP, ApproximationCertificate, BasisFamily,
+                      Construction, NormTag, canonical_dumps, certificate_from_dict,
+                      compute_digest, deserialize, from_dict, seal, serialize, to_dict)
 
 RELATIVE_SLACK = 1e-6
 ABSOLUTE_SLACK = 1e-12
 
 GREEDY = "greedy"
-
-# what json.dumps(text, ensure_ascii=False) returns for a str
-_quoted = json.encoder.encode_basestring
-
-
-# ----------------------------------------------------------------------------
-# canonical encoding
-# ----------------------------------------------------------------------------
-
-class _Unencodable(Exception):
-    """A value canonical JSON cannot hold. The path to it is prefixed while
-    the recursion unwinds, so encoding builds no path string on success."""
-
-    def __init__(self, what: str):
-        super().__init__(what)
-        self.what, self.path = what, ""
-
-
-def _encode(value, out: list):
-    if isinstance(value, str):
-        out.append(_quoted(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise _Unencodable("non-finite float")
-        # the sign of zero depends on the computation path, so it must not
-        # reach the digest
-        out.append("%.17g" % (value + 0.0))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            try:
-                _encode(item, out)
-            except _Unencodable as e:
-                e.path = f"[{i}]{e.path}"
-                raise
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise _Unencodable("non-string key")
-            if i:
-                out.append(",")
-            out.append(_quoted(key))
-            out.append(":")
-            try:
-                _encode(value[key], out)
-            except _Unencodable as e:
-                e.path = f".{key}{e.path}"
-                raise
-        out.append("}")
-    else:
-        raise _Unencodable(f"unserializable {type(value).__name__}")
-
-
-def canonical_dumps(value) -> bytes:
-    """Canonical JSON bytes: sorted keys, %.17g floats, UTF-8, no whitespace.
-    A value JSON cannot hold is a ConfigurationError naming its path."""
-    out: list[str] = []
-    try:
-        _encode(value, out)
-    except _Unencodable as e:
-        raise ConfigurationError(f"{e.what} at ${e.path}") from None
-    except RecursionError:
-        raise ConfigurationError("value nests too deeply to encode") from None
-    try:
-        return "".join(out).encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can spell
-        raise ConfigurationError("a string or key is not UTF-8 text") from None
-
-
-def compute_digest(doc: dict) -> str:
-    """SHA-256 hex of the canonical bytes with the digest field excluded."""
-    body = {k: v for k, v in doc.items() if k != "digest"}
-    return hashlib.sha256(canonical_dumps(body)).hexdigest()
-
-
-# ----------------------------------------------------------------------------
-# records as documents
-# ----------------------------------------------------------------------------
-
-# integers beyond 2^53 lose exactness in many JSON readers (RFC 7493)
-JSON_INT_LIMIT = 2 ** 53
-_FLOAT_MAX = sys.float_info.max
-
-
-class Document:
-    """A record that is a whole file: its dict opens with schema_version and
-    the class's KIND."""
-
-    KIND: ClassVar[str]
-
-    def to_dict(self) -> dict:
-        return to_dict(self)
-
-
-class _Refused(Exception):
-    """A value its field refuses; `at` gathers the path, innermost first."""
-
-    def __init__(self, why: str, *at: str):
-        self.why, self.at = why, list(at)
-
-
-def _read_int(v):
-    if type(v) is int and -JSON_INT_LIMIT <= v <= JSON_INT_LIMIT:
-        return v
-    raise _Refused("integer out of range" if type(v) is int else "not an integer")
-
-
-def _read_float(v):
-    if type(v) is float:
-        if -_FLOAT_MAX <= v <= _FLOAT_MAX:  # NaN fails both comparisons
-            return v
-    elif type(v) is int:
-        if -_FLOAT_MAX <= v <= _FLOAT_MAX:
-            return float(v)
-    else:
-        raise _Refused("not a number")
-    raise _Refused("non-finite number")
-
-
-def _read_bool(v):
-    if type(v) is not bool:
-        raise _Refused("not true or false")
-    return v
-
-
-def _read_str(v):
-    if type(v) is not str:
-        raise _Refused("not a string")
-    try:
-        v.encode("utf-8")  # a lone surrogate escape reads as unencodable text
-    except UnicodeEncodeError:
-        raise _Refused("not UTF-8 text") from None
-    return v
-
-
-_SCALARS = {int: _read_int, float: _read_float, str: _read_str, bool: _read_bool}
-
-
-def _read_tuple(item):
-    def read(v):
-        if type(v) is not list:
-            raise _Refused("not a list")
-        out = []
-        try:
-            for x in v:
-                out.append(item(x))
-        except _Refused as r:
-            r.at.append(f"[{len(out)}]")
-            raise
-        return tuple(out)
-    return read
-
-
-def _read_pair(first, second):
-    def read(v):
-        if type(v) is not list or len(v) != 2:
-            raise _Refused("not a pair")
-        a, b = v
-        try:
-            a = first(a)
-        except _Refused as r:
-            r.at.append("[0]")
-            raise
-        try:
-            return a, second(b)
-        except _Refused as r:
-            r.at.append("[1]")
-            raise
-    return read
-
-
-def _codec(tp):
-    """(read, write) for one field annotation. read takes the JSON value to
-    the field's; write takes it back, and is None where the field's value is
-    its own JSON: scalars."""
-    if dataclasses.is_dataclass(tp):
-        return _record_codec(tp)
-    if tp in _SCALARS:
-        return _SCALARS[tp], None
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple and len(args) == 2:
-        if args[1] is Ellipsis:
-            read, write = _codec(args[0])
-            return _read_tuple(read), \
-                list if write is None else lambda v: list(map(write, v))
-        (r0, w0), (r1, w1) = _codec(args[0]), _codec(args[1])
-        if w0 is None and w1 is None:
-            return _read_pair(r0, r1), list
-    raise TypeError(f"no JSON codec for {tp!r}")
-
-
-@cache
-def _record_codec(cls):
-    """(read, write) for a record class. Each field sits under its name, or
-    under the key its metadata gives; a field that defaults to None, typed
-    X | None, is left out when None and may be missing."""
-    kind = getattr(cls, "KIND", "")
-    hints = typing.get_type_hints(cls)
-    fields = []
-    for f in dataclasses.fields(cls):
-        tp = hints[f.name]
-        optional = f.default is None
-        if optional:
-            tp = typing.get_args(tp)[0]
-        fields.append((f.name, f.metadata.get("key", f.name), *_codec(tp), optional))
-
-    def write(record) -> dict:
-        doc = {"schema_version": SCHEMA_VERSION, "kind": kind} if kind else {}
-        for name, key, _, write_field, _ in fields:
-            value = getattr(record, name)
-            if value is not None:
-                doc[key] = value if write_field is None else write_field(value)
-        return doc
-
-    def read(doc):
-        if type(doc) is not dict:
-            raise _Refused("not an object")
-        if kind:
-            for key, want in (("schema_version", SCHEMA_VERSION), ("kind", kind)):
-                if doc.get(key) != want:
-                    raise _Refused(f"expected {want!r}" if key in doc else "missing field",
-                                   "." + key)
-        values = []
-        for _, key, read_field, _, optional in fields:
-            if key in doc:
-                try:
-                    values.append(read_field(doc[key]))
-                except _Refused as r:
-                    r.at.append("." + key)
-                    raise
-            elif optional:
-                values.append(None)
-            else:
-                raise _Refused("missing field", "." + key)
-        try:
-            return cls(*values)
-        except ConfigurationError as e:
-            raise _Refused(str(e)) from None
-
-    return read, write
-
-
-def to_dict(record) -> dict:
-    """The record as a JSON-ready dict: records become objects, tuples lists."""
-    return _record_codec(type(record))[1](record)
-
-
-def from_dict(cls, doc, path: str = "$"):
-    """The record of class cls that the JSON value doc holds, read by the
-    field annotations. A missing key, a null, a wrong JSON type, an
-    out-of-range number or a value the class refuses is a
-    CertificateParseError naming its path. The digest is kept as claimed,
-    so tampering surfaces as a verification failure, not a parse error."""
-    try:
-        return _record_codec(cls)[0](doc)
-    except _Refused as r:
-        raise CertificateParseError(f"{path}{''.join(reversed(r.at))}: {r.why}") from None
-
-
-# ----------------------------------------------------------------------------
-# certificate data
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Construction:
-    """How a certificate was built: the route, which claim_findings reads,
-    and why it stopped."""
-
-    method: str
-    stopping: str
-
-
-@dataclass(frozen=True)
-class ApproximationCertificate(Document):
-    KIND = "approximation"
-
-    target_descriptor: str = field(metadata={"key": "target"})
-    basis: BasisFamily
-    terms: tuple[tuple[int, float], ...]
-    norm: NormTag
-    tolerance: float
-    reported_error: float
-    construction: Construction
-    genealogy: tuple[str, ...] = ()
-    digest: str = ""
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ConfigurationError("terms must be a non-empty list")
-
-    def approximant(self) -> target_mod.TargetFunction:
-        return target_mod.series(self.basis, self.terms)
 
 
 def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
@@ -403,47 +84,11 @@ def claim_findings(cert: ApproximationCertificate) -> list[str]:
     return findings
 
 
-def serialize(cert) -> bytes:
-    """Canonical bytes of a certificate of any kind."""
-    return canonical_dumps(to_dict(cert))
-
-
-def seal(record):
-    """A copy of the record with its digest minted over its canonical content."""
-    return dataclasses.replace(record, digest=compute_digest(to_dict(record)))
-
-
-def _non_finite(text: str):
-    raise CertificateParseError(f"non-finite number {text} in JSON")
-
-
-def load_json(data, source: str = "document"):
-    """UTF-8 JSON as a Python value. Invalid JSON, NaN and Infinity, which
-    no canonical document holds, and nesting past the recursion limit are
-    CertificateParseErrors; from_dict refuses a number that overflows."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return json.loads(text, parse_constant=_non_finite)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CertificateParseError(f"{source} is not valid JSON: {e}") from None
-    except RecursionError:
-        raise CertificateParseError(f"{source} nests too deeply") from None
-
-
-def deserialize(data) -> ApproximationCertificate:
-    """Parse canonical bytes back into an approximation certificate."""
-    return certificate_from_dict(load_json(data))
-
-
-def certificate_from_dict(doc: dict, path: str = "$") -> ApproximationCertificate:
-    return from_dict(ApproximationCertificate, doc, path)
-
-
 # ----------------------------------------------------------------------------
 # verification
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class VerificationReport:
     digest: str
     reported_error: float
@@ -459,17 +104,7 @@ class VerificationReport:
         return self.bound_honored and self.structural_ok
 
     def to_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "reported_error": float(self.reported_error),
-            "recomputed_error": float(self.recomputed_error),
-            "tolerance": float(self.tolerance),
-            "bound_honored": self.bound_honored,
-            "structural_ok": self.structural_ok,
-            "method": self.method,
-            "notes": list(self.notes),
-            "verdict": self.verdict,
-        }
+        return {**dataclasses.asdict(self), "notes": list(self.notes), "verdict": self.verdict}
 
 
 def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bool:
@@ -486,17 +121,23 @@ def measure(f, g, norm: NormTag) -> tuple[float, str]:
     difference is +0.0 and the measurement below would return 0.0 too.
     Terms that differ in any bit fall through to it: sup_distance for the
     sup norm, else the construction rule of f and g on the norm's domain
-    with every panel split four ways, so no node is a construction node."""
+    with every panel split four ways, so no node is a construction node.
+    A value that overflows is no warning: it reaches the sum's non-finite
+    node error or the scan's inf."""
     terms = getattr(f, "terms", None)
     if terms is not None and terms == getattr(g, "terms", None) and f.family == g.family:
         return 0.0, "same_series"
-    if norm.kind == quadrature.SUP:
-        return quadrature.sup_distance(f, g, norm.domain)
-    # the approximant's own panel edges already consolidate every term's
-    # structure; per-element unions would balloon for high-index series
-    rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(4)
-    return quadrature.norm_of_difference(f, g, norm, rule), \
-        f"composite_gl{rule.points}x{rule.n_panels}"
+    import numpy as np
+
+    from . import quadrature
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm.kind == SUP:
+            return quadrature.sup_distance(f, g, norm.domain)
+        # the approximant's own panel edges already consolidate every term's
+        # structure; per-element unions would balloon for high-index series
+        rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(4)
+        return quadrature.norm_of_difference(f, g, norm, rule), \
+            f"composite_gl{rule.points}x{rule.n_panels}"
 
 
 def envelope_findings(cert, store: dict | None = None, embedded=None):

@@ -8,6 +8,9 @@ to stdout with six significant digits; certificate files carry the full
     2  the requested tolerance could not be certified
     3  a certificate failed verification or evidence contradicted a claim
     4  usage, expression, or file-format errors
+
+Reading a document needs records alone, so inspect and every parse failure
+run without numpy: the modules that compute load on first use.
 """
 
 from __future__ import annotations
@@ -15,16 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import basis, certificate, glue as glue_mod, limit as limit_mod, quadrature, target
-from .approximate import (ExtractionSettings, approximate_chebyshev,
-                          approximate_gram, approximate_greedy,
-                          approximate_orthonormal, approximate_raw_probe)
-from .certificate import FILE_SUFFIX
+from . import records
 from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
                      EvidenceContradictionError, ExpressionSyntaxError,
                      IllConditionedBasisError, NoProgressError,
                      ReconciliationFailureError, ToleranceViolated,
                      TopologyError)
+from .records import FILE_SUFFIX, arithmetic
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
@@ -49,17 +49,13 @@ exit codes:
   4 usage or parse error
 """
 
-_METHODS = ("orthonormal_probe", "gram_solve", "raw_probe", "greedy",
-            "chebyshev_pipeline")
+# by method; chebyshev_pipeline reports the sup norm alone
+_DEFAULT_NORM = {"orthonormal_probe": "l2", "gram_solve": "w12", "raw_probe": "w12",
+                 "greedy": "l2"}
+_METHODS = (*_DEFAULT_NORM, "chebyshev_pipeline")
 # by basis kind; every other kind defaults to gram_solve
-_DEFAULT_METHOD = {basis.FOURIER_SINE: "orthonormal_probe",
-                   basis.CHEBYSHEV: "chebyshev_pipeline"}
-_DEFAULT_NORM = {
-    "orthonormal_probe": "l2",
-    "gram_solve": "w12",
-    "raw_probe": "w12",
-    "greedy": "l2",
-}
+_DEFAULT_METHOD = {records.FOURIER_SINE: "orthonormal_probe",
+                   records.CHEBYSHEV: "chebyshev_pipeline"}
 
 
 def _fmt(v: float) -> str:
@@ -72,7 +68,7 @@ def _load_document(path: str) -> dict:
             raw = fh.read()
     except OSError as e:
         raise CertificateParseError(f"cannot read {path}: {e.strerror}") from None
-    doc = certificate.load_json(raw, path)
+    doc = records.load_json(raw, path)
     if not isinstance(doc, dict):
         raise CertificateParseError(f"{path} does not hold an object")
     return doc
@@ -82,18 +78,18 @@ def _load_document(path: str) -> dict:
 # approximate
 # ----------------------------------------------------------------------------
 
-def _make_family(args, f) -> basis.BasisFamily:
-    if args.basis == basis.CUBIC_BSPLINE and args.knots is None:
+def _make_family(args, f) -> records.BasisFamily:
+    if args.basis == records.CUBIC_BSPLINE and args.knots is None:
         raise ConfigurationError("cubic_bspline needs --knots")
-    m = args.knots + 2 if args.basis == basis.CUBIC_BSPLINE else None
-    domain = basis.FIXED_DOMAINS.get(args.basis) or tuple(args.domain or f.domain)
-    return basis.BasisFamily(args.basis, domain, m)
+    m = args.knots + 2 if args.basis == records.CUBIC_BSPLINE else None
+    domain = records.FIXED_DOMAINS.get(args.basis) or tuple(args.domain or f.domain)
+    return records.BasisFamily(args.basis, domain, m)
 
 
-def _element_pool(args, family: basis.BasisFamily):
-    if family.kind == basis.CUBIC_BSPLINE:
+def _element_pool(args, family: records.BasisFamily):
+    if family.kind == records.CUBIC_BSPLINE:
         return family.interior_elements()
-    if family.kind in (basis.CHEBYSHEV, basis.MONOMIAL):
+    if family.kind in (records.CHEBYSHEV, records.MONOMIAL):
         if args.degree is None:
             raise ConfigurationError(f"{family.kind} needs --degree")
         return [family.element(j) for j in range(family.min_index, args.degree + 1)]
@@ -102,36 +98,37 @@ def _element_pool(args, family: basis.BasisFamily):
 
 
 def cmd_approximate(args) -> int:
-    f = target.resolve_spec(args.target,
-                            tuple(args.domain) if args.domain else None)
+    approximate, target = arithmetic("approximate"), arithmetic("target")
+    f = target.resolve_spec(args.target, tuple(args.domain) if args.domain else None)
     family = _make_family(args, f)
     method = args.method or _DEFAULT_METHOD.get(family.kind, "gram_solve")
-    settings = ExtractionSettings(
+    settings = approximate.ExtractionSettings(
         epsilon=args.eps, max_terms=512 if args.max_terms is None else args.max_terms)
     if method == "chebyshev_pipeline":
-        if family.kind != basis.CHEBYSHEV:
+        if family.kind != records.CHEBYSHEV:
             raise ConfigurationError("chebyshev_pipeline needs --basis chebyshev")
         if args.degree is None:
             raise ConfigurationError("chebyshev_pipeline needs --degree")
         if args.norm not in (None, "sup"):
             raise ConfigurationError(
                 "chebyshev_pipeline reports the sup norm; drop --norm")
-        cert = approximate_chebyshev(f, args.degree, settings)
+        cert = approximate.approximate_chebyshev(f, args.degree, settings)
     elif method == "orthonormal_probe":
-        if family.kind != basis.FOURIER_SINE:
+        if family.kind != records.FOURIER_SINE:
             raise ConfigurationError("orthonormal_probe needs --basis fourier_sine")
         if args.norm not in (None, "l2"):
             raise ConfigurationError("orthonormal_probe certifies the l2 norm")
-        cert = approximate_orthonormal(f, family, settings)
+        cert = approximate.approximate_orthonormal(f, family, settings)
     else:
         norm_kind = args.norm or _DEFAULT_NORM[method]
         if norm_kind == "sup":
             raise ConfigurationError(
                 "probe methods integrate; the sup norm has no inner product")
-        norm = quadrature.NormTag(norm_kind, family.domain)
+        norm = records.NormTag(norm_kind, family.domain)
         pool = _element_pool(args, family)
-        fn = {"gram_solve": approximate_gram, "raw_probe": approximate_raw_probe,
-              "greedy": approximate_greedy}[method]
+        fn = {"gram_solve": approximate.approximate_gram,
+              "raw_probe": approximate.approximate_raw_probe,
+              "greedy": approximate.approximate_greedy}[method]
         cert = fn(f, pool, norm, settings)
     return _write_certificate(cert, args.out)
 
@@ -149,9 +146,9 @@ def _load_store(paths) -> dict | None:
         if doc.get("kind") != "approximation":
             raise CertificateParseError(
                 f"{p}: only approximation certificates can seed the store")
-        cert = certificate.certificate_from_dict(doc)
+        cert = records.certificate_from_dict(doc)
         # filed under the digest it hashes to, so a stale file resolves nothing
-        store[certificate.compute_digest(cert.to_dict())] = cert
+        store[records.compute_digest(cert.to_dict())] = cert
     return store
 
 
@@ -177,7 +174,7 @@ def _verify_against_target(verify, cert, domain, args, store):
     equality. A data: path named inside a document is never opened.
     Returns None after reporting a target mismatch.
     """
-    descriptor = cert.target_descriptor
+    descriptor, target = cert.target_descriptor, arithmetic("target")
     if args.target is not None:
         f = target.resolve_spec(args.target, domain)
     elif (depth := target.tent_depth(descriptor, "series:tent:n=")) is not None:
@@ -236,70 +233,51 @@ def _limit_summary(cert) -> None:
     print(f"digest: {cert.digest}")
 
 
-# kind -> (parse, verify, summary). The library functions are looked up on
-# their modules at call time, so wrappers installed there (tracing) apply.
+# kind -> (verify, summary); a verifier is looked up on its module when
+# called, so wrappers installed there (tracing) apply
 _KINDS = {
-    "approximation": (
-        lambda doc: certificate.certificate_from_dict(doc),
-        lambda cert, args, store: _verify_against_target(
-            certificate.verify, cert, cert.norm.domain, args, store),
+    "approximation": (lambda cert, args, store: _verify_against_target(
+        arithmetic("certificate").verify, cert, cert.norm.domain, args, store),
         _approximation_summary),
-    "glued": (
-        lambda doc: glue_mod.glued_from_dict(doc),
-        lambda cert, args, store: _verify_against_target(
-            glue_mod.verify_glued, cert, cert.cover.domain, args, store),
-        _glued_summary),
-    "limit": (
-        lambda doc: limit_mod.limit_from_dict(doc),
-        lambda cert, args, store: limit_mod.verify_limit(cert, store),
-        _limit_summary),
+    "glued": (lambda cert, args, store: _verify_against_target(
+        arithmetic("glue").verify_glued, cert, cert.cover.domain, args, store), _glued_summary),
+    "limit": (lambda cert, args, store: arithmetic("limit").verify_limit(cert, store),
+              _limit_summary),
 }
-
-
-def _kind_entry(doc: dict):
-    """The document's kind and its (parse, verify, summary) entry."""
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise CertificateParseError(f"unknown certificate kind {kind!r}")
-    return (kind, *_KINDS[kind])
 
 
 def cmd_verify(args) -> int:
     doc = _load_document(args.file)
     store = _load_store(args.store)
-    kind, parse, verify, _ = _kind_entry(doc)
-    cert = parse(doc)
+    cert = records.parse(doc)
     # parsing reads only the fields it knows; the digest seals only those
-    if certificate.canonical_dumps(doc) != certificate.serialize(cert):
+    if records.canonical_dumps(doc) != records.serialize(cert):
         raise CertificateParseError(f"{args.file} holds what its certificate does not seal")
-    report = verify(cert, args, store)
+    report = _KINDS[cert.KIND][0](cert, args, store)
     if report is None:
         return EXIT_VERIFICATION
-    print(f"kind: {kind}")
+    print(f"kind: {cert.KIND}")
     return _print_report(report)
 
 
-def _summarize(kind: str, cert) -> None:
-    print(f"kind: {kind}")
-    _KINDS[kind][2](cert)
+def _summarize(cert) -> None:
+    print(f"kind: {cert.KIND}")
+    _KINDS[cert.KIND][1](cert)
 
 
 def cmd_inspect(args) -> int:
-    doc = _load_document(args.file)
-    kind, parse, _, _ = _kind_entry(doc)
-    _summarize(kind, parse(doc))
+    _summarize(records.parse(_load_document(args.file)))
     return EXIT_OK
 
 
 def _write_certificate(cert, path: str) -> int:
     """Write a freshly built certificate, then print what inspect would."""
-    doc = cert.to_dict()
     try:
         with open(path, "wb") as fh:
-            fh.write(certificate.canonical_dumps(doc))
+            fh.write(records.serialize(cert))
     except OSError as e:
         raise ConfigurationError(f"cannot write {path}: {e.strerror}") from None
-    _summarize(doc["kind"], cert)
+    _summarize(cert)
     print(f"wrote: {path}")
     return EXIT_OK
 
@@ -309,24 +287,25 @@ def _write_certificate(cert, path: str) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_glue(args) -> int:
-    f = target.resolve_spec(args.target,
-                            tuple(args.domain) if args.domain else None)
+    glue, target = arithmetic("glue"), arithmetic("target")
+    f = target.resolve_spec(args.target, tuple(args.domain) if args.domain else None)
     domain = tuple(args.domain) if args.domain else f.domain
-    cover = glue_mod.make_cover(domain, args.patches, args.overlap)
-    pou = glue_mod.build_pou(cover)
-    settings = ExtractionSettings(epsilon=0.5 * args.eps)
+    cover = glue.make_cover(domain, args.patches, args.overlap)
+    pou = glue.build_pou(cover)
+    settings = arithmetic("approximate").ExtractionSettings(epsilon=0.5 * args.eps)
     locals_ = []
     for i, patch in enumerate(cover.patches):
-        fam = glue_mod.local_bspline_family(patch, args.knots_per_patch)
-        locals_.append(glue_mod.extract_local(f, i, patch, fam, settings))
-    return _write_certificate(glue_mod.glue(f, locals_, pou, args.eps), args.out)
+        fam = glue.local_bspline_family(patch, args.knots_per_patch)
+        locals_.append(glue.extract_local(f, i, patch, fam, settings))
+    return _write_certificate(glue.glue(f, locals_, pou, args.eps), args.out)
 
 
 def cmd_limit(args) -> int:
-    if args.sequence != limit_mod.SEQUENCE_TENT:
+    if args.sequence != records.SEQUENCE_TENT:
         raise ConfigurationError(f"unknown sequence {args.sequence!r}")
-    seq = limit_mod.tent_sequence()
-    return _write_certificate(limit_mod.transfer(seq, args.eps), args.out)
+    limit = arithmetic("limit")
+    seq = limit.tent_sequence()
+    return _write_certificate(limit.transfer(seq, args.eps), args.out)
 
 
 # ----------------------------------------------------------------------------
@@ -343,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("approximate", help="extract and certify an approximant")
     pa.add_argument("--target", required=True)
     pa.add_argument("--basis", required=True,
-                    choices=basis.KINDS)
+                    choices=records.KINDS)
     pa.add_argument("--eps", type=float, required=True,
                     help="tolerance the certificate must beat")
     pa.add_argument("--method", choices=_METHODS)
@@ -370,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--patches", type=int, required=True)
     pg.add_argument("--eps", type=float, required=True)
     pg.add_argument("--overlap", type=float,
-                    default=glue_mod.DEFAULT_OVERLAP_FRACTION)
+                    default=records.DEFAULT_OVERLAP_FRACTION)
     pg.add_argument("--knots-per-patch", type=int, default=8)
     pg.add_argument("--domain", type=float, nargs=2, metavar=("LO", "HI"))
     pg.add_argument("--out", default="glued" + FILE_SUFFIX)
     pg.set_defaults(func=cmd_glue)
 
     pl = sub.add_parser("limit", help="transfer a certificate sequence to its limit")
-    pl.add_argument("--sequence", default=limit_mod.SEQUENCE_TENT)
+    pl.add_argument("--sequence", default=records.SEQUENCE_TENT)
     pl.add_argument("--eps", type=float, required=True)
     pl.add_argument("--out", default="limit" + FILE_SUFFIX)
     pl.set_defaults(func=cmd_limit)

@@ -27,47 +27,25 @@ the locals meet premise_faults(); glue() and verify_glued() enforce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature, target as target_mod
-from .approximate import (ExtractionSettings, _probes, approximate_gram, gram_matrix,
-                          solve_normal_equations)
+from . import approximate, certificate, quadrature, target as target_mod
+from .approximate import ExtractionSettings, _probes, gram_matrix, solve_normal_equations
 from .basis import BasisFamily, cubic_bspline_family
-from .certificate import (ApproximationCertificate, Construction, Document,
-                          VerificationReport, assemble, envelope_findings,
-                          from_dict, measure, measure_or_note, seal, verdict)
-from .certificate import verify as verify_approximation
-from .errors import (CertificateParseError, ConfigurationError,
-                     IllConditionedBasisError, ReconciliationFailureError,
-                     ToleranceViolated, TopologyError)
-from .quadrature import NormTag
-
-DEFAULT_OVERLAP_FRACTION = 0.2
+from .certificate import (Construction, VerificationReport, assemble, envelope_findings,
+                          measure, measure_or_note, verdict)
+from .errors import (ConfigurationError, IllConditionedBasisError,
+                     ReconciliationFailureError, ToleranceViolated, TopologyError)
+from .records import (DEFAULT_OVERLAP_FRACTION, W12, ApproximationCertificate, Cover,
+                      GluedCertificate, LocalCertificate, NormTag, ReconciliationRecord,
+                      glued_from_dict, seal)
 
 
 # ----------------------------------------------------------------------------
 # covers and partitions of unity
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cover:
-    domain: tuple[float, float]
-    patches: tuple[tuple[float, float], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.patches)
-
-    def overlap(self, i: int) -> tuple[float, float]:
-        """Intersection of patches i and i+1."""
-        s = self.patches[i + 1][0]
-        e = self.patches[i][1]
-        if not s < e:
-            raise TopologyError(f"patches {i} and {i + 1} do not overlap")
-        return (s, e)
-
 
 def make_cover(domain: tuple[float, float], m: int,
                overlap_fraction: float = DEFAULT_OVERLAP_FRACTION) -> Cover:
@@ -107,7 +85,7 @@ def premise_faults(cover: Cover, locals_=(), epsilon: float = math.inf) -> list[
         faults.append("patches are not a chain of consecutive overlaps")
     for i, lc in enumerate(locals_):
         if not (lc.patch_index == i and lc.patch == p[i] == lc.cert.basis.domain
-                and lc.cert.norm == NormTag(quadrature.W12, lc.patch)):
+                and lc.cert.norm == NormTag(W12, lc.patch)):
             faults.append(f"local {i} does not match its patch")
         if lc.cert.tolerance > 0.5 * epsilon * (1.0 + 1e-12):
             faults.append(f"local {i} budget exceeds half the global tolerance")
@@ -161,13 +139,6 @@ def build_pou(cover: Cover) -> PartitionOfUnity:
 # local certificates
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalCertificate:
-    patch_index: int
-    patch: tuple[float, float]
-    cert: ApproximationCertificate = field(metadata={"key": "certificate"})
-
-
 def local_bspline_family(patch: tuple[float, float], knots: int) -> BasisFamily:
     """Clamped cubic family on the patch with `knots` distinct knots."""
     if knots < 2:
@@ -185,30 +156,20 @@ def extract_local(f, patch_index: int, patch: tuple[float, float],
     """
     if family.domain != (float(patch[0]), float(patch[1])):
         raise ConfigurationError("family domain must equal the patch")
-    norm = NormTag(quadrature.W12, family.domain)
-    cert = approximate_gram(f, family.elements(), norm, settings)
+    norm = NormTag(W12, family.domain)
+    cert = approximate.approximate_gram(f, family.elements(), norm, settings)
     return LocalCertificate(patch_index, family.domain, cert)
 
 
 def check_overlap(a: LocalCertificate, b: LocalCertificate) -> float:
     """Sobolev mismatch of two local approximants on their patch intersection,
     measured at verification grade."""
-    lo = max(a.patch[0], b.patch[0])
-    hi = min(a.patch[1], b.patch[1])
+    lo, hi = max(a.patch[0], b.patch[0]), min(a.patch[1], b.patch[1])
     if not lo < hi:
         raise TopologyError(
             f"patches {a.patch_index} and {b.patch_index} do not overlap")
     return measure(a.cert.approximant(), b.cert.approximant(),
-                   NormTag(quadrature.W12, (lo, hi)))[0]
-
-
-@dataclass(frozen=True)
-class ReconciliationRecord:
-    pair: tuple[int, int]
-    pre_mismatch: float
-    post_mismatch: float
-    deltas: tuple[tuple[int, float], ...]
-    adjusted: bool
+                   NormTag(W12, (lo, hi)))[0]
 
 
 def reconcile(f, a: LocalCertificate, b: LocalCertificate,
@@ -224,11 +185,10 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
     pre = check_overlap(a, b)
     if pre < delta:
         return b, ReconciliationRecord((a.patch_index, b.patch_index), pre, pre, (), False)
-    lo = max(a.patch[0], b.patch[0])
-    hi = min(a.patch[1], b.patch[1])
+    lo, hi = max(a.patch[0], b.patch[0]), min(a.patch[1], b.patch[1])
     fam = b.cert.basis
     sa = a.cert.approximant()
-    norm = NormTag(quadrature.W12, (lo, hi))
+    norm = NormTag(W12, (lo, hi))
     movable = [j for j, _ in b.cert.terms
                if fam.element(j).support()[0] < hi and fam.element(j).support()[1] > lo]
     if not movable:
@@ -288,7 +248,7 @@ def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCerti
 
 
 # ----------------------------------------------------------------------------
-# blending and the glued certificate
+# blending and gluing
 # ----------------------------------------------------------------------------
 
 def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
@@ -329,24 +289,6 @@ def compositional_bound(cover: Cover, errors, mismatches) -> float:
             + math.sqrt(math.fsum(r ** 2 for r in seams)))
 
 
-@dataclass(frozen=True)
-class GluedCertificate(Document):
-    KIND = "glued"
-
-    target_descriptor: str = field(metadata={"key": "target"})
-    cover: Cover
-    locals: tuple[LocalCertificate, ...]
-    parents: tuple[ApproximationCertificate, ...]
-    records: tuple[ReconciliationRecord, ...] = field(metadata={"key": "reconciliation"})
-    tolerance: float
-    reported_error: float
-    genealogy: tuple[str, ...]
-    digest: str = ""
-
-    def approximant(self) -> target_mod.TargetFunction:
-        return glued_function(build_pou(self.cover), self.locals)
-
-
 def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
          epsilon: float) -> GluedCertificate:
     """Reconcile pairwise left to right under the gate delta = epsilon/(2M),
@@ -379,21 +321,13 @@ def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
 
 
 # ----------------------------------------------------------------------------
-# parsing and verification
+# verification
 # ----------------------------------------------------------------------------
-
-def glued_from_dict(doc: dict) -> GluedCertificate:
-    cert = from_dict(GluedCertificate, doc)
-    m = cert.cover.m
-    if not 1 <= m == len(cert.locals):
-        raise CertificateParseError(
-            f"$.locals: {len(cert.locals)} locals for {m} patches; need one per patch")
-    return cert
-
 
 def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
     """Re-check a glued claim from its parts, never evaluating the blend: the
-    premises, every local, the records and their deltas, and each overlap
+    premises, every local and its target, the records and their deltas,
+    each adjusted local against its parent, the genealogy, and each overlap
     mismatch against its record and the gate tolerance/(2M). The recomputed
     error is the bound over the locals' errors and recomputed mismatches."""
     embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
@@ -402,7 +336,9 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
     faults = premise_faults(cover, cert.locals, cert.tolerance)
     notes += faults
     for i, lc in enumerate(cert.locals):
-        report = verify_approximation(lc.cert, f, store)
+        if lc.cert.target_descriptor != cert.target_descriptor:
+            notes.append(f"local {i}: target is not the glue's")
+        report = certificate.verify(lc.cert, f, store)
         notes.extend(f"local {i}: {n}" for n in report.notes)
     chain = [(i, i + 1) for i in range(cover.m - 1)]
     if [r.pair for r in cert.records] != chain:
@@ -412,14 +348,25 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
             notes.append(f"unadjusted pair {r.pair} records an adjustment")
     if sum(r.adjusted for r in cert.records) != len(cert.parents):
         notes.append("adjusted pairs and parents differ in number")
+    # each patch's local as extracted: its parent where its pair was adjusted
+    extracted = [lc.cert for lc in cert.locals]
     for r, parent in zip([r for r in cert.records if r.adjusted], cert.parents):
+        if r.pair not in chain:  # noted with the records above
+            continue
+        local, extracted[r.pair[1]] = extracted[r.pair[1]], parent
         # the adjusted local is its parent but at the deltas, bit for bit
-        old, moved = dict(parent.terms), dict(r.deltas)
-        new = dict(cert.locals[r.pair[1]].cert.terms) if r.pair in chain else {}
+        old, moved, new = dict(parent.terms), dict(r.deltas), dict(local.terms)
         if not (list(new) == list(old)
                 and all(j in new and (new[j] - old[j]).hex() == d.hex() for j, d in r.deltas)
                 and all(new[j].hex() == old[j].hex() for j in new if j not in moved)):
             notes.append(f"adjusted pair {r.pair}: deltas are not its local less its parent")
+        if any(getattr(local, k) != getattr(parent, k)
+               for k in ("target_descriptor", "basis", "norm", "tolerance")):
+            notes.append(f"adjusted pair {r.pair}: its local and parent differ in claim")
+        if local.genealogy != parent.genealogy + (parent.digest,):
+            notes.append(f"adjusted pair {r.pair}: its local does not descend from its parent")
+    if cert.genealogy != tuple(c.digest for c in extracted):
+        notes.append("genealogy does not list each patch's local as extracted")
     recorded = {r.pair: r.post_mismatch for r in cert.records}
     delta = cert.tolerance / (2.0 * cover.m)
     mismatches = []

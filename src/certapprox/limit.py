@@ -19,20 +19,18 @@ to its anchor, first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import target as target_mod
-from .certificate import (ApproximationCertificate, Construction, Document,
-                          VerificationReport, assemble, envelope_findings,
-                          from_dict, seal, verdict)
-from .certificate import verify as verify_approximation
-from .errors import (CertificateParseError, ConfigurationError,
-                     EvidenceContradictionError, IncompleteSequenceError)
-from .quadrature import NormTag, SUP
+from . import certificate, target as target_mod
+from .certificate import (ApproximationCertificate, Construction, VerificationReport,
+                          assemble, envelope_findings, verdict)
+from .errors import (ConfigurationError, EvidenceContradictionError,
+                     IncompleteSequenceError)
+from .records import (SEQUENCE_TENT, SUP, EvidenceRecord, LimitCertificate, ModulusRecord,
+                      NormTag, frac_str, limit_from_dict, parse_frac, seal)
 
-SEQUENCE_TENT = "tent"
 DYADIC_RULE = "ceil(log2(2/epsilon))"
 LADDER_RUNGS = 8
 MEMBER_TOLERANCE = 1e-15
@@ -41,15 +39,6 @@ MEMBER_TOLERANCE = 1e-15
 # ----------------------------------------------------------------------------
 # exact rational helpers
 # ----------------------------------------------------------------------------
-
-def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
 
 def exact_ceil_log2(q: Fraction) -> int:
     """Smallest integer n with 2**n >= q: the bit length of ceil(q) - 1 for
@@ -130,16 +119,8 @@ def tent_sequence(modulus: Modulus | None = None) -> CertifiedSequence:
 
 
 # ----------------------------------------------------------------------------
-# evidence
+# evidence and the transfer
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvidenceRecord:
-    pair: tuple[int, int]
-    measured: str
-    bound: str
-    digest: str = ""
-
 
 def check_pair(n: int, m: int, budget: Fraction) -> EvidenceRecord:
     """Measure |S_m - S_n| exactly; contradiction if it reaches the budget."""
@@ -147,38 +128,6 @@ def check_pair(n: int, m: int, budget: Fraction) -> EvidenceRecord:
     if not measured < budget:
         raise EvidenceContradictionError(n, m, frac_str(budget), frac_str(measured))
     return seal(EvidenceRecord((n, m), frac_str(measured), frac_str(budget)))
-
-
-@dataclass(frozen=True)
-class ModulusRecord:
-    rule: str
-    epsilon: str
-    argument: str
-    value: int
-    digest: str = ""
-
-
-# ----------------------------------------------------------------------------
-# the limit certificate
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitCertificate(Document):
-    KIND = "limit"
-
-    sequence: str
-    target_descriptor: str = field(metadata={"key": "target"})
-    tolerance: float
-    epsilon_exact: str
-    n_star: int
-    members: tuple[ApproximationCertificate, ...]
-    ladder: tuple[EvidenceRecord, ...]
-    modulus_record: ModulusRecord = field(metadata={"key": "modulus"})
-    tail_bound: str
-    tail_budget: str
-    reported_error: float
-    genealogy: tuple[str, ...]
-    digest: str = ""
 
 
 def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
@@ -193,9 +142,7 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
         raise ConfigurationError("limit transfer expects 0 < epsilon < 1")
     eps = Fraction(epsilon)
     half = eps / 2
-    n_star = seq.modulus(half)
-    if n_star < 1:
-        n_star = 1
+    n_star = max(seq.modulus(half), 1)
     mod_rec = seal(ModulusRecord(seq.modulus.rule, frac_str(eps), frac_str(half), n_star))
     members = tuple(seq.member(n) for n in range(1, n_star + 1))
     evidence = tuple(check_pair(n_star, n_star + i, half)
@@ -216,26 +163,8 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
 
 
 # ----------------------------------------------------------------------------
-# parsing and verification
+# verification
 # ----------------------------------------------------------------------------
-
-def limit_from_dict(doc: dict) -> LimitCertificate:
-    cert = from_dict(LimitCertificate, doc)
-    if cert.n_star < 1:
-        raise CertificateParseError("$: n_star must be at least 1")
-    # every exact rational of an honest transfer is positive
-    mod = cert.modulus_record
-    for q in (cert.epsilon_exact, cert.tail_bound, cert.tail_budget,
-              mod.epsilon, mod.argument,
-              *(r.measured for r in cert.ladder), *(r.bound for r in cert.ladder)):
-        try:
-            positive = parse_frac(q) > 0
-        except (ValueError, ZeroDivisionError):
-            positive = False
-        if not positive:
-            raise CertificateParseError(f"{q!r} is not a positive fraction")
-    return cert
-
 
 def verify_limit(cert: LimitCertificate, store: dict | None = None) -> VerificationReport:
     """Re-derive every exact quantity in a limit claim from scratch.
@@ -292,7 +221,7 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
             if member.target_descriptor != f_n.descriptor:
                 notes.append(f"member {i} does not describe depth {i}")
                 continue
-            report = verify_approximation(member, f_n, store)
+            report = certificate.verify(member, f_n, store)
             notes.extend(f"member {i}: {n}" for n in report.notes)
         for rec in cert.ladder:
             if parse_frac(rec.bound) != half:

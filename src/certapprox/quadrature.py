@@ -34,6 +34,7 @@ import numpy as np
 
 from . import basis
 from .errors import ConfigurationError, EvaluationError, UnsupportedNormError
+from .records import L2, SUP, W12, NormTag
 
 
 @lru_cache(maxsize=64)
@@ -43,29 +44,8 @@ def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     w.setflags(write=False)
     return x, w
 
-L2 = "l2"
-W12 = "w12"
-SUP = "sup"
-
-_NORM_KINDS = (L2, W12, SUP)
-
 GAUSS_CHEBYSHEV = "gauss_chebyshev"
 COMPOSITE_GAUSS_LEGENDRE = "composite_gauss_legendre"
-
-
-@dataclass(frozen=True)
-class NormTag:
-    """Which norm a measurement or certificate refers to, and on what interval."""
-
-    kind: str
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        if self.kind not in _NORM_KINDS:
-            raise ConfigurationError(f"unknown norm kind {self.kind!r}")
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigurationError(f"invalid norm domain [{lo}, {hi}]")
 
 
 def l2_norm(domain=(0.0, 1.0)) -> NormTag:

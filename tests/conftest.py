@@ -1,29 +1,29 @@
 """Fixtures shared by the test modules."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from certapprox import basis, certificate, glue, limit
+from certapprox import basis, records
 
 
 @pytest.fixture
 def work(monkeypatch):
-    """Calls of canonical_dumps and from_dict, counted through every module
-    that calls them; clear() it to count from a later point."""
+    """Calls of canonical_dumps and from_dict, counted at records, which
+    defines them, and through every module that binds them; clear() it to
+    count from a later point."""
     calls = Counter()
+    modules = [m for k, m in sys.modules.items() if k.startswith("certapprox.")]
+    for name in ("canonical_dumps", "from_dict"):
+        inner = getattr(records, name)
 
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args, **kwargs):
+        def counted(*args, name=name, inner=inner, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    count(certificate, "canonical_dumps")
-    for module in (certificate, glue, limit):
-        count(module, "from_dict")
+        for module in modules:
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -680,6 +681,27 @@ def test_import_loads_no_scipy(tmp_path):
     assert out == "[]\n"
 
 
+def _cli_process(argv, tmp_path):
+    """`python -m certapprox.cli` with argv, run as a fresh process."""
+    return subprocess.run([sys.executable, "-m", "certapprox.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_golden_corpus_through_fresh_processes(spline_cert, glued_cert, limit_cert,
+                                               sample_cert, tmp_path):
+    # a process imports only what its command needs, which the in-process
+    # tests cannot see: every module is already loaded there
+    data, ramp_cert = sample_cert
+    docs = {"spline": (spline_cert, []), "glued": (glued_cert, []),
+            "limit": (limit_cert, []), "ramp": (ramp_cert, ["--target", f"data:{data}"])}
+    for name, (path, extra) in docs.items():
+        for command, argv in (("verify", extra), ("inspect", [])):
+            done = _cli_process([command, str(path), *argv], tmp_path)
+            assert (done.returncode, done.stdout, done.stderr) == (
+                0, GOLDEN[name][command], ""), (name, command)
+
+
 # ----------------------------------------------------------------------------
 # hand-edited, resealed documents end in a verdict or a parse error
 # ----------------------------------------------------------------------------
@@ -900,6 +922,36 @@ def test_an_overflowing_number_is_a_usage_error(spline_cert, mutate, tmp_path):
         assert "non-finite number" in _usage_error([command, str(bad)], tmp_path)
 
 
+@pytest.fixture(scope="module")
+def chebyshev_cert(workdir):
+    return _build("chebyshev", ["approximate", "--target", "builtin:exp", "--basis",
+                                "chebyshev", "--degree", "12", "--eps", "1e-6"], workdir)
+
+
+@pytest.fixture(scope="module")
+def sine_cert(workdir):
+    return _build("sine", ["approximate", "--target", "builtin:sinpi", "--basis",
+                           "fourier_sine", "--eps", "1e-2"], workdir)
+
+
+# finite coefficients whose sums overflow: in the spline's squared
+# difference, the Chebyshev term table's running sum and Reinsch's recurrence
+HUGE_TERMS = {
+    "spline": ("spline_cert", [[2, 1e308], [3, 1e308]]),
+    "chebyshev": ("chebyshev_cert", [[j, 1e308] for j in range(13)]),
+    "sine": ("sine_cert", [[1, 1e308], [2, 1e308], [3, 1e308]]),
+}
+
+
+@pytest.mark.parametrize("fixture,terms", HUGE_TERMS.values(), ids=HUGE_TERMS.keys())
+def test_an_overflowing_series_fails_without_warnings(fixture, terms, request, tmp_path):
+    bad = _resealed(request.getfixturevalue(fixture), _set("terms", terms),
+                    tmp_path / ("huge" + FILE_SUFFIX))
+    done = _cli_process(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert "recomputed error: inf" in done.stdout and "verdict: FAIL" in done.stdout
+
+
 def test_nesting_past_the_recursion_limit_is_a_usage_error(spline_cert, tmp_path):
     top = tmp_path / ("top" + FILE_SUFFIX)
     top.write_text("[" * 200000)
@@ -950,6 +1002,48 @@ def test_the_package_loads_cli_on_first_use(tmp_path):
                   "print('certapprox.cli' in sys.modules, certapprox.cli.main.__module__)",
                   tmp_path)
     assert out == "False certapprox.cli\n"
+
+
+def test_every_package_name_resolves_on_first_use(tmp_path):
+    out = _python("import sys, certapprox\n"
+                  "print('numpy' in sys.modules, [n for n in certapprox._HOME"
+                  " if getattr(certapprox, n, None) is None], len(certapprox._HOME))", tmp_path)
+    assert out == "False [] 82\n"
+
+
+# the CLI's main in a process that reports, on stderr, whether numpy and
+# which certapprox modules were loaded by the time it returned
+_LOADED = ("import sys\nfrom certapprox import cli\ncode = cli.main(sys.argv[1:])\n"
+           "print('numpy' in sys.modules, sorted(m for m in sys.modules"
+           " if m.startswith('certapprox')), file=sys.stderr)\nsys.exit(code)")
+RECORDS_ONLY = "False ['certapprox', 'certapprox.cli', 'certapprox.errors', 'certapprox.records']"
+
+
+def _loaded(argv, tmp_path):
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("fixture", ["spline_cert", "glued_cert", "limit_cert"])
+def test_inspect_loads_no_numpy(fixture, request, tmp_path):
+    path = request.getfixturevalue(fixture)
+    assert _loaded(["inspect", str(path)], tmp_path) == (0, RECORDS_ONLY)
+
+
+@pytest.mark.parametrize("mutate", [_set("kind", "mystery"), _set("tolerance", "x")],
+                         ids=["unknown-kind", "malformed-field"])
+def test_a_verify_that_fails_to_parse_loads_no_numpy(spline_cert, mutate, tmp_path):
+    bad = _resealed(spline_cert, mutate, tmp_path / ("unparsed" + FILE_SUFFIX))
+    assert _loaded(["verify", str(bad)], tmp_path) == (4, RECORDS_ONLY)
+
+
+def test_the_records_load_no_other_module(tmp_path):
+    out = _python("import sys, certapprox.records\n"
+                  "print('numpy' in sys.modules, sorted(m for m in sys.modules"
+                  " if m.startswith('certapprox')))", tmp_path)
+    assert out == "False ['certapprox', 'certapprox.errors', 'certapprox.records']\n"
 
 
 def _old_format(doc):
@@ -1116,15 +1210,47 @@ def _sealed_leaves(value, path=()):
             yield path + (k,)
 
 
-def _verify_mutant(doc, path, out):
-    """verify's exit code on doc with the leaf at path mutated, resealed."""
-    def mutate(mutant):
-        *keys, last = path
-        for k in keys:
-            mutant = mutant[k]
-        mutant[last] = _mutated(mutant[last])
-    out.write_text(json.dumps(doc))
-    _resealed(out, mutate, out)
+def _sealed_records(value):
+    """Every object with a digest in value, innermost first."""
+    for v in value.values() if type(value) is dict else value if type(value) is list else ():
+        yield from _sealed_records(v)
+    if type(value) is dict and "digest" in value:
+        yield value
+
+
+def _renamed(value, old, new):
+    """Make every reference to the digest old, such as a genealogy entry, new."""
+    for k, v in value.items() if type(value) is dict else enumerate(value):
+        if v == old and k != "digest":
+            value[k] = new
+        elif type(v) in (dict, list):
+            _renamed(v, old, new)
+
+
+def _deep_reseal(doc):
+    """A forger's reseal: each record whose digest no longer seals it,
+    innermost first, gets its digest re-minted and renamed wherever the
+    document names it, until every digest seals its record."""
+    while stale := [r for r in _sealed_records(doc) if r["digest"] != compute_digest(r)]:
+        old = stale[0]["digest"]
+        stale[0]["digest"] = compute_digest(stale[0])
+        _renamed(doc, old, stale[0]["digest"])
+
+
+def _verify_mutant(doc, path, out, deep=False):
+    """verify's exit code on doc with the leaf at path mutated, then the top
+    digest resealed, or with deep every record _deep_reseal reseals."""
+    mutant = copy.deepcopy(doc)
+    *keys, last = path
+    holder = mutant
+    for k in keys:
+        holder = holder[k]
+    holder[last] = _mutated(holder[last])
+    if deep:
+        _deep_reseal(mutant)
+    else:
+        mutant["digest"] = compute_digest(mutant)
+    out.write_text(json.dumps(mutant))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(["verify", str(out)])
 
@@ -1154,3 +1280,47 @@ def test_every_sealed_leaf_mutated_and_resealed_fails(fixture, request, tmp_path
 def test_unchecked_leaves_mutated_and_resealed_fail(fixture, path, request, tmp_path):
     doc = json.loads(request.getfixturevalue(fixture).read_text())
     assert _verify_mutant(doc, path, tmp_path / ("mutant" + FILE_SUFFIX)) in (3, 4)
+
+
+# the reconciled glue's leaves that still pass a deep reseal, and why
+_UNREAD = "verification does not read a non-greedy route or a stopping text (ROADMAP item 11)"
+_TINY = ("the end element's coefficient is about -3e-11, so halving it moves the local's"
+         " error by less than the verdict's slack: the claim stays true")
+_BUDGET = ("a halved budget of an unadjusted local still holds its error and half the"
+           " glue's tolerance: the claim stays true")
+DEEP_UNCHECKED = {
+    "local-0-method": (("locals", 0, "certificate", "construction", "method"), _UNREAD),
+    "local-0-stopping": (("locals", 0, "certificate", "construction", "stopping"), _UNREAD),
+    "local-1-method": (("locals", 1, "certificate", "construction", "method"), _UNREAD),
+    "local-1-stopping": (("locals", 1, "certificate", "construction", "stopping"), _UNREAD),
+    "local-2-method": (("locals", 2, "certificate", "construction", "method"), _UNREAD),
+    "local-2-stopping": (("locals", 2, "certificate", "construction", "stopping"), _UNREAD),
+    "parent-method": (("parents", 0, "construction", "method"), _UNREAD),
+    "parent-stopping": (("parents", 0, "construction", "stopping"), _UNREAD),
+    "local-0-first-coefficient": (("locals", 0, "certificate", "terms", 0, 1), _TINY),
+    "local-2-last-coefficient": (("locals", 2, "certificate", "terms", 9, 1), _TINY),
+    "local-0-tolerance": (("locals", 0, "certificate", "tolerance"), _BUDGET),
+    "local-2-tolerance": (("locals", 2, "certificate", "tolerance"), _BUDGET),
+    "parent-reported_error": (("parents", 0, "reported_error"),
+                              "a parent's reported error is provenance that nothing measures"),
+}
+
+
+def test_every_sealed_leaf_deep_resealed_fails(reconciled_cert, tmp_path):
+    doc = json.loads(reconciled_cert.read_text())
+    skip = {*(p for p, _ in DEEP_UNCHECKED.values()),
+            UNCHECKED_LEAVES["reconciled-pre_mismatch"][1]}
+    # but an embedded record's own digest, which the deep reseal mints back
+    leaves = [p for p in _sealed_leaves(doc) if p[-1] != "digest"]
+    assert skip < set(leaves) and len(leaves) == 182
+    out = tmp_path / ("mutant" + FILE_SUFFIX)
+    assert [p for p in leaves
+            if p not in skip and _verify_mutant(doc, p, out, deep=True) not in (3, 4)] == []
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(path, id=name, marks=pytest.mark.xfail(strict=True, reason=why))
+    for name, (path, why) in DEEP_UNCHECKED.items()])
+def test_deep_resealed_leaves_that_stay_true_or_unread_fail(path, reconciled_cert, tmp_path):
+    doc = json.loads(reconciled_cert.read_text())
+    assert _verify_mutant(doc, path, tmp_path / ("mutant" + FILE_SUFFIX), deep=True) in (3, 4)

@@ -530,6 +530,57 @@ def test_resealed_reconciliation_deltas_must_be_the_local_less_its_parent(
     assert "adjusted pair (0, 1): deltas are not its local less its parent" in rep.notes
 
 
+def _list_the_adjusted_local(doc):
+    doc["genealogy"][1] = doc["locals"][1]["certificate"]["digest"]
+
+
+def _descend_from_the_left_local(doc):
+    local = doc["locals"][1]["certificate"]
+    local["genealogy"] = [doc["locals"][0]["certificate"]["digest"]]
+    local["digest"] = compute_digest(local)
+
+
+def _retarget_the_parent(doc):
+    parent = doc["parents"][0]
+    old, parent["target"] = parent["digest"], "builtin:exp"
+    parent["digest"] = compute_digest(parent)
+    local = doc["locals"][1]["certificate"]
+    local["genealogy"] = [parent["digest"]]
+    local["digest"] = compute_digest(local)
+    doc["genealogy"] = [parent["digest"] if g == old else g for g in doc["genealogy"]]
+
+
+def _retarget_the_left_local(doc):
+    local = doc["locals"][0]["certificate"]
+    local["target"] = "builtin:exp"
+    local["digest"] = doc["genealogy"][0] = compute_digest(local)
+
+
+# forgeries in which every digest seals its record and every genealogy
+# entry resolves, and the note each draws
+PROVENANCE_FORGERIES = {
+    "glue-lists-the-adjusted-local": (
+        _list_the_adjusted_local, "genealogy does not list each patch's local as extracted"),
+    "local-descends-from-another": (
+        _descend_from_the_left_local,
+        "adjusted pair (0, 1): its local does not descend from its parent"),
+    "parent-claims-another-target": (
+        _retarget_the_parent, "adjusted pair (0, 1): its local and parent differ in claim"),
+    "local-claims-another-target": (_retarget_the_left_local, "local 0: target is not the glue's"),
+}
+
+
+@pytest.mark.parametrize("forge,note", PROVENANCE_FORGERIES.values(),
+                         ids=PROVENANCE_FORGERIES.keys())
+def test_provenance_resealed_throughout_fails(reconciled3, sinpi, forge, note):
+    doc = json.loads(serialize(reconciled3))
+    forge(doc)
+    doc["digest"] = compute_digest(doc)
+    rep = verify_glued(glued_from_dict(doc), sinpi)
+    assert not rep.verdict and not rep.structural_ok
+    assert note in rep.notes
+
+
 def test_a_store_file_that_does_not_hash_to_its_digest_resolves_nothing(
         reconciled3, tmp_path, capsys):
     child, parent = reconciled3.locals[1].cert, reconciled3.parents[0]
@@ -558,4 +609,4 @@ def test_verifying_a_parsed_glue_parses_nothing_and_hashes_each_record_at_most_t
     assert verify_glued(g, sinpi).verdict
     # the top digest, each embedded record's, and each local's own
     assert work["from_dict"] == 0
-    assert work["canonical_dumps"] <= 1 + 2 * embedded
+    assert 0 < work["canonical_dumps"] <= 1 + 2 * embedded

@@ -273,7 +273,7 @@ def test_verifying_a_parsed_limit_parses_nothing_and_hashes_each_record_at_most_
     assert verify_limit(lim).verdict
     # the top digest, each embedded record's, and each member's own
     assert work["from_dict"] == 0
-    assert work["canonical_dumps"] <= 1 + 2 * embedded
+    assert 0 < work["canonical_dumps"] <= 1 + 2 * embedded
 
 
 def test_doctored_ladder_rung_fails_verification(lim_milli):
