@@ -17,9 +17,8 @@ Every route measures its reported error with the construction-grade rule;
 verification later re-measures with refined panels. All stopping strings
 are deterministic so that repeated runs assemble byte-identical claims.
 The sine probes and the Chebyshev coefficients come from one term-table
-loop (_term_sums). A B-spline Gram pair or probe, like every inner product
-and norm of a difference, ends in quadrature's one sum of values, then
-slopes.
+loop (_term_sums), the B-spline Gram pairs and probes from one span-table
+gather (_band_sums), many pairs to one exact row sum per deriv flag.
 """
 
 from __future__ import annotations
@@ -164,89 +163,90 @@ def gram_matrix(elements, norm: NormTag,
     """Symmetric matrix of pairwise inner products in the norm.
 
     Only pairs whose supports overlap in an interval of positive length are
-    integrated; every other entry stays +0.0, which is exactly what its
-    integral gives: an element is +0.0 off its support and no rule node
-    sits on a panel edge, where two touching supports meet, so every node
-    contributes a zero and the fsum of zeros is +0.0. For cubic B-splines
-    this keeps the band |i - j| <= 3: 4k - 6 of the k(k + 1)/2 pairs.
-
-    Every pair is integrated on `rule` if one is given. Otherwise cubic
-    B-splines share one span rule, the construction rule of all the
-    elements over the norm's domain, and a pair of any other family, whose
-    elements span the domain, gets construction_rule(a, [b], norm.domain).
-    _on_rule reads each rule's elements once, and a pair sums w a b (and
-    w a' b' under W12) over the nodes in both supports, a contiguous range.
-    That is bit for bit the integral over the pair's own rule: on the
-    intersection the span rule's panels are the knot spans, as are the pair
-    rule's, every other node carries an exact zero product, and integrate
-    is an exactly rounded sum.
+    integrated, for cubic B-splines the band |i - j| <= 3; every other entry
+    stays +0.0, exactly its integral: an element is +0.0 off its support, no
+    rule node sits on a panel edge, where two touching supports meet, and a
+    sum of zeros is +0.0. Cubic B-splines share `rule`, by default the
+    construction rule of all of them over the norm's domain (_band_sums);
+    other pairs use `rule`, else construction_rule(a, [b], norm.domain).
     """
     k = len(elements)
     G = np.zeros((k, k))
-    lo, hi = np.array([e.support() for e in elements], dtype=float).reshape(k, 2).T
-    if rule is None and k and elements[0].family.kind == basis.CUBIC_BSPLINE:
-        rule = quadrature.construction_rule(elements[0], elements, norm.domain)
-    shared = None if rule is None else _on_rule(elements, norm, rule)
-    for i in range(k):
-        meets = np.minimum(hi[i], hi[i:]) > np.maximum(lo[i], lo[i:])
-        for j in (np.flatnonzero(meets) + i).tolist():
-            a, b = elements[i], elements[j]
-            u, v = (shared[i], shared[j]) if shared else _on_rule(
-                [a, b], norm, quadrature.construction_rule(a, [b], norm.domain))
-            G[i, j] = G[j, i] = _pair_inner(u, v)
+    ends = np.array([e.support() for e in elements], dtype=float).reshape(k, 2)
+    i, j = _overlapping_pairs(ends)
+    if k and elements[0].family.kind == basis.CUBIC_BSPLINE:
+        rule = rule or quadrature.construction_rule(elements[0], elements, norm.domain)
+        G[i, j] = G[j, i] = _band_sums(elements, ends, norm, rule, j, left=i)
+        return G
+    for a, b in zip(i.tolist(), j.tolist()):
+        u, v = elements[a], elements[b]
+        G[a, b] = G[b, a] = quadrature.inner_product(
+            u, v, norm, rule or quadrature.construction_rule(u, [v], norm.domain))
     return G
 
 
-@dataclass(frozen=True)
-class _OnSupport:
-    """An element or a target on the nodes start..stop - 1 of a rule, those
-    in its support: its values there for each deriv flag the norm pairs."""
-
-    rule: quadrature.QuadratureRule
-    start: int
-    stop: int
-    values: tuple[np.ndarray, ...]
-
-
-def _on_rule(elements, norm: NormTag, rule: quadrature.QuadratureRule) -> list[_OnSupport]:
-    """Each element of one family on the nodes of `rule` in its closed
-    support; B-splines read one basis.SpanTable, bit for bit e.evaluate."""
-    x, flags = rule.nodes, quadrature.paired(norm)
-    ends = np.array([e.support() for e in elements], dtype=float).reshape(-1, 2)
-    starts = np.searchsorted(x, ends[:, 0], side="left").tolist()
-    stops = np.searchsorted(x, ends[:, 1], side="right").tolist()
-    fam = elements[0].family
-    table = None
-    if fam.kind == basis.CUBIC_BSPLINE:  # refused as e.evaluate refuses x
-        table = basis.pointwise(fam.domain, partial(basis.SpanTable, fam), x)
-    return [_OnSupport(rule, i, j, tuple(
-        table.column(e.index, d, i, j) if table else quadrature._at(e, x[i:j], d)
-        for d in flags)) for e, i, j in zip(elements, starts, stops)]
+def _overlapping_pairs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j), i <= j, whose supports (rows of ends) meet in an interval
+    of positive length, each support checked against the run of those that
+    start at or after it and before it ends: no k x k temporary."""
+    (lo, hi), k = ends.T, len(ends)
+    order = np.argsort(lo, kind="stable")
+    run = np.maximum(np.searchsorted(lo[order], hi[order]) - np.arange(k), 0)
+    a = np.repeat(np.arange(k), run)
+    b = order[a + np.arange(a.size) - np.repeat(np.cumsum(run) - run, run)]
+    i, j = np.minimum(order[a], b), np.maximum(order[a], b)
+    meets = np.minimum(hi[i], hi[j]) > np.maximum(lo[i], lo[j])
+    return i[meets], j[meets]
 
 
-def _pair_inner(u: _OnSupport, v: _OnSupport) -> float:
-    """<u, v> on their common rule, summed over the nodes in both supports:
-    the integral of u v, plus under W12 that of u' v'."""
-    start, stop = max(u.start, v.start), min(u.stop, v.stop)
-    a, b = slice(start - u.start, stop - u.start), slice(start - v.start, stop - v.start)
-    return quadrature._values_then_slopes(
-        u.rule.weights[start:stop], u.rule.nodes[start:stop],
-        [fu[a] * fv[b] for fu, fv in zip(u.values, v.values)])
+def _band_sums(elements, ends: np.ndarray, norm: NormTag, rule: quadrature.QuadratureRule,
+               right: np.ndarray, left: np.ndarray | None = None, f=None) -> np.ndarray:
+    """For each row r, <u, e> on `rule` over the nodes in both closed
+    supports (rows of ends), a contiguous range: e is element right[r] and u
+    element left[r], or f, evaluated once, if left is None. Bit for bit the
+    integral on the pair's own rule where `rule` has its panels: every other
+    node's product is an exact zero. The elements are read from one span
+    table, which refuses nodes as e.evaluate does; w (u v) goes in blocks of
+    about basis.TABLE_ENTRIES, rows padded with +0.0, one quadrature.row_sums
+    per deriv flag: math.fsum of each row, which a zero cannot change, added
+    in quadrature.paired's order as inner_product adds them. A product that
+    is not finite raises row_sums' EvaluationError at its node, a block's
+    values summed before its slopes."""
+    x, w, fam = rule.nodes, rule.weights, elements[0].family
+    fx = [quadrature._at(f, x, d) for d in quadrature.paired(norm)] if left is None else None
+    table = basis.pointwise(fam.domain, partial(basis.SpanTable, fam), x)
+    index = np.array([e.index for e in elements])[:, None]
+    first, last = np.searchsorted(x, ends[:, 0]), np.searchsorted(x, ends[:, 1], "right")
+    starts, stops = first[right], last[right]
+    if left is not None:
+        starts, stops = np.maximum(starts, first[left]), np.minimum(stops, last[left])
+    width = max(1, int(np.max(stops - starts, initial=0)))
+    out, batch = [], max(1, basis.TABLE_ENTRIES // width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(starts), batch):
+            rows = np.arange(lo, min(lo + batch, len(starts)))
+            pad = np.arange(width) >= (stops - starts)[rows, None]
+            nodes = np.minimum(starts[rows, None] + np.arange(width), x.size - 1)
+            sums = []
+            for d in quadrature.paired(norm):
+                u = fx[d][nodes] if left is None else table.gather(index[left[rows]], nodes, d)
+                p = w[nodes] * (u * table.gather(index[right[rows]], nodes, d))
+                p[pad] = 0.0
+                sums.append(quadrature.row_sums(rows.size, x[nodes], lambda at: p[:, at]))
+            out += map(sum, zip(*sums))
+    return np.array(out)
 
 
 def _probes(f, elements, norm: NormTag, rule=None) -> np.ndarray:
     """<f, e> for every element. B-splines share `rule` (by default that of
-    f and them), f evaluated on it once; each probe sums its element's
-    support nodes, bit for bit inner_product on any rule with `rule`'s
-    panels there. Others probe on construction_rule(f, [e], norm.domain)."""
+    f and them), f evaluated on it once (_band_sums); others probe on
+    construction_rule(f, [e], norm.domain)."""
     if elements[0].family.kind != basis.CUBIC_BSPLINE:
         return np.array([quadrature.inner_product(
             f, e, norm, quadrature.construction_rule(f, [e], norm.domain)) for e in elements])
     rule = rule or quadrature.construction_rule(f, elements, norm.domain)
-    x = rule.nodes
-    on_f = _OnSupport(rule, 0, x.size, tuple(
-        quadrature._at(f, x, d) for d in quadrature.paired(norm)))
-    return np.array([_pair_inner(on_f, u) for u in _on_rule(elements, norm, rule)])
+    ends = np.array([e.support() for e in elements], dtype=float).reshape(-1, 2)
+    return _band_sums(elements, ends, norm, rule, np.arange(len(elements)), f=f)
 
 
 def _fsum_dot(head: float, u: np.ndarray, v: np.ndarray) -> float:

@@ -7,16 +7,16 @@ hierarchy phi_{2^k} on [0, 1] (FIXED_DOMAINS), and clamped uniform cubic
 B-splines on an arbitrary interval. An element evaluates pointwise or on
 numpy arrays, differentiates (one-sided, right-hand convention at kinks),
 and reports a support interval that is sound: the element vanishes
-identically outside it. Every B-spline value and slope, of one element, of
-a series or of every element on a rule, is read by one SpanTable: per
-node, its knot span s and the four B-splines non-zero there, N_{s-3..s,3},
-from one pass up the Cox-de Boor triangle (span_table), and one gather
-that adds the terms in term order. A sine series is summed by Reinsch's
-recurrence (_sine_sum). Every other value and slope, of one element or of
-a series, is a row of one term table (term_table): terms by nodes, each
-kind's formula written once. series_sum picks a series' evaluator;
-series_edges, series_kinks and edge_pieces give where a rule must break.
-A family itself, BasisFamily, is a sealed record (records).
+identically outside it. Every B-spline value and slope is read by one
+SpanTable: per node, its knot span s and the four B-splines non-zero
+there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle
+(span_table); its sum adds a series' terms in term order, its gather
+reads single elements. A sine series is summed by Reinsch's recurrence
+(_sine_sum). Every other value and slope, of one element or of a series,
+is a row of one term table (term_table): terms by nodes, each kind's
+formula written once. series_sum picks a series' evaluator; series_edges,
+series_kinks and edge_pieces give where a rule must break. A family
+itself, BasisFamily, is a sealed record (records).
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -290,21 +290,22 @@ def span_table(t: np.ndarray, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
 
 class SpanTable:
     """Elements of a B-spline family at nodes x inside its domain, unchecked:
-    per node its span s, and per chunk of SPAN_CHUNK nodes its span_table
-    rows and the elements first..final that are non-zero somewhere in it. A
-    node's span is the last s with t[s] <= x, so t[s] < t[s+1]; x == hi is
-    closed into the last non-empty span."""
+    per node its span s and span_table rows (element j in column j + 2 - s),
+    and per chunk of SPAN_CHUNK nodes the elements first..final non-zero
+    somewhere in it. A node's span is the last s with t[s] <= x, so t[s] <
+    t[s+1]; x == hi is closed into the last non-empty span."""
 
     def __init__(self, family: BasisFamily, x: np.ndarray):
         t = family.knots()
         last = int(np.searchsorted(t, t[-1])) - 1
         self.s = np.minimum(np.searchsorted(t, x, side="right") - 1, last)
+        self.rows = (np.empty((x.size, 4)), np.empty((x.size, 4)))
         self.chunks = []
         for c in range(0, x.size, SPAN_CHUNK):
-            s = self.s[c:c + SPAN_CHUNK]
+            at, s = slice(c, c + SPAN_CHUNK), self.s[c:c + SPAN_CHUNK]
+            self.rows[0][at], self.rows[1][at] = span_table(t, x[at], s)
             # element j (N_{j-1,3}) is non-zero in the spans j - 1..j + 2
-            self.chunks.append((int(s.min()) - 2, int(s.max()) + 1,
-                                span_table(t, x[c:c + SPAN_CHUNK], s)))
+            self.chunks.append((int(s.min()) - 2, int(s.max()) + 1))
 
     @classmethod
     def sum_at(cls, family: BasisFamily, terms, x: np.ndarray, deriv: bool = False) -> np.ndarray:
@@ -316,12 +317,11 @@ class SpanTable:
             t, flat = family.knots(), x.reshape(-1)
             lo, hi = t[min(j for j, _ in terms) - 1], t[max(j for j, _ in terms) + 3]
             inside = np.flatnonzero((flat >= lo) & (flat <= hi))
-            v.reshape(-1)[inside] = cls(family, flat[inside]).sum(terms, deriv, 0, inside.size)
+            v.reshape(-1)[inside] = cls(family, flat[inside]).sum(terms, deriv)
         return v
 
-    def sum(self, terms, deriv: bool, start: int, stop: int) -> np.ndarray:
-        """sum a N_{j-1,3}, or of the slopes, over the (j, a) terms at nodes
-        start..stop - 1.
+    def sum(self, terms, deriv: bool) -> np.ndarray:
+        """sum a N_{j-1,3}, or of the slopes, over the (j, a) terms at each node.
 
         The terms are added in term order, a repeated index again, each on
         the nodes of spans j - 1..j + 2: its closed support but for x =
@@ -329,11 +329,10 @@ class SpanTable:
         because the sum starts at +0.0 and a sum never turns it into -0.0.
         A chunk reads only the terms non-zero in it.
         """
-        v = np.zeros(stop - start)
-        for c in range(start - start % SPAN_CHUNK, stop, SPAN_CHUNK):
-            first, final, rows = self.chunks[c // SPAN_CHUNK]
-            lo, hi = max(start, c), min(stop, c + SPAN_CHUNK)
-            s, out, table = self.s[lo:hi], v[lo - start:hi - start], rows[deriv][lo - c:hi - c]
+        v = np.zeros(self.s.size)
+        for c, (first, final) in zip(range(0, v.size, SPAN_CHUNK), self.chunks):
+            at = slice(c, c + SPAN_CHUNK)
+            s, out, table = self.s[at], v[at], self.rows[deriv][at]
             for j, a in terms:
                 if first <= j <= final:
                     r = j + 2 - s
@@ -341,10 +340,12 @@ class SpanTable:
                     out[hit] += a * table[hit, r[hit]]
         return v
 
-    def column(self, index: int, deriv: bool, start: int, stop: int) -> np.ndarray:
-        """Element `index` or its slope at nodes start..stop - 1: the
-        one-term sum."""
-        return self.sum(((index, 1.0),), deriv, start, stop)
+    def gather(self, index, nodes: np.ndarray, deriv: bool) -> np.ndarray:
+        """Elements `index` or their slopes at the node positions `nodes`,
+        broadcast together: column index + 2 - s of each node's row, or +0.0,
+        bit for bit the one-term sum (no entry is -0.0: each sums from +0.0)."""
+        r = index + 2 - self.s[nodes]  # one of the four iff r & ~3 == 0
+        return np.where((r & ~3) == 0, self.rows[deriv].ravel().take(4 * nodes + (r & 3)), 0.0)
 
 
 # ----------------------------------------------------------------------------

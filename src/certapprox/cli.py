@@ -31,6 +31,11 @@ EXIT_TOLERANCE = 2
 EXIT_VERIFICATION = 3
 EXIT_USAGE = 4
 
+# the largest value of each size option, ten times or more any size a test,
+# README example or benchmark workload uses; a larger one exits 4 unbuilt
+SIZE_CAPS = {"knots": 10_000, "knots_per_patch": 1_000, "degree": 20_000,
+             "max_terms": 50_000, "patches": 1_000}
+
 _EPILOG = """\
 target forms:
   builtin:NAME    one of exp, sinpi, linear, runge, tent_series(n)
@@ -378,6 +383,10 @@ def main(argv=None) -> int:
         parser.print_usage(file=sys.stderr)
         return EXIT_USAGE
     try:
+        for name, cap in SIZE_CAPS.items():
+            if (value := getattr(args, name, None) or 0) > cap:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigurationError(f"{flag} {value} is over its cap of {cap}")
         return args.func(args)
     except ExpressionSyntaxError as e:
         print(f"expression error: {e}", file=sys.stderr)

@@ -14,14 +14,13 @@ L2 and W12 norms are integrated; the sup norm is sup_distance's.
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
 reproducible across machines. Each is bit for bit math.fsum of every
-product. weighted_sum is the one-row sum (integrate's, and that of every
-pair and probe): up to FSUM_CHUNK // 4 products it is math.fsum itself,
-past that the one-row row_sums. row_sums sums many rows at once by
-error-free extraction: each slice of FSUM_CHUNK products of a row is
-split, by exact power-of-two scalings and truncations, into a few partials
-whose float sums are exact, and one math.fsum per row rounds its partials.
-_values_then_slopes adds a norm's value sum and slope sum: every inner
-product and norm of a difference ends there.
+product. weighted_sum is the one-row sum of integrate, inner_product and
+norm_of_difference: up to FSUM_CHUNK // 4 products it is math.fsum itself,
+past that the one-row row_sums. row_sums sums many rows at once, such as every B-spline
+Gram pair or probe, by error-free extraction: each slice of FSUM_CHUNK
+products of a row is split, by exact power-of-two scalings and
+truncations, into a few partials whose float sums are exact, and one
+math.fsum per row rounds its partials.
 """
 
 from __future__ import annotations
@@ -196,8 +195,9 @@ def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
 def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
     """math.fsum of each of `rows` rows of products, exactly rounded.
 
-    products(at) gives the (rows, n) block of products at the nodes x[at],
-    for the slices at of FSUM_CHUNK nodes in turn, and may be overwritten.
+    products(at) gives the (rows, n) block of products at the nodes x[..., at]
+    (x shared, or one row each), for the slices at of FSUM_CHUNK nodes in
+    turn, and may be overwritten.
     Each block is reduced by error-free extraction (ExtractVector of Rump,
     Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), row by row: while a
     row r has a nonzero entry, with max|r| < 2^e take s = e + _HEADROOM - 53
@@ -227,14 +227,14 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
     """
     parts: list[list[float]] = [[] for _ in range(rows)]
     try:
-        for i in range(0, x.size, FSUM_CHUNK):
+        for i in range(0, x.shape[-1], FSUM_CHUNK):
             at = slice(i, i + FSUM_CHUNK)
             r = products(at)
             ints = np.empty(r.shape)
             top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
             if not np.isfinite(top).all():
-                row = r[np.argmax(~np.isfinite(top))]
-                node = float(x[at][~np.isfinite(row)][0])
+                bad = np.argmax(~np.isfinite(top))
+                node = float(np.broadcast_to(x[..., at], r.shape)[bad][~np.isfinite(r[bad])][0])
                 raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
             live = np.arange(rows)
             while True:
@@ -258,20 +258,12 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
 
 def paired(norm: NormTag) -> tuple[bool, ...]:
     """The deriv flags a norm's inner product pairs: values under L2, values
-    then first derivatives under W12; the one place that decides it. The
-    sup norm pairs nothing."""
+    then first derivatives under W12; the one place that decides it. An
+    inner product or norm adds its flags' sums in this order by sum(),
+    whose start 0 keeps the first sum's bits. The sup norm pairs nothing."""
     if norm.kind == SUP:
         raise UnsupportedNormError("sup norm has no inner product; sup_distance measures it")
     return (False, True) if norm.kind == W12 else (False,)
-
-
-def _values_then_slopes(w: np.ndarray, x: np.ndarray, products) -> float:
-    """The weighted_sum of each products array in turn, added in that
-    order: the values', then under W12 the slopes', as paired flags them.
-    Each array is summed before the next is drawn, so a generator of them
-    evaluates the slopes only once the values' sum has passed."""
-    val, *der = [weighted_sum(w, p, x) for p in products]
-    return val + der[0] if der else val
 
 
 def _at(fn, x, deriv: bool) -> np.ndarray:
@@ -283,18 +275,16 @@ def _at(fn, x, deriv: bool) -> np.ndarray:
 def inner_product(f, e, norm: NormTag, rule: QuadratureRule) -> float:
     """<f, e> in the given norm's inner product, by the given rule; sup
     admits no inner product."""
-    x = rule.nodes
-    products = (_at(f, x, d) * _at(e, x, d) for d in paired(norm))
-    return _values_then_slopes(rule.weights, x, products)
+    x, w = rule.nodes, rule.weights
+    return sum(weighted_sum(w, _at(f, x, d) * _at(e, x, d), x) for d in paired(norm))
 
 
 def norm_of_difference(f, g, norm: NormTag, rule: QuadratureRule) -> float:
     """||f - g|| in the given L2 or W12 norm, by the given rule; the sup
     norm is sup_distance's."""
-    x = rule.nodes
+    x, w = rule.nodes, rule.weights
     diffs = (_at(f, x, d) - _at(g, x, d) for d in paired(norm))
-    squares = _values_then_slopes(rule.weights, x, (d * d for d in diffs))
-    return math.sqrt(max(squares, 0.0))
+    return math.sqrt(max(sum(weighted_sum(w, d * d, x) for d in diffs), 0.0))
 
 
 GRID_POINTS = 4097

@@ -18,8 +18,8 @@ from certapprox.approximate import (ExtractionSettings, _probes,
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family)
 from certapprox.certificate import verify
-from certapprox.errors import (ConfigurationError, DomainError, IllConditionedBasisError,
-                               NoProgressError, ToleranceViolated)
+from certapprox.errors import (ConfigurationError, DomainError, EvaluationError,
+                               IllConditionedBasisError, NoProgressError, ToleranceViolated)
 
 
 # ----------------------------------------------------------------------------
@@ -353,23 +353,88 @@ def test_banded_gram_is_byte_identical_on_an_overlap_rule():
     assert np.count_nonzero(G) < len(els) ** 2
 
 
+def test_pairs_that_share_no_rule_node_are_zero_on_an_overlap_rule():
+    # every element of the family on one patch overlap's rule: pairs past the
+    # overlap meet in supports but share no node, and sum to +0.0
+    fam = cubic_bspline_family(30, (0.25, 0.75))
+    lo, hi = 0.25, 0.45
+    els = fam.elements()
+    s = target.series(fam, [(e.index, 0.1 * e.index) for e in els])
+    rule = quadrature.construction_rule(s, els, interval=(lo, hi))
+    norm = quadrature.w12_norm((lo, hi))
+    G = gram_matrix(els, norm, rule)
+    assert G.tobytes() == _every_pair_gram(els, norm, lambda u, v: rule).tobytes()
+    x, ends = rule.nodes, [e.support() for e in els]
+    apart = [(a, b) for a in range(len(els)) for b in range(a, len(els))
+             if (start := max(ends[a][0], ends[b][0])) < (stop := min(ends[a][1], ends[b][1]))
+             and not np.any((x >= start) & (x <= stop))]
+    assert len(apart) > 20 and {G[a, b].hex() for a, b in apart} == {"0x0.0p+0"}
+
+
+def _band_gram(elements, norm):
+    # the reference at bench scale: the band |i - j| <= 3 of elements in
+    # index order, each pair on its own rule, +0.0 elsewhere
+    k = len(elements)
+    G = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, min(i + 4, k)):
+            a, b = elements[i], elements[j]
+            G[i, j] = G[j, i] = quadrature.inner_product(
+                a, b, norm, quadrature.construction_rule(a, [b], norm.domain))
+    return G
+
+
+@pytest.mark.parametrize("kind", [quadrature.W12, quadrature.L2], ids=["w12", "l2"])
+@pytest.mark.parametrize("m", [100, 200])
+def test_bench_scale_gram_and_probes_keep_their_own_rules_bits(kind, m):
+    fam = cubic_bspline_family(m)
+    els, norm = fam.elements(), quadrature.NormTag(kind, fam.domain)
+    G = gram_matrix(els, norm)
+    assert G.tobytes() == _band_gram(els, norm).tobytes()
+    f = _probe_target("expression", fam)
+    assert _probes(f, els, norm).tobytes() == _own_rule_probes(f, els, norm).tobytes()
+    # a greedy dictionary's shape: the elements in any order give the same
+    # matrix, permuted
+    perm = np.random.default_rng(m).permutation(len(els))
+    assert gram_matrix([els[p] for p in perm], norm).tobytes() == G[np.ix_(perm, perm)].tobytes()
+
+
+def test_an_overflowing_probe_fails_where_its_own_sums_fail_first():
+    # f' e' overflows on the slopes of the first elements: the EvaluationError,
+    # message and node, is the one the per-element sums, each element's values
+    # before its slopes, raise first; no RuntimeWarning is raised
+    fam = cubic_bspline_family(8)
+    els, norm = fam.elements(), quadrature.w12_norm()
+    f = target.from_expression("1e308*x")
+    rule = quadrature.construction_rule(f, els, norm.domain)
+    with pytest.raises(EvaluationError) as got:
+        _probes(f, els, norm)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError) as want:
+        for e in els:
+            quadrature.inner_product(f, e, norm, rule)
+    assert (str(got.value), got.value.x) == (str(want.value), want.value.x)
+    assert "non-finite weighted integrand" in str(want.value)
+
+
 def test_banded_gram_integrates_only_the_band(monkeypatch):
-    # a work count, not a timer: k interior cubic B-splines overlap in 4k - 6 pairs
+    # a work count, not a timer: k interior cubic B-splines overlap in 4k - 6
+    # pairs, each one row of the values' row_sums and one of the slopes'
     els = cubic_bspline_family(200).interior_elements()
-    calls = []
+    rows = []
+    row_sums = quadrature.row_sums
 
-    def counting(u, v):
-        calls.append((u, v))
-        return 1.0
+    def counting(n, x, products):
+        rows.append(n)
+        return row_sums(n, x, products)
 
-    monkeypatch.setattr(approximate, "_pair_inner", counting)
+    monkeypatch.setattr(quadrature, "row_sums", counting)
     G = gram_matrix(els, quadrature.w12_norm())
     k = len(els)
-    assert k == 198 and len(calls) == 4 * k - 6 == 786
+    assert k == 198 and sum(rows[0::2]) == sum(rows[1::2]) == 4 * k - 6 == 786
     # each pair integrated once, and only within the band
-    rows, cols = np.nonzero(G)
-    assert np.all(np.abs(rows - cols) <= 3)
-    assert np.count_nonzero(G) == 2 * len(calls) - k
+    r, c = np.nonzero(G)
+    assert np.all(np.abs(r - c) <= 3)
+    assert np.count_nonzero(G) == 2 * 786 - k
 
 
 def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):

@@ -368,8 +368,9 @@ def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks
     # a partial series, its indices unsorted and repeated as greedy picks
     # them, at every knot, both ends and random nodes over up to three
     # chunks, ascending (so a chunk skips the terms out of its reach) or
-    # shuffled; summed over the nodes its terms reach, over a table of
-    # every node and a range of it, and as one-term columns
+    # shuffled; summed over the nodes its terms reach and over a table of
+    # every node, and each element gathered at a range of nodes and at
+    # random node positions
     hi = lo + width
     fam = cubic_bspline_family(m, (lo, hi))
     t = fam.knots()
@@ -382,15 +383,16 @@ def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks
         xs.sort()
     terms = [(1 + p % m, float(rng.normal())) for p in picks]
     start, stop = np.sort(rng.integers(0, xs.size + 1, 2))
+    anywhere = rng.integers(0, xs.size, (2, 5))
     table = basis.SpanTable(fam, xs)
     for deriv in (False, True):
         want = _per_term_sum(t, terms, xs, deriv)
         assert _same_bits(basis.SpanTable.sum_at(fam, terms, xs, deriv), want)
-        assert _same_bits(table.sum(terms, deriv, 0, xs.size), want)
-        assert _same_bits(table.sum(terms, deriv, start, stop), want[start:stop])
+        assert _same_bits(table.sum(terms, deriv), want)
         for j, _ in terms[:3]:
-            column = _per_term_sum(t, [(j, 1.0)], xs, deriv)[start:stop]
-            assert _same_bits(table.column(j, deriv, start, stop), column)
+            column = _per_term_sum(t, [(j, 1.0)], xs, deriv)
+            assert _same_bits(table.gather(j, np.arange(start, stop), deriv), column[start:stop])
+            assert _same_bits(table.gather(j, anywhere, deriv), column[anywhere])
 
 
 def test_tent_value_matches_the_distance_to_the_nearest_integer():

@@ -109,6 +109,33 @@ def test_max_terms_must_be_positive(count, workdir, capsys):
     assert not out.exists()
 
 
+# the largest size of each option a test, README example or benchmark
+# workload asks for, through the CLI or the API
+_LARGEST = {"knots": 200, "knots_per_patch": 8, "degree": 2000, "max_terms": 4096,
+            "patches": 20}
+_SIZED = {
+    "knots": ["approximate", "--target", "builtin:sinpi", "--basis", "cubic_bspline"],
+    "degree": ["approximate", "--target", "builtin:exp", "--basis", "chebyshev"],
+    "max_terms": ["approximate", "--target", "builtin:sinpi", "--basis", "fourier_sine"],
+    "patches": ["glue", "--target", "builtin:sinpi"],
+    "knots_per_patch": ["glue", "--target", "builtin:sinpi", "--patches", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZED))
+def test_a_size_over_its_cap_exits_4_before_anything_is_built(name, workdir, capsys,
+                                                               monkeypatch):
+    # refused by value alone: the oversized case is never run
+    cap = cli.SIZE_CAPS[name]
+    assert sorted(cli.SIZE_CAPS) == sorted(_SIZED) and cap >= 10 * _LARGEST[name]
+    monkeypatch.setattr(cli, "arithmetic", lambda module: pytest.fail(f"{module} loaded"))
+    flag, out = "--" + name.replace("_", "-"), workdir / "oversized.json"
+    assert cli.main([*_SIZED[name], "--eps", "1e-3", flag, str(cap + 1),
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {flag} {cap + 1} is over its cap of {cap}\n"
+    assert not out.exists()
+
+
 def test_expression_errors_point_at_the_offset(capsys):
     code = cli.main(["approximate", "--target", "expr:sin(pi*", "--basis",
                      "fourier_sine", "--eps", "1e-2"])
