@@ -11,10 +11,11 @@ identically outside it. Every B-spline value and slope is read by one
 SpanTable: per node, its knot span s and the four B-splines non-zero
 there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle
 (span_table); its sum adds a series' terms in term order, its gather
-reads single elements. A sine series is summed by Reinsch's recurrence
-(_sine_sum). Every other value and slope, of one element or of a series,
-is a row of one term table (term_table): terms by nodes, each kind's
-formula written once. series_sum picks a series' evaluator; series_edges,
+reads single elements, and a series' values and slopes at one node set
+read one table (SplineSum). A sine series is summed by Reinsch's
+recurrence (_sine_sum). Every other value and slope, of one element or
+of a series, is a row of one term table (term_table): terms by nodes,
+each kind's formula written once. series_sum picks a series' evaluator; series_edges,
 series_kinks and edge_pieces give where a rule must break. A family
 itself, BasisFamily, is a sealed record (records).
 
@@ -106,7 +107,7 @@ class BasisElement:
     def _rows(self, xs: np.ndarray, deriv: bool) -> np.ndarray:
         # the one-term case of the family's evaluator, in the shape of xs
         if self.family.kind == CUBIC_BSPLINE:
-            return SpanTable.sum_at(self.family, ((self.index, 1.0),), xs, deriv)
+            return SplineSum(self.family, ((self.index, 1.0),))(xs, deriv)
         xs = np.asarray(xs, dtype=float)
         return term_table(self.family, (self.index,), xs.reshape(-1), deriv).reshape(xs.shape)
 
@@ -307,19 +308,6 @@ class SpanTable:
             # element j (N_{j-1,3}) is non-zero in the spans j - 1..j + 2
             self.chunks.append((int(s.min()) - 2, int(s.max()) + 1))
 
-    @classmethod
-    def sum_at(cls, family: BasisFamily, terms, x: np.ndarray, deriv: bool = False) -> np.ndarray:
-        """sum a N_{j-1,3}(x), or of the slopes, over the (j, a) terms, at x
-        of any shape inside the domain: one table over the nodes between the
-        first support's start and the last one's end, +0.0 elsewhere."""
-        v = np.zeros(x.shape)
-        if terms:
-            t, flat = family.knots(), x.reshape(-1)
-            lo, hi = t[min(j for j, _ in terms) - 1], t[max(j for j, _ in terms) + 3]
-            inside = np.flatnonzero((flat >= lo) & (flat <= hi))
-            v.reshape(-1)[inside] = cls(family, flat[inside]).sum(terms, deriv)
-        return v
-
     def sum(self, terms, deriv: bool) -> np.ndarray:
         """sum a N_{j-1,3}, or of the slopes, over the (j, a) terms at each node.
 
@@ -348,6 +336,30 @@ class SpanTable:
         return np.where((r & ~3) == 0, self.rows[deriv].ravel().take(4 * nodes + (r & 3)), 0.0)
 
 
+class SplineSum:
+    """The (x, deriv=False) evaluator of sum a N_{j-1,3}(x), or of the
+    slopes, over the (j, a) terms, at x of any shape inside the domain,
+    unchecked: a SpanTable over the nodes from the first support's start to
+    the last one's end, +0.0 elsewhere, kept until nodes that differ in
+    content come, so values and slopes at one node set read one table."""
+
+    def __init__(self, family: BasisFamily, terms):
+        self.family, self.terms, self.nodes, self.table = family, terms, None, None
+
+    def __call__(self, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+        v = np.zeros(x.shape)
+        if self.terms:
+            t, flat = self.family.knots(), x.reshape(-1)
+            lo, hi = t[min(j for j, _ in self.terms) - 1], t[max(j for j, _ in self.terms) + 3]
+            inside = np.flatnonzero((flat >= lo) & (flat <= hi))
+            nodes = flat[inside]
+            if self.nodes is None or not np.array_equal(nodes, self.nodes):
+                self.table = None  # freed before its successor is built
+                self.nodes, self.table = nodes, SpanTable(self.family, nodes)
+            v.reshape(-1)[inside] = self.table.sum(self.terms, deriv)
+        return v
+
+
 # ----------------------------------------------------------------------------
 # series: each family's one evaluator, and where a series' structure lies
 # ----------------------------------------------------------------------------
@@ -356,12 +368,12 @@ def series_sum(family: BasisFamily, terms):
     """The (x, deriv=False) evaluator of sum a e_j, or of the slopes, over
     the (j, a) terms, at x of any shape inside the domain, unchecked: a
     sine series by Reinsch's recurrence (_sine_sum), a B-spline series by
-    one span table over the nodes its terms reach (SpanTable.sum_at), every
-    other family by one term table per chunk of nodes (_table_sum)."""
+    one span table per node set (SplineSum), every other family by one term
+    table per chunk of nodes (_table_sum)."""
     if family.kind == FOURIER_SINE:
         return partial(_sine_sum, _sine_runs(terms))
     if family.kind == CUBIC_BSPLINE:
-        return partial(SpanTable.sum_at, family, terms)
+        return SplineSum(family, terms)
     return partial(_table_sum, family, tuple(j for j, _ in terms),
                    np.asarray([a for _, a in terms]).reshape(-1, 1))
 

@@ -145,15 +145,17 @@ def envelope_findings(cert, store: dict | None = None, embedded=None):
     record: from_dict reads each value back as written, and the CLI holds
     the one layout check, input bytes against the record's canonical bytes.
 
-    The digest must seal the canonical content and every genealogy entry
-    must be a well-formed digest. Each embedded certificate or record is
-    hashed once, filed under the digest it hashes to, and noted if it claims
-    another; the caller's store, which the CLI keys the same way, wins on a
-    shared digest. Given a store, every genealogy entry must resolve in it.
+    The digest must seal the canonical content, as a store holding this
+    very record under it shows, and every genealogy entry must be a
+    well-formed digest. Each embedded certificate or record is hashed once,
+    filed under the digest it hashes to, and noted if it claims another;
+    the caller's store, which the CLI keys the same way, wins on a shared
+    digest. Given a store, every genealogy entry must resolve in it.
     Returns the notes and that store.
     """
     notes = []
-    if cert.digest != compute_digest(to_dict(cert)):
+    filed = store is not None and store.get(cert.digest) is cert
+    if not filed and cert.digest != compute_digest(to_dict(cert)):
         notes.append("digest does not match canonical content")
     if embedded is not None:
         hashed = {}

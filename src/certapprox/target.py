@@ -179,8 +179,9 @@ def _refuse(x: np.ndarray, bad: np.ndarray, what: str) -> None:
 
 def evaluate_ast(node: tuple, x: np.ndarray) -> np.ndarray:
     """The tree's values at the points x: each node is one _UFUNCS call on
-    its evaluated operands, after _REFUSED's check of the last one. A power
-    runs with floating-point warnings off and refuses a non-finite result."""
+    its evaluated operands, after _REFUSED's check of the last one, with
+    floating-point warnings off. A power refuses a non-finite result; any
+    other inf or nan is the caller's to refuse, as a quadrature sum does."""
     op, *operands = node[1:] if node[0] == "call" else node
     if op == "num":
         return np.full_like(x, operands[0])
@@ -192,12 +193,10 @@ def evaluate_ast(node: tuple, x: np.ndarray) -> np.ndarray:
     if op in _REFUSED:
         bad, what = _REFUSED[op]
         _refuse(x, bad(args[-1]), what)
-    fn = _UFUNCS[op]
-    if fn is not np.power:
-        return fn(*args)
     with np.errstate(all="ignore"):
-        v = fn(*args)
-    _refuse(x, ~np.isfinite(v), "non-finite power")
+        v = _UFUNCS[op](*args)
+    if op == "^":
+        _refuse(x, ~np.isfinite(v), "non-finite power")
     return v
 
 

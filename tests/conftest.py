@@ -30,8 +30,9 @@ def work(monkeypatch):
 @pytest.fixture
 def tables(monkeypatch):
     """Calls of BasisElement.value and deriv, and node counts: of each series
-    summed over term tables under "sums", of each term table under "tables"."""
-    seen = {"value": 0, "deriv": 0, "sums": [], "tables": []}
+    summed over term tables under "sums", of each term table under "tables",
+    of each SpanTable built under "spans"."""
+    seen = {"value": 0, "deriv": 0, "sums": [], "tables": [], "spans": []}
 
     def count(owner, name, key, nodes_at=None):
         inner = getattr(owner, name)
@@ -48,4 +49,5 @@ def tables(monkeypatch):
     count(basis.BasisElement, "deriv", "deriv")
     count(basis, "_table_sum", "sums", nodes_at=3)
     count(basis, "term_table", "tables", nodes_at=2)
+    count(basis.SpanTable, "__init__", "spans", nodes_at=2)
     return seen

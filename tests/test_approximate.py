@@ -437,45 +437,44 @@ def test_banded_gram_integrates_only_the_band(monkeypatch):
     assert np.count_nonzero(G) == 2 * 786 - k
 
 
-def test_bspline_gram_route_evaluates_each_element_once_per_rule(monkeypatch):
+def test_bspline_gram_route_evaluates_each_element_once_per_rule(tables):
     # a work count, not a timer: the span tables one W12 Gram fit builds.
     # The Gram's span rule and the fit rule, which the probes and the
-    # series' measurement share, both have 1,552 nodes: two chunks each
-    # for the Gram's table (2) and the probes' (2), each holding values and
-    # slopes, and for the series' values and its slopes (4). A table per
-    # element and flag would build 392 for the first two.
-    calls = []
-    table = basis.span_table
-
-    def counting(t, x, s):
-        calls.append(x.size)
-        return table(t, x, s)
-
-    monkeypatch.setattr(basis, "span_table", counting)
+    # series' measurement share, both have 1,552 nodes, two chunks of 1,024
+    # and 528: one table each for the Gram, the probes and the series'
+    # values and slopes, each table holding both. A table per element and
+    # flag would build 392 for the first two.
     els = cubic_bspline_family(100).interior_elements()
     approximate_gram(target.from_builtin("sinpi"), els, quadrature.w12_norm(),
                      ExtractionSettings(1e-3))
-    assert calls == [1024, 528] * 4
+    assert tables["spans"] == [1024 + 528] * 3
 
 
-def test_each_bspline_reader_builds_one_span_table(monkeypatch):
+def test_a_fit_built_twice_builds_its_span_tables_twice(tables):
+    # no table outlives the series that built it: a second, identical W12
+    # fit does all the work of the first
+    els = cubic_bspline_family(40).interior_elements()
+    counts = []
+    for _ in range(2):
+        tables["spans"].clear()
+        approximate_gram(target.from_builtin("sinpi"), els, quadrature.w12_norm(),
+                         ExtractionSettings(1e-3))
+        counts.append(list(tables["spans"]))
+    assert counts[0] == counts[1] and len(counts[0]) == 3
+
+
+def test_each_bspline_reader_builds_one_span_table(tables):
     # a work count: the SpanTable builds, by node count, behind a series'
     # values and slopes, a single element, the Gram and the probes. The
-    # series and the element read only the nodes their terms reach
-    builds = []
-    init = basis.SpanTable.__init__
-
-    def counting(self, family, x):
-        builds.append(x.size)
-        init(self, family, x)
-
-    monkeypatch.setattr(basis.SpanTable, "__init__", counting)
+    # series and the element read only the nodes their terms reach, and
+    # the series' values and slopes at one node set read one table
+    builds = tables["spans"]
     fam = cubic_bspline_family(20)
     t, x = fam.knots(), np.linspace(0.0, 1.0, 3001)
     s = target.series(fam, [(5, 1.0), (3, -2.0), (5, 0.5), (8, 0.25)])
     s.evaluate(x), s.evaluate_deriv(x)
     reach = np.count_nonzero((x >= t[2]) & (x <= t[11]))  # supports of 3 to 8
-    assert builds == [reach, reach] and 0 < reach < x.size
+    assert builds == [reach] and 0 < reach < x.size
     builds.clear()
     fam.element(7).evaluate(x)
     assert builds == [np.count_nonzero((x >= t[6]) & (x <= t[10]))]

@@ -384,15 +384,32 @@ def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks
     terms = [(1 + p % m, float(rng.normal())) for p in picks]
     start, stop = np.sort(rng.integers(0, xs.size + 1, 2))
     anywhere = rng.integers(0, xs.size, (2, 5))
-    table = basis.SpanTable(fam, xs)
+    table, total = basis.SpanTable(fam, xs), basis.series_sum(fam, terms)
     for deriv in (False, True):
         want = _per_term_sum(t, terms, xs, deriv)
-        assert _same_bits(basis.SpanTable.sum_at(fam, terms, xs, deriv), want)
+        assert _same_bits(total(xs, deriv), want)
         assert _same_bits(table.sum(terms, deriv), want)
         for j, _ in terms[:3]:
             column = _per_term_sum(t, [(j, 1.0)], xs, deriv)
             assert _same_bits(table.gather(j, np.arange(start, stop), deriv), column[start:stop])
             assert _same_bits(table.gather(j, anywhere, deriv), column[anywhere])
+
+
+def test_a_bspline_series_reads_each_node_set_afresh():
+    # one evaluator, whose terms reach the whole domain, at two node sets
+    # of the same size, back and forth, and at the second set's nodes
+    # changed in place: each value and slope is bit for bit a fresh one's
+    fam = cubic_bspline_family(12)
+    terms = ((2, 0.5), (12, -1.25), (4, 3.0), (1, 0.75))
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.0, 1.0, (2, 300))
+    total = basis.series_sum(fam, terms)
+    for xs in (a, b, a, b):
+        for deriv in (False, True, False):
+            assert _same_bits(total(xs, deriv), basis.series_sum(fam, terms)(xs, deriv))
+    b[::2] = a[::2]
+    for deriv in (True, False):
+        assert _same_bits(total(b, deriv), basis.series_sum(fam, terms)(b, deriv))
 
 
 def test_tent_value_matches_the_distance_to_the_nearest_integer():

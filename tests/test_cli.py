@@ -252,6 +252,38 @@ def test_store_files_must_hold_approximations(spline_cert, glued_cert):
                      "--store", str(spline_cert)]) == 0
 
 
+def test_a_store_does_not_vouch_for_a_record_that_its_digest_does_not_seal(
+        spline_cert, workdir, capsys):
+    # a record whose content changed under the genuine digest: the store
+    # files the genuine record under that digest and the forgery under its
+    # own hash, and neither is the record verified, so it is hashed and fails
+    doc = json.loads(spline_cert.read_text())
+    doc["construction"]["stopping"] += " (forged)"
+    forged = workdir / ("unsealed" + FILE_SUFFIX)
+    forged.write_bytes(canonical_dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(forged), "--store", str(spline_cert),
+                     "--store", str(forged)]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out and "digest does not match canonical content" in out
+
+
+# a fit whose target overflows at the quadrature nodes
+OVERFLOWING_FIT = ["approximate", "--target", "expr:1e305*x^2", "--domain", "0", "1000",
+                   "--basis", "cubic_bspline", "--knots", "10", "--eps", "1"]
+OVERFLOW_ERROR = "error: non-finite weighted integrand at node x = 30.110179019042924\n"
+
+
+def test_an_overflowing_target_fails_with_one_error_line_and_no_warning(tmp_path, capsys):
+    # in process, where every warning is an error, and as a process, where
+    # a warning would print before the error line
+    assert cli.main(OVERFLOWING_FIT + ["--out", str(tmp_path / "never.json")]) == 4
+    assert capsys.readouterr().err == OVERFLOW_ERROR
+    done = _cli_process(OVERFLOWING_FIT, tmp_path)
+    assert (done.returncode, done.stderr, done.stdout) == (4, OVERFLOW_ERROR, "")
+    assert not list(tmp_path.iterdir())
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 

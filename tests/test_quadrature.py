@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -317,14 +318,15 @@ def test_integrate_is_fsum_of_every_product_bit_for_bit(points, seed, low, span,
 
 # each row draws its own exponent range (lowest exponent, span, share of
 # zeros), so one block holds rows that take one extraction pass, some fifty
-# (subnormals up to 2^1000) or none (a share of 1.0 zeros the row)
-ROW_SPEC = st.tuples(st.integers(min_value=-1074, max_value=1000),
-                     st.integers(min_value=0, max_value=2074),
+# (subnormals up to 2^1023) or none (a share of 1.0 zeros the row); rows
+# whose products come within 2^_HEADROOM of the float maximum may overflow
+ROW_SPEC = st.tuples(st.integers(min_value=-1074, max_value=1023),
+                     st.integers(min_value=0, max_value=2097),
                      st.floats(min_value=0.0, max_value=1.0))
 
 
 def _row(rng, cols, low, span, zeros):
-    exps = rng.integers(low, min(low + span, 1000) + 1, cols)
+    exps = rng.integers(low, min(low + span, 1023) + 1, cols)
     r = rng.choice([-1.0, 1.0], cols) * np.ldexp(rng.uniform(1.0, 2.0, cols), exps)
     r[rng.random(cols) < zeros] = 0.0
     r[rng.random(cols) < zeros / 2] = -0.0
@@ -336,12 +338,29 @@ def _row(rng, cols, low, span, zeros):
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @example(spec=[(0, 0, 0.0), (-1074, 2074, 0.0), (-1074, 2074, 1.0), (-1074, 30, 0.5)],
          cols=q.FSUM_CHUNK, seed=1)
+@example(spec=[(1023, 0, 0.0), (1010, 13, 0.5), (-1074, 2097, 0.0)], cols=1, seed=2)
+@example(spec=[(1010, 13, 0.0)], cols=q.FSUM_CHUNK, seed=3)
+@example(spec=[(1022, 1, 0.0)], cols=q.FSUM_CHUNK - 1, seed=69)
 @settings(max_examples=60, deadline=None)
 def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed):
+    # where math.fsum overflows on the way, row_sums either raises its
+    # overflow error, as it must when the exact sum leaves the float range,
+    # or returns the exact sum rounded, which weighted_sum's fallback uses
     rng = np.random.default_rng(seed)
     p = np.array([_row(rng, cols, *r) for r in spec])
-    want = [math.fsum(row.tolist()).hex() for row in p]
-    got = q.row_sums(len(p), np.linspace(0.0, 1.0, cols), lambda at: p[:, at])
+    x = np.linspace(0.0, 1.0, cols)
+    try:
+        want = [math.fsum(row.tolist()).hex() for row in p]
+    except OverflowError:
+        exact = [sum(map(Fraction, row.tolist()), Fraction(0)) for row in p]
+        try:
+            got = [v.hex() for v in q.row_sums(len(p), x, lambda at: p[:, at])]
+        except EvaluationError as e:
+            assert "overflows the float range" in str(e)
+            return
+        assert got == [float(v).hex() for v in exact]
+        return
+    got = q.row_sums(len(p), x, lambda at: p[:, at])
     assert [v.hex() for v in got] == want
 
 
