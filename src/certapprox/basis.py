@@ -84,13 +84,7 @@ class BasisElement:
     index: int
 
     def __post_init__(self):
-        j, fam = self.index, self.family
-        if j < fam.min_index:
-            raise ConfigurationError(
-                f"{fam.kind} index {j} below minimum {fam.min_index}")
-        if fam.max_index is not None and j > fam.max_index:
-            raise ConfigurationError(
-                f"{fam.kind} index {j} above family size {fam.max_index}")
+        self.family.check_index(self.index)
 
     def evaluate(self, x):
         return pointwise(self.family.domain, self.value, x)

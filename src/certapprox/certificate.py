@@ -24,7 +24,7 @@ import math
 
 from .errors import ConfigurationError, ToleranceViolated
 from .records import (FILE_SUFFIX, SUP, ApproximationCertificate, BasisFamily,
-                      Construction, NormTag, canonical_dumps, certificate_from_dict,
+                      Construction, NormTag, Series, canonical_dumps, certificate_from_dict,
                       compute_digest, deserialize, from_dict, seal, serialize, to_dict)
 
 RELATIVE_SLACK = 1e-6
@@ -74,7 +74,7 @@ def claim_findings(cert: ApproximationCertificate) -> list[str]:
             findings.append("term indices not strictly increasing")
     try:
         for j, _ in cert.terms:
-            cert.basis.element(j)
+            cert.basis.check_index(j)
     except ConfigurationError as e:
         findings.append(f"invalid term index: {e}")
     nlo, nhi = cert.norm.domain
@@ -113,20 +113,22 @@ def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bo
 
 
 def measure(f, g, norm: NormTag) -> tuple[float, str]:
-    """Verification-grade ||f - g||, and its method.
+    """Verification-grade ||f - g||, and its method; f and g are functions,
+    or records.Series, which become functions only to be measured.
 
     Two term series over one family whose terms are equal, in the same
-    order, are "same_series" at 0.0 in every norm, settled before any rule
-    or scan: the same code sums them on the same nodes, so every node
-    difference is +0.0 and the measurement below would return 0.0 too.
-    Terms that differ in any bit fall through to it: sup_distance for the
-    sup norm, else the construction rule of f and g on the norm's domain
-    with every panel split four ways, so no node is a construction node.
-    A value that overflows is no warning: it reaches the sum's non-finite
-    node error or the scan's inf."""
-    terms = getattr(f, "terms", None)
-    if terms is not None and terms == getattr(g, "terms", None) and f.family == g.family:
+    order, are "same_series" at 0.0 in every norm, decided here alone, from
+    family and terms, before any function, rule or scan is built: the same
+    code sums them on the same nodes, so every node difference is +0.0 and
+    the measurement below would return 0.0 too. Terms that differ in any
+    bit fall through to it: sup_distance for the sup norm, else the
+    construction rule of f and g on the norm's domain with every panel
+    split four ways, so no node is a construction node. A value that
+    overflows is no warning: it reaches the sum's non-finite node error or
+    the scan's inf."""
+    if f.terms is not None and f.terms == g.terms and f.family == g.family:
         return 0.0, "same_series"
+    f, g = (h.approximant() if isinstance(h, Series) else h for h in (f, g))
     import numpy as np
 
     from . import quadrature
@@ -199,11 +201,13 @@ def verdict(cert, notes: list, measured, what: str) -> VerificationReport:
 
 
 def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> VerificationReport:
-    """Independently check a certificate against the target it claims to fit;
-    given a store, every genealogy digest must resolve in it.
+    """Independently check a certificate against the target it claims to fit,
+    a function or a records.Series (then a claim of its very terms loads no
+    numpy); given a store, every genealogy digest must resolve in it.
 
     Never raises on adverse findings; the report carries them.
     """
     notes, _ = envelope_findings(cert, store)
     notes += claim_findings(cert)
-    return verdict(cert, notes, lambda: measure(f, cert.approximant(), cert.norm), "error")
+    return verdict(cert, notes, lambda: measure(f, Series(cert.basis, cert.terms), cert.norm),
+                   "error")

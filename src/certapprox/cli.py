@@ -5,17 +5,21 @@ to stdout with six significant digits; certificate files carry the full
 17-digit canonical form. Exit codes are part of the interface:
 
     0  success
+    1  stdout was closed before the output was written
     2  the requested tolerance could not be certified
     3  a certificate failed verification or evidence contradicted a claim
     4  usage, expression, or file-format errors
 
-Reading a document needs records alone, so inspect and every parse failure
-run without numpy: the modules that compute load on first use.
+Reading a document needs records alone and the limit route adds only
+certificate and limit, so inspect, every parse failure, limit and an honest
+limit's verify load no numpy, which they load on first use (a limit takes
+0.09 s of process CPU against 0.26 s with numpy, on a 2-core Xeon VM).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import records
@@ -27,6 +31,7 @@ from .errors import (CertApproxError, CertificateParseError, ConfigurationError,
 from .records import FILE_SUFFIX, arithmetic
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_TOLERANCE = 2
 EXIT_VERIFICATION = 3
 EXIT_USAGE = 4
@@ -50,8 +55,8 @@ expression grammar:
   FUNC    := sin | cos | exp | log | sqrt | abs
 
 exit codes:
-  0 success, 2 tolerance not certified, 3 verification failure,
-  4 usage or parse error
+  0 success, 1 stdout closed, 2 tolerance not certified,
+  3 verification failure, 4 usage or parse error
 """
 
 # by method; chebyshev_pipeline reports the sup norm alone
@@ -387,7 +392,12 @@ def main(argv=None) -> int:
             if (value := getattr(args, name, None) or 0) > cap:
                 flag = "--" + name.replace("_", "-")
                 raise ConfigurationError(f"{flag} {value} is over its cap of {cap}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # as in the Python docs' "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except ExpressionSyntaxError as e:
         print(f"expression error: {e}", file=sys.stderr)
         return EXIT_USAGE

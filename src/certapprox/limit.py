@@ -5,7 +5,8 @@ S_n(x) = sum_{k=0..n} 2^-k T_k(x) where T_k is the unit tent at scale k.
 Every question the transfer asks about this sequence has an exact rational
 answer. The sup distance between S_n and S_m is the closed form
 floor(2^(L+1)/3) / 2^m with L = m - n; tails telescope to 2^-n. Members
-and verifier take the tent law from target.tent_partial_sum.
+and verifier take the tent law from records.tent_law, so neither a
+transfer nor an honest limit's check loads a module that computes.
 
 transfer(seq, eps) evaluates the modulus at eps/2 to pick the anchor depth
 n_star, measures a ladder of Cauchy gaps (n_star against the next K deeper
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import certificate, target as target_mod
+from . import certificate
 from .certificate import (ApproximationCertificate, Construction, VerificationReport,
                           assemble, envelope_findings, verdict)
 from .errors import (ConfigurationError, EvidenceContradictionError,
                      IncompleteSequenceError)
 from .records import (SEQUENCE_TENT, SUP, EvidenceRecord, LimitCertificate, ModulusRecord,
-                      NormTag, frac_str, limit_from_dict, parse_frac, seal)
+                      NormTag, frac_str, limit_from_dict, parse_frac, seal, tent_law)
 
 DYADIC_RULE = "ceil(log2(2/epsilon))"
 LADDER_RUNGS = 8
@@ -75,11 +76,9 @@ def exact_pair_sup(n: int, m: int) -> Fraction:
 
 def tent_certificate(n: int) -> ApproximationCertificate:
     """Member certificate: S_n written in the tent family, error zero."""
-    if n < 0:
-        raise ConfigurationError("partial sum depth must be nonnegative")
-    f = target_mod.tent_partial_sum(n)
+    descriptor, law = tent_law(n)
     construction = Construction("exact_representation", f"terms copied through depth {n}")
-    return assemble(f.descriptor, f.family, f.terms, NormTag(SUP, (0.0, 1.0)),
+    return assemble(descriptor, law.family, law.terms, NormTag(SUP, (0.0, 1.0)),
                     MEMBER_TOLERANCE, 0.0, construction)
 
 
@@ -171,9 +170,10 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
 
     The target must name the sequence's limit, and the tolerance must be
     epsilon_exact exactly, as transfer writes them. Members are re-verified
-    against their own partial sums. An honest member holds its partial sum's
+    against the tent law of their depth. An honest member holds the law's
     very terms, which certificate.measure settles as "same_series" in
-    O(terms); a member whose terms differ in any bit is scanned as before.
+    O(terms); only a member whose terms differ in any bit loads target, to
+    be scanned.
     The modulus value is re-evaluated when the rule is the known dyadic one.
     n_star must be that value and the member count, at epsilon and eps/2;
     only then are the tail 2^-n_star and the ladder computed (else the
@@ -217,11 +217,11 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
         notes.append(f"ladder is not the {LADDER_RUNGS} rungs {rungs[0]} ... {rungs[-1]}")
     if cert.sequence == SEQUENCE_TENT:
         for i, member in enumerate(cert.members, start=1):
-            f_n = target_mod.tent_partial_sum(i)
-            if member.target_descriptor != f_n.descriptor:
+            descriptor, law = tent_law(i)
+            if member.target_descriptor != descriptor:
                 notes.append(f"member {i} does not describe depth {i}")
                 continue
-            report = certificate.verify(member, f_n, store)
+            report = certificate.verify(member, law, store)
             notes.extend(f"member {i}: {n}" for n in report.notes)
         for rec in cert.ladder:
             if parse_frac(rec.bound) != half:

@@ -13,11 +13,12 @@ L2 and W12 norms are integrated; the sup norm is sup_distance's.
 
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
-reproducible across machines. Each is bit for bit math.fsum of every
-product. weighted_sum is the one-row sum of integrate, inner_product and
-norm_of_difference: up to FSUM_CHUNK // 4 products it is math.fsum itself,
-past that the one-row row_sums. row_sums sums many rows at once, such as every B-spline
-Gram pair or probe, by error-free extraction: each slice of FSUM_CHUNK
+reproducible across machines. Each is math.fsum of every product, bit for
+bit, where math.fsum does not overflow on the way. weighted_sum is the
+one-row sum of integrate, inner_product and norm_of_difference: up to
+FSUM_CHUNK // 4 products it is math.fsum itself, past that the one-row
+row_sums. row_sums sums many rows at once, such as every B-spline Gram
+pair or probe, by error-free extraction: each slice of FSUM_CHUNK
 products of a row is split, by exact power-of-two scalings and
 truncations, into a few partials whose float sums are exact, and one
 math.fsum per row rounds its partials.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -215,45 +217,51 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
     bits, and a pass with 2^s at or below the smallest subnormal empties
     r. Each row has its own s and leaves the loop once it is empty. Its
     partials therefore sum exactly to the sum of its products, and one
-    math.fsum over them rounds that sum correctly: the value is bit for
-    bit that of math.fsum over every product of the row, and no
-    order-dependent reduction reaches a digest. So leaving out products
-    that are exact zeros does not change it either; a row of zeros has no
-    partials, and math.fsum([]) is +0.0, as math.fsum of zeros of either
-    sign is. A product that is not finite raises EvaluationError naming
-    the first such node of its row, found when the row's first max|r| is
-    not finite, and so does a sum that leaves the float range on the way.
-    The temporaries stay one block in size.
+    math.fsum over them rounds that sum correctly, so no order-dependent
+    reduction reaches a digest. So leaving out products that are exact
+    zeros does not change it either; a row of zeros has no partials, and
+    math.fsum([]) is +0.0, as math.fsum of zeros of either sign is. A
+    partial past the float range is kept as an int, and where math.fsum
+    overflows, the partials' exact Fraction sum is rounded once: only a
+    sum outside the float range raises EvaluationError, as does a product
+    that is not finite, naming the first such node of its row (where the
+    row's first max|r| is not finite). The temporaries stay one block.
     """
-    parts: list[list[float]] = [[] for _ in range(rows)]
-    try:
-        for i in range(0, x.shape[-1], FSUM_CHUNK):
-            at = slice(i, i + FSUM_CHUNK)
-            r = products(at)
-            ints = np.empty(r.shape)
-            top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
-            if not np.isfinite(top).all():
-                bad = np.argmax(~np.isfinite(top))
-                node = float(np.broadcast_to(x[..., at], r.shape)[bad][~np.isfinite(r[bad])][0])
-                raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
-            live = np.arange(rows)
-            while True:
-                if not top.all():  # drop the rows that are empty
-                    keep = top != 0.0
-                    live, r, top = live[keep], r[keep], top[keep]
-                    if not live.size:
-                        break
-                    ints = ints[:live.size]
-                s = np.frexp(top)[1][:, None] + (_HEADROOM - 53)
-                np.trunc(np.ldexp(r, -s, out=ints), out=ints)
-                for k, total, e in zip(live.tolist(), np.add.reduce(ints, axis=1).tolist(),
-                                       s.ravel().tolist()):
+    parts: list[list] = [[] for _ in range(rows)]
+    for i in range(0, x.shape[-1], FSUM_CHUNK):
+        at = slice(i, i + FSUM_CHUNK)
+        r = products(at)
+        ints = np.empty(r.shape)
+        top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+        if not np.isfinite(top).all():
+            bad = np.argmax(~np.isfinite(top))
+            node = float(np.broadcast_to(x[..., at], r.shape)[bad][~np.isfinite(r[bad])][0])
+            raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
+        live = np.arange(rows)
+        while True:
+            if not top.all():  # drop the rows that are empty
+                keep = top != 0.0
+                live, r, top = live[keep], r[keep], top[keep]
+                if not live.size:
+                    break
+                ints = ints[:live.size]
+            s = np.frexp(top)[1][:, None] + (_HEADROOM - 53)
+            np.trunc(np.ldexp(r, -s, out=ints), out=ints)
+            for k, total, e in zip(live.tolist(), np.add.reduce(ints, axis=1).tolist(),
+                                   s.ravel().tolist()):
+                try:
                     parts[k].append(math.ldexp(total, e))
-                r -= np.ldexp(ints, s, out=ints)
-                top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+                except OverflowError:  # e > 0 here, so the partial is an int
+                    parts[k].append(int(total) << e)
+            r -= np.ldexp(ints, s, out=ints)
+            top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+    try:
         return [math.fsum(p) for p in parts]
-    except OverflowError:
-        raise EvaluationError("weighted node sum overflows the float range") from None
+    except OverflowError:  # on the way, or at a partial past the float range
+        try:
+            return [float(sum(map(Fraction, p))) for p in parts]
+        except OverflowError:
+            raise EvaluationError("weighted node sum overflows the float range") from None
 
 
 def paired(norm: NormTag) -> tuple[bool, ...]:

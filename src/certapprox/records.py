@@ -410,6 +410,12 @@ class BasisFamily:
     def max_index(self) -> int | None:
         return self.m if self.kind == CUBIC_BSPLINE else None
 
+    def check_index(self, j: int) -> None:
+        if j < self.min_index:
+            raise ConfigurationError(f"{self.kind} index {j} below minimum {self.min_index}")
+        if (top := self.max_index) is not None and j > top:
+            raise ConfigurationError(f"{self.kind} index {j} above family size {top}")
+
     def element(self, index: int):
         return arithmetic("basis").BasisElement(self, index)
 
@@ -429,6 +435,25 @@ class BasisFamily:
         if self.kind != CUBIC_BSPLINE:
             raise ConfigurationError(f"{self.kind} has no knot vector")
         return arithmetic("basis")._clamped_knots(self.domain[0], self.domain[1], self.m)
+
+
+@dataclass(frozen=True)
+class Series:
+    """sum_j a_j e_j over a family, as a claim states it, unevaluated."""
+
+    family: BasisFamily
+    terms: tuple[tuple[int, float], ...]
+
+    def approximant(self):  # a target.TargetFunction
+        return arithmetic("target").series(self.family, self.terms)
+
+
+def tent_law(n: int) -> tuple[str, Series]:
+    """Member n of the tent sequence, S_n = sum_{k<=n} 2^-k T_k: (descriptor, series)."""
+    if n < 0:
+        raise ConfigurationError("tent series index must be >= 0")
+    return f"series:tent:n={n}", Series(BasisFamily(TENT, FIXED_DOMAINS[TENT]),
+                                        tuple((k, 2.0 ** -k) for k in range(n + 1)))
 
 
 @dataclass(frozen=True)

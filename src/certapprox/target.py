@@ -37,6 +37,7 @@ import numpy as np
 from . import basis
 from .errors import (CapabilityError, ConfigurationError, EvaluationError,
                      ExpressionSyntaxError, SampleFormatError)
+from .records import tent_law
 
 FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -359,7 +360,7 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
     (series_sum) and breaks it into panels (series_edges, series_kinks)."""
     tt = tuple((int(j), float(a)) for j, a in terms)
     for j, _ in tt:
-        family.element(j)  # index validation
+        family.check_index(j)
     total = basis.series_sum(family, tt)
     if descriptor is None:
         descriptor = f"series:{family.kind}:n={len(tt)}"
@@ -369,12 +370,9 @@ def series(family: basis.BasisFamily, terms, descriptor: str | None = None) -> T
 
 
 def tent_partial_sum(n: int) -> TargetFunction:
-    """The dyadic tent sum with coefficients 2^-k, levels 0..n."""
-    if n < 0:
-        raise ConfigurationError("tent series index must be >= 0")
-    fam = basis.tent_family()
-    terms = tuple((k, 2.0 ** (-k)) for k in range(n + 1))
-    return series(fam, terms, descriptor=f"series:tent:n={n}")
+    """The dyadic tent sum with coefficients 2^-k, levels 0..n: records.tent_law."""
+    descriptor, law = tent_law(n)
+    return series(law.family, law.terms, descriptor)
 
 
 def load_samples(path: str) -> TargetFunction:

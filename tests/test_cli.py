@@ -1091,6 +1091,52 @@ def test_inspect_loads_no_numpy(fixture, request, tmp_path):
     assert _loaded(["inspect", str(path)], tmp_path) == (0, RECORDS_ONLY)
 
 
+LIMIT_ROUTE = ("False ['certapprox', 'certapprox.certificate', 'certapprox.cli',"
+               " 'certapprox.errors', 'certapprox.limit', 'certapprox.records']")
+
+
+def test_the_limit_route_loads_no_numpy(limit_cert, tmp_path):
+    # the transfer and the verify of an honest limit are exact rational
+    # work: the tent law and the index check are records', and an honest
+    # member is settled as the same series before any function is built
+    out = tmp_path / ("deep" + FILE_SUFFIX)
+    assert _loaded(["limit", "--eps", "1e-7", "--out", str(out)], tmp_path) == (0, LIMIT_ROUTE)
+    assert f"digest: {json.loads(out.read_text())['digest']}\n" in DEEP_LIMIT_VERIFY
+    assert _loaded(["verify", str(limit_cert)], tmp_path) == (0, LIMIT_ROUTE)
+
+
+def test_a_limit_member_with_a_changed_coefficient_fails_in_a_fresh_process(
+        limit_cert, tmp_path):
+    # the member's terms are no longer the law's, so verify builds both
+    # series, loading the modules that compute, and measures them as before
+    def double_level_3(doc):
+        member = doc["members"][2]
+        member["terms"][3][1] *= 2.0
+        member["digest"] = compute_digest(member)
+    bad = _resealed(limit_cert, _regenealogized(double_level_3),
+                    tmp_path / ("forged" + FILE_SUFFIX))
+    done = _cli_process(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert ("note: member 3: recomputed error 0.125 vs reported 0 at tolerance 1e-15\n"
+            "verdict: FAIL\n") in done.stdout
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_inspect_into_a_closed_pipe_ends_without_a_traceback(limit_cert, buffered, tmp_path):
+    # unbuffered, the first print meets the closed pipe; buffered, main's flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "certapprox.cli", "inspect",
+                               str(limit_cert)], cwd=tmp_path, env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_CLOSED_OUTPUT, "")
+
+
 @pytest.mark.parametrize("mutate", [_set("kind", "mystery"), _set("tolerance", "x")],
                          ids=["unknown-kind", "malformed-field"])
 def test_a_verify_that_fails_to_parse_loads_no_numpy(spline_cert, mutate, tmp_path):

@@ -343,9 +343,9 @@ def _row(rng, cols, low, span, zeros):
 @example(spec=[(1022, 1, 0.0)], cols=q.FSUM_CHUNK - 1, seed=69)
 @settings(max_examples=60, deadline=None)
 def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed):
-    # where math.fsum overflows on the way, row_sums either raises its
-    # overflow error, as it must when the exact sum leaves the float range,
-    # or returns the exact sum rounded, which weighted_sum's fallback uses
+    # where math.fsum overflows on the way, row_sums returns the exact sum
+    # rounded, which weighted_sum's fallback uses, and raises its overflow
+    # error only when the exact sum leaves the float range
     rng = np.random.default_rng(seed)
     p = np.array([_row(rng, cols, *r) for r in spec])
     x = np.linspace(0.0, 1.0, cols)
@@ -354,14 +354,56 @@ def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed):
     except OverflowError:
         exact = [sum(map(Fraction, row.tolist()), Fraction(0)) for row in p]
         try:
-            got = [v.hex() for v in q.row_sums(len(p), x, lambda at: p[:, at])]
-        except EvaluationError as e:
-            assert "overflows the float range" in str(e)
+            want = [float(v).hex() for v in exact]
+        except OverflowError:
+            with pytest.raises(EvaluationError, match="overflows the float range"):
+                q.row_sums(len(p), x, lambda at: p[:, at])
             return
-        assert got == [float(v).hex() for v in exact]
+        assert [v.hex() for v in q.row_sums(len(p), x, lambda at: p[:, at])] == want
         return
     got = q.row_sums(len(p), x, lambda at: p[:, at])
     assert [v.hex() for v in got] == want
+
+
+def _near_max(seed, rows, cols, cancel):
+    """Products with exponents 990 to 1023. With cancel, the second half of
+    each row is its first half negated and shuffled, two of it halved, so
+    the exact sum is a float while partial sums leave the float range."""
+    rng = np.random.default_rng(seed)
+    p = rng.choice([-1.0, 1.0], (rows, cols)) * np.ldexp(
+        rng.uniform(1.0, 2.0, (rows, cols)), rng.integers(990, 1024, (rows, cols)))
+    if cancel:
+        half = cols // 2
+        for row in p:
+            row[half:2 * half] = -rng.permutation(row[:half])
+            row[rng.integers(half, 2 * half, 2)] *= 0.5
+    return p
+
+
+# three products past a slice's float partial, whose exact sum is 1.7e308
+OVERFLOWING_PARTIAL = np.zeros((1, 2 * q.FSUM_CHUNK))
+OVERFLOWING_PARTIAL[0, [0, 1, q.FSUM_CHUNK]] = 1.7e308, 1.7e308, -1.7e308
+
+
+@pytest.mark.parametrize("p", [
+    OVERFLOWING_PARTIAL,
+    *(_near_max(seed, 3, cols, True) for seed, cols in
+      enumerate([q.FSUM_CHUNK // 2, 2 * q.FSUM_CHUNK, 2 * q.FSUM_CHUNK + 7] * 2)),
+    *(_near_max(seed, 1, cols, False) for seed in range(6) for cols in (2, 3, 40)),
+])
+def test_row_sums_round_the_exact_sum_near_the_float_maximum(p):
+    # the oracle: each row's exact Fraction sum, rounded once; a block with
+    # a row outside the float range raises row_sums' overflow error
+    x = np.linspace(0.0, 1.0, p.shape[1])
+    try:
+        want = [float(sum(map(Fraction, row.tolist()), Fraction(0))).hex() for row in p]
+    except OverflowError:
+        want = "overflows the float range"
+    try:
+        got = [v.hex() for v in q.row_sums(len(p), x, lambda at: p[:, at].copy())]
+    except EvaluationError as e:
+        got = str(e)[-len("overflows the float range"):]
+    assert got == want
 
 
 def test_fsum_of_zeros_of_either_sign_is_positive_zero():
