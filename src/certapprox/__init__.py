@@ -25,8 +25,8 @@ _EXPORTS = {
               " IllConditionedBasisError IncompleteSequenceError NoProgressError"
               " ReconciliationFailureError SampleFormatError ToleranceViolated"
               " TopologyError UnsupportedNormError",
-    "glue": "PartitionOfUnity build_pou check_overlap extract_local local_bspline_family"
-            " make_cover reconcile verify_glued glue_certificates",
+    "glue": "build_pou check_overlap extract_local local_bspline_family make_cover ramp"
+            " reconcile verify_glued glue_certificates",
     "limit": "CertifiedSequence Modulus dyadic_modulus exact_ceil_log2 exact_pair_sup"
              " tent_certificate tent_sequence transfer verify_limit",
     "quadrature": "QuadratureRule construction_rule gauss_chebyshev_rule inner_product"

@@ -11,9 +11,10 @@ to stdout with six significant digits; certificate files carry the full
     4  usage, expression, or file-format errors
 
 Reading a document needs records alone and the limit route adds only
-certificate and limit, so inspect, every parse failure, limit and an honest
-limit's verify load no numpy, which they load on first use (a limit takes
-0.09 s of process CPU against 0.26 s with numpy, on a 2-core Xeon VM).
+certificate and limit, so inspect, every parse failure, limit and the verify
+of an honest limit or tent member load no numpy, which the other routes load
+on first use (a limit takes 0.09 s of process CPU against 0.26 s with numpy,
+on a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -181,21 +182,21 @@ def _verify_against_target(verify, cert, domain, args, store):
 
     Sampled targets only store a content hash, so verifying one needs
     --target data:PATH; the hash is then cross-checked by descriptor
-    equality. A data: path named inside a document is never opened.
-    Returns None after reporting a target mismatch.
+    equality. A data: path named inside a document is never opened. A tent
+    member is checked against records.tent_law, so an honest one loads no
+    numpy. Returns None after reporting a target mismatch.
     """
-    descriptor, target = cert.target_descriptor, arithmetic("target")
-    if args.target is not None:
-        f = target.resolve_spec(args.target, domain)
-    elif (depth := target.tent_depth(descriptor, "series:tent:n=")) is not None:
-        f = target.tent_partial_sum(depth)
-    elif descriptor.startswith(("data:", "samples:")):
+    descriptor, spec = cert.target_descriptor, args.target
+    if spec is None and (depth := records.tent_depth(descriptor, "series:tent:n=")) is not None:
+        got, f = records.tent_law(depth)
+    elif spec is None and descriptor.startswith(("data:", "samples:")):
         raise ConfigurationError(
             "this certificate names sampled data; pass --target data:PATH")
     else:
-        f = target.resolve_spec(descriptor, domain)
-    if f.descriptor != descriptor:
-        print(f"target mismatch: certificate names {descriptor}, got {f.descriptor}")
+        f = arithmetic("target").resolve_spec(descriptor if spec is None else spec, domain)
+        got = f.descriptor
+    if got != descriptor:
+        print(f"target mismatch: certificate names {descriptor}, got {got}")
         return None
     return verify(cert, f, store)
 
@@ -301,13 +302,12 @@ def cmd_glue(args) -> int:
     f = target.resolve_spec(args.target, tuple(args.domain) if args.domain else None)
     domain = tuple(args.domain) if args.domain else f.domain
     cover = glue.make_cover(domain, args.patches, args.overlap)
-    pou = glue.build_pou(cover)
     settings = arithmetic("approximate").ExtractionSettings(epsilon=0.5 * args.eps)
     locals_ = []
     for i, patch in enumerate(cover.patches):
         fam = glue.local_bspline_family(patch, args.knots_per_patch)
         locals_.append(glue.extract_local(f, i, patch, fam, settings))
-    return _write_certificate(glue.glue(f, locals_, pou, args.eps), args.out)
+    return _write_certificate(glue.glue(f, locals_, cover, args.eps), args.out)
 
 
 def cmd_limit(args) -> int:

@@ -8,7 +8,8 @@ that disagree by delta = eps/(2M) or more get reconciled by adjusting the
 higher-indexed patch, left to right, and every adjustment is recorded with
 its coefficient deltas. The blended approximant sum_i psi_i s_i uses
 complementary piecewise linear ramps across the overlaps, so a ramp pair
-sums to one up to a single rounding. The blend is a target.TargetFunction
+sums to one up to a single rounding; the cover's overlaps fix every ramp,
+so ramp() reads them off the cover. The blend is a target.TargetFunction
 like any other, and reconciliation's least squares go through the Gram
 assembly and solve of the approximate module.
 
@@ -27,7 +28,6 @@ the locals meet premise_faults(); glue() and verify_glued() enforce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .records import (DEFAULT_OVERLAP_FRACTION, W12, ApproximationCertificate, C
 
 
 # ----------------------------------------------------------------------------
-# covers and partitions of unity
+# covers
 # ----------------------------------------------------------------------------
 
 def make_cover(domain: tuple[float, float], m: int,
@@ -92,47 +92,10 @@ def premise_faults(cover: Cover, locals_=(), epsilon: float = math.inf) -> list[
     return faults
 
 
-@dataclass(frozen=True)
-class PartitionOfUnity:
-    """Complementary piecewise-linear ramps across a cover's overlaps."""
-
-    cover: Cover
-
-    def _ramp_up(self, i: int, x: np.ndarray) -> np.ndarray:
-        # ascending weight of patch i across overlap (i-1, i)
-        if i == 0:
-            return np.ones_like(x)
-        s, e = self.cover.overlap(i - 1)
-        return np.clip((x - s) / (e - s), 0.0, 1.0)
-
-    def weight(self, i: int, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.cover.patches[i]
-        inside = (xs >= lo) & (xs <= hi)
-        up = self._ramp_up(i, xs)
-        if i == self.cover.m - 1:
-            down = np.ones_like(xs)
-        else:
-            down = 1.0 - self._ramp_up(i + 1, xs)
-        v = np.where(inside, up * down, 0.0)
-        return v if np.ndim(x) else float(v[0])
-
-    def weight_deriv(self, i: int, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        v = np.zeros_like(xs)
-        if i > 0:
-            s, e = self.cover.overlap(i - 1)
-            v = np.where((xs >= s) & (xs < e), 1.0 / (e - s), v)
-        if i < self.cover.m - 1:
-            s, e = self.cover.overlap(i)
-            v = np.where((xs >= s) & (xs < e), -1.0 / (e - s), v)
-        lo, hi = self.cover.patches[i]
-        v = np.where((xs < lo) | (xs > hi), 0.0, v)
-        return v if np.ndim(x) else float(v[0])
-
-
-def build_pou(cover: Cover) -> PartitionOfUnity:
-    return PartitionOfUnity(cover)
+def build_pou(cover: Cover) -> Cover:
+    """The cover itself, which carries every ramp (see ramp()); kept so that
+    callers of the form glue(f, locals_, build_pou(cover), eps) still run."""
+    return cover
 
 
 # ----------------------------------------------------------------------------
@@ -251,10 +214,27 @@ def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCerti
 # blending and gluing
 # ----------------------------------------------------------------------------
 
-def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
+def ramp(cover: Cover, i: int, x, deriv: bool = False) -> np.ndarray:
+    """psi_i at the points x, the product of an up clip across overlap i-1
+    and a down clip across overlap i, zero off patch i; with deriv, its slope
+    +-1/|O| on each overlap [s, e), the right-hand convention."""
+    xs = np.asarray(x, dtype=float)
+    v = np.zeros_like(xs) if deriv else np.ones_like(xs)
+    for j, sign in ((i - 1, 1.0), (i, -1.0)):
+        if 0 <= j < cover.m - 1:
+            s, e = cover.overlap(j)
+            if deriv:
+                v = np.where((xs >= s) & (xs < e), sign / (e - s), v)
+            else:
+                up = np.clip((xs - s) / (e - s), 0.0, 1.0)
+                v = v * (up if sign > 0 else 1.0 - up)
+    lo, hi = cover.patches[i]
+    return np.where((xs >= lo) & (xs <= hi), v, 0.0)
+
+
+def glued_function(cover: Cover, locals_) -> target_mod.TargetFunction:
     """The blended approximant sum_i psi_i * s_i on the cover's domain."""
     series = [lc.cert.approximant() for lc in locals_]
-    cover = pou.cover
 
     def blend(xs, deriv=False):
         out = np.zeros_like(xs)
@@ -263,9 +243,9 @@ def glued_function(pou: PartitionOfUnity, locals_) -> target_mod.TargetFunction:
             mask = (xs >= lo) & (xs <= hi)
             if np.any(mask):
                 xm = xs[mask]
-                term = pou.weight(i, xm) * quadrature._at(s, xm, deriv)
+                term = ramp(cover, i, xm) * quadrature._at(s, xm, deriv)
                 if deriv:  # the product rule, psi_i' s_i first
-                    term = pou.weight_deriv(i, xm) * s.evaluate(xm) + term
+                    term = ramp(cover, i, xm, deriv=True) * s.evaluate(xm) + term
                 out[mask] += term
         return out
 
@@ -289,11 +269,10 @@ def compositional_bound(cover: Cover, errors, mismatches) -> float:
             + math.sqrt(math.fsum(r ** 2 for r in seams)))
 
 
-def glue(f, locals_: list[LocalCertificate], pou: PartitionOfUnity,
+def glue(f, locals_: list[LocalCertificate], cover: Cover,
          epsilon: float) -> GluedCertificate:
     """Reconcile pairwise left to right under the gate delta = epsilon/(2M),
     then certify the compositional bound; locals must meet premise_faults()."""
-    cover = pou.cover
     m = cover.m
     if len(locals_) != m:
         raise ConfigurationError(f"cover has {m} patches, got {len(locals_)} locals")

@@ -21,6 +21,7 @@ import hashlib
 import importlib
 import json
 import math
+import re
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -456,6 +457,20 @@ def tent_law(n: int) -> tuple[str, Series]:
                                         tuple((k, 2.0 ** -k) for k in range(n + 1)))
 
 
+def tent_depth(text: str, head: str, tail: str = "") -> int | None:
+    """N when text is head, N's decimal digits, tail; else None. It reads the
+    builtin "tent_series(N)" and the descriptor "series:tent:n=N"; a depth
+    with more digits than int() takes is a ConfigurationError."""
+    m = re.fullmatch(re.escape(head) + r"(\d+)" + re.escape(tail), text)
+    if m is None:
+        return None
+    try:
+        return int(m[1])
+    except ValueError:
+        raise ConfigurationError(
+            f"tent series depth of {len(m[1])} digits is too large") from None
+
+
 @dataclass(frozen=True)
 class Construction:
     """How a certificate was built: the route, which claim_findings reads,
@@ -540,8 +555,7 @@ class GluedCertificate(Document):
                                      " patches; need one per patch")
 
     def approximant(self):  # a target.TargetFunction
-        glue = arithmetic("glue")
-        return glue.glued_function(glue.build_pou(self.cover), self.locals)
+        return arithmetic("glue").glued_function(self.cover, self.locals)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 from . import basis
 from .errors import (CapabilityError, ConfigurationError, EvaluationError,
                      ExpressionSyntaxError, SampleFormatError)
-from .records import tent_law
+from .records import tent_depth, tent_law
 
 FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -309,20 +309,6 @@ _BUILTINS = {
     "linear": ("x", (0.0, 1.0)),
     "runge": ("1/(1+25*x^2)", (-1.0, 1.0)),
 }
-
-
-def tent_depth(text: str, head: str, tail: str = "") -> int | None:
-    """N when text is head, N's decimal digits, tail; else None. It reads the
-    builtin "tent_series(N)" and the descriptor "series:tent:n=N"; a depth
-    with more digits than int() takes is a ConfigurationError."""
-    m = re.fullmatch(re.escape(head) + r"(\d+)" + re.escape(tail), text)
-    if m is None:
-        return None
-    try:
-        return int(m[1])
-    except ValueError:
-        raise ConfigurationError(
-            f"tent series depth of {len(m[1])} digits is too large") from None
 
 
 def from_builtin(name: str) -> TargetFunction:

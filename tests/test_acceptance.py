@@ -27,7 +27,7 @@ from certapprox.basis import (cubic_bspline_family, fourier_sine_family,
 from certapprox.certificate import (compute_digest, deserialize, serialize,
                                     verify)
 from certapprox.errors import EvidenceContradictionError
-from certapprox.glue import (Cover, build_pou, check_overlap, extract_local,
+from certapprox.glue import (Cover, check_overlap, extract_local,
                              glue, local_bspline_family, make_cover,
                              verify_glued)
 from certapprox.limit import (Modulus, parse_frac, tent_certificate,
@@ -149,7 +149,7 @@ def test_c5_gluing_across_patch_counts(capsys):
             locals_ = [
                 extract_local(f, i, p, local_bspline_family(p, 8), settings)
                 for i, p in enumerate(cover.patches)]
-            g = glue(f, locals_, build_pou(cover), eps)
+            g = glue(f, locals_, cover, eps)
             direct = float(np.max(np.abs(g.approximant().evaluate(xs)
                                          - f.evaluate(xs))))
             assert direct < eps, m

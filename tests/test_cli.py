@@ -1121,6 +1121,39 @@ def test_a_limit_member_with_a_changed_coefficient_fails_in_a_fresh_process(
             "verdict: FAIL\n") in done.stdout
 
 
+STANDALONE_MEMBER_VERIFY = (
+    "kind: approximation\n"
+    "digest: 76e4b5a67dc55d0febd52b2a1da2cbf739e2941274063324bf342af18f969ea9\n"
+    "reported error: 0\n"
+    "recomputed error: 0 (method: same_series)\n"
+    "tolerance: 1e-15\n"
+    "bound honored: yes\n"
+    "structure: ok\n"
+    "verdict: PASS\n")
+
+
+def test_a_standalone_tent_member_verifies_without_numpy(limit_cert, tmp_path, capsys):
+    # a member in its own file names series:tent:n=3, which resolves to the
+    # tent law in records; the honest member is then the law's very series
+    member = tmp_path / ("member3" + FILE_SUFFIX)
+    member.write_bytes(canonical_dumps(json.loads(limit_cert.read_text())["members"][2]))
+    assert _loaded(["verify", str(member)], tmp_path) == (0, LIMIT_ROUTE.replace(
+        " 'certapprox.limit',", ""))
+    assert cli.main(["verify", str(member)]) == 0
+    assert capsys.readouterr().out == STANDALONE_MEMBER_VERIFY
+    # a changed coefficient is measured against the law, as before
+    forged = _resealed(member, _set("terms", 3, 1, 0.25), tmp_path / ("forged" + FILE_SUFFIX))
+    assert cli.main(["verify", str(forged)]) == 3
+    assert ("note: recomputed error 0.125 vs reported 0 at tolerance 1e-15\n"
+            "verdict: FAIL\n") in capsys.readouterr().out
+    # the law's descriptor is the canonical one, so n=03 names no member
+    padded = _resealed(member, _set("target", "series:tent:n=03"),
+                       tmp_path / ("padded" + FILE_SUFFIX))
+    assert cli.main(["verify", str(padded)]) == 3
+    assert capsys.readouterr().out == (
+        "target mismatch: certificate names series:tent:n=03, got series:tent:n=3\n")
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 def test_inspect_into_a_closed_pipe_ends_without_a_traceback(limit_cert, buffered, tmp_path):
     # unbuffered, the first print meets the closed pipe; buffered, main's flush
@@ -1281,7 +1314,7 @@ def reconciled_cert(workdir):
     err, _ = measure(f, series(fams[1], terms), norm)
     locals_[1] = glue_mod.LocalCertificate(1, patch, assemble(
         f.descriptor, fams[1], terms, norm, 5e-3, err, Construction("gram_solve", "shifted")))
-    glued = glue_mod.glue(f, locals_, glue_mod.build_pou(cover), 1e-2)
+    glued = glue_mod.glue(f, locals_, cover, 1e-2)
     assert [r.adjusted for r in glued.records] == [True, False]
     path = workdir / ("reconciled" + FILE_SUFFIX)
     path.write_bytes(serialize(glued))
