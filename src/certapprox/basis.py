@@ -128,7 +128,7 @@ class BasisElement:
             return np.linspace(lo, hi, j + 1)
         if kind == TENT:
             return np.linspace(0.0, 1.0, 2 ** (j + 1) + 1)
-        return np.unique(support_knots(self.family, (j,)))
+        return distinct(support_knots(self.family, (j,)))
 
 
 def pointwise(domain: tuple[float, float], fn, x):
@@ -372,6 +372,14 @@ def series_sum(family: BasisFamily, terms):
                    np.asarray([a for _, a in terms]).reshape(-1, 1))
 
 
+def distinct(a) -> np.ndarray:
+    """np.unique(a) of NaN-free a, bit for bit (a run of +-0.0 keeps its zero), without
+    the numpy.ma import of its first call: a sorted as np.unique sorts it, each value
+    kept where it differs from its left neighbour."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def series_edges(family: BasisFamily, terms) -> np.ndarray:
     """The panel edges of a series over the (j, a) terms: the domain for
     none, every knot of a B-spline family, else the top element's edges,
@@ -379,7 +387,7 @@ def series_edges(family: BasisFamily, terms) -> np.ndarray:
     if not terms:
         return np.asarray(family.domain)
     if family.kind == CUBIC_BSPLINE:
-        return np.unique(family.knots())
+        return distinct(family.knots())
     return family.element(max(j for j, _ in terms)).panel_edges()
 
 

@@ -10,8 +10,8 @@ its coefficient deltas. The blended approximant sum_i psi_i s_i uses
 complementary piecewise linear ramps across the overlaps, so a ramp pair
 sums to one up to a single rounding; the cover's overlaps fix every ramp,
 so ramp() reads them off the cover. The blend is a target.TargetFunction
-like any other, and reconciliation's least squares go through the Gram
-assembly and solve of the approximate module.
+like any other. Reconciliation's least squares use approximate's Gram
+solve, imported when called, so verify_glued never loads the builder.
 
 The glued certificate's reported error is certified from its parts, never
 by measuring the blend: with e_i local i's reported W12 error on its patch
@@ -31,9 +31,8 @@ import math
 
 import numpy as np
 
-from . import approximate, certificate, quadrature, target as target_mod
-from .approximate import ExtractionSettings, _probes, gram_matrix, solve_normal_equations
-from .basis import BasisFamily, cubic_bspline_family
+from . import certificate, quadrature, target as target_mod
+from .basis import BasisFamily, cubic_bspline_family, distinct
 from .certificate import (Construction, VerificationReport, assemble, envelope_findings,
                           measure, measure_or_note, verdict)
 from .errors import (ConfigurationError, IllConditionedBasisError,
@@ -119,8 +118,9 @@ def extract_local(f, patch_index: int, patch: tuple[float, float],
     """
     if family.domain != (float(patch[0]), float(patch[1])):
         raise ConfigurationError("family domain must equal the patch")
+    from .approximate import approximate_gram
     norm = NormTag(W12, family.domain)
-    cert = approximate.approximate_gram(f, family.elements(), norm, settings)
+    cert = approximate_gram(f, family.elements(), norm, settings)
     return LocalCertificate(patch_index, family.domain, cert)
 
 
@@ -145,6 +145,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
     gates fail reconciliation when missed: every coefficient delta and the
     post-adjustment mismatch stay below `delta`, and b keeps its patch budget.
     """
+    from .approximate import _probes, gram_matrix, solve_normal_equations
     pre = check_overlap(a, b)
     if pre < delta:
         return b, ReconciliationRecord((a.patch_index, b.patch_index), pre, pre, (), False)
@@ -253,7 +254,7 @@ def glued_function(cover: Cover, locals_) -> target_mod.TargetFunction:
         # the ramps run between patch ends, so the patches carry their edges
         pieces = [np.asarray(cover.domain), *map(np.asarray, cover.patches),
                   *(s.panel_edges() for s in series)]
-        merged = np.unique(np.concatenate(pieces))
+        merged = distinct(np.concatenate(pieces))
         return merged[(merged >= cover.domain[0]) & (merged <= cover.domain[1])]
 
     return target_mod.TargetFunction(cover.domain, f"glued:m={cover.m}", blend,

@@ -1071,10 +1071,12 @@ def test_every_package_name_resolves_on_first_use(tmp_path):
 
 
 # the CLI's main in a process that reports, on stderr, whether numpy and
-# which certapprox modules were loaded by the time it returned
+# which certapprox modules, numpy.ma and numpy.polynomial were loaded by the
+# time it returned
 _LOADED = ("import sys\nfrom certapprox import cli\ncode = cli.main(sys.argv[1:])\n"
            "print('numpy' in sys.modules, sorted(m for m in sys.modules"
-           " if m.startswith('certapprox')), file=sys.stderr)\nsys.exit(code)")
+           " if m.startswith('certapprox') or m in ('numpy.ma', 'numpy.polynomial')),"
+           " file=sys.stderr)\nsys.exit(code)")
 RECORDS_ONLY = "False ['certapprox', 'certapprox.cli', 'certapprox.errors', 'certapprox.records']"
 
 
@@ -1103,6 +1105,35 @@ def test_the_limit_route_loads_no_numpy(limit_cert, tmp_path):
     assert _loaded(["limit", "--eps", "1e-7", "--out", str(out)], tmp_path) == (0, LIMIT_ROUTE)
     assert f"digest: {json.loads(out.read_text())['digest']}\n" in DEEP_LIMIT_VERIFY
     assert _loaded(["verify", str(limit_cert)], tmp_path) == (0, LIMIT_ROUTE)
+
+
+# what a spline's verify loads; the other numpy routes add modules to it
+VERIFY_ROUTE = ["certapprox", "certapprox.basis", "certapprox.certificate", "certapprox.cli",
+                "certapprox.errors", "certapprox.quadrature", "certapprox.records",
+                "certapprox.target"]
+
+
+def _numpy_route(*modules):
+    return f"True {sorted(VERIFY_ROUTE + [f'certapprox.{m}' for m in modules])}"
+
+
+@pytest.mark.parametrize("name,argv,want", [
+    ("spline", SPLINE_BUILD, _numpy_route("approximate")),
+    ("glued", ["glue", "--target", "builtin:sinpi", "--patches", "3", "--eps", "1e-2"],
+     _numpy_route("approximate", "glue")),
+    ("spline", ["verify"], _numpy_route()),
+    ("glued", ["verify"], _numpy_route("glue")),
+], ids=["approximate", "glue", "verify-spline", "verify-glued"])
+def test_the_numpy_routes_load_only_what_they_compute_with(name, argv, want, request,
+                                                           tmp_path):
+    # no np.unique (its first call imports numpy.ma), no leggauss (numpy.polynomial,
+    # the 16-point table is frozen), and a glued verify never loads the builder
+    path = request.getfixturevalue(name + "_cert")
+    out = tmp_path / ("built" + FILE_SUFFIX)
+    argv = argv + ([str(path)] if argv == ["verify"] else ["--out", str(out)])
+    assert _loaded(argv, tmp_path) == (0, want)
+    if argv[0] != "verify":
+        assert out.read_bytes() == path.read_bytes()
 
 
 def test_a_limit_member_with_a_changed_coefficient_fails_in_a_fresh_process(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import cli, glue as glue_mod, quadrature, target
+from certapprox import approximate, cli, glue as glue_mod, quadrature, target
 from certapprox.approximate import ExtractionSettings
 from certapprox.certificate import (Construction, assemble, canonical_dumps,
                                     compute_digest, from_dict, measure, seal,
@@ -262,15 +262,16 @@ def compose_pair(sinpi):
 def test_reconcile_right_hand_side_and_solution_match_per_element_probes(
         sinpi, compose_pair, monkeypatch):
     # the table-read right-hand side against one inner_product per movable
-    # element on the same overlap rule: the same bytes, so the same solution
+    # element on the same overlap rule: the same bytes, so the same solution;
+    # reconcile imports the builder's _probes when called, so patch it there
     a, b, delta = compose_pair
-    tabled, seen, results = glue_mod._probes, [], []
+    tabled, seen, results = approximate._probes, [], []
 
     def per_element(f, els, norm, rule):
         return np.array([quadrature.inner_product(f, e, norm, rule) for e in els])
 
     for probes in (tabled, per_element):
-        monkeypatch.setattr(glue_mod, "_probes",
+        monkeypatch.setattr(approximate, "_probes",
                             lambda *args, probes=probes: seen.append(probes(*args)) or seen[-1])
         results.append(reconcile(sinpi, a, b, delta))
     (child, record), (child_want, record_want) = results
