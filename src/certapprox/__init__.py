@@ -29,8 +29,8 @@ _EXPORTS = {
             " reconcile verify_glued glue_certificates",
     "limit": "CertifiedSequence Modulus dyadic_modulus exact_ceil_log2 exact_pair_sup"
              " tent_certificate tent_sequence transfer verify_limit",
-    "quadrature": "QuadratureRule construction_rule gauss_chebyshev_rule inner_product"
-                  " integrate l2_norm norm_of_difference sup_distance sup_norm w12_norm",
+    "quadrature": "QuadratureRule construction_rule inner_product integrate l2_norm"
+                  " norm_of_difference sup_distance sup_norm w12_norm",
     "records": "ApproximationCertificate BasisFamily Construction Cover GluedCertificate"
                " LimitCertificate LocalCertificate NormTag canonical_dumps compute_digest"
                " deserialize glued_from_dict limit_from_dict serialize",

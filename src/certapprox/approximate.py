@@ -127,18 +127,18 @@ def _sine_probes(f, family: basis.BasisFamily, max_terms: int):
         start, end = end + 1, min(max(2 * end, 1), max_terms)
         rule = quadrature.construction_rule(f, [family.element(end)],
                                             interval=family.domain)
-        yield from _term_sums(f, family, range(start, end + 1), rule)
+        yield from _term_sums(f, family, range(start, end + 1), rule.nodes, rule.weights)
 
 
-def _term_sums(f, family: basis.BasisFamily, js: range, rule: quadrature.QuadratureRule):
-    """(j, the rule's weighted sum of f e_j) for j in js in turn, with f
-    evaluated once. The indices go in batches of basis.TABLE_ENTRIES //
-    min(nodes, quadrature.FSUM_CHUNK): per node slice of a batch, one term
-    table, times f, then times the weights, as w * (f * e_j) per node, and
-    one quadrature.row_sums over its rows. A batch is summed only once the
-    sums before it are taken, so a caller that stops early skips the rest.
+def _term_sums(f, family: basis.BasisFamily, js: range, x: np.ndarray, w: np.ndarray):
+    """(j, the weighted sum of f e_j on the nodes x with weights w) for j in
+    js in turn, with f evaluated once. The indices go in batches of
+    basis.TABLE_ENTRIES // min(nodes, quadrature.FSUM_CHUNK): per node
+    slice of a batch, one term table, times f, then times the weights, as
+    w * (f * e_j) per node, and one quadrature.row_sums over its rows. A
+    batch is summed only once the sums before it are taken, so a caller
+    that stops early skips the rest.
     """
-    x, w = rule.nodes, rule.weights
     fx = np.asarray(f.evaluate(x), dtype=float)
     batch = basis.TABLE_ENTRIES // min(x.size, quadrature.FSUM_CHUNK)
     for lo in range(0, len(js), batch):
@@ -168,7 +168,7 @@ def gram_matrix(elements, norm: NormTag,
     rule node sits on a panel edge, where two touching supports meet, and a
     sum of zeros is +0.0. Cubic B-splines share `rule`, by default the
     construction rule of all of them over the norm's domain (_band_sums);
-    other pairs use `rule`, else construction_rule(a, [b], norm.domain).
+    every other pair has its own construction_rule(a, [b], norm.domain).
     """
     k = len(elements)
     G = np.zeros((k, k))
@@ -181,7 +181,7 @@ def gram_matrix(elements, norm: NormTag,
     for a, b in zip(i.tolist(), j.tolist()):
         u, v = elements[a], elements[b]
         G[a, b] = G[b, a] = quadrature.inner_product(
-            u, v, norm, rule or quadrature.construction_rule(u, [v], norm.domain))
+            u, v, norm, quadrature.construction_rule(u, [v], norm.domain))
     return G
 
 
@@ -347,12 +347,16 @@ def approximate_raw_probe(f, elements, norm: NormTag,
 def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
 
-    Integrates f * T_j on the 2(degree+1) point Gauss-Chebyshev rule, whose
-    weights carry 1/sqrt(1-x^2), by _term_sums; a_0 carries the 1/pi
-    normalization, the rest 2/pi.
+    Integrates f * T_j on the n = 2(degree+1) point Gauss-Chebyshev rule
+    (Mason & Handscomb 2003), by _term_sums: the ascending nodes
+    cos((2k-1) pi / (2n)) for k = n..1, each weighted pi/n, which carries
+    1/sqrt(1-x^2); a_0 takes the 1/pi normalization, the rest 2/pi.
     """
-    rule = quadrature.gauss_chebyshev_rule(2 * (degree + 1))
-    sums = _term_sums(f, basis.chebyshev_family(), range(degree + 1), rule)
+    n = 2 * (degree + 1)
+    if not 1 <= n <= 1_000_000:
+        raise ConfigurationError(f"unreasonable node count {n}")
+    x = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
+    sums = _term_sums(f, basis.chebyshev_family(), range(degree + 1), x, np.full(n, np.pi / n))
     return np.array([ip / math.pi if j == 0 else 2.0 * ip / math.pi for j, ip in sums])
 
 

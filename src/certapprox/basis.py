@@ -74,6 +74,12 @@ def _clamped_knots(lo: float, hi: float, m: int) -> np.ndarray:
 # elements
 # ----------------------------------------------------------------------------
 
+# the most panels one element's rule may have: tent level 16's grid, so
+# level 16 is also the deepest tent series whose kinks are read exactly
+MAX_PANELS = 2 ** 17
+MAX_TENT_LEVEL = MAX_PANELS.bit_length() - 2
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """One element of a family. value and deriv map a float array inside the
@@ -115,20 +121,20 @@ class BasisElement:
     def panel_edges(self) -> np.ndarray:
         """Breakpoints a composite quadrature rule should honor for this element.
 
-        Smooth oscillatory elements get uniform refinement tied to the index;
-        piecewise elements get their actual kinks and knots.
+        B-splines get their knots; the rest a uniform grid whose panel count,
+        from the index alone, is ceil((j + 1) / 8) for Chebyshev T_j,
+        ceil((j + 1) / 16) for x^j, j for sine j and 2^(j+1) for tent level j,
+        checked against MAX_PANELS before any grid is built.
         """
-        lo, hi = self.family.domain
         kind, j = self.family.kind, self.index
-        if kind == CHEBYSHEV:  # ceil((j + 1) / 8) panels
-            return np.linspace(lo, hi, j // 8 + 2)
-        if kind == MONOMIAL:  # ceil((j + 1) / 16) panels
-            return np.linspace(lo, hi, j // 16 + 2)
-        if kind == FOURIER_SINE:
-            return np.linspace(lo, hi, j + 1)
-        if kind == TENT:
-            return np.linspace(0.0, 1.0, 2 ** (j + 1) + 1)
-        return distinct(support_knots(self.family, (j,)))
+        if kind == CUBIC_BSPLINE:
+            return distinct(support_knots(self.family, (j,)))
+        panels = {CHEBYSHEV: j // 8 + 1, MONOMIAL: j // 16 + 1, FOURIER_SINE: j,
+                  TENT: 2 ** (min(j, MAX_TENT_LEVEL + 1) + 1)}[kind]
+        if panels > MAX_PANELS:
+            raise ConfigurationError(
+                f"{kind} element {j} needs a rule of more than {MAX_PANELS} panels")
+        return np.linspace(*self.family.domain, panels + 1)
 
 
 def pointwise(domain: tuple[float, float], fn, x):
@@ -382,8 +388,10 @@ def distinct(a) -> np.ndarray:
 
 def series_edges(family: BasisFamily, terms) -> np.ndarray:
     """The panel edges of a series over the (j, a) terms: the domain for
-    none, every knot of a B-spline family, else the top element's edges,
-    the finest term grid, which refines every coarser one."""
+    none, every knot of a B-spline family, else the panel edges of the
+    element of the highest index alone. That grid has the most panels of
+    any term's, but need not contain the others' edges: T_16's thirds miss
+    T_8's 0, and sine j's grid k/j holds sine i's only where i divides j."""
     if not terms:
         return np.asarray(family.domain)
     if family.kind == CUBIC_BSPLINE:
@@ -392,10 +400,10 @@ def series_edges(family: BasisFamily, terms) -> np.ndarray:
 
 
 def series_kinks(family: BasisFamily, terms) -> np.ndarray | None:
-    """The kinks of a tent series, its top element's grid, to depth 16, or
-    None. Deeper tent sums, which only a forged limit member reaches (an
-    honest one measures as "same_series"), fall back to estimated sup norms."""
-    if family.kind != TENT or (top := max((j for j, _ in terms), default=0)) > 16:
+    """The kinks of a tent series to level MAX_TENT_LEVEL, its top element's
+    grid, or None. Deeper tent sums, which only a forged limit member reaches
+    (an honest one measures as "same_series"), fall back to estimated sup norms."""
+    if family.kind != TENT or (top := max((j for j, _ in terms), default=0)) > MAX_TENT_LEVEL:
         return None
     return family.element(top).panel_edges()
 

@@ -139,7 +139,7 @@ def measure(f, g, norm: NormTag) -> tuple[float, str]:
         # structure; per-element unions would balloon for high-index series
         rule = quadrature.construction_rule(f, [g], interval=norm.domain).refined(4)
         return quadrature.norm_of_difference(f, g, norm, rule), \
-            f"composite_gl{rule.points}x{rule.n_panels}"
+            f"composite_gl16x{rule.n_panels}"
 
 
 def envelope_findings(cert, store: dict | None = None, embedded=None):

@@ -7,9 +7,10 @@ panel edges honor every structural breakpoint of the integrand factors
 an interval the caller names.
 Verification-grade rules refine each construction panel fourfold in
 certificate.measure, so a verifier never evaluates at construction nodes
-and cannot alias construction error. The Gauss-Chebyshev rule, weight
-1/sqrt(1-x^2) folded in, serves the Chebyshev coefficient table alone.
-L2 and W12 norms are integrated; the sup norm is sup_distance's.
+and cannot alias construction error. QuadratureRule is that rule and no
+other: the 16-point table is frozen below, so no path here imports
+numpy.polynomial. L2 and W12 norms are integrated; the sup norm is
+sup_distance's.
 
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -44,22 +45,11 @@ _GL16 = ((0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.1826
          (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
          (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
          (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176))
-
-
-@lru_cache(maxsize=64)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    if points == 16:  # the only count construction uses
-        x, w = np.array(_GL16).T
-        x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-    else:
-        from numpy.polynomial.legendre import leggauss
-        x, w = leggauss(points)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-GAUSS_CHEBYSHEV = "gauss_chebyshev"
-COMPOSITE_GAUSS_LEGENDRE = "composite_gauss_legendre"
+# the 16-point table on [-1, 1], ascending: _GL16 and its mirror, read-only
+_X16, _W16 = np.array(_GL16).T
+_X16, _W16 = np.concatenate((-_X16[::-1], _X16)), np.concatenate((_W16[::-1], _W16))
+_X16.setflags(write=False)
+_W16.setflags(write=False)
 
 
 def l2_norm(domain=(0.0, 1.0)) -> NormTag:
@@ -80,28 +70,16 @@ def sup_norm(domain=(0.0, 1.0)) -> NormTag:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights over a panel decomposition of an interval.
+    """The composite 16-point Gauss-Legendre rule over a panel decomposition
+    of an interval: edges holds the panel boundaries in ascending order; a
+    single-panel rule has two edges."""
 
-    edges holds the panel boundaries in ascending order; a single-panel
-    rule has two edges. For Gauss-Chebyshev the weight function
-    1/sqrt(1-x^2) is built into the weights and edges are fixed at +-1.
-    """
-
-    kind: str
-    points: int
     edges: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in (GAUSS_CHEBYSHEV, COMPOSITE_GAUSS_LEGENDRE):
-            raise ConfigurationError(f"unknown rule kind {self.kind!r}")
-        # the Gauss-Chebyshev count scales with the requested degree
-        if not (1 <= self.points <= 1_000_000):
-            raise ConfigurationError(f"unreasonable node count {self.points}")
         e = np.asarray(self.edges, dtype=float)
         if e.size < 2 or np.any(np.diff(e) <= 0.0):
             raise ConfigurationError("panel edges must be strictly increasing")
-        if self.kind == GAUSS_CHEBYSHEV and self.edges != (-1.0, 1.0):
-            raise ConfigurationError("gauss_chebyshev lives on [-1, 1]")
 
     @property
     def n_panels(self) -> int:
@@ -117,21 +95,12 @@ class QuadratureRule:
 
     @cached_property
     def _nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == GAUSS_CHEBYSHEV:
-            n = self.points
-            k = np.arange(n, 0, -1)  # ascending nodes
-            x = np.cos((2 * k - 1) * np.pi / (2 * n))
-            w = np.full(n, np.pi / n)
-            x.setflags(write=False)
-            w.setflags(write=False)
-            return x, w
-        ref_x, ref_w = _leggauss(self.points)
         e = np.asarray(self.edges)
         a, b = e[:-1], e[1:]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        x = (half[:, None] * ref_x[None, :] + mid[:, None]).reshape(-1)
-        w = (half[:, None] * ref_w[None, :]).reshape(-1)
+        x = (half[:, None] * _X16[None, :] + mid[:, None]).reshape(-1)
+        w = (half[:, None] * _W16[None, :]).reshape(-1)
         x.setflags(write=False)
         w.setflags(write=False)
         return x, w
@@ -148,12 +117,7 @@ class QuadratureRule:
         a, b = e[:-1, None], e[1:]
         fine = np.arange(1.0, factor + 1.0) * ((b[:, None] - a) / factor) + a
         fine[:, -1] = b
-        return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, self.points,
-                              (float(e[0]), *fine.reshape(-1).tolist()))
-
-
-def gauss_chebyshev_rule(points: int) -> QuadratureRule:
-    return QuadratureRule(GAUSS_CHEBYSHEV, points, (-1.0, 1.0))
+        return QuadratureRule((float(e[0]), *fine.reshape(-1).tolist()))
 
 
 def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureRule:
@@ -171,7 +135,7 @@ def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureR
         if v - keep[-1] > tol:
             keep.append(v)
     keep[-1] = hi
-    return QuadratureRule(COMPOSITE_GAUSS_LEGENDRE, 16, tuple(keep))
+    return QuadratureRule(tuple(keep))
 
 
 # ----------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from certapprox import basis, records
+from certapprox import approximate, basis, records, target
 
 
 @pytest.fixture
@@ -25,6 +25,21 @@ def work(monkeypatch):
             if getattr(module, name, None) is inner:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def chebyshev_nodes(monkeypatch):
+    """chebyshev_nodes(degree): the nodes and weights that
+    approximate.chebyshev_coefficients hands _term_sums at that degree,
+    with no term summed."""
+    seen = []
+    monkeypatch.setattr(approximate, "_term_sums",
+                        lambda f, family, js, x, w: seen.append((x, w)) or iter(()))
+
+    def nodes(degree):
+        approximate.chebyshev_coefficients(target.from_builtin("exp"), degree)
+        return seen.pop()
+    return nodes
 
 
 @pytest.fixture

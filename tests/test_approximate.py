@@ -596,6 +596,34 @@ def test_chebyshev_coefficients_match_bessel_oracle():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("degree", [0, 6, 20, 100])
+def test_chebyshev_coefficients_use_the_gauss_chebyshev_nodes(degree, chebyshev_nodes):
+    # n = 2(degree + 1) ascending nodes cos((2k - 1) pi / (2n)), k = n..1,
+    # each weighted pi / n, bit for bit
+    x, w = chebyshev_nodes(degree)
+    n = 2 * (degree + 1)
+    k = np.arange(n, 0, -1)
+    assert x.tobytes() == np.cos((2 * k - 1) * np.pi / (2 * n)).tobytes()
+    assert w.tobytes() == np.full(n, np.pi / n).tobytes()
+    assert np.all(np.diff(x) > 0.0)
+
+
+def test_chebyshev_coefficients_of_t_k_are_the_unit_vectors():
+    # exact on the 42 nodes up to rounding: T_j = cos(j arccos x) carries an
+    # absolute error that grows with j, 3.2e-15 at worst here, not 1e-15
+    fam = chebyshev_family()
+    for k in range(21):
+        got = chebyshev_coefficients(fam.element(k), 20)
+        assert np.max(np.abs(got - np.eye(21)[k])) <= 1e-14, k
+
+
+@pytest.mark.parametrize("degree", [-1, 500_000])
+def test_chebyshev_node_count_bounds(degree, chebyshev_nodes):
+    # 2(degree + 1) nodes must lie in 1..1,000,000
+    with pytest.raises(ConfigurationError, match=f"unreasonable node count {2 * degree + 2}$"):
+        chebyshev_nodes(degree)
+
+
 def test_chebyshev_pipeline_exp_degree_four():
     f = target.from_builtin("exp")
     cert = approximate_chebyshev(f, 4, ExtractionSettings(5e-3))

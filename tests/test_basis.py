@@ -233,6 +233,22 @@ def test_bspline_nonnegative_on_grid():
 # structure reporting
 # ----------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family,last,over", [
+    (chebyshev_family(), 8 * (basis.MAX_PANELS - 1), 8 * basis.MAX_PANELS),
+    (monomial_family(), 16 * (basis.MAX_PANELS - 1), 16 * basis.MAX_PANELS),
+    (fourier_sine_family(), basis.MAX_PANELS, basis.MAX_PANELS + 1),
+    (tent_family(), 16, 17),
+], ids=["chebyshev", "monomial", "fourier_sine", "tent"])
+def test_panel_edges_stop_at_the_panel_budget(family, last, over):
+    # `last` is the highest index whose grid has at most MAX_PANELS panels
+    edges = family.element(last).panel_edges()
+    assert edges.tobytes() == np.linspace(*family.domain, basis.MAX_PANELS + 1).tobytes()
+    for index in (over, 10 ** 30):  # the count comes from the index, not a grid
+        with pytest.raises(ConfigurationError, match=f"{family.kind} element {index} needs"
+                           f" a rule of more than {basis.MAX_PANELS} panels"):
+            family.element(index).panel_edges()
+
+
 def test_panel_edges_counts():
     assert len(fourier_sine_family().element(7).panel_edges()) == 8
     assert len(tent_family().element(3).panel_edges()) == 17

@@ -323,7 +323,7 @@ def scanned(f, g, norm):
         return quadrature.sup_distance(f, g, norm.domain)
     rule = quadrature.construction_rule(f, [g], norm.domain).refined(4)
     return (quadrature.norm_of_difference(f, g, norm, rule),
-            f"composite_gl{rule.points}x{rule.n_panels}")
+            f"composite_gl16x{rule.n_panels}")
 
 
 @given(case=term_series(), kind=st.sampled_from(NORM_KINDS))

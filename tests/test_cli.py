@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -970,6 +971,43 @@ def test_an_unconvertible_tent_depth_is_a_usage_error(spline_cert, tmp_path):
     assert "5000 digits" in _usage_error(["verify", str(bad)], tmp_path)
 
 
+# the CLI in a process whose address space is capped at 1 GiB, so a rule
+# that outgrows the panel budget cannot take the machine's memory instead
+_CAPPED = ("import resource, sys\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+           "from certapprox.cli import main\nsys.exit(main(sys.argv[1:]))")
+
+
+def _capped_cli(argv, tmp_path):
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", _CAPPED, *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 20.0
+    assert "Traceback" not in done.stderr
+    return done
+
+
+BUDGET = "tent element {} needs a rule of more than 131072 panels"
+
+
+def test_a_tent_build_past_the_panel_budget_is_a_usage_error(tmp_path):
+    # tent element j's rule has 2^(j+1) panels: element 17 is the first refused
+    done = _capped_cli(["approximate", "--target", "builtin:sinpi", "--basis", "tent",
+                        "--max-terms", "24", "--eps", "1e-3"], tmp_path)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == f"error: {BUDGET.format(17)}\n"
+
+
+def test_a_deep_tent_target_past_the_panel_budget_fails(spline_cert, tmp_path):
+    bad = _resealed(spline_cert, _set("target", "series:tent:n=20"),
+                    tmp_path / ("deep" + FILE_SUFFIX))
+    done = _capped_cli(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert f"note: error cannot be measured: {BUDGET.format(20)}\n" in done.stdout
+    assert done.stdout.endswith("verdict: FAIL\n")
+
+
 @pytest.mark.parametrize("mutate", [
     _set("tolerance", 10 ** 400),
     _set("reported_error", 10 ** 400),
@@ -1067,7 +1105,7 @@ def test_every_package_name_resolves_on_first_use(tmp_path):
     out = _python("import sys, certapprox\n"
                   "print('numpy' in sys.modules, [n for n in certapprox._HOME"
                   " if getattr(certapprox, n, None) is None], len(certapprox._HOME))", tmp_path)
-    assert out == "False [] 82\n"
+    assert out == "False [] 81\n"
 
 
 # the CLI's main in a process that reports, on stderr, whether numpy and
