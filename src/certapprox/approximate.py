@@ -399,9 +399,9 @@ def approximate_greedy(f, elements, norm: NormTag,
     largest normalized residual correlation.
 
     Ties within 1e-14 go to the lowest element index; the same element may
-    be picked again. Selection order is preserved in the certificate. The
-    residual norm is re-measured directly every step; three consecutive
-    reductions below 1e-15 raise the stall error.
+    be picked again. The certificate seals basis.merged(picks), the series
+    every step measures. The residual norm is re-measured directly every
+    step; three consecutive reductions below 1e-15 raise the stall error.
     """
     elements = tuple(elements)
     fam = _common_family(elements)
@@ -423,8 +423,9 @@ def approximate_greedy(f, elements, norm: NormTag,
         c = float(rho[pick] / G[pick, pick])
         picks.append((elements[pick].index, c))
         rho = rho - c * G[pick, :]
-        g = target_mod.series(fam, picks)
-        chosen = {j for j, _ in picks}
+        terms = basis.merged(picks)
+        g = target_mod.series(fam, terms)
+        chosen = {j for j, _ in terms}
         sel = [e for e in elements if e.index in chosen]
         err_rule = quadrature.construction_rule(f, sel + [g], norm.domain)
         new_err = quadrature.norm_of_difference(f, g, norm, err_rule)
@@ -439,5 +440,5 @@ def approximate_greedy(f, elements, norm: NormTag,
     else:
         raise ToleranceViolated(err, settings.epsilon,
                                 f"after {settings.max_terms} picks")
-    return assemble(f.descriptor, fam, picks, norm, settings.epsilon, err,
+    return assemble(f.descriptor, fam, terms, norm, settings.epsilon, err,
                     Construction("greedy", f"matching pursuit, {len(picks)} picks"))

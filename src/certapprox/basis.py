@@ -10,14 +10,15 @@ and reports a support interval that is sound: the element vanishes
 identically outside it. Every B-spline value and slope is read by one
 SpanTable: per node, its knot span s and the four B-splines non-zero
 there, N_{s-3..s,3}, from one pass up the Cox-de Boor triangle
-(span_table); its sum adds a series' terms in term order, its gather
-reads single elements, and a series' values and slopes at one node set
-read one table (SplineSum). A sine series is summed by Reinsch's
-recurrence (_sine_sum). Every other value and slope, of one element or
-of a series, is a row of one term table (term_table): terms by nodes,
-each kind's formula written once. series_sum picks a series' evaluator; series_edges,
-series_kinks and edge_pieces give where a rule must break. A family
-itself, BasisFamily, is a sealed record (records).
+(span_table); its sum adds each node's four columns, its gather reads
+single elements, and a series' values and slopes at one node set read
+one table (SplineSum). A sine series is summed by Reinsch's recurrence
+(_sine_sum). Every other value and slope, of one element or of a series,
+is a row of one term table (term_table): terms by nodes, each kind's
+formula written once. series_sum picks a series' evaluator, which in
+every family sums merged(terms), the one meaning of a term list, in
+index order; series_edges, series_kinks and edge_pieces give where a
+rule must break. A family itself, BasisFamily, is a sealed record.
 
 Index conventions: chebyshev, monomial and tent start at 0 (T_0, x^0 and
 phi_1 are all needed downstream), fourier_sine starts at 1, cubic_bspline
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .records import (CHEBYSHEV, CUBIC_BSPLINE, FIXED_DOMAINS, FOURIER_SINE, KINDS,
-                      MONOMIAL, TENT, BasisFamily)
+                      MAX_PANELS, MAX_TENT_LEVEL, MONOMIAL, TENT, BasisFamily, over_budget)
 
 
 # ----------------------------------------------------------------------------
@@ -64,6 +65,9 @@ def cubic_bspline_family(m: int, domain: tuple[float, float] = (0.0, 1.0)) -> Ba
 @lru_cache(maxsize=256)
 def _clamped_knots(lo: float, hi: float, m: int) -> np.ndarray:
     # m functions, m-3 spans, m-4 interior knots; ends carry multiplicity 4.
+    # A series' rule has a panel per span, so the spans share the panel budget.
+    if m - 3 > MAX_PANELS:
+        raise over_budget(f"{CUBIC_BSPLINE} family of {m} functions")
     interior = np.linspace(lo, hi, m - 2)[1:-1]
     k = np.concatenate([[lo] * 4, interior, [hi] * 4])
     k.setflags(write=False)
@@ -73,12 +77,6 @@ def _clamped_knots(lo: float, hi: float, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # elements
 # ----------------------------------------------------------------------------
-
-# the most panels one element's rule may have: tent level 16's grid, so
-# level 16 is also the deepest tent series whose kinks are read exactly
-MAX_PANELS = 2 ** 17
-MAX_TENT_LEVEL = MAX_PANELS.bit_length() - 2
-
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -132,8 +130,7 @@ class BasisElement:
         panels = {CHEBYSHEV: j // 8 + 1, MONOMIAL: j // 16 + 1, FOURIER_SINE: j,
                   TENT: 2 ** (min(j, MAX_TENT_LEVEL + 1) + 1)}[kind]
         if panels > MAX_PANELS:
-            raise ConfigurationError(
-                f"{kind} element {j} needs a rule of more than {MAX_PANELS} panels")
+            raise over_budget(f"{kind} element {j}")
         return np.linspace(*self.family.domain, panels + 1)
 
 
@@ -291,41 +288,33 @@ def span_table(t: np.ndarray, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
 
 class SpanTable:
     """Elements of a B-spline family at nodes x inside its domain, unchecked:
-    per node its span s and span_table rows (element j in column j + 2 - s),
-    and per chunk of SPAN_CHUNK nodes the elements first..final non-zero
-    somewhere in it. A node's span is the last s with t[s] <= x, so t[s] <
-    t[s+1]; x == hi is closed into the last non-empty span."""
+    per node its span s and span_table rows (element j in column j + 2 - s).
+    A node's span is the last s with t[s] <= x, so t[s] < t[s+1]; x == hi
+    is closed into the last non-empty span."""
 
     def __init__(self, family: BasisFamily, x: np.ndarray):
         t = family.knots()
         last = int(np.searchsorted(t, t[-1])) - 1
+        self.m = family.m
         self.s = np.minimum(np.searchsorted(t, x, side="right") - 1, last)
         self.rows = (np.empty((x.size, 4)), np.empty((x.size, 4)))
-        self.chunks = []
         for c in range(0, x.size, SPAN_CHUNK):
-            at, s = slice(c, c + SPAN_CHUNK), self.s[c:c + SPAN_CHUNK]
-            self.rows[0][at], self.rows[1][at] = span_table(t, x[at], s)
-            # element j (N_{j-1,3}) is non-zero in the spans j - 1..j + 2
-            self.chunks.append((int(s.min()) - 2, int(s.max()) + 1))
+            at = slice(c, c + SPAN_CHUNK)
+            self.rows[0][at], self.rows[1][at] = span_table(t, x[at], self.s[at])
 
     def sum(self, terms, deriv: bool) -> np.ndarray:
-        """sum a N_{j-1,3}, or of the slopes, over the (j, a) terms at each node.
-
-        The terms are added in term order, a repeated index again, each on
-        the nodes of spans j - 1..j + 2: its closed support but for x =
-        t_{j+3}, where it adds +0.0. Leaving out a +0.0 changes nothing,
-        because the sum starts at +0.0 and a sum never turns it into -0.0.
-        A chunk reads only the terms non-zero in it.
+        """sum a N_{j-1,3}, or of the slopes, over merged(terms) at each node:
+        +0.0 + coef[s-2+r] N_{s-3+r,3} for r = 0..3 in turn at a node in span
+        s, with coef the dense coefficient vector. That is bit for bit the
+        loop that adds each merged term on its own spans alone: an absent
+        element adds +-0.0, and a sum that starts at +0.0 never becomes -0.0.
         """
+        coef = np.zeros(self.m + 1)
+        for j, a in merged(terms):
+            coef[j] = a
         v = np.zeros(self.s.size)
-        for c, (first, final) in zip(range(0, v.size, SPAN_CHUNK), self.chunks):
-            at = slice(c, c + SPAN_CHUNK)
-            s, out, table = self.s[at], v[at], self.rows[deriv][at]
-            for j, a in terms:
-                if first <= j <= final:
-                    r = j + 2 - s
-                    hit = ((r >= 0) & (r <= 3)).nonzero()[0]
-                    out[hit] += a * table[hit, r[hit]]
+        for r in range(4):
+            v += coef[self.s + (r - 2)] * self.rows[deriv][:, r]
         return v
 
     def gather(self, index, nodes: np.ndarray, deriv: bool) -> np.ndarray:
@@ -338,7 +327,7 @@ class SpanTable:
 
 class SplineSum:
     """The (x, deriv=False) evaluator of sum a N_{j-1,3}(x), or of the
-    slopes, over the (j, a) terms, at x of any shape inside the domain,
+    slopes, over merged(terms), at x of any shape inside the domain,
     unchecked: a SpanTable over the nodes from the first support's start to
     the last one's end, +0.0 elsewhere, kept until nodes that differ in
     content come, so values and slopes at one node set read one table."""
@@ -364,16 +353,26 @@ class SplineSum:
 # series: each family's one evaluator, and where a series' structure lies
 # ----------------------------------------------------------------------------
 
+def merged(terms) -> tuple[tuple[int, float], ...]:
+    """The one meaning of a term list: its indices in ascending order, each
+    with the sum of its coefficients in term order, from +0.0."""
+    coeffs: dict[int, float] = {}
+    for j, a in terms:
+        coeffs[j] = coeffs.get(j, 0.0) + a
+    return tuple(sorted(coeffs.items()))
+
+
 def series_sum(family: BasisFamily, terms):
     """The (x, deriv=False) evaluator of sum a e_j, or of the slopes, over
-    the (j, a) terms, at x of any shape inside the domain, unchecked: a
-    sine series by Reinsch's recurrence (_sine_sum), a B-spline series by
-    one span table per node set (SplineSum), every other family by one term
+    merged(terms), at x of any shape inside the domain, unchecked: a sine
+    series by Reinsch's recurrence (_sine_sum), a B-spline series by one
+    span table per node set (SplineSum), every other family by one term
     table per chunk of nodes (_table_sum)."""
     if family.kind == FOURIER_SINE:
         return partial(_sine_sum, _sine_runs(terms))
     if family.kind == CUBIC_BSPLINE:
         return SplineSum(family, terms)
+    terms = merged(terms)
     return partial(_table_sum, family, tuple(j for j, _ in terms),
                    np.asarray([a for _, a in terms]).reshape(-1, 1))
 
@@ -418,21 +417,18 @@ SINE_CHUNK = 8192
 
 def _sine_runs(terms) -> list[tuple[int, np.ndarray]]:
     """The sine coefficients as runs (j0, c), c[k] that of index j0 + k,
-    for _sine_sum: repeated indices summed in term order, the sorted indices
-    split where two neighbours lie more than SINE_RUN_GAP apart, the indices
-    a run skips at zero, and the first run from index 0 when it can, so a
-    series of low indices needs no shift."""
-    coeffs: dict[int, float] = {}
-    for j, a in terms:
-        coeffs[j] = coeffs.get(j, 0.0) + a
+    for _sine_sum: merged(terms) split where two neighbouring indices lie
+    more than SINE_RUN_GAP apart, the indices a run skips at zero, and the
+    first run from index 0 when it can, so a series of low indices needs
+    no shift."""
     runs: list[tuple[int, list[float]]] = [(0, [])]
     prev = 0
-    for j in sorted(coeffs):
+    for j, a in merged(terms):
         if j - prev > SINE_RUN_GAP:
             runs.append((j, []))
         j0, cs = runs[-1]
         cs.extend([0.0] * (j - j0 - len(cs)))
-        cs.append(coeffs[j])
+        cs.append(a)
         prev = j
     return [(j0, np.asarray(cs)) for j0, cs in runs if cs]
 
@@ -514,9 +510,9 @@ def _table_sum(family: BasisFamily, js: tuple[int, ...], coeffs: np.ndarray,
                x: np.ndarray, deriv: bool = False) -> np.ndarray:
     """sum_k coeffs[k] e_{js[k]}(x), or of the slopes, from one
     term_table per chunk of nodes of about TABLE_ENTRIES
-    entries; coeffs is a column. Each node gets ((+0.0 + a_0 e_0) + a_1 e_1)
-    + ... in term order, bit for bit the term-by-term sum: add.accumulate
-    adds each scaled row to the running sum of the rows before it."""
+    entries; js and the column coeffs are merged terms. Each node gets
+    ((+0.0 + a_0 e_0) + a_1 e_1) + ..., bit for bit the term-by-term sum:
+    add.accumulate adds each scaled row to the running sum of those before."""
     v = np.zeros(x.shape)
     if not js:
         return v

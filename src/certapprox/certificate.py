@@ -24,13 +24,12 @@ import math
 
 from .errors import ConfigurationError, ToleranceViolated
 from .records import (FILE_SUFFIX, SUP, ApproximationCertificate, BasisFamily,
-                      Construction, NormTag, Series, canonical_dumps, certificate_from_dict,
-                      compute_digest, deserialize, from_dict, seal, serialize, to_dict)
+                      Construction, NormTag, Series, Unbuilt, canonical_dumps,
+                      certificate_from_dict, compute_digest, deserialize, from_dict, seal,
+                      serialize, to_dict)
 
 RELATIVE_SLACK = 1e-6
 ABSOLUTE_SLACK = 1e-12
-
-GREEDY = "greedy"
 
 
 def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
@@ -63,15 +62,15 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
 
 def claim_findings(cert: ApproximationCertificate) -> list[str]:
     """Shape faults of a claim: a report not below tolerance, indices
-    invalid or not increasing (greedy excepted), a norm domain outside the
-    basis domain. The class itself refuses an empty term list."""
+    invalid or not strictly increasing (every route seals a merged term
+    list, basis.merged), a norm domain outside the basis domain. The class
+    itself refuses an empty term list; no check reads the construction."""
     findings = []
     if not cert.reported_error < cert.tolerance:
         findings.append("reported error does not beat the tolerance")
-    if cert.construction.method != GREEDY:
-        idx = [j for j, _ in cert.terms]
-        if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
-            findings.append("term indices not strictly increasing")
+    idx = [j for j, _ in cert.terms]
+    if any(b <= a for a, b in zip(idx[:-1], idx[1:])):
+        findings.append("term indices not strictly increasing")
     try:
         for j, _ in cert.terms:
             cert.basis.check_index(j)
@@ -114,7 +113,8 @@ def bound_is_honored(recomputed: float, reported: float, tolerance: float) -> bo
 
 def measure(f, g, norm: NormTag) -> tuple[float, str]:
     """Verification-grade ||f - g||, and its method; f and g are functions,
-    or records.Series, which become functions only to be measured.
+    or records.Series, which become functions only to be measured, or a
+    records.Unbuilt, whose measurement raises its error.
 
     Two term series over one family whose terms are equal, in the same
     order, are "same_series" at 0.0 in every norm, decided here alone, from
@@ -128,7 +128,7 @@ def measure(f, g, norm: NormTag) -> tuple[float, str]:
     the scan's inf."""
     if f.terms is not None and f.terms == g.terms and f.family == g.family:
         return 0.0, "same_series"
-    f, g = (h.approximant() if isinstance(h, Series) else h for h in (f, g))
+    f, g = (h.approximant() if isinstance(h, (Series, Unbuilt)) else h for h in (f, g))
     import numpy as np
 
     from . import quadrature

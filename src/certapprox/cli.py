@@ -187,11 +187,18 @@ def _verify_against_target(verify, cert, domain, args, store):
     --target data:PATH; the hash is then cross-checked by descriptor
     equality. A data: path named inside a document is never opened. A tent
     member is checked against records.tent_law, so an honest one loads no
-    numpy. Returns None after reporting a target mismatch.
+    numpy. The law is built only when it has no more terms than the claim
+    or is at most MAX_TENT_LEVEL deep; a deeper one, which no rule within
+    the panel budget measures, FAILs the claim unbuilt.
+    Returns None after reporting a target mismatch.
     """
     descriptor, spec = cert.target_descriptor, args.target
     if spec is None and (depth := records.tent_depth(descriptor, "series:tent:n=")) is not None:
-        got, f = records.tent_law(depth)
+        if depth < len(getattr(cert, "terms", ())) or depth <= records.MAX_TENT_LEVEL:
+            got, f = records.tent_law(depth)
+        else:
+            got, f = descriptor, records.Unbuilt(
+                records.over_budget(f"{records.TENT} element {depth}"))
     elif spec is None and descriptor.startswith(("data:", "samples:")):
         raise ConfigurationError(
             "this certificate names sampled data; pass --target data:PATH")
@@ -314,11 +321,8 @@ def cmd_glue(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    if args.sequence != records.SEQUENCE_TENT:
-        raise ConfigurationError(f"unknown sequence {args.sequence!r}")
     limit = arithmetic("limit")
-    seq = limit.tent_sequence()
-    return _write_certificate(limit.transfer(seq, args.eps), args.out)
+    return _write_certificate(limit.transfer(limit.tent_sequence(), args.eps), args.out)
 
 
 # ----------------------------------------------------------------------------
@@ -368,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out", default="glued" + FILE_SUFFIX)
     pg.set_defaults(func=cmd_glue)
 
-    pl = sub.add_parser("limit", help="transfer a certificate sequence to its limit")
-    pl.add_argument("--sequence", default=records.SEQUENCE_TENT)
+    pl = sub.add_parser("limit", help="transfer the tent sequence to its limit")
     pl.add_argument("--eps", type=float, required=True)
     pl.add_argument("--out", default="limit" + FILE_SUFFIX)
     pl.set_defaults(func=cmd_limit)

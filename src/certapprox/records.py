@@ -45,6 +45,11 @@ FIXED_DOMAINS = {CHEBYSHEV: (-1.0, 1.0), FOURIER_SINE: (0.0, 1.0), TENT: (0.0, 1
 SEQUENCE_TENT = "tent"
 DEFAULT_OVERLAP_FRACTION = 0.2
 
+# the most panels one element's rule may have: tent level 16's grid, so
+# level 16 is also the deepest tent series whose kinks are read exactly
+MAX_PANELS = 2 ** 17
+MAX_TENT_LEVEL = MAX_PANELS.bit_length() - 2
+
 # what json.dumps(text, ensure_ascii=False) returns for a str
 _quoted = json.encoder.encode_basestring
 
@@ -457,6 +462,24 @@ def tent_law(n: int) -> tuple[str, Series]:
                                         tuple((k, 2.0 ** -k) for k in range(n + 1)))
 
 
+def over_budget(what: str) -> ConfigurationError:
+    """The error of `what` (an element, or a family) whose rule would need
+    more than MAX_PANELS panels."""
+    return ConfigurationError(f"{what} needs a rule of more than {MAX_PANELS} panels")
+
+
+@dataclass(frozen=True)
+class Unbuilt:
+    """A target the verifier refuses to build, and why: measuring a claim
+    against it raises that error, so the claim FAILs with it as a note."""
+
+    error: ConfigurationError
+    terms = None
+
+    def approximant(self):
+        raise self.error
+
+
 def tent_depth(text: str, head: str, tail: str = "") -> int | None:
     """N when text is head, N's decimal digits, tail; else None. It reads the
     builtin "tent_series(N)" and the descriptor "series:tent:n=N"; a depth
@@ -473,8 +496,8 @@ def tent_depth(text: str, head: str, tail: str = "") -> int | None:
 
 @dataclass(frozen=True)
 class Construction:
-    """How a certificate was built: the route, which claim_findings reads,
-    and why it stopped."""
+    """How a certificate was built: the route and why it stopped, which
+    no check reads."""
 
     method: str
     stopping: str

@@ -684,6 +684,18 @@ def test_greedy_reaches_a_loose_tolerance():
     assert verify(cert, f).verdict
 
 
+def test_greedy_seals_its_picks_merged():
+    # 104 picks over the 10 interior B-splines, most of them repeats, seal
+    # one term per index in ascending order, the series every step measured
+    fam = cubic_bspline_family(12)
+    f = target.from_builtin("sinpi")
+    cert = approximate_greedy(f, fam.interior_elements(), quadrature.l2_norm(),
+                              ExtractionSettings(1e-2))
+    assert [j for j, _ in cert.terms] == list(range(2, 12))
+    assert cert.construction.stopping == "matching pursuit, 104 picks"
+    assert verify(cert, f).verdict
+
+
 # ----------------------------------------------------------------------------
 # settings
 # ----------------------------------------------------------------------------

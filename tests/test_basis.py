@@ -249,6 +249,16 @@ def test_panel_edges_stop_at_the_panel_budget(family, last, over):
             family.element(index).panel_edges()
 
 
+def test_a_bspline_family_stops_at_the_panel_budget():
+    # m functions have m - 3 spans, and a series' rule a panel per span
+    widest = cubic_bspline_family(basis.MAX_PANELS + 3)
+    assert basis.distinct(widest.knots()).size == basis.MAX_PANELS + 1
+    for m in (basis.MAX_PANELS + 4, 10 ** 30):
+        with pytest.raises(ConfigurationError, match=f"cubic_bspline family of {m} functions"
+                           f" needs a rule of more than {basis.MAX_PANELS} panels"):
+            cubic_bspline_family(m).knots()
+
+
 def test_panel_edges_counts():
     assert len(fourier_sine_family().element(7).panel_edges()) == 8
     assert len(tent_family().element(3).panel_edges()) == 17
@@ -376,9 +386,19 @@ def test_bspline_triangle_matches_the_recursion_bit_for_bit(m, lo, width, us):
         assert _same_bits(e.deriv(xs), _recursive_deriv(t, i, xs))
 
 
+def test_merged_sorts_the_indices_and_sums_each_in_term_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+    assert basis.merged([(3, 0.1), (1, -0.0), (3, 0.2), (3, 0.3)]) == \
+        ((1, 0.0), (3, 0.1 + 0.2 + 0.3))
+    assert basis.merged([(3, 0.3), (3, 0.2), (3, 0.1)]) == ((3, 0.3 + 0.2 + 0.1),)
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    assert basis.merged([]) == ()
+
+
 def _per_term_sum(t, terms, xs, deriv):
     """The per-term loop over the recursion: +0.0, then each term in term
-    order at every node. The oracle SpanTable's sums are held to."""
+    order at every node. Over merged terms, the oracle SpanTable's sums
+    are held to."""
     v = np.zeros_like(xs)
     for j, a in terms:
         v = v + a * (_recursive_deriv(t, j - 1, xs) if deriv
@@ -398,9 +418,9 @@ def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks
                                                              shuffled, seed):
     # a partial series, its indices unsorted and repeated as greedy picks
     # them, at every knot, both ends and random nodes over up to three
-    # chunks, ascending (so a chunk skips the terms out of its reach) or
-    # shuffled; summed over the nodes its terms reach and over a table of
-    # every node, and each element gathered at a range of nodes and at
+    # chunks, ascending or shuffled; summed over the nodes its terms reach
+    # and over a table of every node, each bit for bit the loop over its
+    # merged terms, and each element gathered at a range of nodes and at
     # random node positions
     hi = lo + width
     fam = cubic_bspline_family(m, (lo, hi))
@@ -417,7 +437,7 @@ def test_span_table_sums_match_the_per_term_loop_bit_for_bit(m, lo, width, picks
     anywhere = rng.integers(0, xs.size, (2, 5))
     table, total = basis.SpanTable(fam, xs), basis.series_sum(fam, terms)
     for deriv in (False, True):
-        want = _per_term_sum(t, terms, xs, deriv)
+        want = _per_term_sum(t, basis.merged(terms), xs, deriv)
         assert _same_bits(total(xs, deriv), want)
         assert _same_bits(table.sum(terms, deriv), want)
         for j, _ in terms[:3]:

@@ -134,11 +134,13 @@ def test_assemble_rejects_unsorted_indices():
                  Construction("raw_probe", "s"))
 
 
-def test_greedy_method_may_repeat_and_reorder_indices():
+def test_a_greedy_claim_with_repeated_or_reordered_indices_is_refused():
+    # the route is not read: greedy seals merged picks like any other claim
     fam = fourier_sine_family()
-    cert = assemble("t", fam, [(3, 0.1), (1, 0.2), (3, 0.05)],
-                    quadrature.l2_norm(), 0.1, 0.0, Construction("greedy", "s"))
-    assert [j for j, _ in cert.terms] == [3, 1, 3]
+    for terms in ([(1, 0.2), (3, 0.1), (3, 0.05)], [(3, 0.1), (1, 0.2)]):
+        with pytest.raises(ConfigurationError, match="term indices not strictly increasing"):
+            assemble("t", fam, terms, quadrature.l2_norm(), 0.1, 0.0,
+                     Construction("greedy", "s"))
 
 
 def test_assemble_validates_indices_against_family():

@@ -1008,6 +1008,28 @@ def test_a_deep_tent_target_past_the_panel_budget_fails(spline_cert, tmp_path):
     assert done.stdout.endswith("verdict: FAIL\n")
 
 
+@pytest.mark.parametrize("fixture,where", [("spline_cert", ""), ("glued_cert", "local 0: ")])
+def test_a_tent_target_too_large_to_build_fails_unbuilt(fixture, where, request, tmp_path):
+    # a law of 10^8 + 1 terms, more than any claim here holds and deeper than
+    # the panel budget measures, is never built
+    bad = _resealed(request.getfixturevalue(fixture),
+                    _set("target", "series:tent:n=100000000"), tmp_path / ("deep" + FILE_SUFFIX))
+    done = _capped_cli(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert f"note: {where}error cannot be measured: {BUDGET.format(100000000)}\n" in done.stdout
+    assert done.stdout.endswith("verdict: FAIL\n")
+
+
+def test_a_bspline_family_past_the_panel_budget_fails(spline_cert, tmp_path):
+    # 10^6 functions have 999,997 spans, one panel each in the series' rule
+    bad = _resealed(spline_cert, _set("basis", "m", 10 ** 6), tmp_path / ("wide" + FILE_SUFFIX))
+    done = _capped_cli(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert ("note: error cannot be measured: cubic_bspline family of 1000000 functions"
+            " needs a rule of more than 131072 panels\n") in done.stdout
+    assert done.stdout.endswith("verdict: FAIL\n")
+
+
 @pytest.mark.parametrize("mutate", [
     _set("tolerance", 10 ** 400),
     _set("reported_error", 10 ** 400),
@@ -1462,8 +1484,8 @@ def _verify_mutant(doc, path, out, deep=False):
         return cli.main(["verify", str(out)])
 
 
-# ROADMAP item 11's leaves, which verification does not read yet: the route
-# of a non-greedy claim, the stopping text and an adjusted pair's mismatch
+# ROADMAP item 11's leaves, which verification does not read yet: the route,
+# the stopping text and an adjusted pair's mismatch
 UNCHECKED_LEAVES = {
     "spline-method": ("spline_cert", ("construction", "method")),
     "spline-stopping": ("spline_cert", ("construction", "stopping")),
@@ -1490,7 +1512,7 @@ def test_unchecked_leaves_mutated_and_resealed_fail(fixture, path, request, tmp_
 
 
 # the reconciled glue's leaves that still pass a deep reseal, and why
-_UNREAD = "verification does not read a non-greedy route or a stopping text (ROADMAP item 11)"
+_UNREAD = "verification reads no route and no stopping text (ROADMAP item 11)"
 _TINY = ("the end element's coefficient is about -3e-11, so halving it moves the local's"
          " error by less than the verdict's slack: the claim stays true")
 _BUDGET = ("a halved budget of an unadjusted local still holds its error and half the"

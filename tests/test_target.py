@@ -313,7 +313,8 @@ def test_series_panel_edges_use_finest_term():
 
 def test_bspline_series_on_supports_matches_full_evaluation():
     # each term runs only on its closed support; the sum must not move a bit
-    # in term order, shuffled or with an index picked again, as greedy does
+    # from the loop over the merged terms, in term order, shuffled or with
+    # an index picked again, as greedy does
     rng = np.random.default_rng(3)
     fam = cubic_bspline_family(30, (-0.5, 2.0))
     ordered = [(j, float(rng.normal())) for j in range(1, 31)]
@@ -327,7 +328,7 @@ def test_bspline_series_on_supports_matches_full_evaluation():
             for restricted, full in ((s.evaluate, "evaluate"),
                                      (s.evaluate_deriv, "evaluate_deriv")):
                 want = np.zeros_like(xs)
-                for j, a in terms:
+                for j, a in basis.merged(terms):
                     want = want + a * getattr(fam.element(j), full)(xs)
                 assert restricted(xs).tobytes() == want.tobytes()
     assert target.series(fam, ordered).evaluate(2.0) == ordered[-1][1]
@@ -514,12 +515,13 @@ def test_term_table_rows_and_series_match_the_per_term_loop_bit_for_bit(case):
             assert np.float64(one).tobytes() == row[0].tobytes()
         if fam.kind == basis.FOURIER_SINE:
             continue  # a sine series sums by Reinsch's recurrence instead
-        got = fn(x)
-        assert got.tobytes() == _loop_sum(fam, terms, x, deriv).tobytes(), deriv
+        got = fn(x)  # the series of the merged terms, in index order
+        assert got.tobytes() == _loop_sum(fam, basis.merged(terms), x, deriv).tobytes(), deriv
         assert np.asarray(fn(x[::-1].copy())[::-1]).tobytes() == got.tobytes()
         assert np.float64(fn(float(x[-1]))).tobytes() == got[-1].tobytes()
         square = x[:x.size - x.size % 2].reshape(2, -1)
-        assert fn(square).tobytes() == _loop_sum(fam, terms, square, deriv).tobytes()
+        assert fn(square).tobytes() == _loop_sum(fam, basis.merged(terms), square,
+                                                 deriv).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_TABLE_FAMILIES))
