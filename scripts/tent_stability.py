@@ -14,8 +14,9 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
+from certapprox.certificate import verify_limit
 from certapprox.errors import EvidenceContradictionError
-from certapprox.limit import (Modulus, tent_sequence, transfer, verify_limit)
+from certapprox.limit import Modulus, tent_sequence, transfer
 
 
 def main() -> int:

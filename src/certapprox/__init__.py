@@ -18,17 +18,18 @@ _EXPORTS = {
                    " approximate_orthonormal approximate_raw_probe",
     "basis": "BasisElement chebyshev_family cubic_bspline_family fourier_sine_family"
              " monomial_family tent_family",
-    "certificate": "VerificationReport assemble claim_findings measure verify",
+    "certificate": "VerificationReport assemble check_overlap claim_findings exact_ceil_log2"
+                   " exact_pair_sup measure verify verify_glued verify_limit",
     "cli": "",
     "errors": "CertApproxError CertificateParseError ConfigurationError DomainError"
               " EvaluationError EvidenceContradictionError ExpressionSyntaxError"
               " IllConditionedBasisError IncompleteSequenceError NoProgressError"
               " ReconciliationFailureError SampleFormatError ToleranceViolated"
               " TopologyError UnsupportedNormError",
-    "glue": "build_pou check_overlap extract_local local_bspline_family make_cover ramp"
-            " reconcile verify_glued glue_certificates",
-    "limit": "CertifiedSequence Modulus dyadic_modulus exact_ceil_log2 exact_pair_sup"
-             " tent_certificate tent_sequence transfer verify_limit",
+    "glue": "build_pou extract_local local_bspline_family make_cover ramp reconcile"
+            " glue_certificates",
+    "limit": "CertifiedSequence Modulus dyadic_modulus tent_certificate tent_sequence"
+             " transfer",
     "quadrature": "QuadratureRule construction_rule inner_product integrate l2_norm"
                   " norm_of_difference sup_distance sup_norm w12_norm",
     "records": "ApproximationCertificate BasisFamily Construction Cover GluedCertificate"

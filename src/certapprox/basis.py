@@ -298,9 +298,11 @@ class SpanTable:
         self.m = family.m
         self.s = np.minimum(np.searchsorted(t, x, side="right") - 1, last)
         self.rows = (np.empty((x.size, 4)), np.empty((x.size, 4)))
-        for c in range(0, x.size, SPAN_CHUNK):
-            at = slice(c, c + SPAN_CHUNK)
-            self.rows[0][at], self.rows[1][at] = span_table(t, x[at], self.s[at])
+        # a subnormal span width overflows 1/d; the sums refuse what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(0, x.size, SPAN_CHUNK):
+                at = slice(c, c + SPAN_CHUNK)
+                self.rows[0][at], self.rows[1][at] = span_table(t, x[at], self.s[at])
 
     def sum(self, terms, deriv: bool) -> np.ndarray:
         """sum a N_{j-1,3}, or of the slopes, over merged(terms) at each node:

@@ -11,13 +11,11 @@ to stdout with six significant digits; certificate files carry the full
     4  usage, expression, or file-format errors
 
 Each command loads only what it runs. inspect and every parse failure load
-records alone; limit and the verify of an honest limit or tent member add
-certificate and limit, still without numpy. A spline's verify adds basis,
-quadrature, target and numpy (not numpy.ma or numpy.polynomial); approximate
-adds the builder, approximate, to that; a glued verify adds glue; glue adds
-both. Median process CPU on a 2-core Xeon VM: inspect 0.08 s, limit and its
-verify 0.09 s, a spline's verify 0.15 s, approximate and a glued verify
-0.16 s, glue 0.17 s.
+records alone; the verify of an honest limit or tent member adds the one
+checker, certificate, and limit adds limit too, all without numpy. A
+spline's or a glued verify adds basis, quadrature, target and numpy (not
+numpy.ma or numpy.polynomial); approximate adds approximate to that, and
+glue adds approximate and glue. README's package layout gives their CPU.
 """
 
 from __future__ import annotations
@@ -186,18 +184,21 @@ def _verify_against_target(verify, cert, domain, args, store):
     Sampled targets only store a content hash, so verifying one needs
     --target data:PATH; the hash is then cross-checked by descriptor
     equality. A data: path named inside a document is never opened. A tent
-    member is checked against records.tent_law, so an honest one loads no
-    numpy. The law is built only when it has no more terms than the claim
-    or is at most MAX_TENT_LEVEL deep; a deeper one, which no rule within
-    the panel budget measures, FAILs the claim unbuilt.
+    member ("series:tent:n=N", or "builtin:tent_series(N)" as either) is
+    checked against records.tent_law, so an honest one loads no numpy. The law
+    is built only when it has no more terms than the claim or is at most
+    MAX_TENT_LEVEL deep; a deeper one FAILs the claim unbuilt, or mismatches.
     Returns None after reporting a target mismatch.
     """
     descriptor, spec = cert.target_descriptor, args.target
-    if spec is None and (depth := records.tent_depth(descriptor, "series:tent:n=")) is not None:
+    depth = records.tent_depth(descriptor if spec is None else spec, "builtin:tent_series(", ")")
+    if depth is None and spec is None:
+        depth = records.tent_depth(descriptor, "series:tent:n=")
+    if depth is not None:
         if depth < len(getattr(cert, "terms", ())) or depth <= records.MAX_TENT_LEVEL:
             got, f = records.tent_law(depth)
         else:
-            got, f = descriptor, records.Unbuilt(
+            got, f = f"series:tent:n={depth}", records.Unbuilt(
                 records.over_budget(f"{records.TENT} element {depth}"))
     elif spec is None and descriptor.startswith(("data:", "samples:")):
         raise ConfigurationError(
@@ -261,8 +262,9 @@ _KINDS = {
         arithmetic("certificate").verify, cert, cert.norm.domain, args, store),
         _approximation_summary),
     "glued": (lambda cert, args, store: _verify_against_target(
-        arithmetic("glue").verify_glued, cert, cert.cover.domain, args, store), _glued_summary),
-    "limit": (lambda cert, args, store: arithmetic("limit").verify_limit(cert, store),
+        arithmetic("certificate").verify_glued, cert, cert.cover.domain, args, store),
+        _glued_summary),
+    "limit": (lambda cert, args, store: arithmetic("certificate").verify_limit(cert, store),
               _limit_summary),
 }
 

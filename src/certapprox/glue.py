@@ -11,18 +11,9 @@ complementary piecewise linear ramps across the overlaps, so a ramp pair
 sums to one up to a single rounding; the cover's overlaps fix every ramp,
 so ramp() reads them off the cover. The blend is a target.TargetFunction
 like any other. Reconciliation's least squares use approximate's Gram
-solve, imported when called, so verify_glued never loads the builder.
-
-The glued certificate's reported error is certified from its parts, never
-by measuring the blend: with e_i local i's reported W12 error on its patch
-and mu_i the W12 mismatch of locals i and i+1 on their overlap O_i,
-
-    B = sqrt(sum_i e_i^2) + sqrt(sum_i (mu_i / |O_i|)^2)
-
-bounds the blend's W12 error (Melenk & Babuska 1996, Thm 1, with overlap
-mismatches in place of local errors). It needs psi_i >= 0, sum_i psi_i = 1
-and psi_i' = -psi_{i+1}' = -1/|O_i| on O_i, which hold when the cover and
-the locals meet premise_faults(); glue() and verify_glued() enforce it.
+solve, imported when called. glue() certifies the blend by the checker's
+compositional_bound over its parts, which certificate derives and its
+verify_glued re-checks.
 """
 
 from __future__ import annotations
@@ -31,12 +22,14 @@ import math
 
 import numpy as np
 
-from . import certificate, quadrature, target as target_mod
+from . import quadrature, target as target_mod
 from .basis import BasisFamily, cubic_bspline_family, distinct
-from .certificate import (Construction, VerificationReport, assemble, envelope_findings,
-                          measure, measure_or_note, verdict)
+# verify_glued and glued_from_dict are bound here only because perfbench/worker.py
+# calls them here and perfbench/spans.py wraps them by name
+from .certificate import (Construction, assemble, check_overlap, compositional_bound,
+                          premise_faults, verify_glued)
 from .errors import (ConfigurationError, IllConditionedBasisError,
-                     ReconciliationFailureError, ToleranceViolated, TopologyError)
+                     ReconciliationFailureError, ToleranceViolated)
 from .records import (DEFAULT_OVERLAP_FRACTION, W12, ApproximationCertificate, Cover,
                       GluedCertificate, LocalCertificate, NormTag, ReconciliationRecord,
                       glued_from_dict, seal)
@@ -67,28 +60,6 @@ def make_cover(domain: tuple[float, float], m: int,
     if faults:
         raise ConfigurationError(faults[0])
     return cover
-
-
-def premise_faults(cover: Cover, locals_=(), epsilon: float = math.inf) -> list[str]:
-    """Why the compositional bound would not hold; make_cover checks the
-    cover alone. The patches must span the domain as a chain, lo_i < lo_{i+1}
-    < hi_i < hi_{i+1} and hi_i < lo_{i+2}; local i must sit on patch i, basis
-    and W12 norm on the patch, with a budget of at most epsilon/2."""
-    p = cover.patches
-    faults = []
-    if (p[0][0], p[-1][1]) != cover.domain:
-        faults.append("cover domain does not match its patches")
-    # the chain is lo_0 < lo_1 < hi_0 < lo_2 < hi_1 < ... < hi_{m-1}
-    ends = [p[0][0], *(x for a, b in zip(p[:-1], p[1:]) for x in (b[0], a[1])), p[-1][1]]
-    if not all(a < b for a, b in zip(ends[:-1], ends[1:])):
-        faults.append("patches are not a chain of consecutive overlaps")
-    for i, lc in enumerate(locals_):
-        if not (lc.patch_index == i and lc.patch == p[i] == lc.cert.basis.domain
-                and lc.cert.norm == NormTag(W12, lc.patch)):
-            faults.append(f"local {i} does not match its patch")
-        if lc.cert.tolerance > 0.5 * epsilon * (1.0 + 1e-12):
-            faults.append(f"local {i} budget exceeds half the global tolerance")
-    return faults
 
 
 def build_pou(cover: Cover) -> Cover:
@@ -122,17 +93,6 @@ def extract_local(f, patch_index: int, patch: tuple[float, float],
     norm = NormTag(W12, family.domain)
     cert = approximate_gram(f, family.elements(), norm, settings)
     return LocalCertificate(patch_index, family.domain, cert)
-
-
-def check_overlap(a: LocalCertificate, b: LocalCertificate) -> float:
-    """Sobolev mismatch of two local approximants on their patch intersection,
-    measured at verification grade."""
-    lo, hi = max(a.patch[0], b.patch[0]), min(a.patch[1], b.patch[1])
-    if not lo < hi:
-        raise TopologyError(
-            f"patches {a.patch_index} and {b.patch_index} do not overlap")
-    return measure(a.cert.approximant(), b.cert.approximant(),
-                   NormTag(W12, (lo, hi)))[0]
 
 
 def reconcile(f, a: LocalCertificate, b: LocalCertificate,
@@ -261,15 +221,6 @@ def glued_function(cover: Cover, locals_) -> target_mod.TargetFunction:
                                      lambda x: blend(x, deriv=True), edges)
 
 
-def compositional_bound(cover: Cover, errors, mismatches) -> float:
-    """B = sqrt(sum_i e_i^2) + sqrt(sum_i (mu_i / |O_i|)^2) from the locals'
-    errors e_i and the overlap mismatches mu_i; see the module docstring."""
-    overlaps = map(cover.overlap, range(cover.m - 1))
-    seams = (mu / (e - s) for mu, (s, e) in zip(mismatches, overlaps))
-    return (math.sqrt(math.fsum(e ** 2 for e in errors))
-            + math.sqrt(math.fsum(r ** 2 for r in seams)))
-
-
 def glue(f, locals_: list[LocalCertificate], cover: Cover,
          epsilon: float) -> GluedCertificate:
     """Reconcile pairwise left to right under the gate delta = epsilon/(2M),
@@ -299,70 +250,3 @@ def glue(f, locals_: list[LocalCertificate], cover: Cover,
                             tuple(lc.cert.digest for lc in locals_))
     return seal(cert)
 
-
-# ----------------------------------------------------------------------------
-# verification
-# ----------------------------------------------------------------------------
-
-def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> VerificationReport:
-    """Re-check a glued claim from its parts, never evaluating the blend: the
-    premises, every local and its target, the records and their deltas,
-    each adjusted local against its parent, the genealogy, and each overlap
-    mismatch against its record and the gate tolerance/(2M). The recomputed
-    error is the bound over the locals' errors and recomputed mismatches."""
-    embedded = tuple(lc.cert for lc in cert.locals) + cert.parents
-    notes, store = envelope_findings(cert, store, embedded)
-    cover = cert.cover
-    faults = premise_faults(cover, cert.locals, cert.tolerance)
-    notes += faults
-    for i, lc in enumerate(cert.locals):
-        if lc.cert.target_descriptor != cert.target_descriptor:
-            notes.append(f"local {i}: target is not the glue's")
-        report = certificate.verify(lc.cert, f, store)
-        notes.extend(f"local {i}: {n}" for n in report.notes)
-    chain = [(i, i + 1) for i in range(cover.m - 1)]
-    if [r.pair for r in cert.records] != chain:
-        notes.append("reconciliation records are not the consecutive pairs")
-    for r in cert.records:
-        if not r.adjusted and (r.pre_mismatch != r.post_mismatch or r.deltas):
-            notes.append(f"unadjusted pair {r.pair} records an adjustment")
-    if sum(r.adjusted for r in cert.records) != len(cert.parents):
-        notes.append("adjusted pairs and parents differ in number")
-    # each patch's local as extracted: its parent where its pair was adjusted
-    extracted = [lc.cert for lc in cert.locals]
-    for r, parent in zip([r for r in cert.records if r.adjusted], cert.parents):
-        if r.pair not in chain:  # noted with the records above
-            continue
-        local, extracted[r.pair[1]] = extracted[r.pair[1]], parent
-        # the adjusted local is its parent but at the deltas, bit for bit
-        old, moved, new = dict(parent.terms), dict(r.deltas), dict(local.terms)
-        if not (list(new) == list(old)
-                and all(j in new and (new[j] - old[j]).hex() == d.hex() for j, d in r.deltas)
-                and all(new[j].hex() == old[j].hex() for j in new if j not in moved)):
-            notes.append(f"adjusted pair {r.pair}: deltas are not its local less its parent")
-        if any(getattr(local, k) != getattr(parent, k)
-               for k in ("target_descriptor", "basis", "norm", "tolerance")):
-            notes.append(f"adjusted pair {r.pair}: its local and parent differ in claim")
-        if local.genealogy != parent.genealogy + (parent.digest,):
-            notes.append(f"adjusted pair {r.pair}: its local does not descend from its parent")
-    if cert.genealogy != tuple(c.digest for c in extracted):
-        notes.append("genealogy does not list each patch's local as extracted")
-    recorded = {r.pair: r.post_mismatch for r in cert.records}
-    delta = cert.tolerance / (2.0 * cover.m)
-    mismatches = []
-    # check_overlap trusts each local's own patch, so a broken premise skips it
-    for i, j in [] if faults else chain:
-        mu = measure_or_note(notes, f"overlap ({i}, {j})",
-                             lambda: check_overlap(cert.locals[i], cert.locals[j]))
-        if mu >= delta:
-            notes.append(f"overlap ({i}, {j}) mismatch {mu:.6g} at or above delta {delta:.6g}")
-        if mu != recorded.get((i, j)):
-            notes.append(f"overlap ({i}, {j}) mismatch {mu:.6g} is not the recorded one")
-        mismatches.append(mu)
-
-    def measured():
-        if faults:
-            raise ConfigurationError("the cover or a local breaks the bound's premises")
-        errors = [lc.cert.reported_error for lc in cert.locals]
-        return compositional_bound(cover, errors, mismatches), "compositional_w12"
-    return verdict(cert, notes, measured, "global error")

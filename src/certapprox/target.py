@@ -37,7 +37,7 @@ import numpy as np
 from . import basis
 from .errors import (CapabilityError, ConfigurationError, EvaluationError,
                      ExpressionSyntaxError, SampleFormatError)
-from .records import tent_depth, tent_law
+from .records import MAX_TENT_LEVEL, TENT, over_budget, tent_depth, tent_law
 
 FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -314,6 +314,8 @@ _BUILTINS = {
 def from_builtin(name: str) -> TargetFunction:
     n = tent_depth(name, "tent_series(", ")")
     if n is not None:
+        if n > MAX_TENT_LEVEL:  # its top element's rule is over budget: build nothing
+            raise over_budget(f"{TENT} element {n}")
         return tent_partial_sum(n)
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS) + ["tent_series(n)"])

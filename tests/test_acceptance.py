@@ -24,14 +24,14 @@ from certapprox.approximate import (ExtractionSettings, approximate_chebyshev,
                                     approximate_raw_probe)
 from certapprox.basis import (cubic_bspline_family, fourier_sine_family,
                               monomial_family, tent_family)
-from certapprox.certificate import (compute_digest, deserialize, serialize,
-                                    verify)
+from certapprox.certificate import (check_overlap, compute_digest, deserialize,
+                                    serialize, verify, verify_glued, verify_limit)
 from certapprox.errors import EvidenceContradictionError
-from certapprox.glue import (Cover, check_overlap, extract_local,
-                             glue, local_bspline_family, make_cover,
-                             verify_glued)
-from certapprox.limit import (Modulus, parse_frac, tent_certificate,
-                              tent_sequence, transfer, verify_limit)
+from certapprox.glue import (Cover, extract_local, glue, local_bspline_family,
+                             make_cover)
+from certapprox.limit import (Modulus, tent_certificate, tent_sequence,
+                              transfer)
+from certapprox.records import parse_frac
 
 
 @contextlib.contextmanager

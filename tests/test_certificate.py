@@ -1,12 +1,14 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certapprox import basis, quadrature, target
+from certapprox import basis, certificate, glue, limit, quadrature, target
 from certapprox.approximate import ExtractionSettings, approximate_chebyshev
 from certapprox.basis import (chebyshev_family, cubic_bspline_family,
                               fourier_sine_family, monomial_family, tent_family)
@@ -384,3 +386,37 @@ def test_verifying_a_chebyshev_certificate_reads_one_term_table_per_node_chunk(t
     sums = tables["sums"]
     assert sums[0] == 4097 and len(sums) > 2 and set(sums[1:]) == {1}
     assert tables["tables"] == [step] * (4097 // step) + [4097 % step] + [1] * (len(sums) - 1)
+
+
+# ----------------------------------------------------------------------------
+# the one checker
+# ----------------------------------------------------------------------------
+
+PACKAGE = Path(certificate.__file__).parent
+
+
+def test_the_builders_bind_the_checkers_own_facts():
+    moved = [(glue, "verify_glued"), (glue, "check_overlap"), (glue, "premise_faults"),
+             (glue, "compositional_bound"), (limit, "verify_limit"), (limit, "exact_pair_sup")]
+    for module, name in moved:
+        assert getattr(module, name) is getattr(certificate, name), name
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text())
+
+
+def test_certificate_alone_decides_a_verdict():
+    names = sorted(p.name for p in PACKAGE.glob("*.py"))
+    assert {"certificate.py", "glue.py", "limit.py"} <= set(names)
+    called = {name: {getattr(node.func, "id", getattr(node.func, "attr", None))
+                     for node in ast.walk(_tree(name)) if isinstance(node, ast.Call)}
+              for name in names}
+    assert [n for n in names if called[n] & {"verdict", "envelope_findings"}] == \
+        ["certificate.py"]
+
+
+def test_certificate_imports_no_builder():
+    imported = {node.module or alias.name for node in ast.walk(_tree("certificate.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"glue", "limit", "approximate"}, imported

@@ -19,10 +19,10 @@ from certapprox import cli, glue as glue_mod, quadrature
 from certapprox.approximate import CONDITION_LIMIT, ExtractionSettings
 from certapprox.certificate import (FILE_SUFFIX, Construction, assemble, canonical_dumps,
                                     certificate_from_dict, compute_digest, deserialize,
-                                    measure, serialize, verify)
+                                    measure, serialize, verify, verify_glued, verify_limit)
 from certapprox.errors import CertificateParseError
-from certapprox.glue import glued_from_dict, verify_glued
-from certapprox.limit import limit_from_dict, tent_sequence, transfer, verify_limit
+from certapprox.limit import tent_sequence, transfer
+from certapprox.records import glued_from_dict, limit_from_dict
 from certapprox.target import from_builtin, series
 
 
@@ -1020,6 +1020,38 @@ def test_a_tent_target_too_large_to_build_fails_unbuilt(fixture, where, request,
     assert done.stdout.endswith("verdict: FAIL\n")
 
 
+DEEP_BUILTIN = "builtin:tent_series(100000000)"
+
+
+def test_a_deep_builtin_tent_series_is_refused_before_it_is_built(tmp_path):
+    # the law of 10^8 + 1 terms would exhaust the capped address space
+    done = _capped_cli(["approximate", "--target", DEEP_BUILTIN, "--basis", "cubic_bspline",
+                        "--knots", "10", "--eps", "1e-3"], tmp_path)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == f"error: {BUDGET.format(100000000)}\n"
+
+
+def test_a_document_naming_a_deep_builtin_tent_series_mismatches(spline_cert, tmp_path):
+    bad = _resealed(spline_cert, _set("target", DEEP_BUILTIN), tmp_path / ("deep" + FILE_SUFFIX))
+    done = _capped_cli(["verify", str(bad)], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout == (f"target mismatch: certificate names {DEEP_BUILTIN},"
+                           " got series:tent:n=100000000\n")
+
+
+@pytest.mark.parametrize("named,verdict", [
+    ("builtin:sinpi", "target mismatch: certificate names builtin:sinpi,"
+                      " got series:tent:n=100000000\n"),
+    ("series:tent:n=100000000", "verdict: FAIL\n"),
+], ids=["other", "same"])
+def test_verifying_against_a_deep_builtin_tent_series_builds_no_law(named, verdict,
+                                                                   spline_cert, tmp_path):
+    doc = _resealed(spline_cert, _set("target", named), tmp_path / ("named" + FILE_SUFFIX))
+    done = _capped_cli(["verify", str(doc), "--target", DEEP_BUILTIN], tmp_path)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout.endswith(verdict)
+
+
 def test_a_bspline_family_past_the_panel_budget_fails(spline_cert, tmp_path):
     # 10^6 functions have 999,997 spans, one panel each in the series' rule
     bad = _resealed(spline_cert, _set("basis", "m", 10 ** 6), tmp_path / ("wide" + FILE_SUFFIX))
@@ -1069,6 +1101,18 @@ def test_an_overflowing_series_fails_without_warnings(fixture, terms, request, t
     done = _cli_process(["verify", str(bad)], tmp_path)
     assert (done.returncode, done.stderr) == (3, "")
     assert "recomputed error: inf" in done.stdout and "verdict: FAIL" in done.stdout
+
+
+@pytest.mark.parametrize("argv,node", [
+    (["approximate", "--target", "expr:x", "--basis", "cubic_bspline", "--knots", "5",
+      "--domain", "0", "1e-320"], "1.5e-323"),
+    (["glue", "--target", "expr:x", "--patches", "2", "--domain", "0", "1e-318"], "4.15e-322"),
+], ids=["approximate", "glue"])
+def test_a_spline_family_of_subnormal_width_ends_in_one_error_line(argv, node, workdir,
+                                                                   capsys):
+    # the spans' 1/d overflows: under filterwarnings = error a warning fails this
+    assert cli.main([*argv, "--eps", "1e-3", "--out", str(workdir / "tiny.json")]) == 4
+    assert capsys.readouterr() == ("", f"error: non-finite weighted integrand at node x = {node}\n")
 
 
 def test_nesting_past_the_recursion_limit_is_a_usage_error(spline_cert, tmp_path):
@@ -1153,18 +1197,21 @@ def test_inspect_loads_no_numpy(fixture, request, tmp_path):
     assert _loaded(["inspect", str(path)], tmp_path) == (0, RECORDS_ONLY)
 
 
-LIMIT_ROUTE = ("False ['certapprox', 'certapprox.certificate', 'certapprox.cli',"
-               " 'certapprox.errors', 'certapprox.limit', 'certapprox.records']")
+LIMIT_VERIFY_ROUTE = ("False ['certapprox', 'certapprox.certificate', 'certapprox.cli',"
+                      " 'certapprox.errors', 'certapprox.records']")
+LIMIT_ROUTE = LIMIT_VERIFY_ROUTE.replace("'certapprox.errors',",
+                                         "'certapprox.errors', 'certapprox.limit',")
 
 
 def test_the_limit_route_loads_no_numpy(limit_cert, tmp_path):
     # the transfer and the verify of an honest limit are exact rational
     # work: the tent law and the index check are records', and an honest
-    # member is settled as the same series before any function is built
+    # member is settled as the same series before any function is built;
+    # the verify is the checker's alone, so it never loads the builder
     out = tmp_path / ("deep" + FILE_SUFFIX)
     assert _loaded(["limit", "--eps", "1e-7", "--out", str(out)], tmp_path) == (0, LIMIT_ROUTE)
     assert f"digest: {json.loads(out.read_text())['digest']}\n" in DEEP_LIMIT_VERIFY
-    assert _loaded(["verify", str(limit_cert)], tmp_path) == (0, LIMIT_ROUTE)
+    assert _loaded(["verify", str(limit_cert)], tmp_path) == (0, LIMIT_VERIFY_ROUTE)
 
 
 # what a spline's verify loads; the other numpy routes add modules to it
@@ -1182,12 +1229,13 @@ def _numpy_route(*modules):
     ("glued", ["glue", "--target", "builtin:sinpi", "--patches", "3", "--eps", "1e-2"],
      _numpy_route("approximate", "glue")),
     ("spline", ["verify"], _numpy_route()),
-    ("glued", ["verify"], _numpy_route("glue")),
+    ("glued", ["verify"], _numpy_route()),
 ], ids=["approximate", "glue", "verify-spline", "verify-glued"])
 def test_the_numpy_routes_load_only_what_they_compute_with(name, argv, want, request,
                                                            tmp_path):
     # no np.unique (its first call imports numpy.ma), no leggauss (numpy.polynomial,
-    # the 16-point table is frozen), and a glued verify never loads the builder
+    # the 16-point table is frozen), and a glued verify loads neither builder,
+    # glue nor approximate: it is a spline verify's modules exactly
     path = request.getfixturevalue(name + "_cert")
     out = tmp_path / ("built" + FILE_SUFFIX)
     argv = argv + ([str(path)] if argv == ["verify"] else ["--out", str(out)])

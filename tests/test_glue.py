@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from certapprox import approximate, cli, glue as glue_mod, quadrature, target
 from certapprox.approximate import ExtractionSettings
 from certapprox.certificate import (Construction, assemble, canonical_dumps,
-                                    compute_digest, from_dict, measure, seal,
-                                    serialize, to_dict)
+                                    check_overlap, compositional_bound, compute_digest,
+                                    from_dict, measure, premise_faults, seal, serialize,
+                                    to_dict, verify_glued)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                ReconciliationFailureError, TopologyError)
-from certapprox.glue import (Cover, GluedCertificate,
-                             LocalCertificate, ReconciliationRecord, build_pou,
-                             check_overlap, compositional_bound, extract_local, glue,
-                             glued_from_dict, local_bspline_family, make_cover,
-                             premise_faults, ramp, reconcile, verify_glued)
+from certapprox.glue import (Cover, GluedCertificate, LocalCertificate,
+                             ReconciliationRecord, build_pou, extract_local, glue,
+                             local_bspline_family, make_cover, ramp, reconcile)
+from certapprox.records import glued_from_dict
 from certapprox.limit import tent_sequence, transfer
 
 EPS = 1e-2

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certapprox import quadrature, target
-from certapprox.certificate import compute_digest, serialize
+from certapprox.certificate import (LADDER_RUNGS, compute_digest, exact_ceil_log2,
+                                    exact_pair_sup, serialize, verify_limit)
 from certapprox.errors import (CertificateParseError, ConfigurationError,
                                EvidenceContradictionError)
-from certapprox.limit import (LADDER_RUNGS, Modulus, check_pair,
-                              dyadic_modulus, exact_ceil_log2, exact_pair_sup,
-                              frac_str, limit_from_dict, parse_frac,
-                              tent_certificate, tent_sequence, transfer,
-                              verify_limit)
+from certapprox.limit import (Modulus, check_pair, dyadic_modulus, tent_certificate,
+                              tent_sequence, transfer)
+from certapprox.records import frac_str, limit_from_dict, parse_frac
 
 
 @pytest.fixture(scope="module")

@@ -270,6 +270,12 @@ def test_builtin_tent_series_form():
     assert len(f.terms) == 4
 
 
+def test_a_builtin_tent_series_past_the_panel_budget_is_refused_unbuilt():
+    assert len(target.from_builtin("tent_series(16)").terms) == 17
+    with pytest.raises(ConfigurationError, match="tent element 17 needs a rule of more"):
+        target.from_builtin("tent_series(17)")
+
+
 def test_unknown_builtin():
     with pytest.raises(ConfigurationError):
         target.from_builtin("gauss")
