@@ -17,6 +17,12 @@ sys.path.insert(0, "src")
 from certapprox.certificate import verify_limit
 from certapprox.errors import EvidenceContradictionError
 from certapprox.limit import Modulus, tent_sequence, transfer
+from certapprox.records import frac_str
+
+
+def tail(lim) -> str:
+    """The telescoped tail 2^-n_star, as a fraction."""
+    return frac_str(Fraction(1, 2 ** lim.n_star))
 
 
 def main() -> int:
@@ -28,7 +34,7 @@ def main() -> int:
         lim = transfer(seq, eps)
         rep = verify_limit(lim)
         dt = time.perf_counter() - t0
-        print(f"{eps:>10g} {lim.n_star:>4} {lim.tail_bound:>12}"
+        print(f"{eps:>10g} {lim.n_star:>4} {tail(lim):>12}"
               f" {lim.reported_error:>13.6e} {len(lim.genealogy):>10}"
               f" {'PASS' if rep.verdict else 'FAIL'} ({dt:.2f}s)")
 
@@ -36,7 +42,7 @@ def main() -> int:
     lim = transfer(seq, 1e-3)
     for rec in lim.ladder:
         print(f"  pair {rec.pair}: gap {rec.measured} < {rec.bound}")
-    print(f"  tail {lim.tail_bound} within budget {lim.tail_budget}")
+    print(f"  tail {tail(lim)} within budget {frac_str(Fraction(lim.tolerance) / 2)}")
 
     print("\nmodulus that always answers 1:")
     bad = tent_sequence(Modulus("constant 1", lambda q: 1))

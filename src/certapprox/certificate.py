@@ -51,7 +51,7 @@ LADDER_RUNGS = 8
 
 
 def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
-             tolerance: float, reported_error: float, construction: Construction,
+             tolerance: float, reported_error: float, construction: Construction | None,
              genealogy=()) -> ApproximationCertificate:
     """Validate the claim data and mint the digest.
 
@@ -69,9 +69,9 @@ def assemble(target_descriptor: str, basis: BasisFamily, terms, norm: NormTag,
     for j, a in tt:
         if not math.isfinite(a):
             raise ConfigurationError(f"non-finite coefficient for index {j}")
-    cert = ApproximationCertificate(target_descriptor, basis, tt, norm,
-                                    float(tolerance), float(reported_error),
-                                    construction, tuple(genealogy))
+    cert = ApproximationCertificate(target_descriptor, basis, tt, norm, float(tolerance),
+                                    float(reported_error), tuple(genealogy),
+                                    construction=construction)
     findings = claim_findings(cert)
     if findings:
         raise ConfigurationError(findings[0])
@@ -82,7 +82,7 @@ def claim_findings(cert: ApproximationCertificate) -> list[str]:
     """Shape faults of a claim: a report not below tolerance, indices
     invalid or not strictly increasing (every route seals a merged term
     list, basis.merged), a norm domain outside the basis domain. The class
-    itself refuses an empty term list; no check reads the construction."""
+    itself refuses an empty term list."""
     findings = []
     if not cert.reported_error < cert.tolerance:
         findings.append("reported error does not beat the tolerance")
@@ -233,13 +233,11 @@ def verify(cert: ApproximationCertificate, f, store: dict | None = None) -> Veri
 
 def premise_faults(cover: Cover, locals_=(), epsilon: float = math.inf) -> list[str]:
     """Why the compositional bound would not hold; make_cover checks the
-    cover alone. The patches must span the domain as a chain, lo_i < lo_{i+1}
+    cover alone. The patches must be a chain, lo_i < lo_{i+1}
     < hi_i < hi_{i+1} and hi_i < lo_{i+2}; local i must sit on patch i, basis
     and W12 norm on the patch, with a budget of at most epsilon/2."""
     p = cover.patches
     faults = []
-    if (p[0][0], p[-1][1]) != cover.domain:
-        faults.append("cover domain does not match its patches")
     # the chain is lo_0 < lo_1 < hi_0 < lo_2 < hi_1 < ... < hi_{m-1}
     ends = [p[0][0], *(x for a, b in zip(p[:-1], p[1:]) for x in (b[0], a[1])), p[-1][1]]
     if not all(a < b for a, b in zip(ends[:-1], ends[1:])):
@@ -293,7 +291,7 @@ def verify_glued(cert: GluedCertificate, f, store: dict | None = None) -> Verifi
     if [r.pair for r in cert.records] != chain:
         notes.append("reconciliation records are not the consecutive pairs")
     for r in cert.records:
-        if not r.adjusted and (r.pre_mismatch != r.post_mismatch or r.deltas):
+        if not r.adjusted and r.deltas:
             notes.append(f"unadjusted pair {r.pair} records an adjustment")
     if sum(r.adjusted for r in cert.records) != len(cert.parents):
         notes.append("adjusted pairs and parents differ in number")
@@ -369,19 +367,17 @@ def exact_pair_sup(n: int, m: int) -> Fraction:
 def verify_limit(cert: LimitCertificate, store: dict | None = None) -> VerificationReport:
     """Re-derive every exact quantity in a limit claim from scratch.
 
-    The target must name the sequence's limit, and the tolerance must be
-    epsilon_exact exactly, as transfer writes them. Members are re-verified
-    against the tent law of their depth. An honest member holds the law's
-    very terms, which certificate.measure settles as "same_series" in
-    O(terms); only a member whose terms differ in any bit loads target, to
-    be scanned.
+    The target must name the sequence's limit; epsilon is the tolerance,
+    exactly. Members are re-verified against the tent law of their depth.
+    An honest member holds the law's very terms, which certificate.measure
+    settles as "same_series" in O(terms); only a member whose terms differ
+    in any bit loads target, to be scanned.
     The modulus value is re-evaluated when the rule is the known dyadic one.
     n_star must be that value and the member count, at epsilon and eps/2;
     only then are the tail 2^-n_star and the ladder computed (else the
     recomputed error is inf), so a resealed depth never sizes the work. The
     ladder must be the pairs (n_star, n_star + i), i = 1 .. LADDER_RUNGS,
-    each bounded by eps/2; its gaps are re-measured exactly, and the tail is
-    compared to its budget.
+    each bounded by eps/2, as the tail is; its gaps are re-measured exactly.
     """
     mod = cert.modulus_record
     embedded = cert.members + cert.ladder + (mod,)
@@ -390,12 +386,7 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
         notes.append(f"unknown sequence {cert.sequence!r}; nothing can be re-measured")
     if cert.target_descriptor != f"limit:{cert.sequence}":
         notes.append(f"target {cert.target_descriptor!r} is not the limit of the sequence")
-    eps = parse_frac(cert.epsilon_exact)
-    if Fraction(cert.tolerance) != eps:
-        notes.append("tolerance is not epsilon_exact")
-    half = eps / 2
-    if parse_frac(cert.tail_budget) != half:
-        notes.append("tail budget is not half of epsilon")
+    half = Fraction(cert.tolerance) / 2  # epsilon is the tolerance, exactly
     if cert.genealogy != tuple(item.digest for item in embedded):
         notes.append("genealogy does not list members, ladder, modulus in order")
     if mod.rule == DYADIC_RULE:
@@ -409,7 +400,7 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
         notes.append(f"expected {cert.n_star} members, found {len(cert.members)}")
     if cert.n_star != mod.value:
         notes.append(f"anchor {cert.n_star} is not the modulus value {mod.value}")
-    if parse_frac(mod.epsilon) != eps or parse_frac(mod.argument) != half:
+    if parse_frac(mod.epsilon) != 2 * half or parse_frac(mod.argument) != half:
         notes.append("modulus record is not taken at epsilon and epsilon/2")
     anchored = len(notes) == before
     rungs = tuple((cert.n_star, cert.n_star + i) for i in range(1, LADDER_RUNGS + 1))
@@ -440,8 +431,6 @@ def verify_limit(cert: LimitCertificate, store: dict | None = None) -> Verificat
                     f"reaches bound {frac_str(half)}")
     if anchored:
         tail = Fraction(1, 2 ** cert.n_star)
-        if parse_frac(cert.tail_bound) != tail:
-            notes.append("tail bound is not the telescoped closed form")
         if not tail <= half:
             notes.append(f"tail {frac_str(tail)} exceeds budget {frac_str(half)}")
 

@@ -95,6 +95,10 @@ def _make_family(args, f) -> records.BasisFamily:
         raise ConfigurationError("cubic_bspline needs --knots")
     m = args.knots + 2 if args.basis == records.CUBIC_BSPLINE else None
     domain = records.FIXED_DOMAINS.get(args.basis) or tuple(args.domain or f.domain)
+    (lo, hi), (a, b) = f.domain, domain
+    if not (lo <= a and b <= hi):  # its rule's nodes would fall outside the target
+        raise ConfigurationError(f"{args.basis} basis on [{a:g}, {b:g}] is not inside"
+                                 f" the target's domain [{lo:g}, {hi:g}]")
     return records.BasisFamily(args.basis, domain, m)
 
 
@@ -218,8 +222,9 @@ def _approximation_summary(cert) -> None:
           f" {_fmt(cert.basis.domain[1])}]")
     print(f"norm: {cert.norm.kind}")
     print(f"terms: {len(cert.terms)}")
-    print(f"method: {cert.construction.method}")
-    print(f"stopping: {cert.construction.stopping}")
+    if cert.construction is not None:  # a build's; no document seals it
+        print(f"method: {cert.construction.method}")
+        print(f"stopping: {cert.construction.stopping}")
     print(f"reported error: {_fmt(cert.reported_error)}")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"genealogy: {len(cert.genealogy)} entries")
@@ -248,7 +253,10 @@ def _limit_summary(cert) -> None:
     print(f"ladder: {len(cert.ladder)} rungs")
     for rec in cert.ladder:
         print(f"  pair {rec.pair}: gap {rec.measured} < {rec.bound}")
-    print(f"tail bound: {cert.tail_bound} (budget {cert.tail_budget})")
+    # 2^-n_star, in full only for a depth the members back; the budget is eps/2
+    n = cert.n_star
+    tail = f"1/{2 ** n}" if n <= len(cert.members) else f"2^-{n}"
+    print(f"tail bound: {tail} (budget {cert.modulus_record.argument})")
     print(f"reported error: {_fmt(cert.reported_error)}")
     print(f"tolerance: {_fmt(cert.tolerance)}")
     print(f"genealogy: {len(cert.genealogy)} entries")

@@ -41,7 +41,7 @@ from .records import (DEFAULT_OVERLAP_FRACTION, W12, ApproximationCertificate, C
 
 def make_cover(domain: tuple[float, float], m: int,
                overlap_fraction: float = DEFAULT_OVERLAP_FRACTION) -> Cover:
-    """M equal cells widened by overlap_fraction and clipped to the domain."""
+    """M equal cells widened by overlap_fraction, the end patches at the domain's ends."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigurationError(f"invalid domain [{lo}, {hi}]")
@@ -54,8 +54,9 @@ def make_cover(domain: tuple[float, float], m: int,
     patches = []
     for i in range(m):
         c = lo + (i + 0.5) * h
-        patches.append((max(lo, c - 0.5 * width), min(hi, c + 0.5 * width)))
-    cover = Cover((lo, hi), tuple(patches))
+        patches.append((lo if i == 0 else c - 0.5 * width,
+                        hi if i == m - 1 else c + 0.5 * width))
+    cover = Cover(tuple(patches))
     faults = premise_faults(cover)
     if faults:
         raise ConfigurationError(faults[0])
@@ -108,7 +109,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
     from .approximate import _probes, gram_matrix, solve_normal_equations
     pre = check_overlap(a, b)
     if pre < delta:
-        return b, ReconciliationRecord((a.patch_index, b.patch_index), pre, pre, (), False)
+        return b, ReconciliationRecord((a.patch_index, b.patch_index), pre, (), False)
     lo, hi = max(a.patch[0], b.patch[0]), min(a.patch[1], b.patch[1])
     fam = b.cert.basis
     sa = a.cert.approximant()
@@ -151,8 +152,7 @@ def reconcile(f, a: LocalCertificate, b: LocalCertificate,
         raise ReconciliationFailureError(
             f"pair ({a.patch_index}, {b.patch_index}): mismatch {post:.6g}"
             f" still at or above gate {delta:.6g}")
-    record = ReconciliationRecord((a.patch_index, b.patch_index), pre, post,
-                                  tuple(deltas), True)
+    record = ReconciliationRecord((a.patch_index, b.patch_index), post, tuple(deltas), True)
     return candidate, record
 
 
@@ -164,8 +164,8 @@ def _reissue(cert: ApproximationCertificate, new_terms, f) -> ApproximationCerti
     if err >= cert.tolerance:
         raise ReconciliationFailureError(
             f"adjusted patch error {err:.6g} breaks local budget {cert.tolerance:.6g}")
-    construction = Construction(cert.construction.method,
-                                cert.construction.stopping + "; reconciled")
+    built = cert.construction  # None if parsed
+    construction = built and Construction(built.method, built.stopping + "; reconciled")
     return assemble(cert.target_descriptor, cert.basis, new_terms, cert.norm,
                     cert.tolerance, err, construction,
                     genealogy=cert.genealogy + (cert.digest,))

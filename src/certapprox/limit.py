@@ -111,9 +111,7 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
     reported = base.reported_error + float(tail)
     genealogy = tuple(c.digest for c in members) \
         + tuple(r.digest for r in evidence) + (mod_rec.digest,)
-    cert = LimitCertificate(
-        seq.name, f"limit:{seq.name}", float(epsilon), frac_str(eps), n_star,
-        members, evidence, mod_rec, frac_str(tail), frac_str(half),
-        reported, genealogy)
+    cert = LimitCertificate(seq.name, f"limit:{seq.name}", float(epsilon), n_star,
+                            members, evidence, mod_rec, reported, genealogy)
     return seal(cert)
 

@@ -99,7 +99,9 @@ class QuadratureRule:
         a, b = e[:-1], e[1:]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        x = (half[:, None] * _X16[None, :] + mid[:, None]).reshape(-1)
+        # clipped into its panel, which rounding leaves on a panel a few ulps wide
+        x = np.clip(half[:, None] * _X16[None, :] + mid[:, None],
+                    a[:, None], b[:, None]).reshape(-1)
         w = (half[:, None] * _W16[None, :]).reshape(-1)
         x.setflags(write=False)
         w.setflags(write=False)

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 from .errors import CertificateParseError, ConfigurationError, TopologyError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 FILE_SUFFIX = ".uelat.json"
 
 # the basis families and the norms
@@ -254,11 +254,14 @@ def _codec(tp):
 def _record_codec(cls):
     """(read, write) for a record class. Each field sits under its name, or
     under the key its metadata gives; a field that defaults to None, typed
-    X | None, is left out when None and may be missing."""
+    X | None, is left out when None and may be missing. A field that does
+    not compare is no part of the claim, and is neither written nor read."""
     kind = getattr(cls, "KIND", "")
     hints = typing.get_type_hints(cls)
     fields = []
     for f in dataclasses.fields(cls):
+        if not f.compare:
+            continue
         tp = hints[f.name]
         optional = f.default is None
         if optional:
@@ -496,8 +499,8 @@ def tent_depth(text: str, head: str, tail: str = "") -> int | None:
 
 @dataclass(frozen=True)
 class Construction:
-    """How a certificate was built: the route and why it stopped, which
-    no check reads."""
+    """How a certificate was built: the route and why it stopped, for the
+    build's summary. No check reads it, so no document seals it."""
 
     method: str
     stopping: str
@@ -513,9 +516,10 @@ class ApproximationCertificate(Document):
     norm: NormTag
     tolerance: float
     reported_error: float
-    construction: Construction
     genealogy: tuple[str, ...] = ()
     digest: str = ""
+    # a built certificate's only; a parsed one has None
+    construction: Construction | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -527,8 +531,11 @@ class ApproximationCertificate(Document):
 
 @dataclass(frozen=True)
 class Cover:
-    domain: tuple[float, float]
     patches: tuple[tuple[float, float], ...]
+
+    @property
+    def domain(self) -> tuple[float, float]:  # the ends of the patches
+        return self.patches[0][0], self.patches[-1][1]
 
     @property
     def m(self) -> int:
@@ -552,7 +559,6 @@ class LocalCertificate:
 @dataclass(frozen=True)
 class ReconciliationRecord:
     pair: tuple[int, int]
-    pre_mismatch: float
     post_mismatch: float
     deltas: tuple[tuple[int, float], ...]
     adjusted: bool
@@ -611,13 +617,10 @@ class LimitCertificate(Document):
     sequence: str
     target_descriptor: str = field(metadata={"key": "target"})
     tolerance: float
-    epsilon_exact: str
     n_star: int
     members: tuple[ApproximationCertificate, ...]
     ladder: tuple[EvidenceRecord, ...]
     modulus_record: ModulusRecord = field(metadata={"key": "modulus"})
-    tail_bound: str
-    tail_budget: str
     reported_error: float
     genealogy: tuple[str, ...]
     digest: str = ""
@@ -625,7 +628,6 @@ class LimitCertificate(Document):
     def __post_init__(self):
         if self.n_star < 1:
             raise ConfigurationError("n_star must be at least 1")
-        _positive_fractions(self.epsilon_exact, self.tail_bound, self.tail_budget)
 
 
 def certificate_from_dict(doc: dict) -> ApproximationCertificate:

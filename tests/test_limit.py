@@ -204,8 +204,9 @@ def test_anchor_depth_follows_the_modulus(eps, n_star):
     lim = transfer(tent_sequence(), eps)
     assert lim.n_star == n_star
     assert len(lim.members) == n_star
-    assert parse_frac(lim.tail_bound) == Fraction(1, 2 ** n_star)
-    assert parse_frac(lim.tail_bound) <= parse_frac(lim.tail_budget)
+    # the telescoped tail 2^-n_star is within the budget eps/2
+    assert lim.reported_error == 2.0 ** -n_star
+    assert Fraction(1, 2 ** n_star) <= Fraction(lim.tolerance) / 2
 
 
 def test_transfer_milli_shape(lim_milli):
@@ -213,8 +214,8 @@ def test_transfer_milli_shape(lim_milli):
     assert lim.n_star == 12
     assert len(lim.ladder) == LADDER_RUNGS
     assert len(lim.genealogy) == lim.n_star + LADDER_RUNGS + 1
-    assert lim.tail_bound == "1/4096"
-    assert lim.tail_budget == frac_str(Fraction(1e-3) / 2)
+    assert lim.tolerance == 1e-3
+    assert lim.modulus_record.argument == frac_str(Fraction(1e-3) / 2)
     assert lim.reported_error == 0.000244140625
     assert lim.reported_error == 2.0 ** -12
     assert lim.ladder[0].pair == (12, 13)
@@ -286,8 +287,10 @@ def test_doctored_ladder_rung_fails_verification(lim_milli):
 
 
 def test_doctored_tail_fails_verification(lim_milli):
+    # the tail is 2^-n_star, so a smaller one claims a deeper anchor than
+    # the members and the modulus record back
     doc = json.loads(serialize(lim_milli))
-    doc["tail_bound"] = "1/1000000000"
+    doc["n_star"], doc["reported_error"] = 30, 2.0 ** -30
     rep = verify_limit(limit_from_dict(doc))
     assert not rep.verdict
 

@@ -105,6 +105,21 @@ def test_edges_must_increase():
         q.QuadratureRule((0.0, 0.5, 0.5, 1.0))
 
 
+@given(lo=st.floats(-1e300, 1e300), ulps=st.integers(1, 2 ** 40),
+       panels=st.integers(1, 4))
+@example(lo=1.0, ulps=1, panels=1)
+@example(lo=0.0, ulps=1, panels=3)
+def test_every_node_lies_in_its_panel(lo, ulps, panels):
+    # down to panels one ulp wide, where the affine map from [-1, 1] rounds
+    # a node past the panel's ends
+    edges = [lo]
+    for _ in range(panels):
+        edges.append(edges[-1] + ulps * math.ulp(edges[-1]))
+    rule = q.QuadratureRule(tuple(edges))
+    x, e = rule.nodes.reshape(panels, 16), np.asarray(edges)
+    assert np.all((e[:-1, None] <= x) & (x <= e[1:, None]))
+
+
 def test_refined_nodes_disjoint_from_construction_nodes():
     f = target.from_builtin("sinpi")
     e = fourier_sine_family().element(3)
