@@ -413,8 +413,8 @@ def series_kinks(family: BasisFamily, terms) -> np.ndarray | None:
 # node and missing index; starting a new run costs a sine and a cosine per
 # node, about as much as bridging a gap of this width.
 SINE_RUN_GAP = 16
-# nodes per recurrence pass; its four working arrays stay in the L2 cache
-SINE_CHUNK = 8192
+# nodes per recurrence pass; its four working arrays, 128 KB each, stay in the L2 cache
+SINE_CHUNK = 16384
 
 
 def _sine_runs(terms) -> list[tuple[int, np.ndarray]]:

@@ -96,7 +96,7 @@ def transfer(seq: CertifiedSequence, epsilon: float) -> LimitCertificate:
     """
     if not 0 < epsilon < 1:  # before Fraction, which refuses nan and inf
         raise ConfigurationError("limit transfer expects 0 < epsilon < 1")
-    eps = Fraction(epsilon)
+    eps = Fraction(float(epsilon))  # the sealed tolerance
     half = eps / 2
     n_star = max(seq.modulus(half), 1)
     mod_rec = seal(ModulusRecord(seq.modulus.rule, frac_str(eps), frac_str(half), n_star))

@@ -19,10 +19,14 @@ bit, where math.fsum does not overflow on the way. weighted_sum is the
 one-row sum of integrate, inner_product and norm_of_difference: up to
 FSUM_CHUNK // 4 products it is math.fsum itself, past that the one-row
 row_sums. row_sums sums many rows at once, such as every B-spline Gram
-pair or probe, by error-free extraction: each slice of FSUM_CHUNK
-products of a row is split, by exact power-of-two scalings and
-truncations, into a few partials whose float sums are exact, and one
-math.fsum per row rounds its partials.
+pair or probe, by error-free extraction. Each slice of FSUM_CHUNK
+products of a row is scaled up once by a power of two, which is exact,
+to lie below 2^40 (a row at 2^40 or more first takes unscaled passes);
+each pass then sums their integer parts, below 2^52 and so exactly, and
+scales the remainder, in (-1, 1), up by 2^40 again. Each such sum times
+the row's scale is a partial, exact even for a scale below 2^-1074, as
+the sum is then a multiple of 2^-1074 over the scale, and one math.fsum
+per row rounds its partials.
 """
 
 from __future__ import annotations
@@ -147,6 +151,8 @@ def construction_rule(f, elements, interval: tuple[float, float]) -> QuadratureR
 FSUM_CHUNK = 4096
 # 2^_HEADROOM >= 2 * FSUM_CHUNK, so a slice's integer sum stays below 2^52
 _HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
+# the bits an extraction pass takes from a row: its integers lie below 2^40
+_PASS_BITS = 53 - _HEADROOM
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
@@ -180,31 +186,38 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
     (x shared, or one row each), for the slices at of FSUM_CHUNK nodes in
     turn, and may be overwritten.
     Each block is reduced by error-free extraction (ExtractVector of Rump,
-    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), row by row: while a
-    row r has a nonzero entry, with max|r| < 2^e take s = e + _HEADROOM - 53
-    and
+    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008). With k = _PASS_BITS,
+    max|r| < 2^e for a row r and s = e - k, a row under 2^k (s <= 0) is
+    scaled once to r * 2^-s, all rows in one ldexp, and then, while the
+    block has a nonzero entry, each pass takes for every row at once
+
+        h = trunc(r),   partial = sum(h) * 2^s,   r = (r - h) * 2^k,   s -= k.
+
+    Every step is exact. Scaling a float up by a power of two is exact,
+    subnormals too, and leaves the scaled r under 2^k, so each |h| is an
+    integer below 2^k and the sum of at most FSUM_CHUNK of them an integer
+    below 2^52 in whatever order numpy adds them. r - h keeps the bits of r
+    below 1, so it lies in (-1, 1), and (r - h) * 2^k is exact and under
+    2^k again. sum(h) * 2^s is exact: for s < -1074, r holds remainders of
+    products, multiples of 2^-1074, times 2^-s, so sum(h) is a multiple of
+    2^(-1074 - s) and the partial a multiple of 2^-1074 below 2^(52 + s);
+    that pass empties r. A row at 2^k or more, which a scaling down would
+    rob of its smallest entries, first takes unscaled passes, each with s
+    from its top, until its top falls under 2^k:
 
         h = trunc(r * 2^-s) * 2^s,   partial = sum(h * 2^-s) * 2^s,   r -= h.
 
-    Every step is exact. Truncation keeps the bits of each entry at or
-    above 2^s, so h and r - h keep bit subsets of r; r * 2^-s is exact but
-    where it underflows, and there it is below 1 and truncates to 0 anyway.
-    Each |h * 2^-s| is an integer below 2^(53 - _HEADROOM), so the sum of
-    at most FSUM_CHUNK of them is an integer below 2^52 in whatever order
-    numpy adds them, and the partial is exact too. The remainder of each
-    entry is below 2^s, so each pass lowers e by at least 53 - _HEADROOM
-    bits, and a pass with 2^s at or below the smallest subnormal empties
-    r. Each row has its own s and leaves the loop once it is empty. Its
-    partials therefore sum exactly to the sum of its products, and one
-    math.fsum over them rounds that sum correctly, so no order-dependent
-    reduction reaches a digest. So leaving out products that are exact
-    zeros does not change it either; a row of zeros has no partials, and
-    math.fsum([]) is +0.0, as math.fsum of zeros of either sign is. A
-    partial past the float range is kept as an int, and where math.fsum
-    overflows, the partials' exact Fraction sum is rounded once: only a
-    sum outside the float range raises EvaluationError, as does a product
-    that is not finite, naming the first such node of its row (where the
-    row's first max|r| is not finite). The temporaries stay one block.
+    These are exact too: r * 2^-s is exact but where it underflows, and
+    there it is below 1 and truncates to 0 anyway. Their partials are kept
+    as ints, as they may lie past the float range. Each row's partials sum
+    exactly to the sum of its products, and one math.fsum over them rounds
+    that sum correctly, so no order-dependent reduction reaches a digest,
+    and products that are exact zeros do not change it: math.fsum of zeros
+    of either sign is +0.0. Where math.fsum overflows, the partials' exact
+    Fraction sum is rounded once: only a sum outside the float range raises
+    EvaluationError, as does a product that is not finite, naming the first
+    such node of its row (where the row's first max|r| is not finite). The
+    temporaries stay one block.
     """
     parts: list[list] = [[] for _ in range(rows)]
     for i in range(0, x.shape[-1], FSUM_CHUNK):
@@ -216,24 +229,30 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
             bad = np.argmax(~np.isfinite(top))
             node = float(np.broadcast_to(x[..., at], r.shape)[bad][~np.isfinite(r[bad])][0])
             raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
-        live = np.arange(rows)
+        s = np.frexp(top)[1] - _PASS_BITS
+        np.ldexp(r, -np.minimum(s, 0)[:, None], out=r)
+        big, passes = np.flatnonzero(s > 0), []
         while True:
-            if not top.all():  # drop the rows that are empty
-                keep = top != 0.0
-                live, r, top = live[keep], r[keep], top[keep]
-                if not live.size:
-                    break
-                ints = ints[:live.size]
-            s = np.frexp(top)[1][:, None] + (_HEADROOM - 53)
-            np.trunc(np.ldexp(r, -s, out=ints), out=ints)
-            for k, total, e in zip(live.tolist(), np.add.reduce(ints, axis=1).tolist(),
-                                   s.ravel().tolist()):
-                try:
-                    parts[k].append(math.ldexp(total, e))
-                except OverflowError:  # e > 0 here, so the partial is an int
-                    parts[k].append(int(total) << e)
-            r -= np.ldexp(ints, s, out=ints)
-            top = np.maximum.reduce(np.abs(r, out=ints), axis=1)
+            if big.size:  # an unscaled pass, on the rows at 2^k or more
+                b, e = r[big], s[big, None]
+                h = np.trunc(np.ldexp(b, -e))
+                b -= np.ldexp(h, e)
+                for row, total, n in zip(big.tolist(), np.add.reduce(h, axis=1).tolist(),
+                                         e.ravel().tolist()):
+                    parts[row].append(int(total) << n)
+                s[big] = np.frexp(np.maximum.reduce(np.abs(b), axis=1))[1] - _PASS_BITS
+                r[big] = np.ldexp(b, -np.minimum(s[big], 0)[:, None])
+                big = big[s[big] > 0]
+                continue
+            np.trunc(r, out=ints)
+            r -= ints
+            passes.append(np.ldexp(np.add.reduce(ints, axis=1), s).tolist())
+            if not r.any():
+                break
+            r *= 2.0 ** _PASS_BITS
+            s -= _PASS_BITS
+        for p, *partials in zip(parts, *passes):
+            p += partials
     try:
         return [math.fsum(p) for p in parts]
     except OverflowError:  # on the way, or at a partial past the float range

@@ -237,6 +237,15 @@ def test_transfer_rejects_out_of_range_tolerances():
             transfer(seq, eps)
 
 
+def test_a_fraction_epsilon_is_taken_at_its_sealed_float():
+    # the document seals float(epsilon), so the modulus, its record and the
+    # ladder are taken there too, and the certificate checks as the float's
+    lim = transfer(tent_sequence(), Fraction(1, 10))
+    rep = verify_limit(lim)
+    assert rep.verdict, rep.notes
+    assert serialize(lim) == serialize(transfer(tent_sequence(), 0.1))
+
+
 def test_understated_modulus_is_contradicted_by_the_ladder():
     """A modulus claiming depth 1 suffices for every tolerance gets caught on
     the very first rung: the (1, 2) gap measures exactly 1/4."""

@@ -357,12 +357,20 @@ def test_integrate_is_fsum_of_every_product_bit_for_bit(points, seed, low, span,
 
 
 # each row draws its own exponent range (lowest exponent, span, share of
-# zeros), so one block holds rows that take one extraction pass, some fifty
-# (subnormals up to 2^1023) or none (a share of 1.0 zeros the row); rows
-# whose products come within 2^_HEADROOM of the float maximum may overflow
+# zeros), so one block holds rows that take one scaled extraction pass, some
+# thirty (subnormals up to 2^40), unscaled passes first (a top of 2^40 or
+# more) or only zeros (a share of 1.0); rows whose products come within
+# 2^_HEADROOM of the float maximum may overflow
 ROW_SPEC = st.tuples(st.integers(min_value=-1074, max_value=1023),
                      st.integers(min_value=0, max_value=2097),
                      st.floats(min_value=0.0, max_value=1.0))
+# exact products at the kernel's seams, planted at (row, column) modulo the
+# block's shape: the least top of the unscaled pass and the float below it,
+# a power of two under it, the least subnormal, one far above it, and 1.0
+SEAMS = (2.0 ** 40, 2.0 ** 40 - 2.0 ** -13, 2.0 ** 39, 5e-324, 1e300, 1.0)
+PLANT = st.tuples(st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=2 * q.FSUM_CHUNK),
+                  st.sampled_from(SEAMS + tuple(-v for v in SEAMS)))
 
 
 def _row(rng, cols, low, span, zeros):
@@ -375,19 +383,38 @@ def _row(rng, cols, low, span, zeros):
 
 @given(spec=st.lists(ROW_SPEC, min_size=1, max_size=4),
        cols=st.sampled_from([1, q.FSUM_CHUNK - 1, q.FSUM_CHUNK, 2 * q.FSUM_CHUNK + 1]),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       planted=st.lists(PLANT, max_size=3))
 @example(spec=[(0, 0, 0.0), (-1074, 2074, 0.0), (-1074, 2074, 1.0), (-1074, 30, 0.5)],
-         cols=q.FSUM_CHUNK, seed=1)
-@example(spec=[(1023, 0, 0.0), (1010, 13, 0.5), (-1074, 2097, 0.0)], cols=1, seed=2)
-@example(spec=[(1010, 13, 0.0)], cols=q.FSUM_CHUNK, seed=3)
-@example(spec=[(1022, 1, 0.0)], cols=q.FSUM_CHUNK - 1, seed=69)
+         cols=q.FSUM_CHUNK, seed=1, planted=[])
+@example(spec=[(1023, 0, 0.0), (1010, 13, 0.5), (-1074, 2097, 0.0)], cols=1, seed=2,
+         planted=[])
+@example(spec=[(1010, 13, 0.0)], cols=q.FSUM_CHUNK, seed=3, planted=[])
+@example(spec=[(1022, 1, 0.0)], cols=q.FSUM_CHUNK - 1, seed=69, planted=[])
+# tops at 2^40, which takes one unscaled pass, and one ulp below it
+@example(spec=[(-20, 40, 0.0)] * 2, cols=2 * q.FSUM_CHUNK + 1, seed=4,
+         planted=[(0, 5, 2.0 ** 40), (1, q.FSUM_CHUNK + 7, -(2.0 ** 40 - 2.0 ** -13))])
+# subnormals only
+@example(spec=[(-1074, 50, 0.0)], cols=q.FSUM_CHUNK, seed=5, planted=[])
+# 2^39, -2^39 and 2^-1074 alone: passes until the scale passes 2^-1074
+@example(spec=[(0, 0, 1.0)], cols=q.FSUM_CHUNK - 1, seed=6,
+         planted=[(0, 3, 2.0 ** 39), (0, 900, 5e-324), (0, 2000, -(2.0 ** 39))])
+# a row under 2^40 waits while a row at 1e300 takes unscaled passes, and a
+# row of zeros with them
+@example(spec=[(-30, 60, 0.0), (-60, 60, 0.0), (0, 0, 1.0)], cols=2 * q.FSUM_CHUNK + 1,
+         seed=7, planted=[(1, 3, 1e300)])
+# integers below 2^40, which one pass empties, beside a row that takes two
+@example(spec=[(0, 0, 1.0), (-10, 20, 0.0)], cols=q.FSUM_CHUNK, seed=8,
+         planted=[(0, 1, 1.0), (0, 2, -(2.0 ** 39)), (0, 4000, 3.0)])
 @settings(max_examples=60, deadline=None)
-def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed):
+def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed, planted):
     # where math.fsum overflows on the way, row_sums returns the exact sum
     # rounded, which weighted_sum's fallback uses, and raises its overflow
     # error only when the exact sum leaves the float range
     rng = np.random.default_rng(seed)
     p = np.array([_row(rng, cols, *r) for r in spec])
+    for row, col, v in planted:
+        p[row % len(p), col % cols] = v
     x = np.linspace(0.0, 1.0, cols)
     try:
         want = [math.fsum(row.tolist()).hex() for row in p]
@@ -447,9 +474,8 @@ def test_row_sums_round_the_exact_sum_near_the_float_maximum(p):
 
 
 def test_fsum_of_zeros_of_either_sign_is_positive_zero():
-    # row_sums drops a row once it is empty, so a row of zeros has no
-    # partials; that math.fsum([]) is math.fsum over zeros of either sign
-    # is what makes the dropped rows and zero padding exact
+    # a row of zeros has only zero partials; that math.fsum over zeros of
+    # either sign is math.fsum([]), +0.0, is what makes zero padding exact
     for zeros in ([], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]):
         assert math.fsum(zeros).hex() == "0x0.0p+0"
     p = np.array([[-0.0] * 5, [0.0, -0.0, 0.0, 0.0, -0.0], [1.0, -0.0, -1.0, 0.0, 0.0]])
@@ -465,6 +491,13 @@ def test_row_sums_name_the_first_non_finite_node_of_a_row(row, col, bad):
     x = np.linspace(0.0, 1.0, cols)
     p = np.ones((4, cols))
     p[row, col], p[row, col + 1] = bad, math.nan
+    with pytest.raises(EvaluationError, match="non-finite weighted integrand") as e:
+        q.row_sums(4, x, lambda at: p[:, at])
+    assert e.value.x == x[col]
+    # alone among products under 2^40, which take only scaled passes: it
+    # stops the block before them, whose loop would not end on a NaN
+    p = np.random.default_rng(col).uniform(-2.0 ** 39, 2.0 ** 39, (4, cols))
+    p[row, col] = bad
     with pytest.raises(EvaluationError, match="non-finite weighted integrand") as e:
         q.row_sums(4, x, lambda at: p[:, at])
     assert e.value.x == x[col]
