@@ -78,7 +78,10 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
 
     Only the sine family is orthonormal in L2 here; the remainder ledger
     err_N^2 = ||f||^2 - sum a_n^2 is exact for it, and the direct re-check
-    before assembly defends against quadrature drift in the ledger.
+    before assembly defends against quadrature drift in the ledger. It runs
+    at the ledger's first passing N, then only at _sine_probes' block ends
+    (N a power of two, or max_terms); a violation carries its last value,
+    or the ledger's remainder if it never ran.
 
     The coefficients come from _sine_probes, in batches; the ledger walks
     each batch in order and stops at the same N as with one probe at a
@@ -98,14 +101,15 @@ def approximate_orthonormal(f, family: basis.BasisFamily,
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
-        if parseval < settings.epsilon:
+        if parseval < settings.epsilon and (
+                direct == math.inf or n & (n - 1) == 0 or n == settings.max_terms):
             g = target_mod.series(family, terms)
             last_rule = quadrature.construction_rule(f, [g], interval=family.domain)
             direct = quadrature.norm_of_difference(f, g, norm, last_rule)
             if direct < settings.epsilon:
                 break
     else:
-        raise ToleranceViolated(min(parseval, direct), settings.epsilon,
+        raise ToleranceViolated(parseval if direct == math.inf else direct, settings.epsilon,
                                 f"after {settings.max_terms} probes")
     stopping = (f"parseval remainder {parseval:.6e} at N={len(terms)}; "
                 f"direct recheck {direct:.6e}")
@@ -344,8 +348,9 @@ def approximate_raw_probe(f, elements, norm: NormTag,
 # weighted Chebyshev pipeline
 # ----------------------------------------------------------------------------
 
-def chebyshev_coefficients(f, degree: int) -> np.ndarray:
-    """Weighted-orthogonality coefficients a_0..a_degree of the T_j expansion.
+def chebyshev_coefficients(f, degree: int, first: int = 0) -> np.ndarray:
+    """Weighted-orthogonality coefficients a_first..a_degree of the T_j
+    expansion, each that of the whole table, as each is its own row sum.
 
     Integrates f * T_j on the n = 2(degree+1) point Gauss-Chebyshev rule
     (Mason & Handscomb 2003), by _term_sums: the ascending nodes
@@ -356,7 +361,8 @@ def chebyshev_coefficients(f, degree: int) -> np.ndarray:
     if not 1 <= n <= 1_000_000:
         raise ConfigurationError(f"unreasonable node count {n}")
     x = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
-    sums = _term_sums(f, basis.chebyshev_family(), range(degree + 1), x, np.full(n, np.pi / n))
+    sums = _term_sums(f, basis.chebyshev_family(), range(first, degree + 1), x,
+                      np.full(n, np.pi / n))
     return np.array([ip / math.pi if j == 0 else 2.0 * ip / math.pi for j, ip in sums])
 
 
@@ -372,8 +378,8 @@ def approximate_chebyshev(f, degree: int,
         raise ConfigurationError("degree must be >= 0")
     fam = basis.chebyshev_family()
     coeffs = chebyshev_coefficients(f, degree)
-    tail_all = chebyshev_coefficients(f, degree + CHEB_TAIL_TERMS)
-    tail = math.fsum(abs(a) for a in tail_all[degree + 1:])
+    tail = math.fsum(abs(a) for a in chebyshev_coefficients(
+        f, degree + CHEB_TAIL_TERMS, first=degree + 1))
     terms = [(j, float(a)) for j, a in enumerate(coeffs)]
     g = target_mod.series(fam, terms)
     grid = np.cos(np.pi * np.arange(CHEB_ERROR_GRID) / (CHEB_ERROR_GRID - 1))[::-1]

@@ -15,18 +15,10 @@ sup_distance's.
 Every weighted sum is exactly rounded, so it does not depend on summation
 order, platform or BLAS kernel; this is what makes certificate digests
 reproducible across machines. Each is math.fsum of every product, bit for
-bit, where math.fsum does not overflow on the way. weighted_sum is the
-one-row sum of integrate, inner_product and norm_of_difference: up to
-FSUM_CHUNK // 4 products it is math.fsum itself, past that the one-row
-row_sums. row_sums sums many rows at once, such as every B-spline Gram
-pair or probe, by error-free extraction. Each slice of FSUM_CHUNK
-products of a row is scaled up once by a power of two, which is exact,
-to lie below 2^40 (a row at 2^40 or more first takes unscaled passes);
-each pass then sums their integer parts, below 2^52 and so exactly, and
-scales the remainder, in (-1, 1), up by 2^40 again. Each such sum times
-the row's scale is a partial, exact even for a scale below 2^-1074, as
-the sum is then a multiple of 2^-1074 over the scale, and one math.fsum
-per row rounds its partials.
+bit, where math.fsum does not overflow on the way. row_sums alone takes
+them, one row for integrate, inner_product and norm_of_difference
+(weighted_sum), many at once for the B-spline Gram pairs and the probes,
+and its docstring gives the one exactness argument.
 """
 
 from __future__ import annotations
@@ -153,6 +145,9 @@ FSUM_CHUNK = 4096
 _HEADROOM = (2 * FSUM_CHUNK - 1).bit_length()
 # the bits an extraction pass takes from a row: its integers lie below 2^40
 _PASS_BITS = 53 - _HEADROOM
+# the most products of a block that row_sums hands to math.fsum as they are;
+# past it extraction is faster (the two meet near 500-600 products)
+FSUM_PRODUCTS = FSUM_CHUNK // 8
 
 
 def integrate(fn, rule: QuadratureRule) -> float:
@@ -163,19 +158,9 @@ def integrate(fn, rule: QuadratureRule) -> float:
 
 def weighted_sum(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> float:
     """math.fsum of the products w_i * v_i at the nodes x_i, exactly
-    rounded. Up to FSUM_CHUNK // 4 products, math.fsum over them as Python
-    floats beats the numpy passes of row_sums; past that, or when math.fsum
-    ends in a non-finite value or an overflow, the one-row row_sums sums
-    them, so the value and the error are row_sums' either way."""
+    rounded: the one-row row_sums, its value and its errors."""
     with np.errstate(over="ignore"):
         wv = w * v
-    if wv.size <= FSUM_CHUNK // 4:
-        try:
-            total = math.fsum(wv.tolist())
-        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-            total = math.nan
-        if math.isfinite(total):
-            return total
     return row_sums(1, x, lambda at: wv[None, at])[0]
 
 
@@ -184,9 +169,12 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
 
     products(at) gives the (rows, n) block of products at the nodes x[..., at]
     (x shared, or one row each), for the slices at of FSUM_CHUNK nodes in
-    turn, and may be overwritten.
-    Each block is reduced by error-free extraction (ExtractVector of Rump,
-    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008). With k = _PASS_BITS,
+    turn, and may be overwritten. Each block adds partials to its rows whose
+    exact sums are those of its rows' products. A block of at most
+    FSUM_PRODUCTS products, all finite, adds the products themselves: the
+    final math.fsum over a few hundred Python floats beats the passes below.
+    A larger block is reduced by error-free extraction (ExtractVector of
+    Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008). With k = _PASS_BITS,
     max|r| < 2^e for a row r and s = e - k, a row under 2^k (s <= 0) is
     scaled once to r * 2^-s, all rows in one ldexp, and then, while the
     block has a nonzero entry, each pass takes for every row at once
@@ -229,6 +217,10 @@ def row_sums(rows: int, x: np.ndarray, products) -> list[float]:
             bad = np.argmax(~np.isfinite(top))
             node = float(np.broadcast_to(x[..., at], r.shape)[bad][~np.isfinite(r[bad])][0])
             raise EvaluationError(f"non-finite weighted integrand at node x = {node}", node)
+        if r.size <= FSUM_PRODUCTS:
+            for p, row in zip(parts, r.tolist()):
+                p += row
+            continue
         s = np.frexp(top)[1] - _PASS_BITS
         np.ldexp(r, -np.minimum(s, 0)[:, None], out=r)
         big, passes = np.flatnonzero(s > 0), []

@@ -80,9 +80,10 @@ def test_probe_rank_is_minimal_at_block_boundaries(n):
 
 def _probes_one_at_a_time(f, family, settings):
     """The probe loop as it was before batching, kept as an oracle: each
-    coefficient is math.fsum of w * (f * e_n) on its block's rule, in turn.
-    Returns the terms and the stopping text, or the terms and the achieved
-    error when the budget runs out."""
+    coefficient is math.fsum of w * (f * e_n) on its block's rule, in turn,
+    and the direct re-check runs at the ledger's first passing n, then at
+    block ends alone. Returns the terms and the stopping text, or the terms
+    and the achieved error when the budget runs out."""
     norm = quadrature.l2_norm(family.domain)
     f2_rule = quadrature.construction_rule(f, [], interval=family.domain).refined(4)
     f2 = quadrature.integrate(lambda x: np.asarray(f.evaluate(x)) ** 2, f2_rule)
@@ -97,14 +98,14 @@ def _probes_one_at_a_time(f, family, settings):
         terms.append((n, a))
         acc += a * a
         parseval = math.sqrt(max(f2 - acc, 0.0))
-        if parseval < settings.epsilon:
+        if parseval < settings.epsilon and (direct == math.inf or n == block_end):
             g = target.series(family, terms)
             last_rule = quadrature.construction_rule(f, [g], interval=family.domain)
             direct = quadrature.norm_of_difference(f, g, norm, last_rule)
             if direct < settings.epsilon:
                 return terms, (f"parseval remainder {parseval:.6e} at N={len(terms)}; "
                                f"direct recheck {direct:.6e}")
-    return terms, min(parseval, direct)
+    return terms, parseval if direct == math.inf else direct
 
 
 @pytest.mark.parametrize("eps,max_terms", [
@@ -129,6 +130,39 @@ def test_batched_probes_match_one_probe_at_a_time(eps, max_terms):
     with pytest.raises(ToleranceViolated) as e:
         approximate_orthonormal(f, fam, settings)
     assert e.value.achieved == end
+
+
+# a Gaussian spike whose ledger passes 1e-2 well before its direct error does
+SPIKE = "exp(-((x-{})^2)*{})"
+
+
+def test_a_late_direct_pass_is_found_at_a_block_end():
+    # the direct error first passes at N = 63, inside the block (32, 64]; its
+    # re-checks run at the ledger's first pass and then at N = 64 alone
+    f = target.from_expression(SPIKE.format(0.9397833418524464, 5121.545464097224))
+    fam, settings = fourier_sine_family(), ExtractionSettings(1e-2, max_terms=256)
+    terms, end = _probes_one_at_a_time(f, fam, settings)
+    cert = approximate_orthonormal(f, fam, settings)
+    assert len(cert.terms) == 64
+    assert [(j, a.hex()) for j, a in cert.terms] == [(j, a.hex()) for j, a in terms]
+    assert cert.construction.stopping == end
+    assert end.startswith("parseval remainder 0.000000e+00 at N=64; direct recheck 9.5")
+    assert verify(cert, f).verdict
+
+
+def test_a_ledger_that_passes_early_is_rechecked_at_block_ends_alone(monkeypatch):
+    # the ledger passes at N = 20 and ends at 0, while the direct error
+    # stalls at 0.0173: one re-check per block end, not one per probe, and
+    # the violation carries the last direct error, not the ledger's 0
+    measure, calls = quadrature.norm_of_difference, []
+    monkeypatch.setattr(quadrature, "norm_of_difference",
+                        lambda *a: calls.append(1) or measure(*a))
+    f = target.from_expression(SPIKE.format(0.1270842504292619, 5133.712219686928))
+    with pytest.raises(ToleranceViolated) as e:
+        approximate_orthonormal(f, fourier_sine_family(),
+                                ExtractionSettings(1e-2, max_terms=1024))
+    assert len(calls) <= 12
+    assert e.value.achieved >= 1e-2
 
 
 def test_probes_read_one_term_table_per_batch_and_node_slice(tables):
@@ -615,6 +649,15 @@ def test_chebyshev_coefficients_of_t_k_are_the_unit_vectors():
     for k in range(21):
         got = chebyshev_coefficients(fam.element(k), 20)
         assert np.max(np.abs(got - np.eye(21)[k])) <= 1e-14, k
+
+
+@pytest.mark.parametrize("degree", [0, 20, 100])
+def test_a_chebyshev_tail_is_the_full_tables_rows_bit_for_bit(degree):
+    # approximate_chebyshev's eight tail rows: each coefficient is its own
+    # exact row sum, whichever block it is summed in
+    f = target.from_builtin("exp")
+    want = chebyshev_coefficients(f, degree + 8)[degree + 1:]
+    assert chebyshev_coefficients(f, degree + 8, first=degree + 1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("degree", [-1, 500_000])

@@ -122,6 +122,20 @@ def test_assemble_rejects_report_at_tolerance():
         _simple_cert(reported=0.05, tolerance=0.05)
 
 
+@pytest.mark.parametrize("tolerance,reported,coefficient,refusal", [
+    (math.nan, 0.01, 0.45, "invalid tolerance nan"),
+    (0.0, 0.0, 0.45, "invalid tolerance 0.0"),
+    (0.05, -0.01, 0.45, "invalid reported error -0.01"),
+    (0.05, math.nan, 0.45, "invalid reported error nan"),
+    (0.05, 0.01, math.nan, "non-finite coefficient for index 1"),
+], ids=["tolerance-nan", "tolerance-0", "reported-negative", "reported-nan",
+        "coefficient-nan"])
+def test_assemble_refuses_a_claim_it_cannot_state(tolerance, reported, coefficient, refusal):
+    with pytest.raises(ConfigurationError, match=f"^{refusal}$"):
+        assemble("t", fourier_sine_family(), [(1, coefficient)], quadrature.l2_norm(),
+                 tolerance, reported, Construction("raw_probe", "s"))
+
+
 def test_assemble_rejects_empty_terms():
     fam = fourier_sine_family()
     with pytest.raises(ConfigurationError):
@@ -190,6 +204,9 @@ def test_deserialize_keeps_claimed_digest():
     (lambda d: d.update(kind="poem"), "kind"),
     (lambda d: d.update(genealogy="xyz"), "genealogy"),
     (lambda d: d.pop("digest"), "digest"),
+    (lambda d: d.update(norm=3), "$.norm: not an object"),
+    (lambda d: d["basis"].update(domain=[0.0, 0.5, 1.0]), "$.basis.domain: not a pair"),
+    (lambda d: d["basis"].update(m=5), "$.basis: fourier_sine takes no size parameter"),
 ])
 def test_parse_errors_name_the_field(mutate, fragment):
     doc = _simple_cert().to_dict()

@@ -210,13 +210,40 @@ def test_a_fixed_domain_basis_off_the_target_domain_is_refused_unbuilt(argv, ref
                                                                       workdir, capsys):
     # the family keeps its fixed interval, so its rule's nodes would fall
     # outside the target: one line naming both intervals, before any rule
-    out = workdir / ("offdomain" + FILE_SUFFIX)
+    _refused_unbuilt(argv, refusal, workdir, capsys)
+
+
+def _refused_unbuilt(argv, refusal, workdir, capsys):
+    """approximate expr:x with argv exits 4 with the one line refusal on
+    stderr, before any rule is built or file written."""
+    out = workdir / ("refused" + FILE_SUFFIX)
     with mock.patch.object(quadrature.QuadratureRule, "__post_init__",
                            side_effect=AssertionError("a rule was built")):
         assert cli.main(["approximate", "--target", "expr:x", *argv, "--eps", "1e-3",
                          "--out", str(out)]) == 4
     assert capsys.readouterr() == ("", f"error: {refusal}\n")
     assert not out.exists()
+
+
+CHEBYSHEV_ON_ITS_DOMAIN = ["--basis", "chebyshev", "--domain", "-1", "1"]
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["--basis", "monomial", "--method", "chebyshev_pipeline", "--degree", "4"],
+     "chebyshev_pipeline needs --basis chebyshev"),
+    ([*CHEBYSHEV_ON_ITS_DOMAIN, "--method", "chebyshev_pipeline"],
+     "chebyshev_pipeline needs --degree"),
+    ([*CHEBYSHEV_ON_ITS_DOMAIN, "--method", "chebyshev_pipeline", "--degree", "4",
+      "--norm", "l2"], "chebyshev_pipeline reports the sup norm; drop --norm"),
+    ([*CHEBYSHEV_ON_ITS_DOMAIN, "--method", "orthonormal_probe"],
+     "orthonormal_probe needs --basis fourier_sine"),
+    (["--basis", "fourier_sine", "--norm", "w12"], "orthonormal_probe certifies the l2 norm"),
+    (["--basis", "monomial", "--method", "gram_solve"], "monomial needs --degree"),
+], ids=["pipeline-monomial", "pipeline-no-degree", "pipeline-l2", "probe-chebyshev",
+        "probe-w12", "gram-no-degree"])
+def test_a_method_its_basis_or_options_cannot_serve_is_refused_unbuilt(argv, refusal,
+                                                                      workdir, capsys):
+    _refused_unbuilt(argv, refusal, workdir, capsys)
 
 
 def test_sup_norm_probe_is_rejected(workdir, capsys):
@@ -1235,6 +1262,20 @@ def test_every_package_name_resolves_on_first_use(tmp_path):
                   "print('numpy' in sys.modules, [n for n in certapprox._HOME"
                   " if getattr(certapprox, n, None) is None], len(certapprox._HOME))", tmp_path)
     assert out == "False [] 81\n"
+
+
+def test_every_export_is_its_home_modules_own_object():
+    # the export table is hand-kept strings: it names every module of the
+    # package, each name is its module's object, and no other name resolves
+    import certapprox
+    assert sorted(certapprox._EXPORTS) == sorted(
+        p.stem for p in (SRC / "certapprox").glob("*.py") if p.stem != "__init__")
+    for name, module in certapprox._HOME.items():
+        home = getattr(certapprox, module)
+        own = getattr(home, "glue" if name == "glue_certificates" else name)
+        assert getattr(certapprox, name) is own, name
+    with pytest.raises(AttributeError, match="has no attribute 'approximate_sine'"):
+        certapprox.approximate_sine
 
 
 # the CLI's main in a process that reports, on stderr, whether numpy and

@@ -256,6 +256,16 @@ def test_understated_modulus_is_contradicted_by_the_ladder():
     assert e.value.measured == "1/4"
 
 
+def test_a_tail_over_half_the_tolerance_is_contradicted():
+    """At eps = 0.8 the same modulus passes its ladder, every rung under
+    eps/2, but the tail 2^-1 past its depth of 1 exceeds eps/2."""
+    bad = tent_sequence(Modulus("constant 1", lambda q: 1))
+    with pytest.raises(EvidenceContradictionError) as e:
+        transfer(bad, 0.8)
+    assert e.value.pair == (1, 1)
+    assert e.value.measured == "1/2"
+
+
 # ----------------------------------------------------------------------------
 # verification and serialization
 # ----------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def test_overflowing_weighted_products_are_reported(alternate):
             q.integrate(lambda x: sign * np.full_like(x, 1e308), rule)
 
 
-@pytest.mark.parametrize("points", [q.FSUM_CHUNK - 1, q.FSUM_CHUNK])
+@pytest.mark.parametrize("points", [3, q.FSUM_CHUNK - 1, q.FSUM_CHUNK])
 def test_a_sum_past_the_float_range_is_reported(points):
     # every product is finite, their sum is not
     x = np.linspace(-1.0, 1.0, points)
@@ -409,8 +409,8 @@ def _row(rng, cols, low, span, zeros):
 @settings(max_examples=60, deadline=None)
 def test_row_sums_are_fsum_of_each_row_bit_for_bit(spec, cols, seed, planted):
     # where math.fsum overflows on the way, row_sums returns the exact sum
-    # rounded, which weighted_sum's fallback uses, and raises its overflow
-    # error only when the exact sum leaves the float range
+    # rounded, and raises its overflow error only when the exact sum leaves
+    # the float range
     rng = np.random.default_rng(seed)
     p = np.array([_row(rng, cols, *r) for r in spec])
     for row, col, v in planted:
@@ -503,52 +503,58 @@ def test_row_sums_name_the_first_non_finite_node_of_a_row(row, col, bad):
     assert e.value.x == x[col]
 
 
-# the most products weighted_sum hands to math.fsum; past it the one-row row_sums
-CUT_OFF = q.FSUM_CHUNK // 4
 # products planted at k, k + 1, ... (mod the count), each of weight 1: a
 # non-finite one, two of 1.5e308 whose sum leaves the float range, or those
 # two and then two of -1.5e308, which overflow math.fsum on the way to 0.0
 PLANTS = {"inf": [math.inf], "-inf": [-math.inf], "nan": [math.nan],
           "overflow": [1.5e308] * 2, "cancel": [1.5e308] * 2 + [-1.5e308] * 2}
+# (rows, columns) of blocks on both sides of FSUM_PRODUCTS, one row or more
+P = q.FSUM_PRODUCTS
+SHAPES = [(1, P - 1), (1, P), (1, P + 1), (2, P // 2), (2, P // 2 + 1), (3, P // 3),
+          (3, P // 3 + 1), (4, P // 4 - 1), (1, q.FSUM_CHUNK + 1), (3, q.FSUM_CHUNK + 1)]
 
 
 @given(v=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=80),
-       size=st.sampled_from([None, CUT_OFF - 1, CUT_OFF, CUT_OFF + 1, q.FSUM_CHUNK + 1]),
+       shape=st.sampled_from([None, *SHAPES]),
        planted=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(sorted(PLANTS))),
                         max_size=2),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-@example(v=[1.0] * 4, size=None, planted=[(0, "cancel")], seed=0)
-@example(v=[1.0], size=CUT_OFF, planted=[(CUT_OFF - 1, "overflow")], seed=0)
+@example(v=[1.0] * 4, shape=None, planted=[(0, "cancel")], seed=0)
+@example(v=[1.0], shape=(1, P), planted=[(P - 1, "overflow")], seed=0)
+@example(v=[1.0], shape=(2, P // 2), planted=[(0, "cancel"), (P - 2, "overflow")], seed=0)
 @settings(max_examples=100, deadline=None)
-def test_weighted_sum_is_fsum_on_both_sides_of_the_cut_off(v, size, planted, seed):
-    # as drawn (1 to 80 products) or repeated to a count around the cut-off:
-    # the value is math.fsum's, by math.fsum itself up to CUT_OFF products,
-    # and a non-finite product or an overflowing sum raises the one-row
-    # row_sums' error, naming the same node
-    v = np.resize(np.array(v), size or len(v))
+def test_row_sums_are_fsum_on_both_sides_of_the_cut_off(v, shape, planted, seed):
+    # one row as drawn (1 to 80 products) or a block repeated to a shape
+    # around FSUM_PRODUCTS: each row's value is math.fsum's where that is
+    # finite, and values and errors (a non-finite product's node, a sum out
+    # of the float range) are those of extraction alone, FSUM_PRODUCTS = 0;
+    # one row is weighted_sum's
+    rows, cols = shape or (1, len(v))
+    v = np.resize(np.array(v), rows * cols)
     w = np.random.default_rng(seed).uniform(0.0, 2.0, v.size)
     for k, kind in planted:
         at = (k % v.size + np.arange(len(PLANTS[kind]))) % v.size
         v[at], w[at] = PLANTS[kind], 1.0
-    x = np.linspace(0.0, 1.0, v.size)
+    x = np.linspace(0.0, 1.0, cols)
     with np.errstate(over="ignore"):
-        wv = w * v
-    try:
-        fsum = math.fsum(wv.tolist())
-    except (OverflowError, ValueError):
-        fsum = math.nan
+        wv = (w * v).reshape(rows, cols)
 
     def outcome(fn):
         try:
-            return fn().hex()
+            return [s.hex() for s in fn()]
         except EvaluationError as e:
             return str(e), e.x
-    with mock.patch.object(q, "row_sums", wraps=q.row_sums) as extraction:
-        got = outcome(lambda: q.weighted_sum(w, v, x))
-    assert extraction.called == (v.size > CUT_OFF or not math.isfinite(fsum))
-    assert got == outcome(lambda: q.row_sums(1, x, lambda at: wv[None, at])[0])
-    if math.isfinite(fsum):
-        assert got == fsum.hex()
+    got = outcome(lambda: q.row_sums(rows, x, lambda at: wv[:, at].copy()))
+    with mock.patch.object(q, "FSUM_PRODUCTS", 0):
+        assert got == outcome(lambda: q.row_sums(rows, x, lambda at: wv[:, at].copy()))
+    if rows == 1:
+        assert got == outcome(lambda: [q.weighted_sum(w, v, x)])
+    try:
+        fsums = [math.fsum(row.tolist()) for row in wv]
+    except (OverflowError, ValueError):
+        return
+    if all(map(math.isfinite, fsums)):
+        assert got == [s.hex() for s in fsums]
 
 
 # ----------------------------------------------------------------------------

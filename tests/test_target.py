@@ -312,6 +312,16 @@ def test_piecewise_linear_derivative_convention():
     assert f.evaluate_deriv(0.0) == 2.0
 
 
+@pytest.mark.parametrize("xs,ys,refusal", [
+    ([0.0, 1.0], [0.0], "need at least two samples of equal length"),
+    ([0.0], [0.0], "need at least two samples of equal length"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0], "sample abscissae must be strictly increasing"),
+], ids=["unequal-lengths", "one-sample", "repeated-abscissa"])
+def test_piecewise_linear_refuses_samples_it_cannot_join(xs, ys, refusal):
+    with pytest.raises(ConfigurationError, match=refusal):
+        target.piecewise_linear(xs, ys)
+
+
 def test_series_panel_edges_use_finest_term():
     f = target.series(fourier_sine_family(), [(1, 0.5), (4, 0.25)])
     assert len(f.panel_edges()) == 5
